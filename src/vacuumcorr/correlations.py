@@ -17,10 +17,11 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .linalg import as_state, expectation, hermitian_eig, operator_norm
+from .linalg import NOISE_TOL, as_state, expectation, hermitian_eig, operator_norm
 from .local_algebra import LocalOperator, RegionLayout, VacuumModel, check_cyclic
 from .root_theorem import (
     PROJECTOR_FLOOR,
+    SPECTRAL_TAU,
     RootCertificate,
     StageFailure,
     prove_root_certificate,
@@ -28,15 +29,17 @@ from .root_theorem import (
 
 SQRT2 = math.sqrt(2.0)
 
-CONTRACTION_TOL = 1e-10
+# Draws per see-saw start.  About a quarter of draws end at a classical
+# fixed point, so all of them stalling has probability near 0.25**8.
+SEESAW_DRAWS = 8
 
 
 def _check_contraction(op: LocalOperator, name: str) -> None:
     dev = linalg.dagger_distance(op.matrix)
-    if dev > CONTRACTION_TOL:
+    if dev > NOISE_TOL:
         raise ValueError(f"{name} is not self-adjoint: |X - X^†| = {dev}")
     nrm = operator_norm(op.matrix)
-    if nrm > 1.0 + CONTRACTION_TOL:
+    if nrm > 1.0 + NOISE_TOL:
         raise ValueError(f"{name} is not a contraction: norm {nrm}")
 
 
@@ -64,7 +67,7 @@ class ConditionalResult:
     p3: LocalOperator
     p3_expect: float
     conditional_correlation: float
-    certificate: Optional[RootCertificate] = None
+    certificate: RootCertificate
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,7 @@ def bell_operator(s: BellSettings, layout: RegionLayout) -> np.ndarray:
     b2 = s.b2.embed(layout)
     r = a1 @ (b1 + b2) + a2 @ (b1 - b2)
     dev = linalg.dagger_distance(r)
-    if dev > 1e-10:
+    if dev > NOISE_TOL:
         raise StageFailure("bell-operator", "R is not Hermitian", deviation=dev)
     return r
 
@@ -155,6 +158,9 @@ def seesaw_maximize(
     coefficient matrix of the state), and sign(G_i) is the optimal
     contraction; symmetrically for the B's.  The objective never
     decreases, so the run stops at a fixed point or after max_iters.
+    A run ending with A1, A2 commuting on the state's support is stuck at a
+    classical point (value <= 1); it is redone from the next draw, up to
+    SEESAW_DRAWS draws.
     """
     if layout.n_slots != 2:
         raise ValueError("see-saw runs on 2-slot layouts")
@@ -166,29 +172,32 @@ def seesaw_maximize(
     d1, d2 = layout.dims
     psi_mat = state.reshape(d1, d2)
     rng = np.random.default_rng(seed)
-    b1 = _sign_contraction(linalg.random_hermitian(d2, rng))
-    b2 = _sign_contraction(linalg.random_hermitian(d2, rng))
-    a1 = _sign_contraction(linalg.random_hermitian(d1, rng))
-    a2 = _sign_contraction(linalg.random_hermitian(d1, rng))
 
     def objective(a1, a2, b1, b2) -> float:
         val = np.trace(a1 @ psi_mat @ (b1 + b2).T @ psi_mat.conj().T)
         val += np.trace(a2 @ psi_mat @ (b1 - b2).T @ psi_mat.conj().T)
         return 0.5 * float(val.real)
 
-    best = objective(a1, a2, b1, b2)
-    for _ in range(max_iters):
-        a1 = _sign_contraction(psi_mat @ (b1 + b2).T @ psi_mat.conj().T)
-        a2 = _sign_contraction(psi_mat @ (b1 - b2).T @ psi_mat.conj().T)
-        h1 = (psi_mat.conj().T @ a1 @ psi_mat).T
-        h2 = (psi_mat.conj().T @ a2 @ psi_mat).T
-        b1 = _sign_contraction(h1 + h2)
-        b2 = _sign_contraction(h1 - h2)
-        current = objective(a1, a2, b1, b2)
-        if current - best < tol:
-            best = max(best, current)
+    for _ in range(SEESAW_DRAWS):
+        b1 = _sign_contraction(linalg.random_hermitian(d2, rng))
+        b2 = _sign_contraction(linalg.random_hermitian(d2, rng))
+        a1 = _sign_contraction(linalg.random_hermitian(d1, rng))
+        a2 = _sign_contraction(linalg.random_hermitian(d1, rng))
+        best = objective(a1, a2, b1, b2)
+        for _ in range(max_iters):
+            a1 = _sign_contraction(psi_mat @ (b1 + b2).T @ psi_mat.conj().T)
+            a2 = _sign_contraction(psi_mat @ (b1 - b2).T @ psi_mat.conj().T)
+            h1 = (psi_mat.conj().T @ a1 @ psi_mat).T
+            h2 = (psi_mat.conj().T @ a2 @ psi_mat).T
+            b1 = _sign_contraction(h1 + h2)
+            b2 = _sign_contraction(h1 - h2)
+            current = objective(a1, a2, b1, b2)
+            if current - best < tol:
+                best = max(best, current)
+                break
+            best = current
+        if np.linalg.norm((a1 @ a2 - a2 @ a1) @ psi_mat) > NOISE_TOL:
             break
-        best = current
     settings = BellSettings(
         a1=LocalOperator(0, a1), a2=LocalOperator(0, a2),
         b1=LocalOperator(1, b1), b2=LocalOperator(1, b2),
@@ -211,13 +220,13 @@ class EPRReport:
 
 
 def epr_projector_pair(
-    p2: LocalOperator, phi, v: VacuumModel, eps: float
+    p2: LocalOperator, phi, v: VacuumModel, eps: float, tau: float = SPECTRAL_TAU
 ) -> tuple[LocalOperator, EPRReport]:
     """Find P1 on the complementary region with
     <P1>_omega >= <P1 P2>_omega > (1 - eps) <P1>_omega.
 
     Builds psi = P2 phi / ||P2 phi|| (so <P2>_psi = 1) and applies the
-    root pipeline with A = P2 and K = 1; P1 is the max-ratio projector.
+    root pipeline (cutoff tau) with A = P2 and K = 1; P1 is the max-ratio projector.
     """
     if not p2.is_projector():
         raise ValueError("P2 is not a projector")
@@ -232,7 +241,7 @@ def epr_projector_pair(
         )
     psi = cut / nrm
     target = v.layout.complement(p2.slots)
-    cert = prove_root_certificate(p2, psi, v, target, eps)
+    cert = prove_root_certificate(p2, psi, v, target, eps, tau)
     p1 = cert.p_max
     ep1 = p1.embed(v.layout)
     p1_expect = float(expectation(ep1, v.omega).real)
@@ -267,7 +276,7 @@ def conditional_bell_correlation(
         )
     r = bell_operator(s, v.layout)
     val = expectation(r @ ep3, v.omega)
-    if abs(val.imag) > 1e-10:
+    if abs(val.imag) > NOISE_TOL:
         raise StageFailure("conditional", "non-real <R P3>", imag=val.imag)
     return 0.5 * float(val.real) / p3_expect
 
@@ -281,6 +290,7 @@ def _conditional_pipeline(
     phi: np.ndarray,
     v: VacuumModel,
     eps: float,
+    tau: float = SPECTRAL_TAU,
 ) -> BellReport:
     """Shared machinery for the conditional violation results.
 
@@ -308,7 +318,7 @@ def _conditional_pipeline(
     chi[0] = 1.0
     psi = np.kron(phi, chi)
     a_region = LocalOperator((0, 1), r01)
-    cert = prove_root_certificate(a_region, psi, v, (2,), 2.0 * eps)
+    cert = prove_root_certificate(a_region, psi, v, (2,), 2.0 * eps, tau)
     p3 = cert.p_max
     cond = conditional_bell_correlation(settings, p3, v)
     half_k = 0.5 * cert.target_k
@@ -321,8 +331,7 @@ def _conditional_pipeline(
     return BellReport(
         settings=settings,
         state=psi,
-        correlation=0.5 * float(expectation(
-            bell_operator(settings, layout), psi).real),
+        correlation=bell_correlation(settings, psi, layout),
         tsirelson_margin=SQRT2 - 0.5 * operator_norm(r01),
         conditional=ConditionalResult(
             p3=p3,
@@ -334,11 +343,11 @@ def _conditional_pipeline(
 
 
 def violate_conditional_bell(
-    layout: RegionLayout, v: VacuumModel, eps: float
+    layout: RegionLayout, v: VacuumModel, eps: float, tau: float = SPECTRAL_TAU
 ) -> BellReport:
     """Conditional near-maximal violation: (1/2) <R>_{P3=1} > sqrt(2) - eps."""
     phi, settings = canonical_max_violation(layout)
-    return _conditional_pipeline(settings, phi, v, eps)
+    return _conditional_pipeline(settings, phi, v, eps, tau)
 
 
 def general_contraction_extension(
@@ -359,7 +368,7 @@ def general_contraction_extension(
     sub = _sub_layout(v.layout)
     for name, p, q in (("A", a1, a2), ("B", b1, b2)):
         comm = p.matrix @ q.matrix - q.matrix @ p.matrix
-        if operator_norm(comm) <= 1e-10:
+        if operator_norm(comm) <= NOISE_TOL:
             raise ValueError(f"{name}1 and {name}2 commute; the extension needs "
                              "non-commuting pairs")
     r01 = bell_operator(settings, sub)

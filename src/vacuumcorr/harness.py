@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -32,37 +32,17 @@ from .correlations import (
     tsirelson_certificate,
     violate_conditional_bell,
 )
-from .linalg import expectation, random_hermitian
+from .linalg import SCHMIDT_RANK_TOL, random_hermitian
 from .local_algebra import (
     LocalOperator,
     RegionLayout,
     VacuumModel,
-    check_cyclic,
-    check_separating,
+    _certified_regions,
     make_vacuum,
     random_projector,
     vacuum_positivity,
 )
-from .root_theorem import RootCertificate, prove_root_certificate
-
-SCENARIOS = (
-    "reeh-schlieder",
-    "root-cert",
-    "epr",
-    "bell-max",
-    "tsirelson-sweep",
-    "cond-bell",
-)
-
-DEFAULT_TOLERANCES = {
-    "hermitian": 1e-10,
-    "eig_merge": 1e-10,
-    "schmidt_rank": 1e-9,
-    "projector_floor": 1e-12,
-    "spectral_tau": 1e-12,
-    "tsirelson_slack": 1e-9,
-    "budget_check": 1e-9,
-}
+from .root_theorem import BUDGET_TOL, SPECTRAL_TAU, RootCertificate, prove_root_certificate
 
 
 class ConfigError(ValueError):
@@ -73,6 +53,34 @@ class ConfigError(ValueError):
         super().__init__(f"config field '{config_field}': {message}")
 
 
+def _is_integer(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _positive_number(name: str, x) -> float:
+    """``x`` as a float, or ConfigError unless it is a finite number > 0."""
+    if (_is_integer(x) or isinstance(x, float)) and math.isfinite(x) and x > 0:
+        return float(x)
+    raise ConfigError(name, f"expected a finite positive number, got {x!r}")
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """The tolerances a run uses: Schmidt-rank cutoff (reeh-schlieder),
+    spectral cutoff tau of the root pipeline (root-cert, epr, cond-bell),
+    slack on the Tsirelson margin, and slack on each budget assertion."""
+
+    schmidt_rank: float = SCHMIDT_RANK_TOL
+    spectral_tau: float = SPECTRAL_TAU
+    tsirelson_slack: float = 1e-9
+    budget_check: float = BUDGET_TOL
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = _positive_number(f"tolerances.{f.name}", getattr(self, f.name))
+            object.__setattr__(self, f.name, value)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     scenario: str
@@ -80,13 +88,16 @@ class ScenarioConfig:
     seed: int
     eps: float
     sweep: Optional[tuple[float, ...]] = None
-    tolerances: dict[str, float] = field(default_factory=dict)
+    tolerances: Tolerances = Tolerances()
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ConfigError(
                 "scenario", f"{self.scenario!r} is not one of {', '.join(SCENARIOS)}"
             )
+        if not (isinstance(self.layout, (list, tuple))
+                and all(_is_integer(d) for d in self.layout)):
+            raise ConfigError("layout", f"expected a list of integers, got {self.layout!r}")
         try:
             layout = RegionLayout(tuple(self.layout))
         except ValueError as exc:
@@ -113,22 +124,18 @@ class ScenarioConfig:
         ) == 2 and layout.dims[0] != layout.dims[1]:
             # These scenarios build a vacuum, which needs matching dims.
             raise ConfigError("layout", f"2-slot vacuum needs d1 = d2, got {layout.dims}")
-        if not isinstance(self.seed, int):
-            raise ConfigError("seed", f"expected an integer, got {self.seed!r}")
-        if not (isinstance(self.eps, (int, float)) and self.eps > 0):
-            raise ConfigError("eps", f"expected a positive number, got {self.eps!r}")
+        if not (_is_integer(self.seed) and self.seed >= 0):
+            raise ConfigError("seed", f"expected a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "eps", _positive_number("eps", self.eps))
         if self.sweep is not None:
-            sweep = tuple(float(e) for e in self.sweep)
+            if not isinstance(self.sweep, (list, tuple)):
+                raise ConfigError("sweep", f"expected a list of numbers, got {self.sweep!r}")
+            sweep = tuple(_positive_number("sweep", e) for e in self.sweep)
             if not sweep:
                 raise ConfigError("sweep", "sweep list must be non-empty")
-            if any(e <= 0 for e in sweep):
-                raise ConfigError("sweep", f"entries must be strictly positive: {sweep}")
             if any(b >= a for a, b in zip(sweep, sweep[1:])):
                 raise ConfigError("sweep", f"entries must be strictly decreasing: {sweep}")
             object.__setattr__(self, "sweep", sweep)
-        unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
-        if unknown:
-            raise ConfigError("tolerances", f"unknown names: {sorted(unknown)}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -140,17 +147,20 @@ class ScenarioConfig:
             raise ConfigError("scenario", "missing")
         if "layout" not in data:
             raise ConfigError("layout", "missing")
+        tolerances = data.get("tolerances", {})
+        if not isinstance(tolerances, dict):
+            raise ConfigError("tolerances", f"expected an object, got {tolerances!r}")
+        unknown = set(tolerances) - {f.name for f in fields(Tolerances)}
+        if unknown:
+            raise ConfigError("tolerances", f"unknown names: {sorted(unknown)}")
         return cls(
             scenario=data["scenario"],
-            layout=tuple(data["layout"]),
-            seed=int(data.get("seed", 0)),
-            eps=float(data.get("eps", 0.01)),
-            sweep=tuple(data["sweep"]) if data.get("sweep") else None,
-            tolerances=dict(data.get("tolerances", {})),
+            layout=data["layout"],
+            seed=data.get("seed", 0),
+            eps=data.get("eps", 0.01),
+            sweep=data.get("sweep") or None,
+            tolerances=Tolerances(**tolerances),
         )
-
-    def tolerance(self, name: str) -> float:
-        return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
     def region_layout(self) -> RegionLayout:
         return RegionLayout(self.layout)
@@ -162,7 +172,7 @@ class ScenarioConfig:
             "seed": self.seed,
             "eps": self.eps,
             "sweep": list(self.sweep) if self.sweep else None,
-            "tolerances": {k: self.tolerance(k) for k in sorted(DEFAULT_TOLERANCES)},
+            "tolerances": asdict(self.tolerances),
         }
 
 
@@ -229,17 +239,7 @@ def certificate_payload(cert: RootCertificate) -> dict:
         "rhs_max": cert.rhs_max,
         "lhs_min": cert.lhs_min,
         "rhs_min": cert.rhs_min,
-        "budget": {
-            "eps1": cert.budget.eps1,
-            "eps2": cert.budget.eps2,
-            "eps3": cert.budget.eps3,
-            "eps4": cert.budget.eps4,
-            "eps5": cert.budget.eps5,
-            "norm_a": cert.budget.norm_a,
-            "q_norm": cert.budget.q_norm,
-            "q_expect": cert.budget.q_expect,
-            "eps4_tilde": cert.budget.eps4_tilde,
-        },
+        "budget": asdict(cert.budget),
         "weights": list(cert.weights),
         "achieved": dict(cert.achieved),
     }
@@ -263,9 +263,7 @@ def bell_report_payload(rep: BellReport) -> dict:
             "p3": _local_op_payload(rep.conditional.p3),
             "p3_expect": rep.conditional.p3_expect,
             "conditional_correlation": rep.conditional.conditional_correlation,
-            "certificate": certificate_payload(rep.conditional.certificate)
-            if rep.conditional.certificate is not None
-            else None,
+            "certificate": certificate_payload(rep.conditional.certificate),
         }
     return payload
 
@@ -281,12 +279,9 @@ def _random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
 def _scenario_reeh_schlieder(cfg: ScenarioConfig) -> tuple[list, dict]:
     layout = cfg.region_layout()
     v = make_vacuum(layout, cfg.seed)
-    rank_tol = cfg.tolerance("schmidt_rank")
+    rank_tol = cfg.tolerances.schmidt_rank
     assertions: list = []
-    regions = [(s,) for s in range(layout.n_slots)]
-    if layout.n_slots == 3:
-        regions.append((0, 1))
-    for region in regions:
+    for region in _certified_regions(layout):
         rank = linalg.schmidt_rank(v.omega, layout.dims, region, rank_tol)
         name = "+".join(str(s) for s in region)
         _record(assertions, f"separating_rank_slot_{name}", rank, "==",
@@ -314,21 +309,18 @@ def _scenario_reeh_schlieder(cfg: ScenarioConfig) -> tuple[list, dict]:
     return assertions, certificates
 
 
-def _scenario_root_cert(cfg: ScenarioConfig, eps: Optional[float] = None
-                        ) -> tuple[list, dict, RootCertificate]:
+def _root_cert(cfg: ScenarioConfig, eps: float) -> tuple[list, RootCertificate]:
     layout = cfg.region_layout()
-    eps = cfg.eps if eps is None else eps
     v = make_vacuum(layout, cfg.seed)
     rng = np.random.default_rng(cfg.seed)
     a = LocalOperator(1, random_hermitian(layout.dims[1], rng))
     psi = _random_state(layout.total_dim, rng)
-    cert = prove_root_certificate(a, psi, v, (0,), eps,
-                                  tau=cfg.tolerance("spectral_tau"))
+    cert = prove_root_certificate(a, psi, v, (0,), eps, tau=cfg.tolerances.spectral_tau)
     assertions: list = []
     _record(assertions, "root_max_inequality", cert.lhs_max, ">", cert.rhs_max)
     _record(assertions, "root_min_inequality", cert.lhs_min, "<", cert.rhs_min)
     _record(assertions, "weights_sum", abs(sum(cert.weights) - 1.0), "<=", 1e-9)
-    budget_tol = cfg.tolerance("budget_check")
+    budget_tol = cfg.tolerances.budget_check
     bounds = {
         "cyclic_residual": cert.budget.eps1,
         "normalized_error": cert.budget.eps2,
@@ -340,14 +332,19 @@ def _scenario_root_cert(cfg: ScenarioConfig, eps: Optional[float] = None
     for name, bound in bounds.items():
         _record(assertions, f"budget_{name}", cert.achieved[name], "<=",
                 bound + budget_tol)
-    return assertions, {"root_certificate": certificate_payload(cert)}, cert
+    return assertions, cert
+
+
+def _scenario_root_cert(cfg: ScenarioConfig) -> tuple[list, dict]:
+    assertions, cert = _root_cert(cfg, cfg.eps)
+    return assertions, {"root_certificate": certificate_payload(cert)}
 
 
 def _scenario_epr(cfg: ScenarioConfig) -> tuple[list, dict]:
     layout = cfg.region_layout()
     v = make_vacuum(layout, cfg.seed)
     p2 = random_projector(layout, 1, 1, cfg.seed)
-    _, report = epr_projector_pair(p2, v.omega, v, cfg.eps)
+    _, report = epr_projector_pair(p2, v.omega, v, cfg.eps, cfg.tolerances.spectral_tau)
     assertions: list = []
     # <P1 P2> <= <P1> is exact (P1 P2 <= P1 as operators); compare the
     # difference against the floating-point noise floor.
@@ -405,7 +402,7 @@ def _random_settings(layout: RegionLayout, rng: np.random.Generator) -> BellSett
 def _scenario_tsirelson_sweep(cfg: ScenarioConfig) -> tuple[list, dict]:
     layout = cfg.region_layout()
     rng = np.random.default_rng(cfg.seed)
-    slack = cfg.tolerance("tsirelson_slack")
+    slack = cfg.tolerances.tsirelson_slack
     margins = []
     for _ in range(100):
         settings = _random_settings(layout, rng)
@@ -419,7 +416,7 @@ def _scenario_tsirelson_sweep(cfg: ScenarioConfig) -> tuple[list, dict]:
 def _scenario_cond_bell(cfg: ScenarioConfig) -> tuple[list, dict]:
     layout = cfg.region_layout()
     v = make_vacuum(layout, cfg.seed)
-    report = violate_conditional_bell(layout, v, cfg.eps)
+    report = violate_conditional_bell(layout, v, cfg.eps, cfg.tolerances.spectral_tau)
     cond = report.conditional
     assertions: list = []
     _record(assertions, "conditional_violation", cond.conditional_correlation,
@@ -428,26 +425,24 @@ def _scenario_cond_bell(cfg: ScenarioConfig) -> tuple[list, dict]:
     _record(assertions, "conditional_recompute",
             abs(recomputed - cond.conditional_correlation), "<=", 1e-9)
     _record(assertions, "tsirelson_margin", report.tsirelson_margin, ">=",
-            -cfg.tolerance("tsirelson_slack"))
+            -cfg.tolerances.tsirelson_slack)
     return assertions, {"bell": bell_report_payload(report)}
+
+
+_SCENARIO_TABLE = {
+    "reeh-schlieder": _scenario_reeh_schlieder,
+    "root-cert": _scenario_root_cert,
+    "epr": _scenario_epr,
+    "bell-max": _scenario_bell_max,
+    "tsirelson-sweep": _scenario_tsirelson_sweep,
+    "cond-bell": _scenario_cond_bell,
+}
+SCENARIOS = tuple(_SCENARIO_TABLE)
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
     start = time.perf_counter()
-    if cfg.scenario == "reeh-schlieder":
-        assertions, certificates = _scenario_reeh_schlieder(cfg)
-    elif cfg.scenario == "root-cert":
-        assertions, certificates, _ = _scenario_root_cert(cfg)
-    elif cfg.scenario == "epr":
-        assertions, certificates = _scenario_epr(cfg)
-    elif cfg.scenario == "bell-max":
-        assertions, certificates = _scenario_bell_max(cfg)
-    elif cfg.scenario == "tsirelson-sweep":
-        assertions, certificates = _scenario_tsirelson_sweep(cfg)
-    elif cfg.scenario == "cond-bell":
-        assertions, certificates = _scenario_cond_bell(cfg)
-    else:  # unreachable: the config validates the name
-        raise ConfigError("scenario", f"unknown scenario {cfg.scenario!r}")
+    assertions, certificates = _SCENARIO_TABLE[cfg.scenario](cfg)
     timings = {"total_seconds": time.perf_counter() - start}
     return RunReport(cfg, assertions, certificates, timings)
 
@@ -491,7 +486,7 @@ def sweep_eps(cfg: ScenarioConfig) -> SweepTable:
         raise ConfigError("sweep", "missing eps list")
     rows = []
     for eps in cfg.sweep:
-        assertions, _, cert = _scenario_root_cert(cfg, eps=eps)
+        assertions, cert = _root_cert(cfg, eps)
         row = {
             "eps": eps,
             "eps1": cert.budget.eps1,
@@ -499,9 +494,7 @@ def sweep_eps(cfg: ScenarioConfig) -> SweepTable:
             "eps3": cert.budget.eps3,
             "eps4": cert.budget.eps4,
             "eps5": cert.budget.eps5,
-            **{k: cert.achieved[k] for k in (
-                "cyclic_residual", "normalized_error", "window_error",
-                "decomposition_residual", "rescale_error", "combined_error")},
+            **cert.achieved,
             "slack_max": cert.lhs_max - cert.rhs_max,
             "slack_min": cert.rhs_min - cert.lhs_min,
             "passed": all(a["passed"] for a in assertions),

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Default tolerances; the harness config may override the ones it threads
-# through explicitly.
-HERMITIAN_TOL = 1e-10
+# Noise floor for identities that hold exactly in exact arithmetic:
+# Hermiticity, projector and contraction checks, the imaginary part of a
+# real expectation, a vanishing commutator.
+NOISE_TOL = 1e-10
 EIG_MERGE_TOL = 1e-10
 SCHMIDT_RANK_TOL = 1e-9
 STATE_NORM_TOL = 1e-12
@@ -140,7 +141,7 @@ def hermitian_eig(
     a,
     *,
     merge_tol: float = EIG_MERGE_TOL,
-    herm_tol: float = HERMITIAN_TOL,
+    herm_tol: float = NOISE_TOL,
 ) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix into eigenspace projectors.
 

@@ -20,14 +20,12 @@ import numpy as np
 
 from . import linalg
 from .linalg import (
-    HERMITIAN_TOL,
+    NOISE_TOL,
     SCHMIDT_RANK_TOL,
     as_operator,
     operator_norm,
     tensor_embed,
 )
-
-PROJECTOR_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -78,7 +76,7 @@ class LocalOperator:
     def embed(self, layout: RegionLayout) -> np.ndarray:
         return tensor_embed(self.matrix, self.slots, layout.dims)
 
-    def is_projector(self, tol: float = PROJECTOR_TOL) -> bool:
+    def is_projector(self, tol: float = NOISE_TOL) -> bool:
         p = self.matrix
         return (
             operator_norm(p @ p - p) <= tol
@@ -200,7 +198,7 @@ def vacuum_positivity(v: VacuumModel, p: LocalOperator) -> float:
     """
     if not p.is_projector():
         raise ValueError("operator is not a projector")
-    if operator_norm(p.matrix) <= PROJECTOR_TOL:
+    if operator_norm(p.matrix) <= NOISE_TOL:
         raise ValueError("zero projector rejected")
     val = linalg.expectation(p.embed(v.layout), v.omega)
     return float(val.real)

@@ -19,12 +19,13 @@ whole eps-budget chain can be checked numerically:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
 from . import linalg
-from .linalg import as_state, expectation, hermitian_eig, operator_norm, tensor_embed
+from .linalg import NOISE_TOL, as_state, expectation, hermitian_eig, operator_norm, tensor_embed
 from .local_algebra import LocalOperator, VacuumModel, check_cyclic
 
 PROJECTOR_FLOOR = 1e-12
@@ -98,6 +99,8 @@ class ProjectorDecomposition:
     coeffs: tuple[float, ...]
     projectors: tuple[LocalOperator, ...]
     residual: float  # achieved ||Q1 - Q1'~||
+    q: Optional[np.ndarray] = None  # the decomposed Q1 = C^† C, when built from C
+    q_expect: float = 1.0  # <Q1'~>_omega the coefficients were divided by
 
     def __post_init__(self):
         if any(c <= 0 for c in self.coeffs):
@@ -128,6 +131,10 @@ class ExtremalProjectors:
     ratio_max: float
     ratio_min: float
     weights: tuple[float, ...]
+    ap_max: float  # <A P_max>_omega
+    p_max_expect: float  # <P_max>_omega
+    ap_min: float  # <A P_min>_omega
+    p_min_expect: float  # <P_min>_omega
 
 
 @dataclass(frozen=True)
@@ -167,12 +174,13 @@ class RootCertificate:
 
 def solve_cyclic_approx(
     psi, v: VacuumModel, slots, eps1: float
-) -> LocalOperator:
+) -> tuple[LocalOperator, float]:
     """Find C on the region with ||psi - embed(C) omega|| <= eps1.
 
     Solved exactly: embed(C) omega is linear in C, and for a cyclic vacuum
     the map from region operators onto the whole space is surjective, so
-    the least-squares residual sits at numerical noise level.
+    the least-squares residual sits at numerical noise level.  Returns
+    (C~, achieved residual).
     """
     psi = as_state(psi)
     slots = linalg._normalize_slots(slots)
@@ -192,7 +200,7 @@ def solve_cyclic_approx(
         raise StageFailure(
             "cyclic-approx", "residual exceeds eps1", achieved=residual, bound=eps1
         )
-    return c_tilde
+    return c_tilde, residual
 
 
 def normalize_approximant(
@@ -227,7 +235,7 @@ def expectation_window(
     state = c.embed(v.layout) @ v.omega
     state = state / np.linalg.norm(state)
     val = expectation(a.embed(v.layout), state)
-    if abs(val.imag) > 1e-10:
+    if abs(val.imag) > NOISE_TOL:
         raise StageFailure("window", "non-real expectation of Hermitian A", imag=val.imag)
     value = float(val.real)
     if not (k - eps3 < value < k + eps3):
@@ -244,7 +252,7 @@ def positive_spectral_decomposition(
     """Spectral decomposition of Q1 = C^† C keeping eigenvalues above tau.
 
     The residual is the largest dropped eigenvalue (at most tau), so
-    ||Q1 - Q1'~|| <= tau by construction.
+    ||Q1 - Q1'~|| <= tau by construction.  The result keeps Q1 as ``q``.
     """
     q = c.matrix.conj().T @ c.matrix
     es = hermitian_eig(q)
@@ -258,14 +266,15 @@ def positive_spectral_decomposition(
         else:
             dropped.append(abs(lam))
     return ProjectorDecomposition(
-        c.slots, tuple(coeffs), tuple(projectors), residual=max(dropped)
+        c.slots, tuple(coeffs), tuple(projectors), residual=max(dropped), q=q
     )
 
 
 def rescale_to_unit_vacuum(
     dec: ProjectorDecomposition, v: VacuumModel
 ) -> ProjectorDecomposition:
-    """Divide the coefficients by <Q1'~>_omega so <Q1'>_omega = 1."""
+    """Divide the coefficients by <Q1'~>_omega so <Q1'>_omega = 1; the
+    result records the divisor as ``q_expect``."""
     if dec.is_degenerate:
         raise StageFailure("rescale", "degenerate decomposition (Q1 = 0)")
     q_expect = float(expectation(dec.embed(v.layout), v.omega).real)
@@ -274,7 +283,7 @@ def rescale_to_unit_vacuum(
             f"<Q1'~>_omega = {q_expect} at the floor; vacuum not separating for {dec.slots}"
         )
     coeffs = tuple(c / q_expect for c in dec.coeffs)
-    return ProjectorDecomposition(dec.slots, coeffs, dec.projectors, dec.residual)
+    return replace(dec, coeffs=coeffs, q_expect=q_expect)
 
 
 def combined_window(
@@ -285,7 +294,7 @@ def combined_window(
         raise ValueError(f"regions overlap: {a.slots} vs {dec.slots}")
     prod = a.embed(v.layout) @ dec.embed(v.layout)
     val = expectation(prod, v.omega)
-    if abs(val.imag) > 1e-10:
+    if abs(val.imag) > NOISE_TOL:
         raise StageFailure("combined", "non-real expectation of commuting product", imag=val.imag)
     value = float(val.real)
     if not (k - eps5 < value < k + eps5):
@@ -308,16 +317,16 @@ def select_extremal_projectors(
     if dec.is_degenerate:
         raise StageFailure("extremal", "empty decomposition")
     ea = a.embed(v.layout)
-    ratios = []
-    weights = []
-    for lam, proj in zip(dec.coeffs, dec.projectors):
+    aps = []
+    p_expects = []
+    for proj in dec.projectors:
         ep = proj.embed(v.layout)
         p_expect = float(expectation(ep, v.omega).real)
         if p_expect <= PROJECTOR_FLOOR:
             raise StageFailure("extremal", "<P_i>_omega at the floor", value=p_expect)
-        ap = float(expectation(ea @ ep, v.omega).real)
-        ratios.append(ap / p_expect)
-        weights.append(lam * p_expect)
+        aps.append(float(expectation(ea @ ep, v.omega).real))
+        p_expects.append(p_expect)
+    ratios = [ap / p for ap, p in zip(aps, p_expects)]
     i_max = int(np.argmax(ratios))
     i_min = int(np.argmin(ratios))
     return ExtremalProjectors(
@@ -325,7 +334,11 @@ def select_extremal_projectors(
         p_min=dec.projectors[i_min],
         ratio_max=ratios[i_max],
         ratio_min=ratios[i_min],
-        weights=tuple(weights),
+        weights=tuple(lam * p for lam, p in zip(dec.coeffs, p_expects)),
+        ap_max=aps[i_max],
+        p_max_expect=p_expects[i_max],
+        ap_min=aps[i_min],
+        p_min_expect=p_expects[i_min],
     )
 
 
@@ -350,62 +363,47 @@ def prove_root_certificate(
     if set(a.slots) & set(slots):
         raise ValueError(f"A's region {a.slots} overlaps the target region {slots}")
     herm_dev = linalg.dagger_distance(a.matrix)
-    if herm_dev > 1e-10:
+    if herm_dev > NOISE_TOL:
         raise ValueError(f"A is not Hermitian: |A - A^†| = {herm_dev}")
     norm_a = operator_norm(a.matrix)
     if norm_a <= PROJECTOR_FLOOR:
         raise ValueError("A is numerically zero; the eps-budget is undefined")
 
-    ea = a.embed(v.layout)
-    k_val = expectation(ea, psi)
-    k = float(k_val.real)
+    k = float(expectation(a.embed(v.layout), psi).real)
 
     eps3 = 0.5 * eps
     eps4_target = 0.5 * eps / norm_a
     eps2 = EpsilonBudget.eps2_from_eps3(eps3, norm_a)
     eps1 = EpsilonBudget.eps1_from_eps2(eps2)
 
-    c_tilde = solve_cyclic_approx(psi, v, slots, eps1)
-    residual1 = float(np.linalg.norm(c_tilde.embed(v.layout) @ v.omega - psi))
+    c_tilde, err1 = solve_cyclic_approx(psi, v, slots, eps1)
     c, err2 = normalize_approximant(c_tilde, psi, v, eps1)
     val3 = expectation_window(a, c, v, k, eps3)
 
     dec = positive_spectral_decomposition(c, tau)
-    q = c.matrix.conj().T @ c.matrix
-    q_norm = operator_norm(q)
-    q_expect = float(expectation(dec.embed(v.layout), v.omega).real)
-    eps4 = (q_norm + 1.0) * tau / q_expect
+    dec_unit = rescale_to_unit_vacuum(dec, v)
+    q_norm = operator_norm(dec.q)
+    eps4 = (q_norm + 1.0) * tau / dec_unit.q_expect
     if eps4 > eps4_target:
         raise StageFailure(
             "spectral", "eps4 exceeds its share of the budget",
             achieved=eps4, bound=eps4_target,
         )
-    dec_unit = rescale_to_unit_vacuum(dec, v)
-    rescale_err = operator_norm(q - dec_unit.local_matrix())
 
     eps5 = eps3 + norm_a * eps4
     budget = EpsilonBudget(
         eps1=eps1, eps2=eps2, eps3=eps3, eps4=eps4, eps5=eps5,
-        norm_a=norm_a, q_norm=q_norm, q_expect=q_expect, eps4_tilde=tau,
+        norm_a=norm_a, q_norm=q_norm, q_expect=dec_unit.q_expect, eps4_tilde=tau,
     )
     val5 = combined_window(a, dec_unit, v, k, eps5)
     ext = select_extremal_projectors(a, dec_unit, v)
 
-    def sides(p: LocalOperator, sign: float):
-        ep = p.embed(v.layout)
-        lhs = float(expectation(ea @ ep, v.omega).real)
-        rhs = (k + sign * eps) * float(expectation(ep, v.omega).real)
-        return lhs, rhs
-
-    lhs_max, rhs_max = sides(ext.p_max, -1.0)
-    lhs_min, rhs_min = sides(ext.p_min, +1.0)
-
     achieved = {
-        "cyclic_residual": residual1,
+        "cyclic_residual": err1,
         "normalized_error": err2,
         "window_error": abs(val3 - k),
         "decomposition_residual": dec.residual,
-        "rescale_error": rescale_err,
+        "rescale_error": operator_norm(dec.q - dec_unit.local_matrix()),
         "combined_error": abs(val5 - k),
     }
     return RootCertificate(
@@ -413,10 +411,10 @@ def prove_root_certificate(
         requested_eps=eps,
         p_max=ext.p_max,
         p_min=ext.p_min,
-        lhs_max=lhs_max,
-        rhs_max=rhs_max,
-        lhs_min=lhs_min,
-        rhs_min=rhs_min,
+        lhs_max=ext.ap_max,
+        rhs_max=(k - eps) * ext.p_max_expect,
+        lhs_min=ext.ap_min,
+        rhs_min=(k + eps) * ext.p_min_expect,
         budget=budget,
         weights=ext.weights,
         achieved=achieved,

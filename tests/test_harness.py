@@ -78,8 +78,15 @@ class TestScenarioConfig:
 
     def test_tolerance_override(self):
         c = cfg(tolerances={"budget_check": 1e-6})
-        assert c.tolerance("budget_check") == 1e-6
-        assert c.tolerance("hermitian") == 1e-10
+        assert c.tolerances.budget_check == 1e-6
+        assert c.tolerances.spectral_tau == 1e-12
+
+    def test_report_echoes_the_four_tolerances(self):
+        payload = run_scenario(cfg()).to_payload()
+        assert payload["config"]["tolerances"] == {
+            "budget_check": 1e-9, "schmidt_rank": 1e-9,
+            "spectral_tau": 1e-12, "tsirelson_slack": 1e-9,
+        }
 
 
 class TestScenarios:
@@ -98,6 +105,25 @@ class TestScenarios:
         assert report.assertions
         for a in report.assertions:
             assert set(a) == {"name", "lhs", "op", "rhs", "passed"}
+
+    @pytest.mark.parametrize("scenario,layout,path", [
+        ("epr", [2, 2], ("epr", "certificate")),
+        ("cond-bell", [2, 2, 4], ("bell", "conditional", "certificate")),
+    ])
+    def test_spectral_tau_reaches_the_pipeline(self, scenario, layout, path):
+        report = run_scenario(cfg(scenario=scenario, layout=layout, eps=0.05,
+                                  tolerances={"spectral_tau": 1e-9}))
+        assert report.passed
+        cert = report.certificates
+        for key in path:
+            cert = cert[key]
+        assert cert["budget"]["eps4_tilde"] == 1e-9
+
+    @pytest.mark.parametrize("layout,seed", [([3, 3], 483374545), ([4, 4], 1542785184)])
+    def test_bell_max_survives_classical_seesaw_stalls(self, layout, seed):
+        # Every start of these seeds first lands on the classical fixed point 1.
+        report = run_scenario(cfg(scenario="bell-max", layout=layout, seed=seed))
+        assert report.passed
 
     def test_scenario_names_cover_dispatch(self):
         assert set(SCENARIOS) == {
@@ -209,6 +235,31 @@ class TestCLI:
     def test_bad_layout_text_exit_two(self, capsys):
         code = main(["run", "--scenario", "root-cert", "--layout", "2,x"])
         assert code == 2
+
+    @pytest.mark.parametrize("fields,flags,field", [
+        ({"tolerances": {"budget_check": "abc"}}, [], "tolerances.budget_check"),
+        ({"tolerances": {"spectral_tau": -1}}, [], "tolerances.spectral_tau"),
+        ({"tolerances": {"spectral_tau": float("nan")}}, [], "tolerances.spectral_tau"),
+        ({"tolerances": {"schmidt_rank": float("inf")}}, [], "tolerances.schmidt_rank"),
+        ({"tolerances": {"tsirelson_slack": 0}}, [], "tolerances.tsirelson_slack"),
+        ({"tolerances": {"budget_check": True}}, [], "tolerances.budget_check"),
+        ({"tolerances": 5}, [], "tolerances"),
+        ({"seed": 1.7}, [], "seed"),
+        ({"seed": -1}, [], "seed"),
+        ({"layout": [2.5, 2.5]}, [], "layout"),
+        ({}, ["--eps", "inf"], "eps"),
+        ({"eps": "0.1"}, [], "eps"),
+        ({}, ["--eps-list", "inf,0.1"], "sweep"),
+        ({"sweep": 5}, [], "sweep"),
+    ])
+    def test_bad_values_rejected_at_the_config(self, tmp_path, capsys, fields, flags, field):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(
+            {"scenario": "root-cert", "layout": [2, 2], "seed": 1, "eps": 0.1, **fields}))
+        command = "sweep" if "--eps-list" in flags else "run"
+        code = main([command, "--config", str(config), *flags])
+        assert code == 2
+        assert f"config field '{field}'" in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, tmp_path):
         config = tmp_path / "c.json"

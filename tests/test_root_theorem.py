@@ -83,24 +83,25 @@ class TestBudgetFormulas:
 
 class TestSolveCyclicApprox:
     def test_vacuum_preimage_is_identity(self, v22):
-        c = solve_cyclic_approx(v22.omega, v22, (0,), eps1=0.1)
+        c, _ = solve_cyclic_approx(v22.omega, v22, (0,), eps1=0.1)
         np.testing.assert_allclose(c.matrix, np.eye(2), atol=1e-12)
 
     def test_exact_preimage_of_local_action(self, v22):
         psi = tensor_embed(X, 0, (2, 2)) @ v22.omega
-        c = solve_cyclic_approx(psi, v22, (0,), eps1=0.1)
+        c, _ = solve_cyclic_approx(psi, v22, (0,), eps1=0.1)
         np.testing.assert_allclose(c.matrix, X, atol=1e-12)
         assert np.linalg.norm(c.embed(L22) @ v22.omega - psi) <= 1e-12
 
     def test_random_state_residual_at_noise_floor(self, v22):
         psi = random_state(4, np.random.default_rng(1))
-        c = solve_cyclic_approx(psi, v22, (0,), eps1=0.01)
+        c, achieved = solve_cyclic_approx(psi, v22, (0,), eps1=0.01)
         residual = np.linalg.norm(c.embed(L22) @ v22.omega - psi)
         assert residual <= 1e-10
+        assert achieved == residual
 
     def test_matches_normal_equations_oracle(self, v22):
         psi = random_state(4, np.random.default_rng(2))
-        c = solve_cyclic_approx(psi, v22, (0,), eps1=0.01)
+        c, _ = solve_cyclic_approx(psi, v22, (0,), eps1=0.01)
         c_oracle, res_oracle = normal_equations_solve(psi, v22.omega, (2, 2), 0)
         np.testing.assert_allclose(c.matrix, c_oracle, atol=1e-6)
         assert res_oracle <= 1e-6
@@ -114,7 +115,7 @@ class TestSolveCyclicApprox:
 
     def test_three_slot_region(self, v224):
         psi = random_state(16, np.random.default_rng(3))
-        c = solve_cyclic_approx(psi, v224, (2,), eps1=0.01)
+        c, _ = solve_cyclic_approx(psi, v224, (2,), eps1=0.01)
         assert np.linalg.norm(c.embed(L224) @ v224.omega - psi) <= 1e-10
 
 
@@ -130,7 +131,7 @@ class TestNormalizeApproximant:
         rng = np.random.default_rng(4)
         psi = random_state(4, rng)
         eps1 = 0.2
-        c_tilde = solve_cyclic_approx(psi, v22, (0,), eps1)
+        c_tilde, _ = solve_cyclic_approx(psi, v22, (0,), eps1)
         c, achieved = normalize_approximant(c_tilde, psi, v22, eps1)
         assert abs(np.linalg.norm(c.embed(L22) @ v22.omega) - 1.0) <= 1e-12
         assert achieved <= EpsilonBudget.eps2_from_eps1(eps1)
@@ -144,7 +145,7 @@ class TestExpectationWindow:
         psi = tensor_embed(X, 0, (2, 2)) @ v22.omega
         a = LocalOperator(1, linalg.random_hermitian(2, np.random.default_rng(5)))
         k = float(expectation(a.embed(L22), psi).real)
-        c_tilde = solve_cyclic_approx(psi, v22, (0,), 0.1)
+        c_tilde, _ = solve_cyclic_approx(psi, v22, (0,), 0.1)
         c, _ = normalize_approximant(c_tilde, psi, v22, 0.1)
         val = expectation_window(a, c, v22, k, eps3=1e-6)
         assert abs(val - k) <= 1e-12
@@ -222,7 +223,7 @@ class TestCombinedWindowAndExtremal:
         psi = random_state(layout.total_dim, rng)
         k = float(expectation(a.embed(layout), psi).real)
         eps1 = 0.05
-        c_tilde = solve_cyclic_approx(psi, v, region, eps1)
+        c_tilde, _ = solve_cyclic_approx(psi, v, region, eps1)
         c, _ = normalize_approximant(c_tilde, psi, v, eps1)
         dec = rescale_to_unit_vacuum(positive_spectral_decomposition(c), v)
         return a, psi, k, dec
@@ -290,6 +291,8 @@ class TestProveRootCertificate:
                 np.vdot(v22.omega, ep @ v22.omega).real
             )
             assert op(lhs, rhs)
+            got = (cert.lhs_max, cert.rhs_max) if sign < 0 else (cert.lhs_min, cert.rhs_min)
+            np.testing.assert_allclose(got, (lhs, rhs), rtol=0, atol=1e-12)
 
     def test_commuting_product_reality(self, v22):
         rng = np.random.default_rng(14)
@@ -347,9 +350,10 @@ class TestEpsilonChainProperty:
             norm_a = operator_norm(a.matrix)
             k = float(expectation(a.embed(layout), psi).real)
 
-            c_tilde = solve_cyclic_approx(psi, v, region, eps1)
+            c_tilde, achieved1 = solve_cyclic_approx(psi, v, region, eps1)
             res1 = np.linalg.norm(c_tilde.embed(layout) @ v.omega - psi)
             assert res1 <= eps1
+            assert achieved1 == res1
 
             c, err2 = normalize_approximant(c_tilde, psi, v, eps1)
             eps2 = EpsilonBudget.eps2_from_eps1(eps1)
@@ -363,9 +367,11 @@ class TestEpsilonChainProperty:
             dec = positive_spectral_decomposition(c, tau)
             assert dec.residual <= tau
             q = c.matrix.conj().T @ c.matrix
+            np.testing.assert_array_equal(dec.q, q)
             q_expect = float(expectation(dec.embed(layout), v.omega).real)
             eps4 = (operator_norm(q) + 1.0) * tau / q_expect
             dec_unit = rescale_to_unit_vacuum(dec, v)
+            assert dec_unit.q_expect == q_expect
             assert operator_norm(q - dec_unit.local_matrix()) <= eps4 + 1e-9
 
             eps5 = eps3 + norm_a * eps4
