@@ -5,7 +5,8 @@ Usage:
     vacuumcorr sweep --scenario root-cert --layout 2,2 --eps-list 0.1,0.01
 
 A JSON config file may supply any field; explicit flags override it.
-Exit status: 0 all assertions passed, 1 some failed, 2 invalid config.
+Exit status: 0 all assertions passed, 1 some failed, 2 invalid config,
+3 a pipeline stage missed its bound (the message names the stage).
 """
 
 from __future__ import annotations
@@ -23,20 +24,14 @@ from .harness import (
     run_scenario,
     sweep_eps,
 )
+from .root_theorem import StageFailure
 
 
-def _parse_layout(text: str) -> list[int]:
+def _parse_list(text: str, cast, field: str, kind: str) -> list:
     try:
-        return [int(p) for p in text.split(",") if p.strip()]
+        return [cast(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
-        raise ConfigError("layout", f"expected comma-separated integers, got {text!r}") from exc
-
-
-def _parse_eps_list(text: str) -> list[float]:
-    try:
-        return [float(p) for p in text.split(",") if p.strip()]
-    except ValueError as exc:
-        raise ConfigError("sweep", f"expected comma-separated numbers, got {text!r}") from exc
+        raise ConfigError(field, f"expected comma-separated {kind}, got {text!r}") from exc
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -75,13 +70,13 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
     if args.scenario:
         data["scenario"] = args.scenario
     if args.layout:
-        data["layout"] = _parse_layout(args.layout)
+        data["layout"] = _parse_list(args.layout, int, "layout", "integers")
     if args.seed is not None:
         data["seed"] = args.seed
     if args.eps is not None:
         data["eps"] = args.eps
     if getattr(args, "eps_list", None):
-        data["sweep"] = _parse_eps_list(args.eps_list)
+        data["sweep"] = _parse_list(args.eps_list, float, "sweep", "numbers")
     return ScenarioConfig.from_dict(data)
 
 
@@ -94,9 +89,9 @@ def main(argv=None) -> int:
             report = run_scenario(cfg)
         else:
             report = sweep_eps(cfg)
-    except ConfigError as exc:
+    except (ConfigError, StageFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, ConfigError) else 3
     if args.out:
         emit_report(report, args.format, args.out, include_timings=args.timings)
     else:

@@ -17,10 +17,9 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .linalg import NOISE_TOL, as_state, expectation, hermitian_eig, operator_norm
+from .linalg import NOISE_TOL, PROJECTOR_FLOOR, apply_local, as_state, hermitian_eig, operator_norm
 from .local_algebra import LocalOperator, RegionLayout, VacuumModel, check_cyclic
 from .root_theorem import (
-    PROJECTOR_FLOOR,
     SPECTRAL_TAU,
     RootCertificate,
     StageFailure,
@@ -87,23 +86,29 @@ def contraction_from_projector(p: LocalOperator) -> LocalOperator:
 
 
 def bell_operator(s: BellSettings, layout: RegionLayout) -> np.ndarray:
-    """R = A1 (B1 + B2) + A2 (B1 - B2) on the full space of the layout."""
-    a1 = s.a1.embed(layout)
-    a2 = s.a2.embed(layout)
-    b1 = s.b1.embed(layout)
-    b2 = s.b2.embed(layout)
-    r = a1 @ (b1 + b2) + a2 @ (b1 - b2)
+    """R = A1 (B1 + B2) + A2 (B1 - B2), built on slots (0,1) and embedded in the layout."""
+    a1, a2, b1, b2 = (op.matrix for op in (s.a1, s.a2, s.b1, s.b2))
+    r = LocalOperator((0, 1), np.kron(a1, b1 + b2) + np.kron(a2, b1 - b2)).embed(layout)
     dev = linalg.dagger_distance(r)
     if dev > NOISE_TOL:
         raise StageFailure("bell-operator", "R is not Hermitian", deviation=dev)
     return r
 
 
+def _sub_layout(layout: RegionLayout) -> RegionLayout:
+    return RegionLayout(layout.dims[:2])
+
+
+def _apply_bell(s: BellSettings, vec, layout: RegionLayout) -> np.ndarray:
+    """R vec, with R built on slots (0,1) only and applied by the kernel."""
+    r01 = bell_operator(s, _sub_layout(layout))
+    return apply_local(r01, (0, 1), vec, layout.dims)
+
+
 def bell_correlation(s: BellSettings, state, layout: RegionLayout) -> float:
     """(1/2) Re <R>_state; bounded by sqrt(2) in absolute value."""
     state = as_state(state)
-    r = bell_operator(s, layout)
-    return 0.5 * float(expectation(r, state).real)
+    return 0.5 * float(np.vdot(state, _apply_bell(s, state, layout)).real)
 
 
 def _qubit_block(d: int, block: np.ndarray) -> np.ndarray:
@@ -231,8 +236,7 @@ def epr_projector_pair(
     if not p2.is_projector():
         raise ValueError("P2 is not a projector")
     phi = as_state(phi)
-    ep2 = p2.embed(v.layout)
-    cut = ep2 @ phi
+    cut = p2.apply(phi, v.layout)
     nrm = float(np.linalg.norm(cut))
     if nrm <= PROJECTOR_FLOOR:
         raise ValueError(
@@ -243,11 +247,11 @@ def epr_projector_pair(
     target = v.layout.complement(p2.slots)
     cert = prove_root_certificate(p2, psi, v, target, eps, tau)
     p1 = cert.p_max
-    ep1 = p1.embed(v.layout)
-    p1_expect = float(expectation(ep1, v.omega).real)
+    p1_omega = p1.apply(v.omega, v.layout)
+    p1_expect = float(np.vdot(v.omega, p1_omega).real)
     # P1 P2 is itself a projector (commuting factors), so its expectation
     # is ||P2 P1 omega||^2; this form keeps <P1 P2> <= <P1> at noise level.
-    joint = float(np.linalg.norm(ep2 @ (ep1 @ v.omega)) ** 2)
+    joint = float(np.linalg.norm(p2.apply(p1_omega, v.layout)) ** 2)
     report = EPRReport(
         p1=p1,
         p1_expect=p1_expect,
@@ -268,21 +272,16 @@ def conditional_bell_correlation(
         raise ValueError(f"P3 must live on slot 2, got {p3.slots}")
     if not p3.is_projector():
         raise ValueError("P3 is not a projector")
-    ep3 = p3.embed(v.layout)
-    p3_expect = float(expectation(ep3, v.omega).real)
+    p3_omega = p3.apply(v.omega, v.layout)
+    p3_expect = float(np.vdot(v.omega, p3_omega).real)
     if p3_expect <= PROJECTOR_FLOOR:
         raise ValueError(
             f"<P3>_omega = {p3_expect} at the floor (cannot occur for a separating vacuum)"
         )
-    r = bell_operator(s, v.layout)
-    val = expectation(r @ ep3, v.omega)
+    val = complex(np.vdot(v.omega, _apply_bell(s, p3_omega, v.layout)))
     if abs(val.imag) > NOISE_TOL:
         raise StageFailure("conditional", "non-real <R P3>", imag=val.imag)
     return 0.5 * float(val.real) / p3_expect
-
-
-def _sub_layout(layout: RegionLayout) -> RegionLayout:
-    return RegionLayout(layout.dims[:2])
 
 
 def _conditional_pipeline(
@@ -311,14 +310,12 @@ def _conditional_pipeline(
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
 
-    sub = _sub_layout(layout)
-    r01 = bell_operator(settings, sub)
+    r01 = bell_operator(settings, _sub_layout(layout))
     # chi = first basis vector on slot 2; any unit vector works.
     chi = np.zeros(layout.dims[2], dtype=complex)
     chi[0] = 1.0
     psi = np.kron(phi, chi)
-    a_region = LocalOperator((0, 1), r01)
-    cert = prove_root_certificate(a_region, psi, v, (2,), 2.0 * eps, tau)
+    cert = prove_root_certificate(LocalOperator((0, 1), r01), psi, v, (2,), 2.0 * eps, tau)
     p3 = cert.p_max
     cond = conditional_bell_correlation(settings, p3, v)
     half_k = 0.5 * cert.target_k
@@ -327,7 +324,6 @@ def _conditional_pipeline(
             "conditional", "conditional correlation misses the target",
             achieved=cond, target=half_k - eps,
         )
-    ep3 = p3.embed(layout)
     return BellReport(
         settings=settings,
         state=psi,
@@ -335,7 +331,7 @@ def _conditional_pipeline(
         tsirelson_margin=SQRT2 - 0.5 * operator_norm(r01),
         conditional=ConditionalResult(
             p3=p3,
-            p3_expect=float(expectation(ep3, v.omega).real),
+            p3_expect=float(np.vdot(v.omega, p3.apply(v.omega, layout)).real),
             conditional_correlation=cond,
             certificate=cert,
         ),
@@ -365,15 +361,13 @@ def general_contraction_extension(
     optimum minus eps.
     """
     settings = BellSettings(a1=a1, a2=a2, b1=b1, b2=b2)
-    sub = _sub_layout(v.layout)
     for name, p, q in (("A", a1, a2), ("B", b1, b2)):
         comm = p.matrix @ q.matrix - q.matrix @ p.matrix
         if operator_norm(comm) <= NOISE_TOL:
             raise ValueError(f"{name}1 and {name}2 commute; the extension needs "
                              "non-commuting pairs")
-    r01 = bell_operator(settings, sub)
-    es = hermitian_eig(r01)
-    cols = es.projectors[0]
+    r01 = bell_operator(settings, _sub_layout(v.layout))
+    cols = hermitian_eig(r01).projectors[0]
     top = cols[:, int(np.argmax(np.linalg.norm(cols, axis=0)))]
     top = top / np.linalg.norm(top)
     # Deterministic global phase: largest component real positive.

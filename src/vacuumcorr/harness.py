@@ -32,7 +32,7 @@ from .correlations import (
     tsirelson_certificate,
     violate_conditional_bell,
 )
-from .linalg import SCHMIDT_RANK_TOL, random_hermitian
+from .linalg import PROJECTOR_FLOOR, SCHMIDT_RANK_TOL, random_hermitian
 from .local_algebra import (
     LocalOperator,
     RegionLayout,
@@ -103,27 +103,25 @@ class ScenarioConfig:
         except ValueError as exc:
             raise ConfigError("layout", str(exc)) from exc
         object.__setattr__(self, "layout", layout.dims)
+        d = layout.dims
         if self.scenario == "cond-bell":
-            d = layout.dims
             if len(d) != 3 or d[2] != d[0] * d[1]:
                 raise ConfigError(
                     "layout", f"cond-bell needs d3 = d1*d2 on 3 slots, got {d}"
                 )
         elif self.scenario == "reeh-schlieder":
-            d = layout.dims
             if len(d) == 3 and d[2] != d[0] * d[1]:
                 raise ConfigError(
                     "layout", f"3-slot vacuum needs d3 = d1*d2, got {d}"
                 )
-        elif len(layout.dims) != 2:
+        elif len(d) != 2:
             raise ConfigError(
-                "layout", f"scenario {self.scenario} runs on 2-slot layouts, got {layout.dims}"
+                "layout", f"scenario {self.scenario} runs on 2-slot layouts, got {d}"
             )
-        if self.scenario in ("reeh-schlieder", "root-cert", "epr") and len(
-            layout.dims
-        ) == 2 and layout.dims[0] != layout.dims[1]:
+        if (self.scenario in ("reeh-schlieder", "root-cert", "epr")
+                and len(d) == 2 and d[0] != d[1]):
             # These scenarios build a vacuum, which needs matching dims.
-            raise ConfigError("layout", f"2-slot vacuum needs d1 = d2, got {layout.dims}")
+            raise ConfigError("layout", f"2-slot vacuum needs d1 = d2, got {d}")
         if not (_is_integer(self.seed) and self.seed >= 0):
             raise ConfigError("seed", f"expected a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "eps", _positive_number("eps", self.eps))
@@ -143,10 +141,9 @@ class ScenarioConfig:
         unknown = set(data) - allowed
         if unknown:
             raise ConfigError(sorted(unknown)[0], "unknown config field")
-        if "scenario" not in data:
-            raise ConfigError("scenario", "missing")
-        if "layout" not in data:
-            raise ConfigError("layout", "missing")
+        for name in ("scenario", "layout"):
+            if name not in data:
+                raise ConfigError(name, "missing")
         tolerances = data.get("tolerances", {})
         if not isinstance(tolerances, dict):
             raise ConfigError("tolerances", f"expected an object, got {tolerances!r}")
@@ -247,12 +244,8 @@ def certificate_payload(cert: RootCertificate) -> dict:
 
 def bell_report_payload(rep: BellReport) -> dict:
     payload = {
-        "settings": {
-            "a1": _local_op_payload(rep.settings.a1),
-            "a2": _local_op_payload(rep.settings.a2),
-            "b1": _local_op_payload(rep.settings.b1),
-            "b2": _local_op_payload(rep.settings.b2),
-        },
+        "settings": {f.name: _local_op_payload(getattr(rep.settings, f.name))
+                     for f in fields(rep.settings)},
         "state": _vector_payload(rep.state),
         "correlation": rep.correlation,
         "tsirelson_margin": rep.tsirelson_margin,
@@ -320,7 +313,6 @@ def _root_cert(cfg: ScenarioConfig, eps: float) -> tuple[list, RootCertificate]:
     _record(assertions, "root_max_inequality", cert.lhs_max, ">", cert.rhs_max)
     _record(assertions, "root_min_inequality", cert.lhs_min, "<", cert.rhs_min)
     _record(assertions, "weights_sum", abs(sum(cert.weights) - 1.0), "<=", 1e-9)
-    budget_tol = cfg.tolerances.budget_check
     bounds = {
         "cyclic_residual": cert.budget.eps1,
         "normalized_error": cert.budget.eps2,
@@ -331,7 +323,7 @@ def _root_cert(cfg: ScenarioConfig, eps: float) -> tuple[list, RootCertificate]:
     }
     for name, bound in bounds.items():
         _record(assertions, f"budget_{name}", cert.achieved[name], "<=",
-                bound + budget_tol)
+                bound + cfg.tolerances.budget_check)
     return assertions, cert
 
 
@@ -349,7 +341,7 @@ def _scenario_epr(cfg: ScenarioConfig) -> tuple[list, dict]:
     # <P1 P2> <= <P1> is exact (P1 P2 <= P1 as operators); compare the
     # difference against the floating-point noise floor.
     _record(assertions, "epr_upper",
-            report.joint_expect - report.p1_expect, "<=", 1e-12)
+            report.joint_expect - report.p1_expect, "<=", PROJECTOR_FLOOR)
     _record(assertions, "epr_lower_strict", report.joint_expect, ">", report.lower_bound)
     _record(assertions, "p1_vacuum_positivity", report.p1_expect, ">", 0.0)
     certificates = {
@@ -489,11 +481,7 @@ def sweep_eps(cfg: ScenarioConfig) -> SweepTable:
         assertions, cert = _root_cert(cfg, eps)
         row = {
             "eps": eps,
-            "eps1": cert.budget.eps1,
-            "eps2": cert.budget.eps2,
-            "eps3": cert.budget.eps3,
-            "eps4": cert.budget.eps4,
-            "eps5": cert.budget.eps5,
+            **{name: getattr(cert.budget, name) for name in SWEEP_COLUMNS[1:6]},
             **cert.achieved,
             "slack_max": cert.lhs_max - cert.rhs_max,
             "slack_min": cert.rhs_min - cert.lhs_min,

@@ -4,6 +4,9 @@ Everything here works on plain numpy arrays: operators are square complex
 matrices, states are normalized complex vectors.  Slot 0 is always the
 leftmost (slowest-varying) Kronecker factor; this convention is fixed
 globally so serialized outputs are bit-stable.
+
+``apply_local`` is the local-action kernel behind every vacuum quantity;
+``tensor_embed`` builds the full matrix and serves as the dense oracle.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ NOISE_TOL = 1e-10
 EIG_MERGE_TOL = 1e-10
 SCHMIDT_RANK_TOL = 1e-9
 STATE_NORM_TOL = 1e-12
+# Floor below which a vacuum norm or expectation counts as zero.
+PROJECTOR_FLOOR = 1e-12
 
 
 def as_operator(a) -> np.ndarray:
@@ -62,13 +67,8 @@ def _normalize_slots(slots) -> tuple[int, ...]:
     return out
 
 
-def tensor_embed(op, slots, dims) -> np.ndarray:
-    """Embed a local operator into the full space.
-
-    ``op`` acts on the (ordered) tensor factors listed in ``slots`` and as
-    the identity on all other factors of the layout ``dims``.  ``slots``
-    may be a single index or a tuple of indices.
-    """
+def _local_parts(op, slots, dims):
+    """Validated (op, slots, dims, order): order lists slots, then the other slots."""
     op = as_operator(op)
     dims = tuple(int(d) for d in dims)
     slots = _normalize_slots(slots)
@@ -81,12 +81,20 @@ def tensor_embed(op, slots, dims) -> np.ndarray:
             f"operator dim {op.shape[0]} does not match slot dims "
             f"{tuple(dims[s] for s in slots)} (need {d_slots})"
         )
-    rest = [i for i in range(n) if i not in slots]
-    d_rest = math.prod(dims[i] for i in rest) if rest else 1
+    return op, slots, dims, list(slots) + [i for i in range(n) if i not in slots]
+
+
+def tensor_embed(op, slots, dims) -> np.ndarray:
+    """Embed a local operator into the full space (the dense oracle).
+
+    ``op`` acts on the (ordered) tensor factors listed in ``slots`` and as
+    the identity on all other factors of the layout ``dims``.  ``slots``
+    may be a single index or a tuple of indices.
+    """
+    op, slots, dims, order = _local_parts(op, slots, dims)
+    n = len(dims)
+    d_rest = math.prod(dims[i] for i in order[len(slots):])
     big = np.kron(op, np.eye(d_rest, dtype=complex))
-    if not rest:
-        return big
-    order = list(slots) + rest
     if order == list(range(n)):
         return big
     # Permute the axes from (slots..., rest...) back to layout order.
@@ -96,6 +104,27 @@ def tensor_embed(op, slots, dims) -> np.ndarray:
     t = t.transpose(perm + [n + p for p in perm])
     total = math.prod(dims)
     return np.ascontiguousarray(t.reshape(total, total))
+
+
+def coefficient_matrix(vec, dims, slots) -> np.ndarray:
+    """``vec`` as a matrix across slots|rest: rows run over ``slots`` in the
+    given order, columns over the other slots in layout order."""
+    slots = _normalize_slots(slots)
+    t = np.asarray(vec, dtype=complex).reshape(dims)
+    t = t.transpose(slots + tuple(i for i in range(len(dims)) if i not in slots))
+    return t.reshape(math.prod(dims[s] for s in slots), -1)
+
+
+def apply_local(op, slots, vec, dims) -> np.ndarray:
+    """``tensor_embed(op, slots, dims) @ vec`` without the full matrix.
+
+    Reshapes ``vec`` to the layout tensor, contracts ``op`` with the axes
+    in ``slots`` and flattens the result back: O(dim(op) total_dim) work
+    instead of O(total_dim^2) memory and time.
+    """
+    op, slots, dims, order = _local_parts(op, slots, dims)
+    t = op @ coefficient_matrix(vec, dims, slots)
+    return t.reshape([dims[i] for i in order]).transpose(np.argsort(order)).reshape(-1)
 
 
 def operator_norm(a) -> float:
@@ -184,11 +213,7 @@ def schmidt_coefficients(psi, dims, left_slots) -> np.ndarray:
         raise ValueError(f"left slots {left} out of range for layout {dims}")
     if len(left) == n:
         raise ValueError("left slots must be a proper subset of all slots")
-    right = tuple(i for i in range(n) if i not in left)
-    t = psi.reshape(dims).transpose(left + right)
-    d_left = math.prod(dims[s] for s in left)
-    m = t.reshape(d_left, -1)
-    return np.linalg.svd(m, compute_uv=False)
+    return np.linalg.svd(coefficient_matrix(psi, dims, left), compute_uv=False)
 
 
 def schmidt_rank(psi, dims, left_slots, tol: float = SCHMIDT_RANK_TOL) -> int:

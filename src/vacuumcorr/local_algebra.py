@@ -21,7 +21,9 @@ import numpy as np
 from . import linalg
 from .linalg import (
     NOISE_TOL,
+    PROJECTOR_FLOOR,
     SCHMIDT_RANK_TOL,
+    apply_local,
     as_operator,
     operator_norm,
     tensor_embed,
@@ -75,6 +77,10 @@ class LocalOperator:
 
     def embed(self, layout: RegionLayout) -> np.ndarray:
         return tensor_embed(self.matrix, self.slots, layout.dims)
+
+    def apply(self, vec, layout: RegionLayout) -> np.ndarray:
+        """``embed(layout) @ vec`` through the local-action kernel."""
+        return apply_local(self.matrix, self.slots, vec, layout.dims)
 
     def is_projector(self, tol: float = NOISE_TOL) -> bool:
         p = self.matrix
@@ -186,7 +192,7 @@ def check_separating(
         for _ in range(trials):
             a = linalg.random_hermitian(d, rng)
             a /= operator_norm(a)
-            if np.linalg.norm(tensor_embed(a, slots, v.layout.dims) @ v.omega) <= 1e-12:
+            if np.linalg.norm(apply_local(a, slots, v.omega, v.layout.dims)) <= PROJECTOR_FLOOR:
                 return False
     return ok
 
@@ -200,8 +206,7 @@ def vacuum_positivity(v: VacuumModel, p: LocalOperator) -> float:
         raise ValueError("operator is not a projector")
     if operator_norm(p.matrix) <= NOISE_TOL:
         raise ValueError("zero projector rejected")
-    val = linalg.expectation(p.embed(v.layout), v.omega)
-    return float(val.real)
+    return float(np.vdot(v.omega, p.apply(v.omega, v.layout)).real)
 
 
 def random_projector(layout: RegionLayout, slots, rank: int, seed: int) -> LocalOperator:

@@ -25,10 +25,9 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .linalg import NOISE_TOL, as_state, expectation, hermitian_eig, operator_norm, tensor_embed
+from .linalg import NOISE_TOL, PROJECTOR_FLOOR, apply_local, as_state, hermitian_eig, operator_norm
 from .local_algebra import LocalOperator, VacuumModel, check_cyclic
 
-PROJECTOR_FLOOR = 1e-12
 SPECTRAL_TAU = 1e-12
 BUDGET_TOL = 1e-9
 
@@ -120,8 +119,8 @@ class ProjectorDecomposition:
             out += lam * proj.matrix
         return out
 
-    def embed(self, layout) -> np.ndarray:
-        return tensor_embed(self.local_matrix(), self.slots, layout.dims)
+    def apply(self, vec, layout) -> np.ndarray:
+        return apply_local(self.local_matrix(), self.slots, vec, layout.dims)
 
 
 @dataclass(frozen=True)
@@ -186,16 +185,12 @@ def solve_cyclic_approx(
     slots = linalg._normalize_slots(slots)
     if not check_cyclic(v, slots):
         raise ValueError(f"vacuum is not cyclic for region {slots}")
-    dims = v.layout.dims
-    rest = v.layout.complement(slots)
-    order = slots + rest
-    d = v.layout.region_dim(slots)
-    omega_mat = v.omega.reshape(dims).transpose(order).reshape(d, -1)
-    psi_mat = psi.reshape(dims).transpose(order).reshape(d, -1)
+    omega_mat = linalg.coefficient_matrix(v.omega, v.layout.dims, slots)
+    psi_mat = linalg.coefficient_matrix(psi, v.layout.dims, slots)
     # C @ omega_mat = psi_mat  <=>  omega_mat.T @ C.T = psi_mat.T
     sol, *_ = np.linalg.lstsq(omega_mat.T, psi_mat.T, rcond=None)
     c_tilde = LocalOperator(slots, sol.T)
-    residual = float(np.linalg.norm(c_tilde.embed(v.layout) @ v.omega - psi))
+    residual = float(np.linalg.norm(c_tilde.apply(v.omega, v.layout) - psi))
     if residual > eps1:
         raise StageFailure(
             "cyclic-approx", "residual exceeds eps1", achieved=residual, bound=eps1
@@ -209,7 +204,7 @@ def normalize_approximant(
     """Rescale C~ so ||C omega|| = 1; the error grows to at most
     eps2 = 2 eps1 / (1 - eps1).  Returns (C, achieved error)."""
     psi = as_state(psi)
-    nrm = float(np.linalg.norm(c_tilde.embed(v.layout) @ v.omega))
+    nrm = float(np.linalg.norm(c_tilde.apply(v.omega, v.layout)))
     if nrm <= PROJECTOR_FLOOR:
         raise ValueError("||C~ omega|| is at the numerical floor; vacuum not separating?")
     if nrm <= 1.0 - eps1:
@@ -217,7 +212,7 @@ def normalize_approximant(
             "normalize", "||C~ omega|| <= 1 - eps1", norm=nrm, bound=1.0 - eps1
         )
     c = LocalOperator(c_tilde.slots, c_tilde.matrix / nrm)
-    achieved = float(np.linalg.norm(c.embed(v.layout) @ v.omega - psi))
+    achieved = float(np.linalg.norm(c.apply(v.omega, v.layout) - psi))
     eps2 = EpsilonBudget.eps2_from_eps1(eps1)
     if achieved > eps2:
         raise StageFailure(
@@ -232,9 +227,9 @@ def expectation_window(
     """<A>_{C omega}, certified to lie in the open window (K - eps3, K + eps3)."""
     if set(a.slots) & set(c.slots):
         raise ValueError(f"regions overlap: {a.slots} vs {c.slots}")
-    state = c.embed(v.layout) @ v.omega
+    state = c.apply(v.omega, v.layout)
     state = state / np.linalg.norm(state)
-    val = expectation(a.embed(v.layout), state)
+    val = complex(np.vdot(state, a.apply(state, v.layout)))
     if abs(val.imag) > NOISE_TOL:
         raise StageFailure("window", "non-real expectation of Hermitian A", imag=val.imag)
     value = float(val.real)
@@ -277,7 +272,7 @@ def rescale_to_unit_vacuum(
     result records the divisor as ``q_expect``."""
     if dec.is_degenerate:
         raise StageFailure("rescale", "degenerate decomposition (Q1 = 0)")
-    q_expect = float(expectation(dec.embed(v.layout), v.omega).real)
+    q_expect = float(np.vdot(v.omega, dec.apply(v.omega, v.layout)).real)
     if q_expect <= PROJECTOR_FLOOR:
         raise ValueError(
             f"<Q1'~>_omega = {q_expect} at the floor; vacuum not separating for {dec.slots}"
@@ -292,8 +287,7 @@ def combined_window(
     """<A Q1'>_omega, certified to lie in (K - eps5, K + eps5)."""
     if set(a.slots) & set(dec.slots):
         raise ValueError(f"regions overlap: {a.slots} vs {dec.slots}")
-    prod = a.embed(v.layout) @ dec.embed(v.layout)
-    val = expectation(prod, v.omega)
+    val = complex(np.vdot(v.omega, a.apply(dec.apply(v.omega, v.layout), v.layout)))
     if abs(val.imag) > NOISE_TOL:
         raise StageFailure("combined", "non-real expectation of commuting product", imag=val.imag)
     value = float(val.real)
@@ -316,15 +310,14 @@ def select_extremal_projectors(
     """
     if dec.is_degenerate:
         raise StageFailure("extremal", "empty decomposition")
-    ea = a.embed(v.layout)
     aps = []
     p_expects = []
     for proj in dec.projectors:
-        ep = proj.embed(v.layout)
-        p_expect = float(expectation(ep, v.omega).real)
+        p_omega = proj.apply(v.omega, v.layout)
+        p_expect = float(np.vdot(v.omega, p_omega).real)
         if p_expect <= PROJECTOR_FLOOR:
             raise StageFailure("extremal", "<P_i>_omega at the floor", value=p_expect)
-        aps.append(float(expectation(ea @ ep, v.omega).real))
+        aps.append(float(np.vdot(v.omega, a.apply(p_omega, v.layout)).real))
         p_expects.append(p_expect)
     ratios = [ap / p for ap, p in zip(aps, p_expects)]
     i_max = int(np.argmax(ratios))
@@ -369,7 +362,7 @@ def prove_root_certificate(
     if norm_a <= PROJECTOR_FLOOR:
         raise ValueError("A is numerically zero; the eps-budget is undefined")
 
-    k = float(expectation(a.embed(v.layout), psi).real)
+    k = float(np.vdot(psi, a.apply(psi, v.layout)).real)
 
     eps3 = 0.5 * eps
     eps4_target = 0.5 * eps / norm_a

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from vacuumcorr import linalg
 from vacuumcorr.cli import main
 from vacuumcorr.harness import (
     SCENARIOS,
@@ -136,6 +137,33 @@ class TestScenarios:
         assert report.timings["total_seconds"] > 0.0
         assert report.to_payload()["timings"] == {}
         assert report.to_payload(include_timings=True)["timings"] != {}
+
+
+class TestNoFullSpaceMatrix:
+    @pytest.mark.parametrize("scenario,layout", [
+        ("root-cert", [3, 3]),
+        ("epr", [3, 3]),
+        ("reeh-schlieder", [2, 2, 4]),
+        ("cond-bell", [2, 2, 4]),
+        ("cond-bell", [3, 3, 9]),
+    ])
+    def test_tensor_embed_only_on_the_bell_sub_layout(self, monkeypatch, scenario, layout):
+        calls = []
+        original = linalg.tensor_embed
+
+        def recording(op, slots, dims):
+            calls.append(tuple(dims))
+            return original(op, slots, dims)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("vacuumcorr") and getattr(module, "tensor_embed", None) is original:
+                monkeypatch.setattr(module, "tensor_embed", recording)
+        assert run_scenario(cfg(scenario=scenario, layout=layout, eps=0.05)).passed
+        if scenario == "cond-bell":
+            # Only the Bell operator R on slots (0,1) is built as a matrix.
+            assert set(calls) <= {tuple(layout[:2])}
+        else:
+            assert calls == []
 
 
 class TestSweep:
@@ -295,6 +323,22 @@ class TestCLI:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["config"]["scenario"] == "tsirelson-sweep"
+
+    @pytest.mark.parametrize("command,fields,flags", [
+        ("run", {"scenario": "epr", "tolerances": {"spectral_tau": 0.01}}, []),
+        ("run", {"scenario": "root-cert"}, ["--eps", "1e-13"]),
+        ("sweep", {"scenario": "root-cert"}, ["--eps-list", "0.1,1e-13"]),
+    ])
+    def test_stage_failure_exit_three(self, tmp_path, command, fields, flags):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"layout": [2, 2], "eps": 0.01, **fields}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "vacuumcorr", command, "--config", str(config), *flags],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("error: [spectral] ")
+        assert "Traceback" not in proc.stderr
 
     def test_subprocess_entry_point(self, tmp_path):
         out = tmp_path / "r.json"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,9 +17,38 @@ from vacuumcorr.linalg import (
     schmidt_rank,
     tensor_embed,
 )
+from vacuumcorr.local_algebra import LocalOperator, RegionLayout
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def ordered_slot_tuples(n: int):
+    for k in range(1, n + 1):
+        yield from itertools.permutations(range(n), k)
+
+
+class TestApplyLocal:
+    @given(dims=st.lists(st.integers(2, 4), min_size=2, max_size=3), seed=st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_oracle_on_every_ordered_slot_tuple(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        layout = RegionLayout(tuple(dims))
+        for slots in ordered_slot_tuples(len(dims)):
+            d = layout.region_dim(slots)
+            op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            vec = random_state(layout.total_dim, rng)
+            want = embed_oracle(op, slots, dims) @ vec
+            got = linalg.apply_local(op, slots, vec, dims)
+            np.testing.assert_allclose(got, want, atol=1e-12)
+            local = LocalOperator(slots, op)
+            np.testing.assert_allclose(
+                local.apply(vec, layout), local.embed(layout) @ vec, atol=1e-12
+            )
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="does not match"):
+            linalg.apply_local(Z, 1, np.ones(6), (2, 3))
 
 
 class TestTensorEmbed:
@@ -38,7 +68,7 @@ class TestTensorEmbed:
     def test_matches_elementwise_oracle(self):
         rng = np.random.default_rng(3)
         dims = (2, 3, 2)
-        for slots in [0, 1, 2, (0, 1), (1, 2), (0, 2)]:
+        for slots in [0, 1, 2, (0, 1), (1, 2), (0, 2), (2, 1), (2, 0, 1)]:
             d = math.prod(
                 dims[s] for s in ((slots,) if isinstance(slots, int) else slots)
             )
