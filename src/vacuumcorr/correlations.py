@@ -6,6 +6,12 @@ contractions A_i on slot 0 and B_i on slot 1.  Its spectral ceiling is
 the canonical two-qubit construction saturates it.  Conditioning on a
 projector in a third region reproduces the near-maximal vacuum violation
 through the root-certificate pipeline.
+
+R is applied term by term, never formed for a correlation.  Landau's identity
+(Phys. Lett. A 120, 54 (1987)) gives its norm when A1^2 = A2^2 = P_A and
+B1^2 = B2^2 = P_B are nonzero projectors (every 2P - 1, the canonical settings):
+R^2 = 4 P_A P_B - [A1,A2][B1,B2], each commutator's spectrum is symmetric
+(A1 [A1,A2] A1 = -[A1,A2]), so ||R|| = sqrt(4 + ||[A1,A2]|| ||[B1,B2]||).
 """
 
 from __future__ import annotations
@@ -33,18 +39,15 @@ SQRT2 = math.sqrt(2.0)
 SEESAW_DRAWS = 8
 
 
-def _check_contraction(op: LocalOperator, name: str) -> None:
-    dev = linalg.dagger_distance(op.matrix)
-    if dev > NOISE_TOL:
-        raise ValueError(f"{name} is not self-adjoint: |X - X^†| = {dev}")
-    nrm = operator_norm(op.matrix)
-    if nrm > 1.0 + NOISE_TOL:
-        raise ValueError(f"{name} is not a contraction: norm {nrm}")
+def _herm_norm(h: np.ndarray) -> float:
+    """Operator norm of a Hermitian matrix, as max |eigenvalue| (no SVD)."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(h))))
 
 
 @dataclass(frozen=True)
 class BellSettings:
-    """Two self-adjoint contractions per side: A's on slot 0, B's on slot 1."""
+    """Two self-adjoint contractions per side: A's on slot 0, B's on slot 1,
+    each stored as its Hermitian part H, so that R is exactly Hermitian."""
 
     a1: LocalOperator
     a2: LocalOperator
@@ -52,13 +55,18 @@ class BellSettings:
     b2: LocalOperator
 
     def __post_init__(self):
-        for name, op, slot in (
-            ("A1", self.a1, 0), ("A2", self.a2, 0),
-            ("B1", self.b1, 1), ("B2", self.b2, 1),
-        ):
+        for attr, slot in (("a1", 0), ("a2", 0), ("b1", 1), ("b2", 1)):
+            op, name = getattr(self, attr), attr.upper()
             if op.slots != (slot,):
                 raise ValueError(f"{name} must live on slot {slot}, got {op.slots}")
-            _check_contraction(op, name)
+            dev = linalg.dagger_distance(op.matrix)
+            if dev > NOISE_TOL:
+                raise ValueError(f"{name} is not self-adjoint: |X - X^†| = {dev}")
+            herm = 0.5 * (op.matrix + op.matrix.conj().T)
+            nrm = _herm_norm(herm) + 0.5 * dev  # >= ||X||, as ||X - H||_F = dev / 2
+            if nrm > 1.0 + NOISE_TOL:
+                raise ValueError(f"{name} is not a contraction: norm {nrm}")
+            object.__setattr__(self, attr, LocalOperator(slot, herm))
 
 
 @dataclass(frozen=True)
@@ -95,14 +103,12 @@ def bell_operator(s: BellSettings, layout: RegionLayout) -> np.ndarray:
     return r
 
 
-def _sub_layout(layout: RegionLayout) -> RegionLayout:
-    return RegionLayout(layout.dims[:2])
-
-
 def _apply_bell(s: BellSettings, vec, layout: RegionLayout) -> np.ndarray:
-    """R vec, with R built on slots (0,1) only and applied by the kernel."""
-    r01 = bell_operator(s, _sub_layout(layout))
-    return apply_local(r01, (0, 1), vec, layout.dims)
+    """R vec = A1 (B1 + B2) vec + A2 (B1 - B2) vec, one slot at a time."""
+    a1, a2, b1, b2 = (op.matrix for op in (s.a1, s.a2, s.b1, s.b2))
+    dims = layout.dims
+    return (apply_local(a1, 0, apply_local(b1 + b2, 1, vec, dims), dims)
+            + apply_local(a2, 0, apply_local(b1 - b2, 1, vec, dims), dims))
 
 
 def bell_correlation(s: BellSettings, state, layout: RegionLayout) -> float:
@@ -210,9 +216,20 @@ def seesaw_maximize(
     return settings, best
 
 
+def _shared_support(x1: np.ndarray, x2: np.ndarray) -> bool:
+    """X1^2 = X2^2 is a nonzero projector, to NOISE_TOL in the Frobenius norm."""
+    p = x1 @ x1
+    return bool(np.linalg.norm(p - x2 @ x2) <= NOISE_TOL
+                and np.linalg.norm(p @ p - p) <= NOISE_TOL < np.linalg.norm(p))
+
+
 def tsirelson_certificate(s: BellSettings, layout: RegionLayout) -> float:
-    """sqrt(2) - (1/2) ||R||; nonnegative (up to noise) for any settings."""
-    return SQRT2 - 0.5 * operator_norm(bell_operator(s, layout))
+    """sqrt(2) - (1/2) ||R|| >= 0 (to noise); ||R|| by Landau's identity where it holds."""
+    a1, a2, b1, b2 = (op.matrix for op in (s.a1, s.a2, s.b1, s.b2))
+    if _shared_support(a1, a2) and _shared_support(b1, b2):
+        ca, cb = (_herm_norm(1j * (x @ y - y @ x)) for x, y in ((a1, a2), (b1, b2)))
+        return SQRT2 - 0.5 * math.sqrt(4.0 + ca * cb)
+    return SQRT2 - 0.5 * _herm_norm(bell_operator(s, RegionLayout(layout.dims[:2])))
 
 
 @dataclass(frozen=True)
@@ -310,7 +327,7 @@ def _conditional_pipeline(
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
 
-    r01 = bell_operator(settings, _sub_layout(layout))
+    r01 = bell_operator(settings, RegionLayout(layout.dims[:2]))
     # chi = first basis vector on slot 2; any unit vector works.
     chi = np.zeros(layout.dims[2], dtype=complex)
     chi[0] = 1.0
@@ -328,7 +345,7 @@ def _conditional_pipeline(
         settings=settings,
         state=psi,
         correlation=bell_correlation(settings, psi, layout),
-        tsirelson_margin=SQRT2 - 0.5 * operator_norm(r01),
+        tsirelson_margin=tsirelson_certificate(settings, layout),
         conditional=ConditionalResult(
             p3=p3,
             p3_expect=float(np.vdot(v.omega, p3.apply(v.omega, layout)).real),
@@ -366,7 +383,7 @@ def general_contraction_extension(
         if operator_norm(comm) <= NOISE_TOL:
             raise ValueError(f"{name}1 and {name}2 commute; the extension needs "
                              "non-commuting pairs")
-    r01 = bell_operator(settings, _sub_layout(v.layout))
+    r01 = bell_operator(settings, RegionLayout(v.layout.dims[:2]))
     cols = hermitian_eig(r01).projectors[0]
     top = cols[:, int(np.argmax(np.linalg.norm(cols, axis=0)))]
     top = top / np.linalg.norm(top)

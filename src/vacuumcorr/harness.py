@@ -25,7 +25,6 @@ from .correlations import (
     BellSettings,
     bell_correlation,
     canonical_max_violation,
-    conditional_bell_correlation,
     contraction_from_projector,
     epr_projector_pair,
     seesaw_maximize,
@@ -371,10 +370,9 @@ def _scenario_bell_max(cfg: ScenarioConfig) -> tuple[list, dict]:
         _record(assertions, f"seesaw_ceiling_start_{k}", beta, "<=", SQRT2 + 1e-7)
         best = max(best, beta)
     _record(assertions, "seesaw_best", best, ">=", SQRT2 - 1e-6)
-    report = BellReport(
-        settings=settings, state=state, correlation=value,
-        tsirelson_margin=tsirelson_certificate(settings, layout),
-    )
+    margin = tsirelson_certificate(settings, layout)
+    _record(assertions, "tsirelson_margin", margin, ">=", -cfg.tolerances.tsirelson_slack)
+    report = BellReport(settings=settings, state=state, correlation=value, tsirelson_margin=margin)
     return assertions, {"bell": bell_report_payload(report)}
 
 
@@ -413,7 +411,9 @@ def _scenario_cond_bell(cfg: ScenarioConfig) -> tuple[list, dict]:
     assertions: list = []
     _record(assertions, "conditional_violation", cond.conditional_correlation,
             ">", SQRT2 - cfg.eps)
-    recomputed = conditional_bell_correlation(report.settings, cond.p3, v)
+    # Independent of the pipeline: (1/2) <R> in the state P3 omega / ||P3 omega||.
+    p3_omega = cond.p3.apply(v.omega, layout)
+    recomputed = bell_correlation(report.settings, p3_omega / np.linalg.norm(p3_omega), layout)
     _record(assertions, "conditional_recompute",
             abs(recomputed - cond.conditional_correlation), "<=", 1e-9)
     _record(assertions, "tsirelson_margin", report.tsirelson_margin, ">=",

@@ -53,9 +53,9 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 
 
 def dagger_distance(a: np.ndarray) -> float:
-    """Operator-norm distance to the adjoint (0 for Hermitian input)."""
+    """Frobenius distance to the adjoint: 0 for Hermitian input, >= the operator-norm one."""
     a = as_operator(a)
-    return operator_norm(a - adjoint(a))
+    return float(np.linalg.norm(a - adjoint(a)))
 
 
 def _normalize_slots(slots) -> tuple[int, ...]:

@@ -83,11 +83,9 @@ class LocalOperator:
         return apply_local(self.matrix, self.slots, vec, layout.dims)
 
     def is_projector(self, tol: float = NOISE_TOL) -> bool:
+        """P^2 = P = P^† to ``tol`` in the Frobenius norm (>= the operator norm)."""
         p = self.matrix
-        return (
-            operator_norm(p @ p - p) <= tol
-            and operator_norm(p - p.conj().T) <= tol
-        )
+        return bool(np.linalg.norm(p @ p - p) <= tol and np.linalg.norm(p - p.conj().T) <= tol)
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,14 @@ def embed_oracle(op: np.ndarray, slots, dims) -> np.ndarray:
     return out
 
 
+def bell_oracle(a1, a2, b1, b2, dims) -> np.ndarray:
+    """R = A1 (B1 + B2) + A2 (B1 - B2) on the whole layout, from index-by-index
+    embeddings of the four factors (A's on slot 0, B's on slot 1)."""
+    e1, e2, f1, f2 = (embed_oracle(m, slot, dims)
+                      for m, slot in ((a1, 0), (a2, 0), (b1, 1), (b2, 1)))
+    return e1 @ (f1 + f2) + e2 @ (f1 - f2)
+
+
 def span_dimension(omega: np.ndarray, dims, slots) -> int:
     """Dimension of span{embed(E_ab) omega} over the matrix-unit basis."""
     slots = (slots,) if isinstance(slots, int) else tuple(slots)

@@ -1,10 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import charpoly_eigenvalues, qubit_angle_grid_bell, random_state
+from conftest import bell_oracle, charpoly_eigenvalues, qubit_angle_grid_bell, random_state
 
+from vacuumcorr import correlations
 from vacuumcorr.correlations import (
     SQRT2,
     BellSettings,
@@ -19,7 +23,7 @@ from vacuumcorr.correlations import (
     tsirelson_certificate,
     violate_conditional_bell,
 )
-from vacuumcorr.linalg import expectation, operator_norm
+from vacuumcorr.linalg import NOISE_TOL, expectation, haar_unitary, operator_norm, random_hermitian
 from vacuumcorr.local_algebra import (
     LocalOperator,
     RegionLayout,
@@ -43,6 +47,43 @@ def random_settings(layout, seed):
         p = random_projector(layout, slot, rank, int(rng.integers(0, 10**6)))
         ops.append(contraction_from_projector(p))
     return BellSettings(a1=ops[0], a2=ops[1], b1=ops[2], b2=ops[3])
+
+
+def random_contractions(dims, rng, noise=0.0):
+    """Four Hermitian contractions on slots 0, 0, 1, 1, each plus ``noise``
+    times a non-Hermitian perturbation."""
+    ops = []
+    for d in (dims[0], dims[0], dims[1], dims[1]):
+        h = random_hermitian(d, rng)
+        h *= rng.uniform(0.5, 1.0) / np.max(np.abs(np.linalg.eigvalsh(h)))
+        ops.append(h + noise * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))))
+    return ops
+
+
+def settings_of(a1, a2, b1, b2) -> BellSettings:
+    return BellSettings(a1=LocalOperator(0, a1), a2=LocalOperator(0, a2),
+                        b1=LocalOperator(1, b1), b2=LocalOperator(1, b2))
+
+
+def partial_involutions(d, rank, rng):
+    """X1, X2 = V S V^† with V a d x rank isometry onto one fixed subspace and
+    S = diag(+-1), so that X1^2 = X2^2 is the same rank-``rank`` projector."""
+    u = haar_unitary(d, rng)[:, :rank]
+
+    def one():
+        v = u @ haar_unitary(rank, rng)
+        return (v * rng.choice([-1.0, 1.0], size=rank)) @ v.conj().T
+
+    return one(), one()
+
+
+def dense_margin(s: BellSettings, dims) -> float:
+    r = bell_oracle(*(op.matrix for op in (s.a1, s.a2, s.b1, s.b2)), dims[:2])
+    return SQRT2 - 0.5 * float(np.max(np.abs(np.linalg.eigvalsh(r))))
+
+
+def spy_bell_operator():
+    return mock.patch.object(correlations, "bell_operator", wraps=correlations.bell_operator)
 
 
 class TestContractionFromProjector:
@@ -85,6 +126,95 @@ class TestBellSettings:
                 b1=LocalOperator(1, Z),
                 b2=LocalOperator(1, X),
             )
+
+
+class TestHermitianPart:
+    @given(d1=st.integers(2, 5), d2=st.integers(2, 5), seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_r_exactly_hermitian_for_validated_settings(self, d1, d2, seed):
+        rng = np.random.default_rng(seed)
+        s = settings_of(*random_contractions((d1, d2), rng, noise=1e-13))
+        r = bell_operator(s, RegionLayout((d1, d2)))
+        assert np.array_equal(r, r.conj().T)
+
+    @given(d=st.integers(2, 5), seed=st.integers(0, 10_000),
+           log_excess=st.floats(-13, -8), sign=st.sampled_from([-1.0, 1.0]),
+           log_noise=st.floats(-14, -9))
+    @settings(max_examples=80, deadline=None)
+    def test_contraction_check_rejects_what_the_operator_norm_rejects(
+        self, d, seed, log_excess, sign, log_noise
+    ):
+        rng = np.random.default_rng(seed)
+        h = random_hermitian(d, rng)
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        x = (1.0 + sign * 10.0**log_excess) * h / operator_norm(h) + 10.0**log_noise * g
+        old_rejects = (np.linalg.norm(x - x.conj().T, 2) > NOISE_TOL
+                       or np.linalg.norm(x, 2) > 1.0 + NOISE_TOL)
+        if old_rejects:
+            _, canon = canonical_max_violation(RegionLayout((d, 2)))
+            with pytest.raises(ValueError, match="not self-adjoint|not a contraction"):
+                BellSettings(a1=LocalOperator(0, x), a2=canon.a2, b1=canon.b1, b2=canon.b2)
+
+
+class TestApplyBell:
+    @given(dims=st.lists(st.integers(2, 3), min_size=2, max_size=3), seed=st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_term_by_term_matches_the_dense_operator(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        layout = RegionLayout(tuple(dims))
+        mats = random_contractions(layout.dims, rng)
+        s = settings_of(*mats)
+        vec = rng.standard_normal(layout.total_dim) + 1j * rng.standard_normal(layout.total_dim)
+        got = correlations._apply_bell(s, vec, layout)
+        np.testing.assert_allclose(got, bell_operator(s, layout) @ vec, atol=1e-12)
+        np.testing.assert_allclose(got, bell_oracle(*mats, layout.dims) @ vec, atol=1e-12)
+
+
+class TestLandauNorm:
+    @given(d1=st.integers(2, 6), d2=st.integers(2, 6), seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_shared_support_matches_dense(self, d1, d2, seed):
+        rng = np.random.default_rng(seed)
+        a1, a2 = partial_involutions(d1, int(rng.integers(1, d1 + 1)), rng)
+        b1, b2 = partial_involutions(d2, int(rng.integers(1, d2 + 1)), rng)
+        s = settings_of(a1, a2, b1, b2)
+        with spy_bell_operator() as dense:
+            got = tsirelson_certificate(s, RegionLayout((d1, d2)))
+        assert dense.call_count == 0
+        assert abs(got - dense_margin(s, (d1, d2))) <= 1e-12
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_canonical_matches_dense(self, d):
+        _, s = canonical_max_violation(RegionLayout((d, d)))
+        with spy_bell_operator() as dense:
+            got = tsirelson_certificate(s, RegionLayout((d, d)))
+        assert dense.call_count == 0
+        assert abs(got - dense_margin(s, (d, d))) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["half", "unequal_squares", "zero", "general_b"])
+    def test_other_settings_take_the_dense_path(self, case):
+        layout = RegionLayout((3, 3))
+        _, canon = canonical_max_violation(layout)
+        a1, a2, b1, b2 = (op.matrix for op in (canon.a1, canon.a2, canon.b1, canon.b2))
+        if case == "half":  # A1^2 = A2^2 = P / 4, not a projector
+            a1, a2 = 0.5 * a1, 0.5 * a2
+        elif case == "unequal_squares":  # A1^2 = 1, A2^2 = the rank-2 block
+            a1 = np.diag([1.0, -1.0, 1.0]).astype(complex)
+        elif case == "zero":
+            a1 = a2 = np.zeros((3, 3), dtype=complex)
+        else:
+            b2 = random_contractions((3, 3), np.random.default_rng(5))[3]
+        s = settings_of(a1, a2, b1, b2)
+        with spy_bell_operator() as dense:
+            got = tsirelson_certificate(s, layout)
+        assert dense.call_count == 1
+        assert abs(got - dense_margin(s, layout.dims)) <= 1e-12
+
+    def test_three_slot_layout_uses_slots_zero_and_one(self):
+        layout = RegionLayout((2, 3, 6))
+        rng = np.random.default_rng(3)
+        s = settings_of(*random_contractions(layout.dims, rng))
+        assert abs(tsirelson_certificate(s, layout) - dense_margin(s, layout.dims)) <= 1e-12
 
 
 class TestBellOperator:

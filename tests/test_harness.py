@@ -4,9 +4,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from vacuumcorr import linalg
+from vacuumcorr import correlations, linalg
 from vacuumcorr.cli import main
 from vacuumcorr.harness import (
     SCENARIOS,
@@ -25,6 +26,13 @@ def cfg(**overrides) -> ScenarioConfig:
     data = {"scenario": "root-cert", "layout": [2, 2], "seed": 7, "eps": 0.01}
     data.update(overrides)
     return ScenarioConfig.from_dict(data)
+
+
+def patch_every_binding(monkeypatch, original, replacement):
+    """Replace ``original`` wherever a vacuumcorr module binds it by name."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("vacuumcorr") and getattr(module, original.__name__, None) is original:
+            monkeypatch.setattr(module, original.__name__, replacement)
 
 
 class TestScenarioConfig:
@@ -126,6 +134,22 @@ class TestScenarios:
         report = run_scenario(cfg(scenario="bell-max", layout=layout, seed=seed))
         assert report.passed
 
+    def test_bell_max_asserts_the_tsirelson_margin(self):
+        report = run_scenario(cfg(scenario="bell-max", layout=[2, 2],
+                                  tolerances={"tsirelson_slack": 1e-6}))
+        check = {a["name"]: a for a in report.assertions}["tsirelson_margin"]
+        assert check["passed"] and check["op"] == ">=" and check["rhs"] == -1e-6
+        assert check["lhs"] == report.certificates["bell"]["tsirelson_margin"]
+
+    def test_cond_bell_recompute_is_independent_of_the_pipeline(self, monkeypatch):
+        # A pipeline whose conditional correlation is off by 1e-6 must fail the recompute.
+        original = correlations.conditional_bell_correlation
+        patch_every_binding(monkeypatch, original, lambda *args: original(*args) + 1e-6)
+        report = run_scenario(cfg(scenario="cond-bell", layout=[2, 2, 4], eps=0.05))
+        checks = {a["name"]: a for a in report.assertions}
+        assert checks["conditional_violation"]["passed"]
+        assert not checks["conditional_recompute"]["passed"]
+
     def test_scenario_names_cover_dispatch(self):
         assert set(SCENARIOS) == {
             "reeh-schlieder", "root-cert", "epr",
@@ -155,15 +179,37 @@ class TestNoFullSpaceMatrix:
             calls.append(tuple(dims))
             return original(op, slots, dims)
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("vacuumcorr") and getattr(module, "tensor_embed", None) is original:
-                monkeypatch.setattr(module, "tensor_embed", recording)
+        patch_every_binding(monkeypatch, original, recording)
         assert run_scenario(cfg(scenario=scenario, layout=layout, eps=0.05)).passed
         if scenario == "cond-bell":
             # Only the Bell operator R on slots (0,1) is built as a matrix.
             assert set(calls) <= {tuple(layout[:2])}
         else:
             assert calls == []
+
+    @pytest.mark.parametrize("scenario", ["bell-max", "tsirelson-sweep"])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_bell_side_decomposes_only_local_factors(self, monkeypatch, scenario, d):
+        bell_calls, sides = [], []
+        original = correlations.bell_operator
+
+        def recording_bell(*args):
+            bell_calls.append(args)
+            return original(*args)
+
+        patch_every_binding(monkeypatch, original, recording_bell)
+        # np.linalg.norm(a, 2) reaches svd through numpy's private module.
+        numpy_modules = {np.linalg, sys.modules.get("numpy.linalg._linalg", np.linalg)}
+        for fn_name in ("svd", "eigvalsh", "eigh"):
+            def recording(a, *args, _fn=getattr(np.linalg, fn_name), **kwargs):
+                sides.append(max(np.shape(a)))
+                return _fn(a, *args, **kwargs)
+
+            for module in numpy_modules:
+                monkeypatch.setattr(module, fn_name, recording)
+        assert run_scenario(cfg(scenario=scenario, layout=[d, d])).passed
+        assert bell_calls == []
+        assert sides and max(sides) <= d
 
 
 class TestSweep:

@@ -113,6 +113,20 @@ class TestOperatorNorm:
         assert operator_norm(a @ b) <= operator_norm(a) * operator_norm(b) + 1e-9
 
 
+class TestDaggerDistance:
+    @given(dim=st.integers(1, 6), seed=st.integers(0, 10_000), log_noise=st.floats(-13, -8))
+    @settings(max_examples=80, deadline=None)
+    def test_rejects_what_the_operator_norm_rejects(self, dim, seed, log_noise):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        a = linalg.random_hermitian(dim, rng) + 10.0**log_noise * g
+        old = np.linalg.norm(a - a.conj().T, 2)
+        new = linalg.dagger_distance(a)
+        assert new >= old * (1.0 - 1e-12)
+        if old > linalg.NOISE_TOL:
+            assert new > linalg.NOISE_TOL
+
+
 class TestHermitianEig:
     def test_degenerate_diagonal(self):
         es = hermitian_eig(np.diag([3.0, 1.0, 1.0]).astype(complex))

@@ -189,6 +189,22 @@ class TestRandomProjector:
         assert abs(np.trace(p.matrix).real - 3.0) <= 1e-10
         assert p.is_projector()
 
+    @given(dim=st.integers(2, 6), seed=st.integers(0, 10_000),
+           log_noise=st.floats(-13, -8), hermitian=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_is_projector_rejects_what_the_operator_norm_rejects(
+        self, dim, seed, log_noise, hermitian
+    ):
+        rng = np.random.default_rng(seed)
+        p = random_projector(RegionLayout((dim, 2)), 0, int(rng.integers(1, dim + 1)), seed).matrix
+        g = linalg.random_hermitian(dim, rng) if hermitian else (
+            rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        p = p + 10.0**log_noise * g
+        old_accepts = (np.linalg.norm(p @ p - p, 2) <= linalg.NOISE_TOL
+                       and np.linalg.norm(p - p.conj().T, 2) <= linalg.NOISE_TOL)
+        if not old_accepts:
+            assert not LocalOperator(0, p).is_projector()
+
     def test_deterministic(self):
         a = random_projector(L22, 1, 1, seed=42)
         b = random_projector(L22, 1, 1, seed=42)
