@@ -34,6 +34,8 @@ from .root_theorem import (
 
 SQRT2 = math.sqrt(2.0)
 
+# A see-saw run stops once an iteration gains less than this.
+SEESAW_TOL = 1e-12
 # Draws per see-saw start.  About a quarter of draws end at a classical
 # fixed point, so all of them stalling has probability near 0.25**8.
 SEESAW_DRAWS = 8
@@ -160,7 +162,6 @@ def seesaw_maximize(
     layout: RegionLayout,
     seed: int,
     max_iters: int = 200,
-    tol: float = 1e-12,
 ) -> tuple[BellSettings, float]:
     """Alternating maximization of (1/2) <R> over contraction settings.
 
@@ -177,8 +178,6 @@ def seesaw_maximize(
         raise ValueError("see-saw runs on 2-slot layouts")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     state = as_state(state)
     d1, d2 = layout.dims
     psi_mat = state.reshape(d1, d2)
@@ -203,7 +202,7 @@ def seesaw_maximize(
             b1 = _sign_contraction(h1 + h2)
             b2 = _sign_contraction(h1 - h2)
             current = objective(a1, a2, b1, b2)
-            if current - best < tol:
+            if current - best < SEESAW_TOL:
                 best = max(best, current)
                 break
             best = current
@@ -235,6 +234,7 @@ def tsirelson_certificate(s: BellSettings, layout: RegionLayout) -> float:
 @dataclass(frozen=True)
 class EPRReport:
     p1: LocalOperator
+    p2: LocalOperator
     p1_expect: float  # <P1>_omega
     joint_expect: float  # <P1 P2>_omega
     lower_bound: float  # (1 - eps) <P1>_omega
@@ -271,6 +271,7 @@ def epr_projector_pair(
     joint = float(np.linalg.norm(p2.apply(p1_omega, v.layout)) ** 2)
     report = EPRReport(
         p1=p1,
+        p2=p2,
         p1_expect=p1_expect,
         joint_expect=joint,
         lower_bound=(1.0 - eps) * p1_expect,

@@ -1,11 +1,14 @@
 """Scenario runner with deterministic machine-readable reports.
 
 Each scenario exercises one verified result on a configured layout/seed
-and records every comparison as an assertion carrying both numbers.
-Serialized reports are byte-stable for identical configs: keys are
-sorted, floats are printed with 17 significant digits, and wall-clock
-timings are kept on the in-memory report only (opt-in for emission,
-since they are the one non-deterministic ingredient).
+and records every comparison as an assertion carrying both numbers.  A
+report's certificate objects are the library's result dataclasses
+(``RootCertificate``, ``BellReport``, ``EPRReport``, ...) written field by
+field, with complex arrays as lists of ``[re, im]`` pairs.  Serialized
+reports are byte-stable for identical configs: keys are sorted, floats
+are printed with 17 significant digits, and wall-clock timings are kept
+on the in-memory report only (opt-in for emission, since they are the
+one non-deterministic ingredient).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
@@ -161,19 +164,16 @@ class ScenarioConfig:
     def region_layout(self) -> RegionLayout:
         return RegionLayout(self.layout)
 
-    def to_payload(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "layout": list(self.layout),
-            "seed": self.seed,
-            "eps": self.eps,
-            "sweep": list(self.sweep) if self.sweep else None,
-            "tolerances": asdict(self.tolerances),
-        }
-
 
 @dataclass
 class RunReport:
+    """Assertions plus the certificate objects they were checked on.
+
+    ``certificates`` and ``to_payload()`` hold the result dataclasses as
+    plain dicts of their fields; matrix and vector leaves stay complex
+    ndarrays until ``canonical_json`` writes them as ``[re, im]`` pairs.
+    """
+
     config: ScenarioConfig
     assertions: list[dict]
     certificates: dict
@@ -186,7 +186,7 @@ class RunReport:
     def to_payload(self, include_timings: bool = False) -> dict:
         return {
             "schema": 1,
-            "config": self.config.to_payload(),
+            "config": _plain(self.config),
             "assertions": self.assertions,
             "certificates": self.certificates,
             "timings": dict(self.timings) if include_timings else {},
@@ -210,54 +210,16 @@ def _record(assertions: list, name: str, lhs: float, op: str, rhs: float) -> boo
     return passed
 
 
-# ---------------------------------------------------------------------------
-# payload helpers
-
-def _matrix_payload(m: np.ndarray) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m)]
-
-
-def _vector_payload(v: np.ndarray) -> list:
-    return [[float(x.real), float(x.imag)] for x in np.asarray(v).ravel()]
-
-
-def _local_op_payload(op: LocalOperator) -> dict:
-    return {"slots": list(op.slots), "matrix": _matrix_payload(op.matrix)}
-
-
-def certificate_payload(cert: RootCertificate) -> dict:
-    return {
-        "target_k": cert.target_k,
-        "requested_eps": cert.requested_eps,
-        "p_max": _local_op_payload(cert.p_max),
-        "p_min": _local_op_payload(cert.p_min),
-        "lhs_max": cert.lhs_max,
-        "rhs_max": cert.rhs_max,
-        "lhs_min": cert.lhs_min,
-        "rhs_min": cert.rhs_min,
-        "budget": asdict(cert.budget),
-        "weights": list(cert.weights),
-        "achieved": dict(cert.achieved),
-    }
-
-
-def bell_report_payload(rep: BellReport) -> dict:
-    payload = {
-        "settings": {f.name: _local_op_payload(getattr(rep.settings, f.name))
-                     for f in fields(rep.settings)},
-        "state": _vector_payload(rep.state),
-        "correlation": rep.correlation,
-        "tsirelson_margin": rep.tsirelson_margin,
-        "conditional": None,
-    }
-    if rep.conditional is not None:
-        payload["conditional"] = {
-            "p3": _local_op_payload(rep.conditional.p3),
-            "p3_expect": rep.conditional.p3_expect,
-            "conditional_correlation": rep.conditional.conditional_correlation,
-            "certificate": certificate_payload(rep.conditional.certificate),
-        }
-    return payload
+def _plain(value):
+    """Dataclasses as dicts of their fields and tuples as lists, recursively;
+    ndarray leaves are kept as they are."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +290,7 @@ def _root_cert(cfg: ScenarioConfig, eps: float) -> tuple[list, RootCertificate]:
 
 def _scenario_root_cert(cfg: ScenarioConfig) -> tuple[list, dict]:
     assertions, cert = _root_cert(cfg, cfg.eps)
-    return assertions, {"root_certificate": certificate_payload(cert)}
+    return assertions, {"root_certificate": _plain(cert)}
 
 
 def _scenario_epr(cfg: ScenarioConfig) -> tuple[list, dict]:
@@ -343,17 +305,7 @@ def _scenario_epr(cfg: ScenarioConfig) -> tuple[list, dict]:
             report.joint_expect - report.p1_expect, "<=", PROJECTOR_FLOOR)
     _record(assertions, "epr_lower_strict", report.joint_expect, ">", report.lower_bound)
     _record(assertions, "p1_vacuum_positivity", report.p1_expect, ">", 0.0)
-    certificates = {
-        "epr": {
-            "p1": _local_op_payload(report.p1),
-            "p2": _local_op_payload(p2),
-            "p1_expect": report.p1_expect,
-            "joint_expect": report.joint_expect,
-            "lower_bound": report.lower_bound,
-            "certificate": certificate_payload(report.certificate),
-        }
-    }
-    return assertions, certificates
+    return assertions, {"epr": _plain(report)}
 
 
 def _scenario_bell_max(cfg: ScenarioConfig) -> tuple[list, dict]:
@@ -373,16 +325,13 @@ def _scenario_bell_max(cfg: ScenarioConfig) -> tuple[list, dict]:
     margin = tsirelson_certificate(settings, layout)
     _record(assertions, "tsirelson_margin", margin, ">=", -cfg.tolerances.tsirelson_slack)
     report = BellReport(settings=settings, state=state, correlation=value, tsirelson_margin=margin)
-    return assertions, {"bell": bell_report_payload(report)}
+    return assertions, {"bell": _plain(report)}
 
 
 def _random_settings(layout: RegionLayout, rng: np.random.Generator) -> BellSettings:
     def contraction(slot: int) -> LocalOperator:
-        d = layout.dims[slot]
-        rank = int(rng.integers(1, d + 1))
-        basis = linalg.haar_unitary(d, rng)[:, :rank]
-        p = basis @ basis.conj().T
-        return contraction_from_projector(LocalOperator(slot, 0.5 * (p + p.conj().T)))
+        rank = int(rng.integers(1, layout.dims[slot] + 1))
+        return contraction_from_projector(random_projector(layout, slot, rank, rng))
 
     return BellSettings(
         a1=contraction(0), a2=contraction(0), b1=contraction(1), b2=contraction(1)
@@ -418,7 +367,7 @@ def _scenario_cond_bell(cfg: ScenarioConfig) -> tuple[list, dict]:
             abs(recomputed - cond.conditional_correlation), "<=", 1e-9)
     _record(assertions, "tsirelson_margin", report.tsirelson_margin, ">=",
             -cfg.tolerances.tsirelson_slack)
-    return assertions, {"bell": bell_report_payload(report)}
+    return assertions, {"bell": _plain(report)}
 
 
 _SCENARIO_TABLE = {
@@ -464,7 +413,7 @@ class SweepTable:
     def to_payload(self, include_timings: bool = False) -> dict:
         return {
             "schema": 1,
-            "config": self.config.to_payload(),
+            "config": _plain(self.config),
             "columns": list(SWEEP_COLUMNS),
             "rows": self.rows,
         }
@@ -501,7 +450,14 @@ def _format_float(x: float) -> str:
 
 
 def canonical_json(value) -> str:
-    """JSON with sorted keys and floats at 17 significant digits."""
+    """JSON with sorted keys and floats at 17 significant digits; an
+    ndarray is written as (rows of) complex ``[re, im]`` pairs."""
+    if isinstance(value, np.ndarray):
+        if value.ndim != 1:
+            return "[" + ",".join(canonical_json(row) for row in value) + "]"
+        re_im = np.ascontiguousarray(value, complex).view(float).tolist()
+        cells = [_format_float(x) for x in re_im]
+        return "[" + ",".join(f"[{re},{im}]" for re, im in zip(cells[::2], cells[1::2])) + "]"
     if isinstance(value, dict):
         items = sorted(value.items())
         body = ",".join(f"{json.dumps(str(k))}:{canonical_json(v)}" for k, v in items)

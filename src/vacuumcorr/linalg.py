@@ -18,9 +18,8 @@ import numpy as np
 
 # Noise floor for identities that hold exactly in exact arithmetic:
 # Hermiticity, projector and contraction checks, the imaginary part of a
-# real expectation, a vanishing commutator.
+# real expectation, a vanishing commutator, the gap between equal eigenvalues.
 NOISE_TOL = 1e-10
-EIG_MERGE_TOL = 1e-10
 SCHMIDT_RANK_TOL = 1e-9
 STATE_NORM_TOL = 1e-12
 # Floor below which a vacuum norm or expectation counts as zero.
@@ -37,13 +36,13 @@ def as_operator(a) -> np.ndarray:
     return a
 
 
-def as_state(psi, *, norm_tol: float = STATE_NORM_TOL) -> np.ndarray:
-    """Validate a unit vector (within norm_tol of norm 1)."""
+def as_state(psi) -> np.ndarray:
+    """Validate a unit vector (within STATE_NORM_TOL of norm 1)."""
     psi = np.asarray(psi, dtype=complex).ravel()
     if not np.all(np.isfinite(psi)):
         raise ValueError("vector entries must be finite")
     nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > norm_tol:
+    if abs(nrm - 1.0) > STATE_NORM_TOL:
         raise ValueError(f"expected a unit vector, got norm {nrm}")
     return psi
 
@@ -67,45 +66,6 @@ def _normalize_slots(slots) -> tuple[int, ...]:
     return out
 
 
-def _local_parts(op, slots, dims):
-    """Validated (op, slots, dims, order): order lists slots, then the other slots."""
-    op = as_operator(op)
-    dims = tuple(int(d) for d in dims)
-    slots = _normalize_slots(slots)
-    n = len(dims)
-    if not slots or any(s < 0 or s >= n for s in slots):
-        raise ValueError(f"slots {slots} out of range for layout {dims}")
-    d_slots = math.prod(dims[s] for s in slots)
-    if op.shape[0] != d_slots:
-        raise ValueError(
-            f"operator dim {op.shape[0]} does not match slot dims "
-            f"{tuple(dims[s] for s in slots)} (need {d_slots})"
-        )
-    return op, slots, dims, list(slots) + [i for i in range(n) if i not in slots]
-
-
-def tensor_embed(op, slots, dims) -> np.ndarray:
-    """Embed a local operator into the full space (the dense oracle).
-
-    ``op`` acts on the (ordered) tensor factors listed in ``slots`` and as
-    the identity on all other factors of the layout ``dims``.  ``slots``
-    may be a single index or a tuple of indices.
-    """
-    op, slots, dims, order = _local_parts(op, slots, dims)
-    n = len(dims)
-    d_rest = math.prod(dims[i] for i in order[len(slots):])
-    big = np.kron(op, np.eye(d_rest, dtype=complex))
-    if order == list(range(n)):
-        return big
-    # Permute the axes from (slots..., rest...) back to layout order.
-    ax_dims = [dims[i] for i in order]
-    t = big.reshape(ax_dims + ax_dims)
-    perm = [order.index(i) for i in range(n)]
-    t = t.transpose(perm + [n + p for p in perm])
-    total = math.prod(dims)
-    return np.ascontiguousarray(t.reshape(total, total))
-
-
 def coefficient_matrix(vec, dims, slots) -> np.ndarray:
     """``vec`` as a matrix across slots|rest: rows run over ``slots`` in the
     given order, columns over the other slots in layout order."""
@@ -122,9 +82,33 @@ def apply_local(op, slots, vec, dims) -> np.ndarray:
     in ``slots`` and flattens the result back: O(dim(op) total_dim) work
     instead of O(total_dim^2) memory and time.
     """
-    op, slots, dims, order = _local_parts(op, slots, dims)
+    op = as_operator(op)
+    dims = tuple(int(d) for d in dims)
+    slots = _normalize_slots(slots)
+    n = len(dims)
+    if not slots or any(s < 0 or s >= n for s in slots):
+        raise ValueError(f"slots {slots} out of range for layout {dims}")
+    d_slots = math.prod(dims[s] for s in slots)
+    if op.shape[0] != d_slots:
+        raise ValueError(
+            f"operator dim {op.shape[0]} does not match slot dims "
+            f"{tuple(dims[s] for s in slots)} (need {d_slots})"
+        )
+    order = list(slots) + [i for i in range(n) if i not in slots]
     t = op @ coefficient_matrix(vec, dims, slots)
     return t.reshape([dims[i] for i in order]).transpose(np.argsort(order)).reshape(-1)
+
+
+def tensor_embed(op, slots, dims) -> np.ndarray:
+    """Embed a local operator into the full space (the dense oracle).
+
+    ``op`` acts on the (ordered) tensor factors listed in ``slots`` and as
+    the identity on all other factors of the layout ``dims``.  ``slots``
+    may be a single index or a tuple of indices.  Column j is
+    ``apply_local(op, slots, e_j, dims)``.
+    """
+    basis = np.eye(math.prod(int(d) for d in dims), dtype=complex)
+    return np.column_stack([apply_local(op, slots, e, dims) for e in basis])
 
 
 def operator_norm(a) -> float:
@@ -166,20 +150,15 @@ class EigenSystem:
         return out
 
 
-def hermitian_eig(
-    a,
-    *,
-    merge_tol: float = EIG_MERGE_TOL,
-    herm_tol: float = NOISE_TOL,
-) -> EigenSystem:
+def hermitian_eig(a) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix into eigenspace projectors.
 
-    Eigenvalues agreeing within ``merge_tol`` are merged into a single
+    Eigenvalues agreeing within NOISE_TOL are merged into a single
     projector of rank equal to the multiplicity.
     """
     a = as_operator(a)
     dev = dagger_distance(a)
-    if dev > herm_tol:
+    if dev > NOISE_TOL:
         raise ValueError(f"matrix is not Hermitian: |a - a^†| = {dev}")
     w, vecs = np.linalg.eigh(a)
     w = w[::-1]
@@ -190,7 +169,7 @@ def hermitian_eig(
     n = len(w)
     while i < n:
         j = i + 1
-        while j < n and abs(w[j] - w[j - 1]) <= merge_tol:
+        while j < n and abs(w[j] - w[j - 1]) <= NOISE_TOL:
             j += 1
         block = vecs[:, i:j]
         proj = block @ block.conj().T

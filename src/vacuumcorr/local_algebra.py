@@ -22,7 +22,6 @@ from . import linalg
 from .linalg import (
     NOISE_TOL,
     PROJECTOR_FLOOR,
-    SCHMIDT_RANK_TOL,
     apply_local,
     as_operator,
     operator_norm,
@@ -82,10 +81,11 @@ class LocalOperator:
         """``embed(layout) @ vec`` through the local-action kernel."""
         return apply_local(self.matrix, self.slots, vec, layout.dims)
 
-    def is_projector(self, tol: float = NOISE_TOL) -> bool:
-        """P^2 = P = P^† to ``tol`` in the Frobenius norm (>= the operator norm)."""
+    def is_projector(self) -> bool:
+        """P^2 = P = P^† to NOISE_TOL in the Frobenius norm (>= the operator norm)."""
         p = self.matrix
-        return bool(np.linalg.norm(p @ p - p) <= tol and np.linalg.norm(p - p.conj().T) <= tol)
+        return bool(np.linalg.norm(p @ p - p) <= NOISE_TOL
+                    and np.linalg.norm(p - p.conj().T) <= NOISE_TOL)
 
 
 @dataclass(frozen=True)
@@ -161,28 +161,22 @@ def check_commutativity(a: LocalOperator, b: LocalOperator, layout: RegionLayout
     return operator_norm(ea @ eb - eb @ ea)
 
 
-def check_cyclic(v: VacuumModel, slots, rank_tol: float = SCHMIDT_RANK_TOL) -> bool:
+def check_cyclic(v: VacuumModel, slots) -> bool:
     """True iff {embed(C) omega : C on the region} spans the whole space."""
     slots = linalg._normalize_slots(slots)
-    rank = linalg.schmidt_rank(v.omega, v.layout.dims, slots, rank_tol)
+    rank = linalg.schmidt_rank(v.omega, v.layout.dims, slots)
     complement_dim = v.layout.region_dim(v.layout.complement(slots))
     return rank == complement_dim
 
 
-def check_separating(
-    v: VacuumModel,
-    slots,
-    trials: int = 0,
-    seed: int = 0,
-    rank_tol: float = SCHMIDT_RANK_TOL,
-) -> bool:
+def check_separating(v: VacuumModel, slots, trials: int = 0, seed: int = 0) -> bool:
     """True iff no nonzero operator on the region annihilates the vacuum.
 
     The rank criterion is exact; ``trials`` random nonzero local operators
     cross-validate it (any A with embed(A) omega = 0 refutes the claim).
     """
     slots = linalg._normalize_slots(slots)
-    rank = linalg.schmidt_rank(v.omega, v.layout.dims, slots, rank_tol)
+    rank = linalg.schmidt_rank(v.omega, v.layout.dims, slots)
     ok = rank == v.layout.region_dim(slots)
     if ok and trials > 0:
         rng = np.random.default_rng(seed)
@@ -207,8 +201,11 @@ def vacuum_positivity(v: VacuumModel, p: LocalOperator) -> float:
     return float(np.vdot(v.omega, p.apply(v.omega, v.layout)).real)
 
 
-def random_projector(layout: RegionLayout, slots, rank: int, seed: int) -> LocalOperator:
-    """Seeded Haar-random rank-``rank`` projector on a region."""
+def random_projector(
+    layout: RegionLayout, slots, rank: int, seed: int | np.random.Generator
+) -> LocalOperator:
+    """Haar-random rank-``rank`` projector on a region, drawn from ``seed``
+    (an integer seed, or a Generator whose stream it continues)."""
     d = layout.region_dim(slots)
     if not 1 <= rank <= d:
         raise ValueError(f"rank must lie in [1, {d}], got {rank}")

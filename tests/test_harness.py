@@ -9,17 +9,27 @@ import pytest
 
 from vacuumcorr import correlations, linalg
 from vacuumcorr.cli import main
+from vacuumcorr.correlations import (
+    BellReport,
+    bell_correlation,
+    canonical_max_violation,
+    epr_projector_pair,
+    tsirelson_certificate,
+    violate_conditional_bell,
+)
 from vacuumcorr.harness import (
     SCENARIOS,
     SWEEP_COLUMNS,
     ConfigError,
     ScenarioConfig,
+    _root_cert,
     canonical_json,
     emit_report,
     render_report,
     run_scenario,
     sweep_eps,
 )
+from vacuumcorr.local_algebra import make_vacuum, random_projector
 
 
 def cfg(**overrides) -> ScenarioConfig:
@@ -410,3 +420,158 @@ class TestCLI:
             assert proc.returncode == 0, proc.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+# Reference schema: the hand-written payload builders that reports were
+# written with before the result dataclasses became the schema.
+
+def _matrix_payload(m):
+    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m)]
+
+
+def _vector_payload(v):
+    return [[float(x.real), float(x.imag)] for x in np.asarray(v).ravel()]
+
+
+def _local_op_payload(op):
+    return {"slots": list(op.slots), "matrix": _matrix_payload(op.matrix)}
+
+
+def _certificate_payload(cert):
+    return {
+        "target_k": cert.target_k,
+        "requested_eps": cert.requested_eps,
+        "p_max": _local_op_payload(cert.p_max),
+        "p_min": _local_op_payload(cert.p_min),
+        "lhs_max": cert.lhs_max,
+        "rhs_max": cert.rhs_max,
+        "lhs_min": cert.lhs_min,
+        "rhs_min": cert.rhs_min,
+        "budget": {name: getattr(cert.budget, name) for name in (
+            "eps1", "eps2", "eps3", "eps4", "eps5",
+            "norm_a", "q_norm", "q_expect", "eps4_tilde")},
+        "weights": list(cert.weights),
+        "achieved": dict(cert.achieved),
+    }
+
+
+def _bell_report_payload(rep):
+    payload = {
+        "settings": {name: _local_op_payload(getattr(rep.settings, name))
+                     for name in ("a1", "a2", "b1", "b2")},
+        "state": _vector_payload(rep.state),
+        "correlation": rep.correlation,
+        "tsirelson_margin": rep.tsirelson_margin,
+        "conditional": None,
+    }
+    if rep.conditional is not None:
+        payload["conditional"] = {
+            "p3": _local_op_payload(rep.conditional.p3),
+            "p3_expect": rep.conditional.p3_expect,
+            "conditional_correlation": rep.conditional.conditional_correlation,
+            "certificate": _certificate_payload(rep.conditional.certificate),
+        }
+    return payload
+
+
+def _config_payload(c):
+    t = c.tolerances
+    return {
+        "scenario": c.scenario,
+        "layout": list(c.layout),
+        "seed": c.seed,
+        "eps": c.eps,
+        "sweep": list(c.sweep) if c.sweep else None,
+        "tolerances": {"schmidt_rank": t.schmidt_rank, "spectral_tau": t.spectral_tau,
+                       "tsirelson_slack": t.tsirelson_slack, "budget_check": t.budget_check},
+    }
+
+
+def _oracle_certificates(c, report):
+    """The certificate objects of a run, rebuilt from the library and written
+    with the reference builders."""
+    layout = c.region_layout()
+    tau = c.tolerances.spectral_tau
+    if c.scenario == "root-cert":
+        return {"root_certificate": _certificate_payload(_root_cert(c, c.eps)[1])}
+    if c.scenario == "epr":
+        v = make_vacuum(layout, c.seed)
+        p2 = random_projector(layout, 1, 1, c.seed)
+        _, rep = epr_projector_pair(p2, v.omega, v, c.eps, tau)
+        return {"epr": {
+            "p1": _local_op_payload(rep.p1),
+            "p2": _local_op_payload(p2),
+            "p1_expect": rep.p1_expect,
+            "joint_expect": rep.joint_expect,
+            "lower_bound": rep.lower_bound,
+            "certificate": _certificate_payload(rep.certificate),
+        }}
+    if c.scenario == "bell-max":
+        state, settings = canonical_max_violation(layout)
+        rep = BellReport(settings, state, bell_correlation(settings, state, layout),
+                         tsirelson_certificate(settings, layout))
+        return {"bell": _bell_report_payload(rep)}
+    if c.scenario == "cond-bell":
+        rep = violate_conditional_bell(layout, make_vacuum(layout, c.seed), c.eps, tau)
+        return {"bell": _bell_report_payload(rep)}
+    # reeh-schlieder and tsirelson-sweep carry plain numbers only.
+    return report.certificates
+
+
+class TestReportSchema:
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("scenario,layout", [
+        ("reeh-schlieder", [2, 2]), ("reeh-schlieder", [3, 3]), ("reeh-schlieder", [2, 2, 4]),
+        ("root-cert", [2, 2]), ("root-cert", [3, 3]),
+        ("epr", [2, 2]), ("epr", [3, 3]),
+        ("bell-max", [2, 2]), ("bell-max", [3, 3]),
+        ("tsirelson-sweep", [2, 2]), ("tsirelson-sweep", [3, 3]),
+        ("cond-bell", [2, 2, 4]),
+    ])
+    def test_report_bytes_match_the_reference_builders(self, scenario, layout, seed):
+        c = cfg(scenario=scenario, layout=layout, seed=seed)
+        report = run_scenario(c)
+        oracle = {
+            "schema": 1,
+            "config": _config_payload(c),
+            "assertions": report.assertions,
+            "certificates": _oracle_certificates(c, report),
+            "timings": {},
+        }
+        assert render_report(report, "json") == canonical_json(oracle) + "\n"
+
+    def test_sweep_bytes_match_the_reference_builders(self):
+        c = cfg(sweep=[0.1, 0.01, 0.001])
+        table = sweep_eps(c)
+        oracle = {"schema": 1, "config": _config_payload(c),
+                  "columns": list(SWEEP_COLUMNS), "rows": table.rows}
+        assert render_report(table, "json") == canonical_json(oracle) + "\n"
+
+
+class TestCanonicalJsonArrays:
+    EDGE = np.array([0.1, -0.0, 1e-300, -2.5e17, 1.0 / 3.0, 0.0])
+
+    def test_vector_as_re_im_pairs(self):
+        rng = np.random.default_rng(0)
+        v = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        v[:6] += self.EDGE + 1j * self.EDGE[::-1]
+        assert canonical_json(v) == canonical_json(_vector_payload(v))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (4, 2)])
+    def test_matrix_as_rows_of_pairs(self, shape):
+        rng = np.random.default_rng(1)
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        m.flat[:1] = -0.0 - 0.0j
+        assert canonical_json(m) == canonical_json(_matrix_payload(m))
+        # A non-contiguous view and a real array are written the same way.
+        assert canonical_json(m.T) == canonical_json(_matrix_payload(m.T))
+        assert canonical_json(m.real) == canonical_json(_matrix_payload(m.real))
+
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf)])
+    def test_non_finite_entry_rejected(self, bad):
+        v = np.zeros(3, dtype=complex)
+        v[1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            canonical_json(v)
+        with pytest.raises(ValueError, match="non-finite"):
+            canonical_json(np.stack([v, v]))

@@ -210,6 +210,13 @@ class TestRandomProjector:
         b = random_projector(L22, 1, 1, seed=42)
         np.testing.assert_array_equal(a.matrix, b.matrix)
 
+    def test_generator_seed_continues_its_stream(self):
+        rng = np.random.default_rng(42)
+        first = random_projector(L224, 2, 2, rng)
+        second = random_projector(L224, 2, 2, rng)
+        np.testing.assert_array_equal(first.matrix, random_projector(L224, 2, 2, 42).matrix)
+        assert not np.allclose(first.matrix, second.matrix)
+
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError, match="rank"):
             random_projector(L22, 0, 3, seed=0)
