@@ -6,20 +6,11 @@ root-certificate pipeline with its full eps-budget, and verifies the EPR
 and Bell correlation results up to the Tsirelson bound.
 """
 
-from .linalg import (
-    EigenSystem,
-    expectation,
-    hermitian_eig,
-    operator_norm,
-    schmidt_coefficients,
-    schmidt_rank,
-    tensor_embed,
-)
+from .linalg import EigenSystem, hermitian_eig, operator_norm, schmidt_coefficients, schmidt_rank
 from .local_algebra import (
     LocalOperator,
     RegionLayout,
     VacuumModel,
-    check_commutativity,
     check_cyclic,
     check_separating,
     make_vacuum,
@@ -86,7 +77,6 @@ __all__ = [
     "bell_correlation",
     "bell_operator",
     "canonical_max_violation",
-    "check_commutativity",
     "check_cyclic",
     "check_separating",
     "combined_window",
@@ -94,7 +84,6 @@ __all__ = [
     "contraction_from_projector",
     "emit_report",
     "epr_projector_pair",
-    "expectation",
     "expectation_window",
     "general_contraction_extension",
     "hermitian_eig",
@@ -112,7 +101,6 @@ __all__ = [
     "select_extremal_projectors",
     "solve_cyclic_approx",
     "sweep_eps",
-    "tensor_embed",
     "tsirelson_certificate",
     "vacuum_positivity",
     "violate_conditional_bell",

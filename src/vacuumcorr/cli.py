@@ -12,6 +12,7 @@ Exit status: 0 all assertions passed, 1 some failed, 2 invalid config,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -46,7 +47,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="include wall-clock timings (non-deterministic output)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(prog="vacuumcorr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="run one scenario")

@@ -44,7 +44,16 @@ from .local_algebra import (
     random_projector,
     vacuum_positivity,
 )
-from .root_theorem import BUDGET_TOL, SPECTRAL_TAU, RootCertificate, prove_root_certificate
+from .root_theorem import (BUDGET_TOL, SPECTRAL_TAU, WEIGHTS_TOL, RootCertificate,
+                           prove_root_certificate)
+
+# Two floating-point evaluations of one number: the canonical correlation and
+# sqrt(2); the conditional correlation recomputed from P3 omega and the pipeline's.
+RECOMPUTE_TOL = 1e-9
+# The see-saw's settings are contractions only up to eigh rounding.
+SEESAW_CEILING = 1e-7
+# A see-saw run stops once an iteration gains less than SEESAW_TOL.
+SEESAW_SHORTFALL = 1e-6
 
 
 class ConfigError(ValueError):
@@ -273,7 +282,7 @@ def _root_cert(cfg: ScenarioConfig, eps: float) -> tuple[list, RootCertificate]:
     assertions: list = []
     _record(assertions, "root_max_inequality", cert.lhs_max, ">", cert.rhs_max)
     _record(assertions, "root_min_inequality", cert.lhs_min, "<", cert.rhs_min)
-    _record(assertions, "weights_sum", abs(sum(cert.weights) - 1.0), "<=", 1e-9)
+    _record(assertions, "weights_sum", abs(sum(cert.weights) - 1.0), "<=", WEIGHTS_TOL)
     bounds = {
         "cyclic_residual": cert.budget.eps1,
         "normalized_error": cert.budget.eps2,
@@ -313,15 +322,15 @@ def _scenario_bell_max(cfg: ScenarioConfig) -> tuple[list, dict]:
     state, settings = canonical_max_violation(layout)
     value = bell_correlation(settings, state, layout)
     assertions: list = []
-    _record(assertions, "canonical_upper", value, "<=", SQRT2 + 1e-9)
-    _record(assertions, "canonical_lower", value, ">=", SQRT2 - 1e-9)
+    _record(assertions, "canonical_upper", value, "<=", SQRT2 + RECOMPUTE_TOL)
+    _record(assertions, "canonical_lower", value, ">=", SQRT2 - RECOMPUTE_TOL)
     best = -math.inf
     n_starts = 5
     for k in range(n_starts):
         _, beta = seesaw_maximize(state, layout, cfg.seed + k)
-        _record(assertions, f"seesaw_ceiling_start_{k}", beta, "<=", SQRT2 + 1e-7)
+        _record(assertions, f"seesaw_ceiling_start_{k}", beta, "<=", SQRT2 + SEESAW_CEILING)
         best = max(best, beta)
-    _record(assertions, "seesaw_best", best, ">=", SQRT2 - 1e-6)
+    _record(assertions, "seesaw_best", best, ">=", SQRT2 - SEESAW_SHORTFALL)
     margin = tsirelson_certificate(settings, layout)
     _record(assertions, "tsirelson_margin", margin, ">=", -cfg.tolerances.tsirelson_slack)
     report = BellReport(settings=settings, state=state, correlation=value, tsirelson_margin=margin)
@@ -364,7 +373,7 @@ def _scenario_cond_bell(cfg: ScenarioConfig) -> tuple[list, dict]:
     p3_omega = cond.p3.apply(v.omega, layout)
     recomputed = bell_correlation(report.settings, p3_omega / np.linalg.norm(p3_omega), layout)
     _record(assertions, "conditional_recompute",
-            abs(recomputed - cond.conditional_correlation), "<=", 1e-9)
+            abs(recomputed - cond.conditional_correlation), "<=", RECOMPUTE_TOL)
     _record(assertions, "tsirelson_margin", report.tsirelson_margin, ">=",
             -cfg.tolerances.tsirelson_slack)
     return assertions, {"bell": _plain(report)}

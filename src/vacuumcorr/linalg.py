@@ -5,8 +5,8 @@ matrices, states are normalized complex vectors.  Slot 0 is always the
 leftmost (slowest-varying) Kronecker factor; this convention is fixed
 globally so serialized outputs are bit-stable.
 
-``apply_local`` is the local-action kernel behind every vacuum quantity;
-``tensor_embed`` builds the full matrix and serves as the dense oracle.
+``apply_local`` is the local-action kernel behind every vacuum quantity:
+nothing here builds a matrix on the whole tensor-product space.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import numpy as np
 # real expectation, a vanishing commutator, the gap between equal eigenvalues.
 NOISE_TOL = 1e-10
 SCHMIDT_RANK_TOL = 1e-9
-STATE_NORM_TOL = 1e-12
-# Floor below which a vacuum norm or expectation counts as zero.
+# Floor below which a vacuum norm or expectation counts as zero; also the
+# slack on a unit vector's norm.
 PROJECTOR_FLOOR = 1e-12
 
 
@@ -37,24 +37,20 @@ def as_operator(a) -> np.ndarray:
 
 
 def as_state(psi) -> np.ndarray:
-    """Validate a unit vector (within STATE_NORM_TOL of norm 1)."""
+    """Validate a unit vector (within PROJECTOR_FLOOR of norm 1)."""
     psi = np.asarray(psi, dtype=complex).ravel()
     if not np.all(np.isfinite(psi)):
         raise ValueError("vector entries must be finite")
     nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > STATE_NORM_TOL:
+    if abs(nrm - 1.0) > PROJECTOR_FLOOR:
         raise ValueError(f"expected a unit vector, got norm {nrm}")
     return psi
-
-
-def adjoint(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a).conj().T
 
 
 def dagger_distance(a: np.ndarray) -> float:
     """Frobenius distance to the adjoint: 0 for Hermitian input, >= the operator-norm one."""
     a = as_operator(a)
-    return float(np.linalg.norm(a - adjoint(a)))
+    return float(np.linalg.norm(a - a.conj().T))
 
 
 def _normalize_slots(slots) -> tuple[int, ...]:
@@ -76,11 +72,12 @@ def coefficient_matrix(vec, dims, slots) -> np.ndarray:
 
 
 def apply_local(op, slots, vec, dims) -> np.ndarray:
-    """``tensor_embed(op, slots, dims) @ vec`` without the full matrix.
+    """``op`` acting on the (ordered) factors ``slots`` of the layout ``dims``
+    and as the identity on the others, applied to ``vec``.
 
     Reshapes ``vec`` to the layout tensor, contracts ``op`` with the axes
-    in ``slots`` and flattens the result back: O(dim(op) total_dim) work
-    instead of O(total_dim^2) memory and time.
+    in ``slots`` and flattens the result back: O(dim(op) total_dim) work,
+    never the total_dim x total_dim matrix.
     """
     op = as_operator(op)
     dims = tuple(int(d) for d in dims)
@@ -99,35 +96,12 @@ def apply_local(op, slots, vec, dims) -> np.ndarray:
     return t.reshape([dims[i] for i in order]).transpose(np.argsort(order)).reshape(-1)
 
 
-def tensor_embed(op, slots, dims) -> np.ndarray:
-    """Embed a local operator into the full space (the dense oracle).
-
-    ``op`` acts on the (ordered) tensor factors listed in ``slots`` and as
-    the identity on all other factors of the layout ``dims``.  ``slots``
-    may be a single index or a tuple of indices.  Column j is
-    ``apply_local(op, slots, e_j, dims)``.
-    """
-    basis = np.eye(math.prod(int(d) for d in dims), dtype=complex)
-    return np.column_stack([apply_local(op, slots, e, dims) for e in basis])
-
-
 def operator_norm(a) -> float:
     """Largest singular value (max |eigenvalue| for Hermitian input)."""
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
-
-
-def expectation(a, psi) -> complex:
-    """(psi, A psi) for a unit vector psi."""
-    a = as_operator(a)
-    psi = as_state(psi)
-    if a.shape[0] != psi.shape[0]:
-        raise ValueError(
-            f"operator dim {a.shape[0]} does not match vector dim {psi.shape[0]}"
-        )
-    return complex(np.vdot(psi, a @ psi))
 
 
 @dataclass(frozen=True)
@@ -141,13 +115,6 @@ class EigenSystem:
 
     eigenvalues: tuple[float, ...]
     projectors: tuple[np.ndarray, ...]
-
-    def reconstruct(self) -> np.ndarray:
-        dim = self.projectors[0].shape[0]
-        out = np.zeros((dim, dim), dtype=complex)
-        for lam, proj in zip(self.eigenvalues, self.projectors):
-            out += lam * proj
-        return out
 
 
 def hermitian_eig(a) -> EigenSystem:

@@ -19,14 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .linalg import (
-    NOISE_TOL,
-    PROJECTOR_FLOOR,
-    apply_local,
-    as_operator,
-    operator_norm,
-    tensor_embed,
-)
+from .linalg import NOISE_TOL, PROJECTOR_FLOOR, apply_local, as_operator, operator_norm
 
 
 @dataclass(frozen=True)
@@ -75,10 +68,13 @@ class LocalOperator:
         return self.matrix.shape[0]
 
     def embed(self, layout: RegionLayout) -> np.ndarray:
-        return tensor_embed(self.matrix, self.slots, layout.dims)
+        """The total_dim x total_dim matrix of the operator on the layout, a
+        dense reference only: column j is ``apply(e_j, layout)``."""
+        basis = np.eye(layout.total_dim, dtype=complex)
+        return np.column_stack([self.apply(e, layout) for e in basis])
 
     def apply(self, vec, layout: RegionLayout) -> np.ndarray:
-        """``embed(layout) @ vec`` through the local-action kernel."""
+        """The operator on the layout applied to ``vec`` (the local-action kernel)."""
         return apply_local(self.matrix, self.slots, vec, layout.dims)
 
     def is_projector(self) -> bool:
@@ -149,16 +145,6 @@ def make_vacuum(layout: RegionLayout, seed: int) -> VacuumModel:
         basis = linalg.haar_unitary(d3, rng)  # column ij is f_ij
         omega = (basis.T / math.sqrt(d1 * d2)).reshape(d1, d2, d3).ravel()
     return VacuumModel.from_vector(layout, omega)
-
-
-def check_commutativity(a: LocalOperator, b: LocalOperator, layout: RegionLayout) -> float:
-    """Norm of the commutator of the embedded operators.
-
-    Zero (within tolerance) whenever the regions are disjoint.
-    """
-    ea = a.embed(layout)
-    eb = b.embed(layout)
-    return operator_norm(ea @ eb - eb @ ea)
 
 
 def check_cyclic(v: VacuumModel, slots) -> bool:

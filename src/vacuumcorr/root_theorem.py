@@ -30,6 +30,8 @@ from .local_algebra import LocalOperator, VacuumModel, check_cyclic
 
 SPECTRAL_TAU = 1e-12
 BUDGET_TOL = 1e-9
+# Slack on sum(weights) = 1, which the rescaled weights miss by rounding.
+WEIGHTS_TOL = 1e-9
 
 
 class StageFailure(RuntimeError):
@@ -40,6 +42,11 @@ class StageFailure(RuntimeError):
         self.values = values
         detail = ", ".join(f"{k}={v!r}" for k, v in values.items())
         super().__init__(f"[{stage}] {message}" + (f" ({detail})" if detail else ""))
+
+
+def _off(got: float, want: float, tol: float) -> bool:
+    """True if ``got`` misses the formula value ``want`` beyond relative ``tol``."""
+    return abs(got - want) > tol * max(1.0, abs(want))
 
 
 @dataclass(frozen=True)
@@ -72,7 +79,7 @@ class EpsilonBudget:
             ("eps5", self.eps5, self.eps3 + self.norm_a * self.eps4),
         ]
         for name, got, want in checks:
-            if abs(got - want) > tol * max(1.0, abs(want)):
+            if _off(got, want, tol):
                 raise ValueError(f"budget inconsistency: {name}={got}, formula gives {want}")
 
     @staticmethod
@@ -154,20 +161,12 @@ class RootCertificate:
 
     def __post_init__(self):
         if not self.lhs_max > self.rhs_max:
-            raise StageFailure(
-                "certificate",
-                "max inequality violated",
-                lhs=self.lhs_max,
-                rhs=self.rhs_max,
-            )
+            raise StageFailure("certificate", "max inequality violated",
+                               lhs=self.lhs_max, rhs=self.rhs_max)
         if not self.lhs_min < self.rhs_min:
-            raise StageFailure(
-                "certificate",
-                "min inequality violated",
-                lhs=self.lhs_min,
-                rhs=self.rhs_min,
-            )
-        if abs(sum(self.weights) - 1.0) > 1e-9:
+            raise StageFailure("certificate", "min inequality violated",
+                               lhs=self.lhs_min, rhs=self.rhs_min)
+        if abs(sum(self.weights) - 1.0) > WEIGHTS_TOL:
             raise StageFailure("certificate", "weights do not sum to 1", total=sum(self.weights))
 
 
@@ -368,6 +367,11 @@ def prove_root_certificate(
     eps4_target = 0.5 * eps / norm_a
     eps2 = EpsilonBudget.eps2_from_eps3(eps3, norm_a)
     eps1 = EpsilonBudget.eps1_from_eps2(eps2)
+    # EpsilonBudget's checks before any stage runs: from eps / ||A|| ~ 1e16 on,
+    # 1 - eps1 cancels, then eps1 rounds to 1; below ~1e-16, eps2 rounds to 0.
+    if not 0 < eps1 < 1 or _off(eps2, EpsilonBudget.eps2_from_eps1(eps1), BUDGET_TOL):
+        raise StageFailure("budget", "eps is out of floating-point range for eps1..eps5",
+                           eps=eps, eps1=eps1, eps2=eps2)
 
     c_tilde, err1 = solve_cyclic_approx(psi, v, slots, eps1)
     c, err2 = normalize_approximant(c_tilde, psi, v, eps1)

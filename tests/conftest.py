@@ -3,13 +3,20 @@
 These deliberately avoid the library code paths they check: eigenvalues
 come from characteristic-polynomial roots, span dimensions from explicit
 matrix-unit orbits, least-squares residuals from normal equations, and
-Bell ceilings from a grid over qubit measurement angles.
+Bell ceilings from a grid over qubit measurement angles.  ``run_cli`` runs
+the command line on this checkout's sources.
 """
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def charpoly_eigenvalues(a: np.ndarray) -> np.ndarray:
@@ -58,6 +65,11 @@ def embed_oracle(op: np.ndarray, slots, dims) -> np.ndarray:
                 c_full = c_full * d + col[s]
             out[r_full, c_full] = op[r_local, c_local]
     return out
+
+
+def expectation(a: np.ndarray, psi: np.ndarray) -> complex:
+    """(psi, A psi) by a plain matrix product."""
+    return complex(np.vdot(psi, a @ psi))
 
 
 def bell_oracle(a1, a2, b1, b2, dims) -> np.ndarray:
@@ -127,3 +139,13 @@ def qubit_angle_grid_bell(state: np.ndarray, n_angles: int = 48) -> float:
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return psi / np.linalg.norm(psi)
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """``python -m vacuumcorr ARGS`` in a subprocess, importing the package
+    from this checkout's src/ ahead of any installed copy."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "vacuumcorr", *args], capture_output=True, text=True, env=env
+    )

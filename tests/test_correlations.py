@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bell_oracle, charpoly_eigenvalues, qubit_angle_grid_bell, random_state
+from conftest import (
+    bell_oracle,
+    charpoly_eigenvalues,
+    expectation,
+    qubit_angle_grid_bell,
+    random_state,
+)
 
 from vacuumcorr import correlations
 from vacuumcorr.correlations import (
@@ -23,7 +29,7 @@ from vacuumcorr.correlations import (
     tsirelson_certificate,
     violate_conditional_bell,
 )
-from vacuumcorr.linalg import NOISE_TOL, expectation, haar_unitary, operator_norm, random_hermitian
+from vacuumcorr.linalg import NOISE_TOL, haar_unitary, operator_norm, random_hermitian
 from vacuumcorr.local_algebra import (
     LocalOperator,
     RegionLayout,

@@ -1,14 +1,19 @@
+import contextlib
 import csv
 import io
 import json
-import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vacuumcorr import correlations, linalg
-from vacuumcorr.cli import main
+from conftest import run_cli
+
+from vacuumcorr import correlations
+from vacuumcorr.cli import build_parser, main
 from vacuumcorr.correlations import (
     BellReport,
     bell_correlation,
@@ -29,7 +34,7 @@ from vacuumcorr.harness import (
     run_scenario,
     sweep_eps,
 )
-from vacuumcorr.local_algebra import make_vacuum, random_projector
+from vacuumcorr.local_algebra import LocalOperator, make_vacuum, random_projector
 
 
 def cfg(**overrides) -> ScenarioConfig:
@@ -173,29 +178,54 @@ class TestScenarios:
         assert report.to_payload(include_timings=True)["timings"] != {}
 
 
+# A run may hold at most this share of one total_dim x total_dim complex
+# matrix at its peak, so no such matrix (kron, eye, an embedding) fits in it.
+FULL_SPACE_SHARE = 1 / 8
+
+
+def peak_share(config: ScenarioConfig):
+    """The report, and tracemalloc's peak during run_scenario over the bytes
+    of one total_dim x total_dim complex matrix."""
+    full = config.region_layout().total_dim ** 2 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        report = run_scenario(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return report, peak / full
+
+
 class TestNoFullSpaceMatrix:
     @pytest.mark.parametrize("scenario,layout", [
-        ("root-cert", [3, 3]),
-        ("epr", [3, 3]),
-        ("reeh-schlieder", [2, 2, 4]),
-        ("cond-bell", [2, 2, 4]),
-        ("cond-bell", [3, 3, 9]),
+        ("root-cert", [64, 64]),
+        ("epr", [64, 64]),
+        ("reeh-schlieder", [64, 64]),
+        ("bell-max", [64, 64]),
+        ("tsirelson-sweep", [32, 32]),
+        ("reeh-schlieder", [8, 8, 64]),
+        ("cond-bell", [8, 8, 64]),
     ])
-    def test_tensor_embed_only_on_the_bell_sub_layout(self, monkeypatch, scenario, layout):
-        calls = []
-        original = linalg.tensor_embed
+    def test_peak_allocation_below_a_full_space_matrix(self, scenario, layout):
+        report, share = peak_share(cfg(scenario=scenario, layout=layout, eps=0.05))
+        assert report.passed
+        assert share < FULL_SPACE_SHARE
 
-        def recording(op, slots, dims):
-            calls.append(tuple(dims))
-            return original(op, slots, dims)
+    def test_guard_trips_on_a_dense_local_action(self, monkeypatch):
+        def dense_apply(self, vec, layout):
+            d0, d1 = layout.dims
+            if self.slots == (0,):
+                full = np.kron(self.matrix, np.eye(d1))
+            else:
+                full = np.kron(np.eye(d0), self.matrix)
+            return full @ vec
 
-        patch_every_binding(monkeypatch, original, recording)
-        assert run_scenario(cfg(scenario=scenario, layout=layout, eps=0.05)).passed
-        if scenario == "cond-bell":
-            # Only the Bell operator R on slots (0,1) is built as a matrix.
-            assert set(calls) <= {tuple(layout[:2])}
-        else:
-            assert calls == []
+        config = cfg(scenario="epr", layout=[32, 32], eps=0.05)
+        assert peak_share(config)[1] < FULL_SPACE_SHARE
+        monkeypatch.setattr(LocalOperator, "apply", dense_apply)
+        report, share = peak_share(config)
+        assert report.passed
+        assert share >= FULL_SPACE_SHARE
 
     @pytest.mark.parametrize("scenario", ["bell-max", "tsirelson-sweep"])
     @pytest.mark.parametrize("d", [3, 4])
@@ -380,30 +410,50 @@ class TestCLI:
         payload = json.loads(capsys.readouterr().out)
         assert payload["config"]["scenario"] == "tsirelson-sweep"
 
-    @pytest.mark.parametrize("command,fields,flags", [
-        ("run", {"scenario": "epr", "tolerances": {"spectral_tau": 0.01}}, []),
-        ("run", {"scenario": "root-cert"}, ["--eps", "1e-13"]),
-        ("sweep", {"scenario": "root-cert"}, ["--eps-list", "0.1,1e-13"]),
+    @pytest.mark.parametrize("command,fields,flags,stage", [
+        ("run", {"scenario": "epr", "tolerances": {"spectral_tau": 0.01}}, [], "spectral"),
+        ("run", {"scenario": "root-cert"}, ["--eps", "1e-13"], "spectral"),
+        ("sweep", {"scenario": "root-cert"}, ["--eps-list", "0.1,1e-13"], "spectral"),
+        # eps beyond the floating-point range of the eps1..eps5 chain.
+        ("run", {"scenario": "root-cert"}, ["--eps", "1e16"], "budget"),
+        ("run", {"scenario": "cond-bell", "layout": [2, 2, 4]}, ["--eps", "1e17"], "budget"),
+        ("sweep", {"scenario": "root-cert"}, ["--eps-list", "1e20,0.01"], "budget"),
     ])
-    def test_stage_failure_exit_three(self, tmp_path, command, fields, flags):
+    def test_stage_failure_exit_three(self, tmp_path, command, fields, flags, stage):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"layout": [2, 2], "eps": 0.01, **fields}))
-        proc = subprocess.run(
-            [sys.executable, "-m", "vacuumcorr", command, "--config", str(config), *flags],
-            capture_output=True, text=True,
-        )
+        proc = run_cli(command, "--config", str(config), *flags)
         assert proc.returncode == 3, proc.stderr
-        assert proc.stderr.startswith("error: [spectral] ")
+        assert proc.stderr.startswith(f"error: [{stage}] ")
         assert "Traceback" not in proc.stderr
+
+    @given(case=st.sampled_from([
+        ("run", "root-cert", "2,2"),
+        ("run", "epr", "3,3"),
+        ("run", "cond-bell", "2,2,4"),
+        ("sweep", "root-cert", "2,2"),
+    ]), log_eps=st.floats(-300, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_any_eps_ends_in_an_exit_status(self, case, log_eps):
+        command, scenario, layout = case
+        eps_flag = "--eps-list" if command == "sweep" else "--eps"
+        argv = [command, "--scenario", scenario, "--layout", layout,
+                eps_flag, repr(10.0 ** log_eps)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 3), err.getvalue()
+
+    def test_parser_built_once(self):
+        parser = build_parser()
+        assert build_parser() is parser
+        assert parser.parse_args(["run", "--seed", "3"]).seed == 3
+        assert parser.parse_args(["run"]).seed is None
 
     def test_subprocess_entry_point(self, tmp_path):
         out = tmp_path / "r.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "vacuumcorr", "run",
-             "--scenario", "bell-max", "--layout", "2,2",
-             "--seed", "0", "--eps", "0.01", "--out", str(out)],
-            capture_output=True, text=True,
-        )
+        proc = run_cli("run", "--scenario", "bell-max", "--layout", "2,2",
+                       "--seed", "0", "--eps", "0.01", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert json.loads(out.read_text())["schema"] == 1
 
@@ -411,12 +461,8 @@ class TestCLI:
         outs = []
         for name in ("a.json", "b.json"):
             out = tmp_path / name
-            proc = subprocess.run(
-                [sys.executable, "-m", "vacuumcorr", "run",
-                 "--scenario", "cond-bell", "--layout", "2,2,4",
-                 "--seed", "11", "--eps", "0.05", "--out", str(out)],
-                capture_output=True, text=True,
-            )
+            proc = run_cli("run", "--scenario", "cond-bell", "--layout", "2,2,4",
+                           "--seed", "11", "--eps", "0.05", "--out", str(out))
             assert proc.returncode == 0, proc.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]

@@ -10,12 +10,10 @@ from conftest import charpoly_eigenvalues, embed_oracle, random_state
 
 from vacuumcorr import linalg
 from vacuumcorr.linalg import (
-    expectation,
     hermitian_eig,
     operator_norm,
     schmidt_coefficients,
     schmidt_rank,
-    tensor_embed,
 )
 from vacuumcorr.local_algebra import LocalOperator, RegionLayout
 
@@ -42,28 +40,30 @@ class TestApplyLocal:
             got = linalg.apply_local(op, slots, vec, dims)
             np.testing.assert_allclose(got, want, atol=1e-12)
             local = LocalOperator(slots, op)
-            np.testing.assert_allclose(
-                local.apply(vec, layout), local.embed(layout) @ vec, atol=1e-12
-            )
+            np.testing.assert_allclose(local.apply(vec, layout), want, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
             linalg.apply_local(Z, 1, np.ones(6), (2, 3))
 
 
-class TestTensorEmbed:
+def embed(op, slots, dims) -> np.ndarray:
+    return LocalOperator(slots, op).embed(RegionLayout(dims))
+
+
+class TestLocalOperatorEmbed:
     def test_diag_slot0(self):
-        out = tensor_embed(Z, 0, (2, 2))
+        out = embed(Z, 0, (2, 2))
         np.testing.assert_allclose(out, np.diag([1, 1, -1, -1]).astype(complex))
 
     def test_identity_any_slot(self):
         for slot, d in [(0, 2), (1, 3)]:
-            out = tensor_embed(np.eye(d), slot, (2, 3))
+            out = embed(np.eye(d), slot, (2, 3))
             np.testing.assert_allclose(out, np.eye(6))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
-            tensor_embed(Z, 1, (2, 3))
+            embed(Z, 1, (2, 3))
 
     def test_matches_elementwise_oracle(self):
         rng = np.random.default_rng(3)
@@ -74,7 +74,7 @@ class TestTensorEmbed:
             )
             op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             np.testing.assert_allclose(
-                tensor_embed(op, slots, dims), embed_oracle(op, slots, dims),
+                embed(op, slots, dims), embed_oracle(op, slots, dims),
                 atol=1e-12,
             )
 
@@ -83,15 +83,15 @@ class TestTensorEmbed:
         for slot in (0, 1):
             a = linalg.random_hermitian(2, rng)
             assert abs(
-                operator_norm(tensor_embed(a, slot, (2, 2))) - operator_norm(a)
+                operator_norm(embed(a, slot, (2, 2))) - operator_norm(a)
             ) <= 1e-10
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_distinct_slots_commute(self, seed):
         rng = np.random.default_rng(seed)
-        a = tensor_embed(linalg.random_hermitian(2, rng), 0, (2, 3))
-        b = tensor_embed(linalg.random_hermitian(3, rng), 1, (2, 3))
+        a = embed(linalg.random_hermitian(2, rng), 0, (2, 3))
+        b = embed(linalg.random_hermitian(3, rng), 1, (2, 3))
         assert operator_norm(a @ b - b @ a) <= 1e-10
 
 
@@ -146,7 +146,8 @@ class TestHermitianEig:
         rng = np.random.default_rng(5)
         a = linalg.random_hermitian(8, rng)
         es = hermitian_eig(a)
-        assert operator_norm(es.reconstruct() - a) <= 1e-10
+        rebuilt = sum(lam * p for lam, p in zip(es.eigenvalues, es.projectors))
+        assert operator_norm(rebuilt - a) <= 1e-10
 
     def test_projector_invariants(self):
         rng = np.random.default_rng(6)
@@ -172,26 +173,6 @@ class TestHermitianEig:
         )
         want = np.sort(charpoly_eigenvalues(a).real)[::-1]
         np.testing.assert_allclose(np.sort(got)[::-1], want, atol=1e-8)
-
-
-class TestExpectation:
-    def test_identity_normalization(self):
-        psi = random_state(5, np.random.default_rng(0))
-        assert abs(expectation(np.eye(5), psi) - 1.0) <= 1e-12
-
-    def test_diagonal_on_basis_vector(self):
-        e0 = np.array([1.0, 0.0], dtype=complex)
-        assert abs(expectation(Z, e0) - 1.0) <= 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="does not match"):
-            expectation(np.eye(3), np.array([1.0, 0.0]))
-
-    def test_hermitian_real_part(self):
-        rng = np.random.default_rng(1)
-        a = linalg.random_hermitian(4, rng)
-        psi = random_state(4, rng)
-        assert abs(expectation(a, psi).imag) <= 1e-10
 
 
 class TestSchmidtRank:

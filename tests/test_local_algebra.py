@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_state, span_dimension
+from conftest import embed_oracle, random_state, span_dimension
 
 from vacuumcorr import linalg
-from vacuumcorr.linalg import operator_norm, schmidt_coefficients, tensor_embed
+from vacuumcorr.linalg import operator_norm, schmidt_coefficients
 from vacuumcorr.local_algebra import (
     LocalOperator,
     RegionLayout,
     VacuumModel,
-    check_commutativity,
     check_cyclic,
     check_separating,
     make_vacuum,
@@ -77,16 +76,23 @@ class TestMakeVacuum:
         np.testing.assert_array_equal(a.omega, b.omega)
 
 
+def commutator_norm(a: LocalOperator, b: LocalOperator, layout: RegionLayout) -> float:
+    """||[A, B]|| of the operators on the whole layout, from the oracle embedding."""
+    ea = embed_oracle(a.matrix, a.slots, layout.dims)
+    eb = embed_oracle(b.matrix, b.slots, layout.dims)
+    return operator_norm(ea @ eb - eb @ ea)
+
+
 class TestCommutativity:
     def test_distinct_slots(self):
         v = L22
         z0 = Z
         x1 = X1
-        assert check_commutativity(z0, x1, v) <= 1e-10
+        assert commutator_norm(z0, x1, v) <= 1e-10
 
     def test_same_slot_pauli(self):
         # ||[Z, X]|| = ||2iY|| = 2 by direct 2x2 computation.
-        assert abs(check_commutativity(Z, X0, L22) - 2.0) <= 1e-12
+        assert abs(commutator_norm(Z, X0, L22) - 2.0) <= 1e-12
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -94,7 +100,7 @@ class TestCommutativity:
         rng = np.random.default_rng(seed)
         a = LocalOperator(0, linalg.random_hermitian(2, rng))
         b = LocalOperator(2, linalg.random_hermitian(4, rng))
-        assert check_commutativity(a, b, L224) <= 1e-10
+        assert commutator_norm(a, b, L224) <= 1e-10
 
 
 class TestCyclicSeparating:
@@ -135,7 +141,7 @@ class TestCyclicSeparating:
         omega[2] = 1.0  # e1 (x) e0
         v = VacuumModel.from_vector(L22, omega)
         a = np.diag([1.0, 0.0]).astype(complex)
-        assert np.linalg.norm(tensor_embed(a, 0, (2, 2)) @ omega) <= 1e-14
+        assert np.linalg.norm(embed_oracle(a, 0, (2, 2)) @ omega) <= 1e-14
         assert not check_separating(v, 0)
 
     def test_three_slot_vacuum(self):
@@ -231,8 +237,8 @@ class TestSchliederProperty:
         rng = np.random.default_rng(seed)
         a = linalg.random_hermitian(2, rng)
         b = linalg.random_hermitian(2, rng)
-        ea = tensor_embed(a, 0, (2, 2))
-        eb = tensor_embed(b, 1, (2, 2))
+        ea = embed_oracle(a, 0, (2, 2))
+        eb = embed_oracle(b, 1, (2, 2))
         prod = operator_norm(ea @ eb)
         assert abs(prod - operator_norm(a) * operator_norm(b)) <= 1e-9
         assert prod > 0.0

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import embed_oracle, normal_equations_solve, random_state
+from conftest import embed_oracle, expectation, normal_equations_solve, random_state
 
 from vacuumcorr import linalg
-from vacuumcorr.linalg import expectation, operator_norm, tensor_embed
+from vacuumcorr.linalg import operator_norm
 from vacuumcorr.local_algebra import (
     LocalOperator,
     RegionLayout,
@@ -30,6 +30,11 @@ L22 = RegionLayout((2, 2))
 L224 = RegionLayout((2, 2, 4))
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def dense(op: LocalOperator, layout: RegionLayout) -> np.ndarray:
+    """``op`` on the whole layout, from the index-by-index oracle."""
+    return embed_oracle(op.matrix, op.slots, layout.dims)
 
 
 @pytest.fixture
@@ -87,15 +92,15 @@ class TestSolveCyclicApprox:
         np.testing.assert_allclose(c.matrix, np.eye(2), atol=1e-12)
 
     def test_exact_preimage_of_local_action(self, v22):
-        psi = tensor_embed(X, 0, (2, 2)) @ v22.omega
+        psi = embed_oracle(X, 0, (2, 2)) @ v22.omega
         c, _ = solve_cyclic_approx(psi, v22, (0,), eps1=0.1)
         np.testing.assert_allclose(c.matrix, X, atol=1e-12)
-        assert np.linalg.norm(c.embed(L22) @ v22.omega - psi) <= 1e-12
+        assert np.linalg.norm(dense(c, L22) @ v22.omega - psi) <= 1e-12
 
     def test_random_state_residual_at_noise_floor(self, v22):
         psi = random_state(4, np.random.default_rng(1))
         c, achieved = solve_cyclic_approx(psi, v22, (0,), eps1=0.01)
-        residual = np.linalg.norm(c.embed(L22) @ v22.omega - psi)
+        residual = np.linalg.norm(dense(c, L22) @ v22.omega - psi)
         assert residual <= 1e-10
         assert abs(achieved - residual) <= 1e-12
 
@@ -116,13 +121,13 @@ class TestSolveCyclicApprox:
     def test_three_slot_region(self, v224):
         psi = random_state(16, np.random.default_rng(3))
         c, _ = solve_cyclic_approx(psi, v224, (2,), eps1=0.01)
-        assert np.linalg.norm(c.embed(L224) @ v224.omega - psi) <= 1e-10
+        assert np.linalg.norm(dense(c, L224) @ v224.omega - psi) <= 1e-10
 
 
 class TestNormalizeApproximant:
     def test_unit_input_unchanged(self, v22):
         c_tilde = LocalOperator(0, X)  # ||X omega|| = 1 already
-        psi = c_tilde.embed(L22) @ v22.omega
+        psi = dense(c_tilde, L22) @ v22.omega
         c, achieved = normalize_approximant(c_tilde, psi, v22, eps1=0.1)
         np.testing.assert_allclose(c.matrix, X, atol=1e-12)
         assert achieved <= 1e-12
@@ -133,18 +138,18 @@ class TestNormalizeApproximant:
         eps1 = 0.2
         c_tilde, _ = solve_cyclic_approx(psi, v22, (0,), eps1)
         c, achieved = normalize_approximant(c_tilde, psi, v22, eps1)
-        assert abs(np.linalg.norm(c.embed(L22) @ v22.omega) - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(dense(c, L22) @ v22.omega) - 1.0) <= 1e-12
         assert achieved <= EpsilonBudget.eps2_from_eps1(eps1)
         # Recompute the error directly.
-        direct = np.linalg.norm(psi - c.embed(L22) @ v22.omega)
+        direct = np.linalg.norm(psi - dense(c, L22) @ v22.omega)
         assert abs(direct - achieved) <= 1e-14
 
 
 class TestExpectationWindow:
     def test_exact_preimage_hits_k(self, v22):
-        psi = tensor_embed(X, 0, (2, 2)) @ v22.omega
+        psi = embed_oracle(X, 0, (2, 2)) @ v22.omega
         a = LocalOperator(1, linalg.random_hermitian(2, np.random.default_rng(5)))
-        k = float(expectation(a.embed(L22), psi).real)
+        k = float(expectation(dense(a, L22), psi).real)
         c_tilde, _ = solve_cyclic_approx(psi, v22, (0,), 0.1)
         c, _ = normalize_approximant(c_tilde, psi, v22, 0.1)
         val = expectation_window(a, c, v22, k, eps3=1e-6)
@@ -210,7 +215,7 @@ class TestRescale:
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         dec = positive_spectral_decomposition(LocalOperator(0, g))
         out = rescale_to_unit_vacuum(dec, v22)
-        val = expectation(tensor_embed(out.local_matrix(), out.slots, L22.dims), v22.omega)
+        val = expectation(embed_oracle(out.local_matrix(), out.slots, L22.dims), v22.omega)
         assert abs(val.real - 1.0) <= 1e-10
 
 
@@ -221,7 +226,7 @@ class TestCombinedWindowAndExtremal:
         d_a = layout.region_dim(a_region)
         a = LocalOperator(a_region, linalg.random_hermitian(d_a, rng))
         psi = random_state(layout.total_dim, rng)
-        k = float(expectation(a.embed(layout), psi).real)
+        k = float(expectation(dense(a, layout), psi).real)
         eps1 = 0.05
         c_tilde, _ = solve_cyclic_approx(psi, v, region, eps1)
         c, _ = normalize_approximant(c_tilde, psi, v, eps1)
@@ -259,7 +264,7 @@ class TestCombinedWindowAndExtremal:
         assert abs(sum(ext.weights) - 1.0) <= 1e-9
         val = float(
             expectation(
-                a.embed(L22) @ tensor_embed(dec.local_matrix(), dec.slots, L22.dims),
+                dense(a, L22) @ embed_oracle(dec.local_matrix(), dec.slots, L22.dims),
                 v22.omega,
             ).real
         )
@@ -302,9 +307,9 @@ class TestProveRootCertificate:
         a = LocalOperator(1, linalg.random_hermitian(2, rng))
         psi = random_state(4, rng)
         cert = prove_root_certificate(a, psi, v22, (0,), eps=0.01)
-        ea = a.embed(L22)
+        ea = dense(a, L22)
         for proj in (cert.p_max, cert.p_min):
-            val = expectation(ea @ proj.embed(L22), v22.omega)
+            val = expectation(ea @ dense(proj, L22), v22.omega)
             assert abs(val.imag) <= 1e-10
 
     def test_monotone_budget(self, v22):
@@ -351,10 +356,10 @@ class TestEpsilonChainProperty:
             a = LocalOperator(a_region, linalg.random_hermitian(d_a, rng))
             psi = random_state(layout.total_dim, rng)
             norm_a = operator_norm(a.matrix)
-            k = float(expectation(a.embed(layout), psi).real)
+            k = float(expectation(dense(a, layout), psi).real)
 
             c_tilde, achieved1 = solve_cyclic_approx(psi, v, region, eps1)
-            res1 = np.linalg.norm(c_tilde.embed(layout) @ v.omega - psi)
+            res1 = np.linalg.norm(dense(c_tilde, layout) @ v.omega - psi)
             assert res1 <= eps1
             assert abs(achieved1 - res1) <= 1e-12
 
@@ -372,7 +377,7 @@ class TestEpsilonChainProperty:
             q = c.matrix.conj().T @ c.matrix
             np.testing.assert_array_equal(dec.q, q)
             q_expect = float(expectation(
-                tensor_embed(dec.local_matrix(), dec.slots, layout.dims), v.omega
+                embed_oracle(dec.local_matrix(), dec.slots, layout.dims), v.omega
             ).real)
             eps4 = (operator_norm(q) + 1.0) * tau / q_expect
             dec_unit = rescale_to_unit_vacuum(dec, v)
