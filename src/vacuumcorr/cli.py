@@ -70,6 +70,8 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
             raise ConfigError("config", f"cannot read {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError("config", f"invalid JSON in {args.config}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError("config", f"expected a JSON object, got {data!r}")
     if args.scenario:
         data["scenario"] = args.scenario
     if args.layout:

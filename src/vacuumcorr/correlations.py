@@ -34,8 +34,9 @@ from .root_theorem import (
 
 SQRT2 = math.sqrt(2.0)
 
-# A see-saw run stops once an iteration gains less than this.
+# A see-saw run stops once an iteration gains less than SEESAW_TOL, or after SEESAW_ITERS.
 SEESAW_TOL = 1e-12
+SEESAW_ITERS = 200
 # Draws per see-saw start.  About a quarter of draws end at a classical
 # fixed point, so all of them stalling has probability near 0.25**8.
 SEESAW_DRAWS = 8
@@ -162,7 +163,6 @@ def seesaw_maximize(
     state,
     layout: RegionLayout,
     seed: int,
-    max_iters: int = 200,
 ) -> tuple[BellSettings, float]:
     """Alternating maximization of (1/2) <R> over contraction settings.
 
@@ -170,15 +170,13 @@ def seesaw_maximize(
     G_i = herm(Psi M_i^T Psi^†) (M1 = B1 + B2, M2 = B1 - B2, Psi the
     coefficient matrix of the state), and sign(G_i) is the optimal
     contraction; symmetrically for the B's.  The objective never
-    decreases, so the run stops at a fixed point or after max_iters.
+    decreases, so the run stops at a fixed point or after SEESAW_ITERS.
     A run ending with A1, A2 commuting on the state's support is stuck at a
     classical point (value <= 1); it is redone from the next draw, up to
     SEESAW_DRAWS draws.
     """
     if layout.n_slots != 2:
         raise ValueError("see-saw runs on 2-slot layouts")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
     state = as_state(state)
     d1, d2 = layout.dims
     psi_mat = state.reshape(d1, d2)
@@ -195,7 +193,7 @@ def seesaw_maximize(
         a1 = _sign_contraction(linalg.random_hermitian(d1, rng))
         a2 = _sign_contraction(linalg.random_hermitian(d1, rng))
         best = objective(a1, a2, b1, b2)
-        for _ in range(max_iters):
+        for _ in range(SEESAW_ITERS):
             a1 = _sign_contraction(psi_mat @ (b1 + b2).T @ psi_mat.conj().T)
             a2 = _sign_contraction(psi_mat @ (b1 - b2).T @ psi_mat.conj().T)
             h1 = (psi_mat.conj().T @ a1 @ psi_mat).T
@@ -386,7 +384,7 @@ def general_contraction_extension(
             raise ValueError(f"{name}1 and {name}2 commute; the extension needs "
                              "non-commuting pairs")
     r01 = bell_operator(settings, RegionLayout(v.layout.dims[:2]))
-    cols = hermitian_eig(r01).projectors[0]
+    cols = linalg.projector(hermitian_eig(r01).blocks[0])
     top = cols[:, int(np.argmax(np.linalg.norm(cols, axis=0)))]
     top = top / np.linalg.norm(top)
     # Deterministic global phase: largest component real positive.

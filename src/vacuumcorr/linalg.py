@@ -5,7 +5,7 @@ matrices, states are normalized complex vectors.  Slot 0 is always the
 leftmost (slowest-varying) Kronecker factor; this convention is fixed
 globally so serialized outputs are bit-stable.
 
-``apply_local`` is the local-action kernel behind every vacuum quantity:
+``apply_local`` and ``coefficient_matrix`` carry every vacuum quantity:
 nothing here builds a matrix on the whole tensor-product space.
 """
 
@@ -109,19 +109,25 @@ class EigenSystem:
     """Spectral decomposition of a Hermitian matrix.
 
     Eigenvalues are real and strictly descending after merging near-equal
-    values; ``projectors[i]`` is the orthogonal projector onto the i-th
-    eigenspace (rank = multiplicity).
+    values; ``blocks[i]`` holds orthonormal eigenvectors spanning the i-th
+    eigenspace as its columns (d x multiplicity).
     """
 
     eigenvalues: tuple[float, ...]
-    projectors: tuple[np.ndarray, ...]
+    blocks: tuple[np.ndarray, ...]
+
+
+def projector(block) -> np.ndarray:
+    """The orthogonal projector B B^† onto the span of the orthonormal columns B."""
+    p = block @ block.conj().T
+    return 0.5 * (p + p.conj().T)
 
 
 def hermitian_eig(a) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix into eigenspace projectors.
+    """Eigendecomposition of a Hermitian matrix into eigenspace blocks.
 
-    Eigenvalues agreeing within NOISE_TOL are merged into a single
-    projector of rank equal to the multiplicity.
+    Eigenvalues agreeing within NOISE_TOL are merged into a single block
+    with one column per unit of multiplicity.
     """
     a = as_operator(a)
     dev = dagger_distance(a)
@@ -131,20 +137,17 @@ def hermitian_eig(a) -> EigenSystem:
     w = w[::-1]
     vecs = vecs[:, ::-1]
     eigenvalues: list[float] = []
-    projectors: list[np.ndarray] = []
+    blocks: list[np.ndarray] = []
     i = 0
     n = len(w)
     while i < n:
         j = i + 1
         while j < n and abs(w[j] - w[j - 1]) <= NOISE_TOL:
             j += 1
-        block = vecs[:, i:j]
-        proj = block @ block.conj().T
-        proj = 0.5 * (proj + proj.conj().T)
         eigenvalues.append(float(np.mean(w[i:j])))
-        projectors.append(proj)
+        blocks.append(vecs[:, i:j])
         i = j
-    return EigenSystem(tuple(eigenvalues), tuple(projectors))
+    return EigenSystem(tuple(eigenvalues), tuple(blocks))
 
 
 def schmidt_coefficients(psi, dims, left_slots) -> np.ndarray:

@@ -196,7 +196,4 @@ def random_projector(
     if not 1 <= rank <= d:
         raise ValueError(f"rank must lie in [1, {d}], got {rank}")
     rng = np.random.default_rng(seed)
-    basis = linalg.haar_unitary(d, rng)[:, :rank]
-    p = basis @ basis.conj().T
-    p = 0.5 * (p + p.conj().T)
-    return LocalOperator(slots, p)
+    return LocalOperator(slots, linalg.projector(linalg.haar_unitary(d, rng)[:, :rank]))

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .linalg import NOISE_TOL, PROJECTOR_FLOOR, apply_local, as_state, hermitian_eig, operator_norm
+from .linalg import NOISE_TOL, PROJECTOR_FLOOR, as_state, hermitian_eig, operator_norm, projector
 from .local_algebra import LocalOperator, VacuumModel, check_cyclic
 
 SPECTRAL_TAU = 1e-12
@@ -99,11 +99,13 @@ class EpsilonBudget:
 
 @dataclass(frozen=True)
 class ProjectorDecomposition:
-    """Positive combination of orthogonal projectors approximating Q1."""
+    """Positive combination sum_i lambda_i P_i of orthogonal projectors
+    approximating Q1, each P_i = B_i B_i^† held as its block B_i of
+    orthonormal eigenvectors (region_dim x rank)."""
 
     slots: tuple[int, ...]
     coeffs: tuple[float, ...]
-    projectors: tuple[LocalOperator, ...]
+    blocks: tuple[np.ndarray, ...]
     residual: float  # achieved ||Q1 - Q1'~||
     q: Optional[np.ndarray] = None  # the decomposed Q1 = C^† C, when built from C
     q_expect: float = 1.0  # <Q1'~>_omega the coefficients were divided by
@@ -111,8 +113,8 @@ class ProjectorDecomposition:
     def __post_init__(self):
         if any(c <= 0 for c in self.coeffs):
             raise ValueError("all coefficients must be positive")
-        if len(self.coeffs) != len(self.projectors):
-            raise ValueError("coefficients and projectors must pair up")
+        if len(self.coeffs) != len(self.blocks):
+            raise ValueError("coefficients and blocks must pair up")
 
     @property
     def is_degenerate(self) -> bool:
@@ -121,13 +123,13 @@ class ProjectorDecomposition:
     def local_matrix(self) -> np.ndarray:
         if self.is_degenerate:
             raise StageFailure("spectral", "empty (degenerate) decomposition")
-        out = np.zeros_like(self.projectors[0].matrix)
-        for lam, proj in zip(self.coeffs, self.projectors):
-            out += lam * proj.matrix
-        return out
+        return sum(lam * projector(b) for lam, b in zip(self.coeffs, self.blocks))
 
-    def apply(self, vec, layout) -> np.ndarray:
-        return apply_local(self.local_matrix(), self.slots, vec, layout.dims)
+    def overlaps(self, v: VacuumModel, x) -> np.ndarray:
+        """<omega, (P_i (x) 1) x> for every i, as vdot(B_i^† W, B_i^† X) with W
+        and X the coefficient matrices of omega and x across slots|rest."""
+        w, xm = (linalg.coefficient_matrix(y, v.layout.dims, self.slots) for y in (v.omega, x))
+        return np.array([np.vdot(b.conj().T @ w, b.conj().T @ xm) for b in self.blocks])
 
 
 @dataclass(frozen=True)
@@ -251,16 +253,16 @@ def positive_spectral_decomposition(
     q = c.matrix.conj().T @ c.matrix
     es = hermitian_eig(q)
     coeffs = []
-    projectors = []
+    blocks = []
     dropped = [0.0]
-    for lam, proj in zip(es.eigenvalues, es.projectors):
+    for lam, block in zip(es.eigenvalues, es.blocks):
         if lam > tau:
             coeffs.append(float(lam))
-            projectors.append(LocalOperator(c.slots, proj))
+            blocks.append(block)
         else:
             dropped.append(abs(lam))
     return ProjectorDecomposition(
-        c.slots, tuple(coeffs), tuple(projectors), residual=max(dropped), q=q
+        c.slots, tuple(coeffs), tuple(blocks), residual=max(dropped), q=q
     )
 
 
@@ -271,7 +273,7 @@ def rescale_to_unit_vacuum(
     result records the divisor as ``q_expect``."""
     if dec.is_degenerate:
         raise StageFailure("rescale", "degenerate decomposition (Q1 = 0)")
-    q_expect = float(np.vdot(v.omega, dec.apply(v.omega, v.layout)).real)
+    q_expect = float(np.dot(dec.coeffs, dec.overlaps(v, v.omega)).real)
     if q_expect <= PROJECTOR_FLOOR:
         raise ValueError(
             f"<Q1'~>_omega = {q_expect} at the floor; vacuum not separating for {dec.slots}"
@@ -286,7 +288,7 @@ def combined_window(
     """<A Q1'>_omega, certified to lie in (K - eps5, K + eps5)."""
     if set(a.slots) & set(dec.slots):
         raise ValueError(f"regions overlap: {a.slots} vs {dec.slots}")
-    val = complex(np.vdot(v.omega, a.apply(dec.apply(v.omega, v.layout), v.layout)))
+    val = complex(np.dot(dec.coeffs, dec.overlaps(v, a.apply(v.omega, v.layout))))
     if abs(val.imag) > NOISE_TOL:
         raise StageFailure("combined", "non-real expectation of commuting product", imag=val.imag)
     value = float(val.real)
@@ -309,21 +311,19 @@ def select_extremal_projectors(
     """
     if dec.is_degenerate:
         raise StageFailure("extremal", "empty decomposition")
-    aps = []
-    p_expects = []
-    for proj in dec.projectors:
-        p_omega = proj.apply(v.omega, v.layout)
-        p_expect = float(np.vdot(v.omega, p_omega).real)
+    p_expects = dec.overlaps(v, v.omega).real.tolist()
+    for p_expect in p_expects:
         if p_expect <= PROJECTOR_FLOOR:
             raise StageFailure("extremal", "<P_i>_omega at the floor", value=p_expect)
-        aps.append(float(np.vdot(v.omega, a.apply(p_omega, v.layout)).real))
-        p_expects.append(p_expect)
+    aps = dec.overlaps(v, a.apply(v.omega, v.layout)).real.tolist()
     ratios = [ap / p for ap, p in zip(aps, p_expects)]
     i_max = int(np.argmax(ratios))
     i_min = int(np.argmin(ratios))
+    # One operator when both picks are the same block.
+    picks = {i: LocalOperator(dec.slots, projector(dec.blocks[i])) for i in {i_max, i_min}}
     return ExtremalProjectors(
-        p_max=dec.projectors[i_max],
-        p_min=dec.projectors[i_min],
+        p_max=picks[i_max],
+        p_min=picks[i_min],
         ratio_max=ratios[i_max],
         ratio_min=ratios[i_min],
         weights=tuple(lam * p for lam, p in zip(dec.coeffs, p_expects)),

@@ -314,9 +314,6 @@ class TestSeesaw:
             assert best <= SQRT2 + 1e-9
 
     def test_rejects_bad_arguments(self):
-        state, _ = canonical_max_violation(L22)
-        with pytest.raises(ValueError, match="max_iters"):
-            seesaw_maximize(state, L22, seed=0, max_iters=0)
         with pytest.raises(ValueError, match="2-slot"):
             seesaw_maximize(np.ones(16) / 4.0, L224, seed=0)
 

@@ -211,6 +211,14 @@ class TestNoFullSpaceMatrix:
         assert report.passed
         assert share < FULL_SPACE_SHARE
 
+    def test_root_cert_holds_no_projector_matrix_per_eigenvalue(self):
+        # Q1 has d distinct eigenvalues here; a d x d projector for each
+        # would take d state vectors (total_dim = d^2 entries each).
+        config = cfg(layout=[128, 128])
+        report, share = peak_share(config)
+        assert report.passed
+        assert share * config.region_layout().total_dim < 32
+
     def test_guard_trips_on_a_dense_local_action(self, monkeypatch):
         def dense_apply(self, vec, layout):
             d0, d1 = layout.dims
@@ -374,6 +382,14 @@ class TestCLI:
         code = main([command, "--config", str(config), *flags])
         assert code == 2
         assert f"config field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["null", "5", "[1, 2]", '"abc"'])
+    def test_config_file_not_an_object_exit_two(self, tmp_path, capsys, text):
+        config = tmp_path / "c.json"
+        config.write_text(text)
+        code = main(["run", "--config", str(config)])
+        assert code == 2
+        assert "config field 'config': expected a JSON object" in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, tmp_path):
         config = tmp_path / "c.json"

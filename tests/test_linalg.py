@@ -12,6 +12,7 @@ from vacuumcorr import linalg
 from vacuumcorr.linalg import (
     hermitian_eig,
     operator_norm,
+    projector,
     schmidt_coefficients,
     schmidt_rank,
 )
@@ -131,7 +132,7 @@ class TestHermitianEig:
     def test_degenerate_diagonal(self):
         es = hermitian_eig(np.diag([3.0, 1.0, 1.0]).astype(complex))
         assert es.eigenvalues == (3.0, 1.0)
-        ranks = [int(round(np.trace(p).real)) for p in es.projectors]
+        ranks = [b.shape[1] for b in es.blocks]
         assert ranks == [1, 2]
 
     def test_pauli_x(self):
@@ -146,17 +147,18 @@ class TestHermitianEig:
         rng = np.random.default_rng(5)
         a = linalg.random_hermitian(8, rng)
         es = hermitian_eig(a)
-        rebuilt = sum(lam * p for lam, p in zip(es.eigenvalues, es.projectors))
+        rebuilt = sum(lam * projector(b) for lam, b in zip(es.eigenvalues, es.blocks))
         assert operator_norm(rebuilt - a) <= 1e-10
 
     def test_projector_invariants(self):
         rng = np.random.default_rng(6)
         a = linalg.random_hermitian(6, rng)
         es = hermitian_eig(a)
-        for i, p in enumerate(es.projectors):
+        projectors = [projector(b) for b in es.blocks]
+        for i, p in enumerate(projectors):
             assert operator_norm(p @ p - p) <= 1e-10
             assert operator_norm(p - p.conj().T) <= 1e-10
-            for q in es.projectors[i + 1:]:
+            for q in projectors[i + 1:]:
                 assert operator_norm(p @ q) <= 1e-10
 
     @given(seed=st.integers(0, 10_000), dim=st.integers(2, 4))
@@ -167,8 +169,8 @@ class TestHermitianEig:
         es = hermitian_eig(a)
         got = np.concatenate(
             [
-                np.full(int(round(np.trace(p).real)), lam)
-                for lam, p in zip(es.eigenvalues, es.projectors)
+                np.full(b.shape[1], lam)
+                for lam, b in zip(es.eigenvalues, es.blocks)
             ]
         )
         want = np.sort(charpoly_eigenvalues(a).real)[::-1]

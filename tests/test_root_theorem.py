@@ -173,7 +173,7 @@ class TestSpectralDecomposition:
     def test_identity(self):
         dec = positive_spectral_decomposition(LocalOperator(0, np.eye(2)))
         assert dec.coeffs == (1.0,)
-        np.testing.assert_allclose(dec.projectors[0].matrix, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(linalg.projector(dec.blocks[0]), np.eye(2), atol=1e-12)
         assert dec.residual == 0.0
 
     def test_rank_one_partial_isometry(self):
@@ -195,9 +195,10 @@ class TestSpectralDecomposition:
         rng = np.random.default_rng(7)
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         dec = positive_spectral_decomposition(LocalOperator(0, g))
-        for i, p in enumerate(dec.projectors):
-            for q in dec.projectors[i + 1:]:
-                assert operator_norm(p.matrix @ q.matrix) <= 1e-10
+        projectors = [linalg.projector(b) for b in dec.blocks]
+        for i, p in enumerate(projectors):
+            for q in projectors[i + 1:]:
+                assert operator_norm(p @ q) <= 1e-10
 
 
 class TestRescale:
@@ -205,7 +206,7 @@ class TestRescale:
         from vacuumcorr.root_theorem import ProjectorDecomposition
 
         dec = ProjectorDecomposition(
-            (0,), (2.0,), (LocalOperator(0, np.eye(2)),), residual=0.0
+            (0,), (2.0,), (np.eye(2),), residual=0.0
         )
         out = rescale_to_unit_vacuum(dec, v22)
         assert abs(out.coeffs[0] - 1.0) <= 1e-12
@@ -344,19 +345,28 @@ class TestProveRootCertificate:
 class TestEpsilonChainProperty:
     @pytest.mark.parametrize(
         "layout,region,a_region",
-        [(L22, (0,), (1,)), (L224, (2,), (0, 1))],
-        ids=["2x2", "2x2x4"],
+        [(L22, (0,), (1,)), (L224, (2,), (0, 1)), (L224, (2,), (0,)), (L224, (2,), (1,))],
+        ids=["2x2", "2x2x4", "2x2x4-a-on-0", "2x2x4-a-on-1"],
     )
     def test_realized_errors_respect_bounds(self, layout, region, a_region):
         v = make_vacuum(layout, seed=100)
         rng = np.random.default_rng(100)
-        for trial in range(100):
+        d_r = layout.region_dim(region)
+        for trial in range(101):
             eps1 = float(rng.uniform(1e-3, 0.499))
             d_a = layout.region_dim(a_region)
             a = LocalOperator(a_region, linalg.random_hermitian(d_a, rng))
-            psi = random_state(layout.total_dim, rng)
+            degenerate = trial == 100
+            if degenerate:
+                # C ~ U diag(2, 1, ..., 1): Q1 has eigenvalue 1 with multiplicity d_r - 1.
+                c0 = linalg.haar_unitary(d_r, rng) * np.r_[2.0, np.ones(d_r - 1)]
+                psi = embed_oracle(c0, region, layout.dims) @ v.omega
+                psi /= np.linalg.norm(psi)
+            else:
+                psi = random_state(layout.total_dim, rng)
             norm_a = operator_norm(a.matrix)
-            k = float(expectation(dense(a, layout), psi).real)
+            ea = dense(a, layout)
+            k = float(expectation(ea, psi).real)
 
             c_tilde, achieved1 = solve_cyclic_approx(psi, v, region, eps1)
             res1 = np.linalg.norm(dense(c_tilde, layout) @ v.omega - psi)
@@ -387,3 +397,12 @@ class TestEpsilonChainProperty:
             eps5 = eps3 + norm_a * eps4
             val5 = combined_window(a, dec_unit, v, k, eps5 + 1e-9)
             assert abs(val5 - k) <= eps5 + 1e-9
+
+            if degenerate:
+                assert max(b.shape[1] for b in dec.blocks) == d_r - 1
+            ext = select_extremal_projectors(a, dec_unit, v)
+            for p, ap, p_expect in ((ext.p_max, ext.ap_max, ext.p_max_expect),
+                                    (ext.p_min, ext.ap_min, ext.p_min_expect)):
+                ep = dense(p, layout)
+                assert abs(ap - expectation(ea @ ep, v.omega).real) <= 1e-12
+                assert abs(p_expect - expectation(ep, v.omega).real) <= 1e-12
