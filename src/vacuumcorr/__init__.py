@@ -6,7 +6,7 @@ root-certificate pipeline with its full eps-budget, and verifies the EPR
 and Bell correlation results up to the Tsirelson bound.
 """
 
-from .linalg import EigenSystem, hermitian_eig, operator_norm, schmidt_coefficients, schmidt_rank
+from .linalg import EigenSystem, hermitian_eig, operator_norm
 from .local_algebra import (
     LocalOperator,
     RegionLayout,
@@ -95,8 +95,6 @@ __all__ = [
     "random_projector",
     "rescale_to_unit_vacuum",
     "run_scenario",
-    "schmidt_coefficients",
-    "schmidt_rank",
     "seesaw_maximize",
     "select_extremal_projectors",
     "solve_cyclic_approx",

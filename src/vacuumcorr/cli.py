@@ -43,8 +43,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its fields")
     parser.add_argument("--out", help="write the report here instead of stdout")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--timings", action="store_true",
-                        help="include wall-clock timings (non-deterministic output)")
 
 
 @functools.cache
@@ -54,9 +52,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="run one scenario")
     _add_common(run_p)
+    run_p.add_argument("--timings", action="store_true",
+                       help="include wall-clock timings (non-deterministic output)")
     sweep_p = sub.add_parser("sweep", help="run a scenario over a list of eps values")
     _add_common(sweep_p)
     sweep_p.add_argument("--eps-list", help="comma-separated, strictly decreasing")
+    sweep_p.set_defaults(timings=False)  # a sweep table records no timings
     return parser
 
 

@@ -21,7 +21,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import linalg
 from .correlations import (
     SQRT2,
     BellReport,
@@ -39,7 +38,6 @@ from .local_algebra import (
     LocalOperator,
     RegionLayout,
     VacuumModel,
-    _certified_regions,
     make_vacuum,
     random_projector,
     vacuum_positivity,
@@ -239,14 +237,23 @@ def _random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
+def _certified_regions(layout: RegionLayout):
+    regions = [(s,) for s in range(layout.n_slots)]
+    if layout.n_slots == 3:
+        regions.append((0, 1))
+    return regions
+
+
 def _scenario_reeh_schlieder(cfg: ScenarioConfig) -> tuple[list, dict]:
     layout = cfg.region_layout()
     v = make_vacuum(layout, cfg.seed)
     rank_tol = cfg.tolerances.schmidt_rank
     assertions: list = []
+    ranks = {}
     for region in _certified_regions(layout):
-        rank = linalg.schmidt_rank(v.omega, layout.dims, region, rank_tol)
+        rank = v.schmidt_rank(region, rank_tol)
         name = "+".join(str(s) for s in region)
+        ranks[name] = rank
         _record(assertions, f"separating_rank_slot_{name}", rank, "==",
                 layout.region_dim(region))
         comp_dim = layout.region_dim(layout.complement(region))
@@ -263,13 +270,9 @@ def _scenario_reeh_schlieder(cfg: ScenarioConfig) -> tuple[list, dict]:
     product = np.zeros(layout.total_dim, dtype=complex)
     product[0] = 1.0
     counter = VacuumModel.from_vector(layout, product)
-    rank = linalg.schmidt_rank(counter.omega, layout.dims, (0,), rank_tol)
+    rank = counter.schmidt_rank((0,), rank_tol)
     _record(assertions, "product_state_rank_deficit", rank, "<", layout.dims[0])
-    certificates = {
-        "certified_ranks": {"+".join(map(str, k)): int(r)
-                            for k, r in v.certified_ranks.items()}
-    }
-    return assertions, certificates
+    return assertions, {"certified_ranks": ranks}
 
 
 def _root_cert(cfg: ScenarioConfig, eps: float) -> tuple[list, RootCertificate]:

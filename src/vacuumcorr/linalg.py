@@ -151,23 +151,9 @@ def hermitian_eig(a) -> EigenSystem:
 
 
 def schmidt_coefficients(psi, dims, left_slots) -> np.ndarray:
-    """Singular values of the coefficient matrix across a bipartition."""
-    dims = tuple(int(d) for d in dims)
-    psi = np.asarray(psi, dtype=complex).ravel()
-    if psi.shape[0] != math.prod(dims):
-        raise ValueError(f"vector dim {psi.shape[0]} does not match layout {dims}")
-    left = _normalize_slots(left_slots)
-    n = len(dims)
-    if not left or any(s < 0 or s >= n for s in left):
-        raise ValueError(f"left slots {left} out of range for layout {dims}")
-    if len(left) == n:
-        raise ValueError("left slots must be a proper subset of all slots")
-    return np.linalg.svd(coefficient_matrix(psi, dims, left), compute_uv=False)
-
-
-def schmidt_rank(psi, dims, left_slots, tol: float = SCHMIDT_RANK_TOL) -> int:
-    """Number of Schmidt coefficients above ``tol`` across the bipartition."""
-    return int(np.sum(schmidt_coefficients(psi, dims, left_slots) > tol))
+    """Singular values of the coefficient matrix across left_slots|rest.
+    ``VacuumModel`` validates the vector and the region it asks about."""
+    return np.linalg.svd(coefficient_matrix(psi, dims, left_slots), compute_uv=False)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:

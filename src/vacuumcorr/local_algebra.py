@@ -2,8 +2,9 @@
 
 Each spacetime region is modeled as one tensor slot carrying a full matrix
 algebra; spacelike commutativity then holds by construction.  The vacuum
-analog is a unit vector whose Schmidt ranks across the relevant
-bipartitions certify the cyclic and separating properties:
+analog is a unit vector that holds its Schmidt spectrum across every cut
+of its layout, computed once; the Schmidt ranks read from those spectra
+certify the cyclic and separating properties:
 
 * cyclic for a region  <=>  Schmidt rank across region|rest equals the
   dimension of the complement,
@@ -86,11 +87,13 @@ class LocalOperator:
 
 @dataclass(frozen=True)
 class VacuumModel:
-    """A unit vector playing the role of the vacuum, with certified ranks."""
+    """A unit vector playing the role of the vacuum, with its Schmidt spectra:
+    each cut of a 2- or 3-slot layout has one slot s alone on a side, and
+    ``spectra[s]`` holds the Schmidt coefficients across s|rest."""
 
     layout: RegionLayout
     omega: np.ndarray
-    certified_ranks: dict[tuple[int, ...], int] = field(compare=False)
+    spectra: dict[int, np.ndarray] = field(compare=False)
 
     @classmethod
     def from_vector(cls, layout: RegionLayout, omega) -> "VacuumModel":
@@ -101,17 +104,20 @@ class VacuumModel:
             raise ValueError(
                 f"vector dim {omega.shape[0]} does not match layout {layout.dims}"
             )
-        ranks = {}
-        for region in _certified_regions(layout):
-            ranks[region] = linalg.schmidt_rank(omega, layout.dims, region)
-        return cls(layout, omega, ranks)
+        cut_slots = range(layout.n_slots) if layout.n_slots == 3 else (0,)
+        spectra = {s: linalg.schmidt_coefficients(omega, layout.dims, s) for s in cut_slots}
+        return cls(layout, omega, spectra)
 
-
-def _certified_regions(layout: RegionLayout):
-    regions = [(s,) for s in range(layout.n_slots)]
-    if layout.n_slots == 3:
-        regions.append((0, 1))
-    return regions
+    def schmidt_rank(self, slots, tol: float = linalg.SCHMIDT_RANK_TOL) -> int:
+        """Number of Schmidt coefficients above ``tol`` across region|rest,
+        read from the spectrum of the region's cut (slot order is immaterial)."""
+        slots = linalg._normalize_slots(slots)
+        n = self.layout.n_slots
+        if not slots or len(slots) == n or any(s < 0 or s >= n for s in slots):
+            raise ValueError(f"region {slots} is not a proper region of layout {self.layout.dims}")
+        if len(slots) > 1 or slots[0] not in self.spectra:
+            slots = self.layout.complement(slots)
+        return int(np.sum(self.spectra[slots[0]] > tol))
 
 
 def make_vacuum(layout: RegionLayout, seed: int) -> VacuumModel:
@@ -148,22 +154,18 @@ def make_vacuum(layout: RegionLayout, seed: int) -> VacuumModel:
 
 
 def check_cyclic(v: VacuumModel, slots) -> bool:
-    """True iff {embed(C) omega : C on the region} spans the whole space."""
-    slots = linalg._normalize_slots(slots)
-    rank = linalg.schmidt_rank(v.omega, v.layout.dims, slots)
-    complement_dim = v.layout.region_dim(v.layout.complement(slots))
-    return rank == complement_dim
+    """True iff {C omega : C on the region} spans the space: Schmidt rank = complement dim."""
+    return v.schmidt_rank(slots) == v.layout.region_dim(v.layout.complement(slots))
 
 
 def check_separating(v: VacuumModel, slots, trials: int = 0, seed: int = 0) -> bool:
     """True iff no nonzero operator on the region annihilates the vacuum.
 
-    The rank criterion is exact; ``trials`` random nonzero local operators
+    The rank criterion (Schmidt rank of the region's cut equals the
+    region's dimension) is exact; ``trials`` random nonzero local operators
     cross-validate it (any A with embed(A) omega = 0 refutes the claim).
     """
-    slots = linalg._normalize_slots(slots)
-    rank = linalg.schmidt_rank(v.omega, v.layout.dims, slots)
-    ok = rank == v.layout.region_dim(slots)
+    ok = v.schmidt_rank(slots) == v.layout.region_dim(slots)
     if ok and trials > 0:
         rng = np.random.default_rng(seed)
         d = v.layout.region_dim(slots)

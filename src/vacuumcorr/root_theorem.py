@@ -121,15 +121,24 @@ class ProjectorDecomposition:
         return len(self.coeffs) == 0
 
     def local_matrix(self) -> np.ndarray:
+        """sum_i lambda_i P_i as one product (V lambda) V^† over the
+        concatenated blocks V, with lambda_i repeated per column of B_i."""
         if self.is_degenerate:
             raise StageFailure("spectral", "empty (degenerate) decomposition")
-        return sum(lam * projector(b) for lam, b in zip(self.coeffs, self.blocks))
+        vecs = np.hstack(self.blocks)
+        lam = np.repeat(self.coeffs, [b.shape[1] for b in self.blocks])
+        m = (vecs * lam) @ vecs.conj().T
+        return 0.5 * (m + m.conj().T)
 
     def overlaps(self, v: VacuumModel, x) -> np.ndarray:
         """<omega, (P_i (x) 1) x> for every i, as vdot(B_i^† W, B_i^† X) with W
-        and X the coefficient matrices of omega and x across slots|rest."""
-        w, xm = (linalg.coefficient_matrix(y, v.layout.dims, self.slots) for y in (v.omega, x))
-        return np.array([np.vdot(b.conj().T @ w, b.conj().T @ xm) for b in self.blocks])
+        and X the coefficient matrices of omega and x across slots|rest: the
+        per-column products of V^† W and V^† X, summed over each block."""
+        vh = np.hstack(self.blocks).conj().T
+        w, xm = (vh @ linalg.coefficient_matrix(y, v.layout.dims, self.slots)
+                 for y in (v.omega, x))
+        starts = np.cumsum([0] + [b.shape[1] for b in self.blocks[:-1]])
+        return np.add.reduceat(np.sum(w.conj() * xm, axis=1), starts)
 
 
 @dataclass(frozen=True)
@@ -379,7 +388,7 @@ def prove_root_certificate(
 
     dec = positive_spectral_decomposition(c, tau)
     dec_unit = rescale_to_unit_vacuum(dec, v)
-    q_norm = operator_norm(dec.q)
+    q_norm = dec.coeffs[0]  # ||Q1||: the top kept eigenvalue of the positive Q1
     eps4 = (q_norm + 1.0) * tau / dec_unit.q_expect
     if eps4 > eps4_target:
         raise StageFailure(

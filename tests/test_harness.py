@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import run_cli
 
-from vacuumcorr import correlations
+from vacuumcorr import correlations, linalg, root_theorem
 from vacuumcorr.cli import build_parser, main
 from vacuumcorr.correlations import (
     BellReport,
@@ -171,6 +171,14 @@ class TestScenarios:
             "bell-max", "tsirelson-sweep", "cond-bell",
         }
 
+    def test_reeh_schlieder_certifies_the_ranks_it_asserts(self):
+        # At a cutoff above both Schmidt coefficients (1/sqrt(2)) every rank is 0.
+        report = run_scenario(cfg(scenario="reeh-schlieder", layout=[2, 2],
+                                  tolerances={"schmidt_rank": 0.8}))
+        checks = {a["name"]: a["lhs"] for a in report.assertions}
+        assert checks["separating_rank_slot_0"] == checks["separating_rank_slot_1"] == 0
+        assert report.certificates["certified_ranks"] == {"0": 0, "1": 0}
+
     def test_timings_recorded_but_not_emitted(self):
         report = run_scenario(cfg())
         assert report.timings["total_seconds"] > 0.0
@@ -258,6 +266,35 @@ class TestNoFullSpaceMatrix:
         assert run_scenario(cfg(scenario=scenario, layout=[d, d])).passed
         assert bell_calls == []
         assert sides and max(sides) <= d
+
+
+class TestSpectraComputedOnce:
+    """Each Schmidt spectrum of the vacuum, and ||Q1||, is computed once."""
+
+    @pytest.mark.parametrize("scenario,layout,svds", [
+        ("root-cert", [2, 2], 1),
+        ("root-cert", [8, 8], 1),
+        ("epr", [4, 4], 1),
+        ("cond-bell", [3, 3, 9], 3),
+        ("reeh-schlieder", [8, 8], 2),
+        ("reeh-schlieder", [3, 3, 9], 6),
+    ])
+    def test_schmidt_decompositions_per_run(self, monkeypatch, scenario, layout, svds):
+        calls = []
+        original = linalg.schmidt_coefficients
+        patch_every_binding(monkeypatch, original,
+                            lambda *args, **kw: calls.append(args) or original(*args, **kw))
+        assert run_scenario(cfg(scenario=scenario, layout=layout, eps=0.05)).passed
+        assert len(calls) == svds
+
+    def test_root_certificate_takes_two_operator_norms(self, monkeypatch):
+        # ||A|| and the measured rescale error; ||Q1|| comes from the spectrum.
+        calls = []
+        original = root_theorem.operator_norm
+        monkeypatch.setattr(root_theorem, "operator_norm",
+                            lambda a: calls.append(a.shape) or original(a))
+        assert run_scenario(cfg()).passed
+        assert len(calls) == 2
 
 
 class TestSweep:
@@ -413,9 +450,18 @@ class TestCLI:
             "--format", "csv",
         ])
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 2
         assert all(r["passed"] == "true" for r in rows)
+
+    def test_sweep_rejects_timings(self, capsys):
+        # A sweep table records no timings, so the flag is registered on run only.
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--scenario", "root-cert", "--layout", "2,2",
+                  "--eps-list", "0.1,0.01", "--timings"])
+        assert exc.value.code == 2
+        assert "--timings" in capsys.readouterr().err
 
     def test_stdout_emission(self, capsys):
         code = main([

@@ -14,7 +14,6 @@ from vacuumcorr.linalg import (
     operator_norm,
     projector,
     schmidt_coefficients,
-    schmidt_rank,
 )
 from vacuumcorr.local_algebra import LocalOperator, RegionLayout
 
@@ -177,32 +176,7 @@ class TestHermitianEig:
         np.testing.assert_allclose(np.sort(got)[::-1], want, atol=1e-8)
 
 
-class TestSchmidtRank:
-    def test_product_state(self):
-        psi = np.zeros(4, dtype=complex)
-        psi[0] = 1.0
-        assert schmidt_rank(psi, (2, 2), 0) == 1
-
-    def test_bell_state(self):
-        psi = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2)
-        assert schmidt_rank(psi, (2, 2), 0) == 2
-
-    def test_full_support_capped_by_smaller_factor(self):
-        rng = np.random.default_rng(2)
-        psi = random_state(6, rng)
-        # Oracle: rank of the coefficient matrix built by hand.
-        m = psi.reshape(2, 3)
-        svals = np.sqrt(np.linalg.eigvalsh(m @ m.conj().T))
-        assert int(np.sum(svals > 1e-9)) == 2
-        assert schmidt_rank(psi, (2, 3), 0) == 2
-
-    def test_rejects_empty_or_full_slot_set(self):
-        psi = random_state(4, np.random.default_rng(3))
-        with pytest.raises(ValueError):
-            schmidt_rank(psi, (2, 2), ())
-        with pytest.raises(ValueError):
-            schmidt_rank(psi, (2, 2), (0, 1))
-
+class TestSchmidtCoefficients:
     def test_coefficients_normalized(self):
         psi = random_state(12, np.random.default_rng(4))
         svals = schmidt_coefficients(psi, (2, 3, 2), (0, 2))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -57,10 +58,10 @@ class TestMakeVacuum:
 
     def test_three_slot_rank_across_pair(self):
         v = make_vacuum(L224, seed=1)
-        assert v.certified_ranks[(0, 1)] == 4
-        assert v.certified_ranks[(2,)] == 4
-        assert v.certified_ranks[(0,)] == 2
-        assert v.certified_ranks[(1,)] == 2
+        assert v.schmidt_rank((0, 1)) == 4
+        assert v.schmidt_rank((2,)) == 4
+        assert v.schmidt_rank((0,)) == 2
+        assert v.schmidt_rank((1,)) == 2
 
     def test_rejects_mismatched_third_slot(self):
         with pytest.raises(ValueError, match="unreachable"):
@@ -81,6 +82,71 @@ def commutator_norm(a: LocalOperator, b: LocalOperator, layout: RegionLayout) ->
     ea = embed_oracle(a.matrix, a.slots, layout.dims)
     eb = embed_oracle(b.matrix, b.slots, layout.dims)
     return operator_norm(ea @ eb - eb @ ea)
+
+
+def product_sum(dims, terms: int, rng: np.random.Generator) -> np.ndarray:
+    """A unit sum of ``terms`` random product vectors: its Schmidt rank
+    across every cut is at most ``terms``."""
+    psi = 0
+    for _ in range(terms):
+        term = np.ones(1, dtype=complex)
+        for d in dims:
+            term = np.kron(term, random_state(d, rng))
+        psi = psi + term
+    return psi / np.linalg.norm(psi)
+
+
+class TestSchmidtRank:
+    def test_product_state(self):
+        psi = np.zeros(4, dtype=complex)
+        psi[0] = 1.0
+        assert VacuumModel.from_vector(L22, psi).schmidt_rank(0) == 1
+
+    def test_bell_state(self):
+        psi = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2)
+        assert VacuumModel.from_vector(L22, psi).schmidt_rank(0) == 2
+
+    def test_full_support_capped_by_smaller_factor(self):
+        rng = np.random.default_rng(2)
+        psi = random_state(6, rng)
+        # Oracle: rank of the coefficient matrix built by hand.
+        m = psi.reshape(2, 3)
+        svals = np.sqrt(np.linalg.eigvalsh(m @ m.conj().T))
+        assert int(np.sum(svals > 1e-9)) == 2
+        v = VacuumModel.from_vector(RegionLayout((2, 3)), psi)
+        assert v.schmidt_rank(0) == v.schmidt_rank(1) == 2
+
+    def test_rejects_empty_or_full_slot_set(self):
+        v = VacuumModel.from_vector(L22, random_state(4, np.random.default_rng(3)))
+        with pytest.raises(ValueError):
+            v.schmidt_rank(())
+        with pytest.raises(ValueError):
+            v.schmidt_rank((0, 1))
+
+    @pytest.mark.parametrize("slots", [(3,), (-1,), (0, 3), (0, 0), (2, 1, 0)])
+    def test_rejects_out_of_range_duplicate_or_full_slots(self, slots):
+        with pytest.raises(ValueError):
+            make_vacuum(L224, seed=0).schmidt_rank(slots)
+
+    def test_tolerance_is_the_cutoff(self):
+        v = bell_vacuum()  # both Schmidt coefficients are 1/sqrt(2)
+        assert v.schmidt_rank(0, tol=0.7) == v.schmidt_rank(1, tol=0.7) == 2
+        assert v.schmidt_rank(0, tol=0.8) == v.schmidt_rank(1, tol=0.8) == 0
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 2, 4), (2, 3, 6)])
+    @pytest.mark.parametrize("terms", [None, 1, 2])
+    def test_matches_span_oracle_on_every_region(self, dims, terms):
+        # The span of {(C (x) 1) omega} has dimension rank * dim(region); it
+        # does not depend on the slot order, so one oracle serves every order.
+        rng = np.random.default_rng(len(dims) * 10 + (terms or 0))
+        total = math.prod(dims)
+        psi = random_state(total, rng) if terms is None else product_sum(dims, terms, rng)
+        v = VacuumModel.from_vector(RegionLayout(dims), psi)
+        for k in range(1, len(dims)):
+            for region in itertools.combinations(range(len(dims)), k):
+                want = span_dimension(psi, dims, region) // v.layout.region_dim(region)
+                for ordered in itertools.permutations(region):
+                    assert v.schmidt_rank(ordered) == want, (dims, ordered)
 
 
 class TestCommutativity:
