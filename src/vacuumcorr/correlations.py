@@ -24,13 +24,8 @@ import numpy as np
 
 from . import linalg
 from .linalg import NOISE_TOL, PROJECTOR_FLOOR, apply_local, as_state, hermitian_eig, operator_norm
-from .local_algebra import LocalOperator, RegionLayout, VacuumModel, check_cyclic
-from .root_theorem import (
-    SPECTRAL_TAU,
-    RootCertificate,
-    StageFailure,
-    prove_root_certificate,
-)
+from .local_algebra import LocalOperator, RegionLayout, VacuumModel
+from .root_theorem import RootCertificate, StageFailure, prove_root_certificate
 
 SQRT2 = math.sqrt(2.0)
 
@@ -241,13 +236,13 @@ class EPRReport:
 
 
 def epr_projector_pair(
-    p2: LocalOperator, phi, v: VacuumModel, eps: float, tau: float = SPECTRAL_TAU
+    p2: LocalOperator, phi, v: VacuumModel, eps: float
 ) -> tuple[LocalOperator, EPRReport]:
     """Find P1 on the complementary region with
     <P1>_omega >= <P1 P2>_omega > (1 - eps) <P1>_omega.
 
     Builds psi = P2 phi / ||P2 phi|| (so <P2>_psi = 1) and applies the
-    root pipeline (cutoff tau) with A = P2 and K = 1; P1 is the max-ratio projector.
+    root pipeline with A = P2 and K = 1; P1 is the max-ratio projector.
     """
     if not p2.is_projector():
         raise ValueError("P2 is not a projector")
@@ -261,7 +256,7 @@ def epr_projector_pair(
         )
     psi = cut / nrm
     target = v.layout.complement(p2.slots)
-    cert = prove_root_certificate(p2, psi, v, target, eps, tau)
+    cert = prove_root_certificate(p2, psi, v, target, eps)
     p1 = cert.p_max
     p1_omega = p1.apply(v.omega, v.layout)
     p1_expect = float(np.vdot(v.omega, p1_omega).real)
@@ -306,7 +301,6 @@ def _conditional_pipeline(
     phi: np.ndarray,
     v: VacuumModel,
     eps: float,
-    tau: float = SPECTRAL_TAU,
 ) -> BellReport:
     """Shared machinery for the conditional violation results.
 
@@ -322,8 +316,6 @@ def _conditional_pipeline(
         raise ValueError(
             f"need d3 = d1*d2, got {layout.dims} (vacuum cannot be cyclic for slot 2)"
         )
-    if not check_cyclic(v, (2,)):
-        raise ValueError("vacuum is not cyclic for slot 2")
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
 
@@ -332,7 +324,7 @@ def _conditional_pipeline(
     chi = np.zeros(layout.dims[2], dtype=complex)
     chi[0] = 1.0
     psi = np.kron(phi, chi)
-    cert = prove_root_certificate(LocalOperator((0, 1), r01), psi, v, (2,), 2.0 * eps, tau)
+    cert = prove_root_certificate(LocalOperator((0, 1), r01), psi, v, (2,), 2.0 * eps)
     p3 = cert.p_max
     cond = conditional_bell_correlation(settings, p3, v)
     half_k = 0.5 * cert.target_k
@@ -355,12 +347,10 @@ def _conditional_pipeline(
     )
 
 
-def violate_conditional_bell(
-    layout: RegionLayout, v: VacuumModel, eps: float, tau: float = SPECTRAL_TAU
-) -> BellReport:
+def violate_conditional_bell(layout: RegionLayout, v: VacuumModel, eps: float) -> BellReport:
     """Conditional near-maximal violation: (1/2) <R>_{P3=1} > sqrt(2) - eps."""
     phi, settings = canonical_max_violation(layout)
-    return _conditional_pipeline(settings, phi, v, eps, tau)
+    return _conditional_pipeline(settings, phi, v, eps)
 
 
 def general_contraction_extension(

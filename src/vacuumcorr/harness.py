@@ -42,8 +42,7 @@ from .local_algebra import (
     random_projector,
     vacuum_positivity,
 )
-from .root_theorem import (BUDGET_TOL, SPECTRAL_TAU, WEIGHTS_TOL, RootCertificate,
-                           prove_root_certificate)
+from .root_theorem import BUDGET_TOL, WEIGHTS_TOL, RootCertificate, prove_root_certificate
 
 # Two floating-point evaluations of one number: the canonical correlation and
 # sqrt(2); the conditional correlation recomputed from P3 omega and the pipeline's.
@@ -76,11 +75,9 @@ def _positive_number(name: str, x) -> float:
 @dataclass(frozen=True)
 class Tolerances:
     """The tolerances a run uses: Schmidt-rank cutoff (reeh-schlieder),
-    spectral cutoff tau of the root pipeline (root-cert, epr, cond-bell),
     slack on the Tsirelson margin, and slack on each budget assertion."""
 
     schmidt_rank: float = SCHMIDT_RANK_TOL
-    spectral_tau: float = SPECTRAL_TAU
     tsirelson_slack: float = 1e-9
     budget_check: float = BUDGET_TOL
 
@@ -164,7 +161,7 @@ class ScenarioConfig:
             layout=data["layout"],
             seed=data.get("seed", 0),
             eps=data.get("eps", 0.01),
-            sweep=data.get("sweep") or None,
+            sweep=data.get("sweep"),
             tolerances=Tolerances(**tolerances),
         )
 
@@ -281,7 +278,7 @@ def _root_cert(cfg: ScenarioConfig, eps: float) -> tuple[list, RootCertificate]:
     rng = np.random.default_rng(cfg.seed)
     a = LocalOperator(1, random_hermitian(layout.dims[1], rng))
     psi = _random_state(layout.total_dim, rng)
-    cert = prove_root_certificate(a, psi, v, (0,), eps, tau=cfg.tolerances.spectral_tau)
+    cert = prove_root_certificate(a, psi, v, (0,), eps)
     assertions: list = []
     _record(assertions, "root_max_inequality", cert.lhs_max, ">", cert.rhs_max)
     _record(assertions, "root_min_inequality", cert.lhs_min, "<", cert.rhs_min)
@@ -309,7 +306,7 @@ def _scenario_epr(cfg: ScenarioConfig) -> tuple[list, dict]:
     layout = cfg.region_layout()
     v = make_vacuum(layout, cfg.seed)
     p2 = random_projector(layout, 1, 1, cfg.seed)
-    _, report = epr_projector_pair(p2, v.omega, v, cfg.eps, cfg.tolerances.spectral_tau)
+    _, report = epr_projector_pair(p2, v.omega, v, cfg.eps)
     assertions: list = []
     # <P1 P2> <= <P1> is exact (P1 P2 <= P1 as operators); compare the
     # difference against the floating-point noise floor.
@@ -367,7 +364,7 @@ def _scenario_tsirelson_sweep(cfg: ScenarioConfig) -> tuple[list, dict]:
 def _scenario_cond_bell(cfg: ScenarioConfig) -> tuple[list, dict]:
     layout = cfg.region_layout()
     v = make_vacuum(layout, cfg.seed)
-    report = violate_conditional_bell(layout, v, cfg.eps, cfg.tolerances.spectral_tau)
+    report = violate_conditional_bell(layout, v, cfg.eps)
     cond = report.conditional
     assertions: list = []
     _record(assertions, "conditional_violation", cond.conditional_correlation,

@@ -14,6 +14,9 @@ whole eps-budget chain can be checked numerically:
     eps3 = (eps2^2 + 2 eps2) ||A||
     eps4 = (||Q1|| + 1) eps4_tilde / <Q1'~>_omega
     eps5 = eps3 + ||A|| eps4
+
+eps4_tilde is not a free parameter: the spectral cutoff tau is derived
+from the share of eps that the split leaves to ||A|| eps4.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from . import linalg
 from .linalg import NOISE_TOL, PROJECTOR_FLOOR, as_state, hermitian_eig, operator_norm, projector
 from .local_algebra import LocalOperator, VacuumModel, check_cyclic
 
-SPECTRAL_TAU = 1e-12
 BUDGET_TOL = 1e-9
 # Slack on sum(weights) = 1, which the rescaled weights miss by rounding.
 WEIGHTS_TOL = 1e-9
@@ -251,9 +253,7 @@ def expectation_window(
     return value
 
 
-def positive_spectral_decomposition(
-    c: LocalOperator, tau: float = SPECTRAL_TAU
-) -> ProjectorDecomposition:
+def positive_spectral_decomposition(c: LocalOperator, tau: float) -> ProjectorDecomposition:
     """Spectral decomposition of Q1 = C^† C keeping eigenvalues above tau.
 
     The residual is the largest dropped eigenvalue (at most tau), so
@@ -349,13 +349,13 @@ def prove_root_certificate(
     v: VacuumModel,
     slots,
     eps: float,
-    tau: float = SPECTRAL_TAU,
 ) -> RootCertificate:
     """Run the full pipeline and return a verified certificate.
 
     The requested eps is split evenly between the expectation window
     (eps3 = eps/2) and the decomposition term (||A|| eps4 = eps/2);
-    eps1 is then derived through the closed-form eps2.
+    eps1 is then derived through the closed-form eps2, and the spectral
+    cutoff tau = eps4_tilde from the eps4 share.
     """
     psi = as_state(psi)
     slots = linalg._normalize_slots(slots)
@@ -386,6 +386,8 @@ def prove_root_certificate(
     c, err2 = normalize_approximant(c_tilde, psi, v, eps1)
     val3 = expectation_window(a, c, v, k, eps3)
 
+    # ||Q1|| <= tr Q1, <Q1'~>_omega >= 1 - tau, so eps4 < eps4_target/2; and tau < 1 <= ||Q1||.
+    tau = eps4_target / (2.0 * (float(np.vdot(c.matrix, c.matrix).real) + 1.0 + eps4_target))
     dec = positive_spectral_decomposition(c, tau)
     dec_unit = rescale_to_unit_vacuum(dec, v)
     q_norm = dec.coeffs[0]  # ||Q1||: the top kept eigenvalue of the positive Q1

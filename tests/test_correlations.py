@@ -33,6 +33,7 @@ from vacuumcorr.linalg import NOISE_TOL, haar_unitary, operator_norm, random_her
 from vacuumcorr.local_algebra import (
     LocalOperator,
     RegionLayout,
+    VacuumModel,
     make_vacuum,
     random_projector,
 )
@@ -413,6 +414,14 @@ class TestViolateConditionalBell:
         v = VacuumModel.from_vector(layout, omega)
         with pytest.raises(ValueError, match="d3 = d1\\*d2"):
             violate_conditional_bell(layout, v, eps=0.05)
+
+    def test_rejects_non_cyclic_vacuum(self):
+        # A product vector has Schmidt rank 1 across slot 2 | rest.
+        product = np.zeros(L224.total_dim, dtype=complex)
+        product[0] = 1.0
+        v = VacuumModel.from_vector(L224, product)
+        with pytest.raises(ValueError, match="not cyclic"):
+            violate_conditional_bell(L224, v, eps=0.05)
 
 
 class TestGeneralContractionExtension:

@@ -2,8 +2,11 @@ import contextlib
 import csv
 import io
 import json
+import re
 import sys
 import tracemalloc
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from vacuumcorr.harness import (
     SWEEP_COLUMNS,
     ConfigError,
     ScenarioConfig,
+    Tolerances,
     _root_cert,
     canonical_json,
     emit_report,
@@ -35,6 +39,8 @@ from vacuumcorr.harness import (
     sweep_eps,
 )
 from vacuumcorr.local_algebra import LocalOperator, make_vacuum, random_projector
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def cfg(**overrides) -> ScenarioConfig:
@@ -69,8 +75,8 @@ class TestScenarioConfig:
         assert c.layout == (2, 2, 4)
 
     def test_sweep_must_be_nonempty(self):
-        # from_dict treats a falsy sweep as absent; the constructor rejects it.
-        assert cfg(sweep=[]).sweep is None
+        with pytest.raises(ConfigError, match="non-empty"):
+            cfg(sweep=[])
         with pytest.raises(ConfigError, match="non-empty"):
             ScenarioConfig("root-cert", (2, 2), 0, 0.01, sweep=())
 
@@ -103,14 +109,20 @@ class TestScenarioConfig:
     def test_tolerance_override(self):
         c = cfg(tolerances={"budget_check": 1e-6})
         assert c.tolerances.budget_check == 1e-6
-        assert c.tolerances.spectral_tau == 1e-12
+        assert c.tolerances.schmidt_rank == 1e-9
 
-    def test_report_echoes_the_four_tolerances(self):
+    def test_report_echoes_the_three_tolerances(self):
         payload = run_scenario(cfg()).to_payload()
         assert payload["config"]["tolerances"] == {
-            "budget_check": 1e-9, "schmidt_rank": 1e-9,
-            "spectral_tau": 1e-12, "tsirelson_slack": 1e-9,
+            "budget_check": 1e-9, "schmidt_rank": 1e-9, "tsirelson_slack": 1e-9,
         }
+
+    def test_readme_tolerance_table_matches_the_defaults(self):
+        text = README.read_text(encoding="utf-8")
+        table = text.split("| tolerance | default | governs |")[1].split("\n\n")[0]
+        rows = re.findall(r"^\| `(\w+)` \| `([^`]+)` \|", table, re.MULTILINE)
+        assert [(name, float(default)) for name, default in rows] == [
+            (f.name, f.default) for f in fields(Tolerances)]
 
 
 class TestScenarios:
@@ -130,18 +142,26 @@ class TestScenarios:
         for a in report.assertions:
             assert set(a) == {"name", "lhs", "op", "rhs", "passed"}
 
-    @pytest.mark.parametrize("scenario,layout,path", [
+    @given(case=st.sampled_from([
+        ("root-cert", [2, 2], ("root_certificate",)),
+        ("root-cert", [3, 3], ("root_certificate",)),
         ("epr", [2, 2], ("epr", "certificate")),
+        ("epr", [3, 3], ("epr", "certificate")),
         ("cond-bell", [2, 2, 4], ("bell", "conditional", "certificate")),
-    ])
-    def test_spectral_tau_reaches_the_pipeline(self, scenario, layout, path):
-        report = run_scenario(cfg(scenario=scenario, layout=layout, eps=0.05,
-                                  tolerances={"spectral_tau": 1e-9}))
+    ]), seed=st.integers(0, 7), log_eps=st.floats(-13, 0))
+    @settings(max_examples=40, deadline=None)
+    def test_eps4_tilde_is_derived_from_the_budget(self, case, seed, log_eps):
+        scenario, layout, path = case
+        report = run_scenario(cfg(scenario=scenario, layout=layout, seed=seed,
+                                  eps=10.0 ** log_eps))
         assert report.passed
         cert = report.certificates
         for key in path:
             cert = cert[key]
-        assert cert["budget"]["eps4_tilde"] == 1e-9
+        budget = cert["budget"]
+        # The derived cutoff leaves ||A|| eps4 at most half of its eps/2 share.
+        assert budget["norm_a"] * budget["eps4"] <= cert["requested_eps"] / 4
+        assert cert["achieved"]["decomposition_residual"] <= budget["eps4_tilde"]
 
     @pytest.mark.parametrize("layout,seed", [([3, 3], 483374545), ([4, 4], 1542785184)])
     def test_bell_max_survives_classical_seesaw_stalls(self, layout, seed):
@@ -397,12 +417,11 @@ class TestCLI:
 
     @pytest.mark.parametrize("fields,flags,field", [
         ({"tolerances": {"budget_check": "abc"}}, [], "tolerances.budget_check"),
-        ({"tolerances": {"spectral_tau": -1}}, [], "tolerances.spectral_tau"),
-        ({"tolerances": {"spectral_tau": float("nan")}}, [], "tolerances.spectral_tau"),
         ({"tolerances": {"schmidt_rank": float("inf")}}, [], "tolerances.schmidt_rank"),
         ({"tolerances": {"tsirelson_slack": 0}}, [], "tolerances.tsirelson_slack"),
         ({"tolerances": {"budget_check": True}}, [], "tolerances.budget_check"),
         ({"tolerances": 5}, [], "tolerances"),
+        ({"tolerances": {"spectral_tau": 1e-9}}, [], "tolerances"),
         ({"seed": 1.7}, [], "seed"),
         ({"seed": -1}, [], "seed"),
         ({"layout": [2.5, 2.5]}, [], "layout"),
@@ -410,6 +429,8 @@ class TestCLI:
         ({"eps": "0.1"}, [], "eps"),
         ({}, ["--eps-list", "inf,0.1"], "sweep"),
         ({"sweep": 5}, [], "sweep"),
+        ({"sweep": 0}, [], "sweep"),
+        ({"sweep": []}, [], "sweep"),
     ])
     def test_bad_values_rejected_at_the_config(self, tmp_path, capsys, fields, flags, field):
         config = tmp_path / "c.json"
@@ -473,9 +494,9 @@ class TestCLI:
         assert payload["config"]["scenario"] == "tsirelson-sweep"
 
     @pytest.mark.parametrize("command,fields,flags,stage", [
-        ("run", {"scenario": "epr", "tolerances": {"spectral_tau": 0.01}}, [], "spectral"),
-        ("run", {"scenario": "root-cert"}, ["--eps", "1e-13"], "spectral"),
-        ("sweep", {"scenario": "root-cert"}, ["--eps-list", "0.1,1e-13"], "spectral"),
+        # The least-squares residual (~1e-16) exceeds eps1.
+        ("run", {"scenario": "cond-bell", "layout": [2, 2, 4]}, ["--eps", "1e-15"],
+         "cyclic-approx"),
         # eps beyond the floating-point range of the eps1..eps5 chain.
         ("run", {"scenario": "root-cert"}, ["--eps", "1e16"], "budget"),
         ("run", {"scenario": "cond-bell", "layout": [2, 2, 4]}, ["--eps", "1e17"], "budget"),
@@ -488,6 +509,16 @@ class TestCLI:
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith(f"error: [{stage}] ")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("eps", ["1e-12", "1e-13", "1e-14"])
+    @pytest.mark.parametrize("scenario,layout", [
+        ("root-cert", "2,2"), ("epr", "3,3"), ("cond-bell", "2,2,4"),
+    ])
+    def test_small_eps_passes(self, capsys, scenario, layout, eps):
+        # The spectral cutoff follows eps, so no stage fails above the float floor.
+        code = main(["run", "--scenario", scenario, "--layout", layout,
+                     "--seed", "0", "--eps", eps])
+        assert code == 0, capsys.readouterr().err
 
     @given(case=st.sampled_from([
         ("run", "root-cert", "2,2"),
@@ -590,8 +621,8 @@ def _config_payload(c):
         "seed": c.seed,
         "eps": c.eps,
         "sweep": list(c.sweep) if c.sweep else None,
-        "tolerances": {"schmidt_rank": t.schmidt_rank, "spectral_tau": t.spectral_tau,
-                       "tsirelson_slack": t.tsirelson_slack, "budget_check": t.budget_check},
+        "tolerances": {"schmidt_rank": t.schmidt_rank, "tsirelson_slack": t.tsirelson_slack,
+                       "budget_check": t.budget_check},
     }
 
 
@@ -599,13 +630,12 @@ def _oracle_certificates(c, report):
     """The certificate objects of a run, rebuilt from the library and written
     with the reference builders."""
     layout = c.region_layout()
-    tau = c.tolerances.spectral_tau
     if c.scenario == "root-cert":
         return {"root_certificate": _certificate_payload(_root_cert(c, c.eps)[1])}
     if c.scenario == "epr":
         v = make_vacuum(layout, c.seed)
         p2 = random_projector(layout, 1, 1, c.seed)
-        _, rep = epr_projector_pair(p2, v.omega, v, c.eps, tau)
+        _, rep = epr_projector_pair(p2, v.omega, v, c.eps)
         return {"epr": {
             "p1": _local_op_payload(rep.p1),
             "p2": _local_op_payload(p2),
@@ -620,7 +650,7 @@ def _oracle_certificates(c, report):
                          tsirelson_certificate(settings, layout))
         return {"bell": _bell_report_payload(rep)}
     if c.scenario == "cond-bell":
-        rep = violate_conditional_bell(layout, make_vacuum(layout, c.seed), c.eps, tau)
+        rep = violate_conditional_bell(layout, make_vacuum(layout, c.seed), c.eps)
         return {"bell": _bell_report_payload(rep)}
     # reeh-schlieder and tsirelson-sweep carry plain numbers only.
     return report.certificates

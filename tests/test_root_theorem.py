@@ -171,14 +171,14 @@ class TestExpectationWindow:
 
 class TestSpectralDecomposition:
     def test_identity(self):
-        dec = positive_spectral_decomposition(LocalOperator(0, np.eye(2)))
+        dec = positive_spectral_decomposition(LocalOperator(0, np.eye(2)), tau=1e-12)
         assert dec.coeffs == (1.0,)
         np.testing.assert_allclose(linalg.projector(dec.blocks[0]), np.eye(2), atol=1e-12)
         assert dec.residual == 0.0
 
     def test_rank_one_partial_isometry(self):
         c = LocalOperator(0, np.array([[0.0, 1.0], [0.0, 0.0]]))
-        dec = positive_spectral_decomposition(c)
+        dec = positive_spectral_decomposition(c, tau=1e-12)
         assert len(dec.coeffs) == 1
         assert abs(dec.coeffs[0] - 1.0) <= 1e-12
         assert dec.residual <= 1e-12
@@ -194,7 +194,7 @@ class TestSpectralDecomposition:
     def test_projectors_orthogonal(self):
         rng = np.random.default_rng(7)
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        dec = positive_spectral_decomposition(LocalOperator(0, g))
+        dec = positive_spectral_decomposition(LocalOperator(0, g), tau=1e-12)
         projectors = [linalg.projector(b) for b in dec.blocks]
         for i, p in enumerate(projectors):
             for q in projectors[i + 1:]:
@@ -214,7 +214,7 @@ class TestRescale:
     def test_random_case_unit_vacuum_expectation(self, v22):
         rng = np.random.default_rng(8)
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        dec = positive_spectral_decomposition(LocalOperator(0, g))
+        dec = positive_spectral_decomposition(LocalOperator(0, g), tau=1e-12)
         out = rescale_to_unit_vacuum(dec, v22)
         val = expectation(embed_oracle(out.local_matrix(), out.slots, L22.dims), v22.omega)
         assert abs(val.real - 1.0) <= 1e-10
@@ -231,13 +231,13 @@ class TestCombinedWindowAndExtremal:
         eps1 = 0.05
         c_tilde, _ = solve_cyclic_approx(psi, v, region, eps1)
         c, _ = normalize_approximant(c_tilde, psi, v, eps1)
-        dec = rescale_to_unit_vacuum(positive_spectral_decomposition(c), v)
+        dec = rescale_to_unit_vacuum(positive_spectral_decomposition(c, tau=1e-12), v)
         return a, psi, k, dec
 
     def test_identity_trivial_window(self, v22):
         a = LocalOperator(1, np.eye(2))
         dec = rescale_to_unit_vacuum(
-            positive_spectral_decomposition(LocalOperator(0, X)), v22
+            positive_spectral_decomposition(LocalOperator(0, X), tau=1e-12), v22
         )
         val = combined_window(a, dec, v22, k=1.0, eps5=1e-6)
         assert abs(val - 1.0) <= 1e-10
@@ -252,7 +252,7 @@ class TestCombinedWindowAndExtremal:
     def test_single_projector_extremal(self, v22):
         a = LocalOperator(1, linalg.random_hermitian(2, np.random.default_rng(10)))
         dec = rescale_to_unit_vacuum(
-            positive_spectral_decomposition(LocalOperator(0, np.eye(2))), v22
+            positive_spectral_decomposition(LocalOperator(0, np.eye(2)), tau=1e-12), v22
         )
         ext = select_extremal_projectors(a, dec, v22)
         assert ext.p_max is ext.p_min
