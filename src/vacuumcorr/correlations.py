@@ -12,6 +12,9 @@ R is applied term by term, never formed for a correlation.  Landau's identity
 B1^2 = B2^2 = P_B are nonzero projectors (every 2P - 1, the canonical settings):
 R^2 = 4 P_A P_B - [A1,A2][B1,B2], each commutator's spectrum is symmetric
 (A1 [A1,A2] A1 = -[A1,A2]), so ||R|| = sqrt(4 + ||[A1,A2]|| ||[B1,B2]||).
+``tsirelson_margins`` works on stacks of settings; the Tsirelson sweep passes
+it stacks of at most 64 KiB, and it takes the dense norm per setting where
+Landau's precondition fails.
 """
 
 from __future__ import annotations
@@ -57,14 +60,26 @@ class BellSettings:
             op, name = getattr(self, attr), attr.upper()
             if op.slots != (slot,):
                 raise ValueError(f"{name} must live on slot {slot}, got {op.slots}")
-            dev = linalg.dagger_distance(op.matrix)
-            if dev > NOISE_TOL:
-                raise ValueError(f"{name} is not self-adjoint: |X - X^†| = {dev}")
-            herm = 0.5 * (op.matrix + op.matrix.conj().T)
-            nrm = _herm_norm(herm) + 0.5 * dev  # >= ||X||, as ||X - H||_F = dev / 2
-            if nrm > 1.0 + NOISE_TOL:
-                raise ValueError(f"{name} is not a contraction: norm {nrm}")
+            herm = hermitian_contractions(op.matrix[None], (name,))[0]
             object.__setattr__(self, attr, LocalOperator(slot, herm))
+
+
+def hermitian_contractions(x: np.ndarray, names) -> np.ndarray:
+    """The Hermitian parts H of a stack (..., k, d, d) of self-adjoint
+    contractions, the last stack axis running over ``names``; ValueError
+    names the first matrix that is not self-adjoint or not a contraction."""
+    dev = linalg.dagger_distance(x)
+    herm = 0.5 * (x + linalg.dagger(x))
+    # >= ||X||, as ||X - H||_F = dev / 2
+    nrm = np.abs(np.linalg.eigvalsh(herm)).max(axis=-1) + 0.5 * dev
+    bad = (dev > NOISE_TOL) | (nrm > 1.0 + NOISE_TOL)
+    if bad.any():
+        i = np.unravel_index(np.argmax(bad), bad.shape)
+        name = names[i[-1]]
+        if dev[i] > NOISE_TOL:
+            raise ValueError(f"{name} is not self-adjoint: |X - X^†| = {dev[i]}")
+        raise ValueError(f"{name} is not a contraction: norm {nrm[i]}")
+    return herm
 
 
 @dataclass(frozen=True)
@@ -86,9 +101,14 @@ class BellReport:
 
 def contraction_from_projector(p: LocalOperator) -> LocalOperator:
     """2P - 1: a self-adjoint contraction with spectrum in {-1, +1}."""
-    if not p.is_projector():
+    return LocalOperator(p.slots, reflections(p.matrix))
+
+
+def reflections(p: np.ndarray) -> np.ndarray:
+    """2P - 1 for each projector P of a stack (..., d, d)."""
+    if not np.all(linalg.is_projector(p)):
         raise ValueError("input is not a projector")
-    return LocalOperator(p.slots, 2.0 * p.matrix - np.eye(p.dim, dtype=complex))
+    return 2.0 * p - np.eye(p.shape[-1], dtype=complex)
 
 
 def bell_operator(s: BellSettings, layout: RegionLayout) -> np.ndarray:
@@ -209,20 +229,37 @@ def seesaw_maximize(
     return settings, best
 
 
-def _shared_support(x1: np.ndarray, x2: np.ndarray) -> bool:
-    """X1^2 = X2^2 is a nonzero projector, to NOISE_TOL in the Frobenius norm."""
+def _landau_factor(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each pair (X1, X2) of a stack (n, 2, d, d): ||[X1, X2]||, and whether
+    X1^2 = X2^2 is a nonzero projector, to NOISE_TOL in the Frobenius norm."""
+    x1, x2 = x[:, 0], x[:, 1]
     p = x1 @ x1
-    return bool(np.linalg.norm(p - x2 @ x2) <= NOISE_TOL
-                and np.linalg.norm(p @ p - p) <= NOISE_TOL < np.linalg.norm(p))
+    shared = ((linalg.frobenius(p - x2 @ x2) <= NOISE_TOL)
+              & (linalg.frobenius(p @ p - p) <= NOISE_TOL) & (NOISE_TOL < linalg.frobenius(p)))
+    comm = np.abs(np.linalg.eigvalsh(1j * (x1 @ x2 - x2 @ x1))).max(axis=-1)
+    return comm, shared
+
+
+def tsirelson_margins(a: np.ndarray, b: np.ndarray, layout: RegionLayout) -> np.ndarray:
+    """sqrt(2) - (1/2) ||R|| >= 0 (to noise) for each setting of a stack: ``a``
+    (n, 2, d1, d1) holds (A1, A2) and ``b`` (n, 2, d2, d2) holds (B1, B2), as
+    the Hermitian parts ``hermitian_contractions`` returns.  ||R|| is
+    Landau's where both pairs share their support, and else the dense norm."""
+    ca, shared_a = _landau_factor(a)
+    cb, shared_b = _landau_factor(b)
+    margins = SQRT2 - 0.5 * np.sqrt(4.0 + ca * cb)
+    for i in np.flatnonzero(~(shared_a & shared_b)):
+        s = BellSettings(LocalOperator(0, a[i, 0]), LocalOperator(0, a[i, 1]),
+                         LocalOperator(1, b[i, 0]), LocalOperator(1, b[i, 1]))
+        margins[i] = SQRT2 - 0.5 * _herm_norm(bell_operator(s, RegionLayout(layout.dims[:2])))
+    return margins
 
 
 def tsirelson_certificate(s: BellSettings, layout: RegionLayout) -> float:
     """sqrt(2) - (1/2) ||R|| >= 0 (to noise); ||R|| by Landau's identity where it holds."""
-    a1, a2, b1, b2 = (op.matrix for op in (s.a1, s.a2, s.b1, s.b2))
-    if _shared_support(a1, a2) and _shared_support(b1, b2):
-        ca, cb = (_herm_norm(1j * (x @ y - y @ x)) for x, y in ((a1, a2), (b1, b2)))
-        return SQRT2 - 0.5 * math.sqrt(4.0 + ca * cb)
-    return SQRT2 - 0.5 * _herm_norm(bell_operator(s, RegionLayout(layout.dims[:2])))
+    a = np.array([[s.a1.matrix, s.a2.matrix]])
+    b = np.array([[s.b1.matrix, s.b2.matrix]])
+    return float(tsirelson_margins(a, b, layout)[0])
 
 
 @dataclass(frozen=True)

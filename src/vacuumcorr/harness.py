@@ -24,16 +24,24 @@ import numpy as np
 from .correlations import (
     SQRT2,
     BellReport,
-    BellSettings,
     bell_correlation,
     canonical_max_violation,
-    contraction_from_projector,
     epr_projector_pair,
+    hermitian_contractions,
+    reflections,
     seesaw_maximize,
     tsirelson_certificate,
+    tsirelson_margins,
     violate_conditional_bell,
 )
-from .linalg import PROJECTOR_FLOOR, SCHMIDT_RANK_TOL, random_hermitian
+from .linalg import (
+    PROJECTOR_FLOOR,
+    SCHMIDT_RANK_TOL,
+    complex_gaussian,
+    haar_unitary,
+    projector,
+    random_hermitian,
+)
 from .local_algebra import (
     LocalOperator,
     RegionLayout,
@@ -51,6 +59,11 @@ RECOMPUTE_TOL = 1e-9
 SEESAW_CEILING = 1e-7
 # A see-saw run stops once an iteration gains less than SEESAW_TOL.
 SEESAW_SHORTFALL = 1e-6
+# tsirelson-sweep draws TSIRELSON_SAMPLES settings and takes them in chunks
+# small enough that no (settings, 2, d, d) complex stack exceeds
+# SWEEP_STACK_BYTES: one stack of all of them raises peak memory at large d.
+TSIRELSON_SAMPLES = 100
+SWEEP_STACK_BYTES = 64 * 1024
 
 
 class ConfigError(ValueError):
@@ -337,28 +350,45 @@ def _scenario_bell_max(cfg: ScenarioConfig) -> tuple[list, dict]:
     return assertions, {"bell": _plain(report)}
 
 
-def _random_settings(layout: RegionLayout, rng: np.random.Generator) -> BellSettings:
-    def contraction(slot: int) -> LocalOperator:
-        rank = int(rng.integers(1, layout.dims[slot] + 1))
-        return contraction_from_projector(random_projector(layout, slot, rank, rng))
-
-    return BellSettings(
-        a1=contraction(0), a2=contraction(0), b1=contraction(1), b2=contraction(1)
-    )
+def _random_contractions(ranks: np.ndarray, gaussians: np.ndarray, names) -> np.ndarray:
+    """2P - 1 for a stack (n, 2, d, d) of complex Gaussian matrices, as
+    ``hermitian_contractions`` returns it: P projects onto the first
+    ``ranks[i, k]`` columns of the Haar unitary made from ``gaussians[i, k]``."""
+    u = haar_unitary(gaussians)
+    p = np.empty_like(u)
+    for rank in set(ranks.flat):
+        # B B^† with exactly ``rank`` columns: zero-padded columns would
+        # change BLAS's summation and so the last bits of P.
+        keep = ranks == rank
+        p[keep] = projector(u[keep][..., :rank])
+    return hermitian_contractions(reflections(p), names)
 
 
 def _scenario_tsirelson_sweep(cfg: ScenarioConfig) -> tuple[list, dict]:
     layout = cfg.region_layout()
     rng = np.random.default_rng(cfg.seed)
     slack = cfg.tolerances.tsirelson_slack
+    dims = layout.dims
+    chunk = max(1, SWEEP_STACK_BYTES // (2 * max(dims) ** 2 * np.dtype(complex).itemsize))
     margins = []
-    for _ in range(100):
-        settings = _random_settings(layout, rng)
-        margins.append(tsirelson_certificate(settings, layout))
+    for start in range(0, TSIRELSON_SAMPLES, chunk):
+        n = min(chunk, TSIRELSON_SAMPLES - start)
+        ranks = np.empty((n, 4), dtype=int)
+        gaussians = [np.empty((n, 2, d, d), dtype=complex) for d in dims]
+        for i in range(n):
+            for k in range(4):  # A1, A2 on slot 0; B1, B2 on slot 1
+                d = dims[k // 2]
+                ranks[i, k] = rng.integers(1, d + 1)
+                gaussians[k // 2][i, k % 2] = complex_gaussian(d, rng)
+        a = _random_contractions(ranks[:, :2], gaussians[0], ("A1", "A2"))
+        b = _random_contractions(ranks[:, 2:], gaussians[1], ("B1", "B2"))
+        margins.append(tsirelson_margins(a, b, layout))
+    margins = np.concatenate(margins)
+    lo, hi = float(margins.min()), float(margins.max())
     assertions: list = []
-    _record(assertions, "tsirelson_min_margin", min(margins), ">=", -slack)
-    _record(assertions, "tsirelson_samples", len(margins), "==", 100)
-    return assertions, {"margins": {"min": min(margins), "max": max(margins)}}
+    _record(assertions, "tsirelson_min_margin", lo, ">=", -slack)
+    _record(assertions, "tsirelson_samples", len(margins), "==", TSIRELSON_SAMPLES)
+    return assertions, {"margins": {"min": lo, "max": hi}}
 
 
 def _scenario_cond_bell(cfg: ScenarioConfig) -> tuple[list, dict]:

@@ -47,10 +47,20 @@ def as_state(psi) -> np.ndarray:
     return psi
 
 
-def dagger_distance(a: np.ndarray) -> float:
-    """Frobenius distance to the adjoint: 0 for Hermitian input, >= the operator-norm one."""
-    a = as_operator(a)
-    return float(np.linalg.norm(a - a.conj().T))
+def dagger(a: np.ndarray) -> np.ndarray:
+    """The adjoint of each matrix in a stack (..., m, n)."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def frobenius(a: np.ndarray) -> np.ndarray:
+    """The Frobenius norm (>= the operator norm) of each matrix in a stack (..., m, n)."""
+    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1)))
+
+
+def dagger_distance(a: np.ndarray) -> np.ndarray:
+    """Frobenius distance of each matrix in a stack (..., d, d) to its adjoint:
+    0 for Hermitian input, >= the operator-norm one."""
+    return frobenius(a - dagger(a))
 
 
 def _normalize_slots(slots) -> tuple[int, ...]:
@@ -118,9 +128,16 @@ class EigenSystem:
 
 
 def projector(block) -> np.ndarray:
-    """The orthogonal projector B B^† onto the span of the orthonormal columns B."""
-    p = block @ block.conj().T
-    return 0.5 * (p + p.conj().T)
+    """The orthogonal projector B B^† onto the span of the orthonormal columns B,
+    for each block of a stack (..., d, r)."""
+    p = block @ dagger(block)
+    return 0.5 * (p + dagger(p))
+
+
+def is_projector(p: np.ndarray) -> np.ndarray:
+    """P^2 = P = P^† to NOISE_TOL in the Frobenius norm, for each matrix of a
+    stack (..., d, d)."""
+    return (frobenius(p @ p - p) <= NOISE_TOL) & (dagger_distance(p) <= NOISE_TOL)
 
 
 def hermitian_eig(a) -> EigenSystem:
@@ -156,14 +173,21 @@ def schmidt_coefficients(psi, dims, left_slots) -> np.ndarray:
     return np.linalg.svd(coefficient_matrix(psi, dims, left_slots), compute_uv=False)
 
 
+def complex_gaussian(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A dim x dim standard complex Gaussian matrix: the real block is drawn
+    first, then the imaginary block."""
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    g = complex_gaussian(dim, rng)
     return 0.5 * (g + g.conj().T)
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR with the standard phase fix."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def haar_unitary(g: np.ndarray) -> np.ndarray:
+    """A Haar-distributed unitary from each complex Gaussian matrix of a stack
+    (..., d, d): its QR factor Q with the standard phase fix (Mezzadri,
+    Notices AMS 54, 592 (2007)), column j times the phase of R_jj."""
     q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]

@@ -80,9 +80,7 @@ class LocalOperator:
 
     def is_projector(self) -> bool:
         """P^2 = P = P^† to NOISE_TOL in the Frobenius norm (>= the operator norm)."""
-        p = self.matrix
-        return bool(np.linalg.norm(p @ p - p) <= NOISE_TOL
-                    and np.linalg.norm(p - p.conj().T) <= NOISE_TOL)
+        return bool(linalg.is_projector(self.matrix))
 
 
 @dataclass(frozen=True)
@@ -148,7 +146,7 @@ def make_vacuum(layout: RegionLayout, seed: int) -> VacuumModel:
                 f"(0,1)|2 is unreachable with d3 = {d3}"
             )
         rng = np.random.default_rng(seed)
-        basis = linalg.haar_unitary(d3, rng)  # column ij is f_ij
+        basis = linalg.haar_unitary(linalg.complex_gaussian(d3, rng))  # column ij is f_ij
         omega = (basis.T / math.sqrt(d1 * d2)).reshape(d1, d2, d3).ravel()
     return VacuumModel.from_vector(layout, omega)
 
@@ -198,4 +196,5 @@ def random_projector(
     if not 1 <= rank <= d:
         raise ValueError(f"rank must lie in [1, {d}], got {rank}")
     rng = np.random.default_rng(seed)
-    return LocalOperator(slots, linalg.projector(linalg.haar_unitary(d, rng)[:, :rank]))
+    u = linalg.haar_unitary(linalg.complex_gaussian(d, rng))
+    return LocalOperator(slots, linalg.projector(u[:, :rank]))

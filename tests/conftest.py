@@ -3,8 +3,9 @@
 These deliberately avoid the library code paths they check: eigenvalues
 come from characteristic-polynomial roots, span dimensions from explicit
 matrix-unit orbits, least-squares residuals from normal equations, and
-Bell ceilings from a grid over qubit measurement angles.  ``run_cli`` runs
-the command line on this checkout's sources.
+Bell ceilings from a grid over qubit measurement angles.  The Tsirelson
+sweep's reference takes its settings one at a time through the single-setting
+API.  ``run_cli`` runs the command line on this checkout's sources.
 """
 
 import itertools
@@ -15,6 +16,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+from vacuumcorr.correlations import BellSettings, contraction_from_projector, tsirelson_certificate
+from vacuumcorr.local_algebra import RegionLayout, random_projector
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -134,6 +138,24 @@ def qubit_angle_grid_bell(state: np.ndarray, n_angles: int = 48) -> float:
             )
             best = max(best, float(val))
     return best
+
+
+def tsirelson_sweep_reference(dims, seed: int, samples: int = 100) -> tuple[float, float]:
+    """Min and max Tsirelson margin of tsirelson-sweep's settings, one setting
+    at a time: each of A1, A2, B1, B2 draws a rank, then a random projector
+    of that rank continuing the same stream, and becomes 2P - 1."""
+    layout = RegionLayout(tuple(dims))
+    rng = np.random.default_rng(seed)
+
+    def contraction(slot):
+        rank = int(rng.integers(1, layout.dims[slot] + 1))
+        return contraction_from_projector(random_projector(layout, slot, rank, rng))
+
+    margins = []
+    for _ in range(samples):
+        s = BellSettings(a1=contraction(0), a2=contraction(0), b1=contraction(1), b2=contraction(1))
+        margins.append(tsirelson_certificate(s, layout))
+    return min(margins), max(margins)
 
 
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:

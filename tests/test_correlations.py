@@ -27,9 +27,16 @@ from vacuumcorr.correlations import (
     general_contraction_extension,
     seesaw_maximize,
     tsirelson_certificate,
+    tsirelson_margins,
     violate_conditional_bell,
 )
-from vacuumcorr.linalg import NOISE_TOL, haar_unitary, operator_norm, random_hermitian
+from vacuumcorr.linalg import (
+    NOISE_TOL,
+    complex_gaussian,
+    haar_unitary,
+    operator_norm,
+    random_hermitian,
+)
 from vacuumcorr.local_algebra import (
     LocalOperator,
     RegionLayout,
@@ -75,10 +82,10 @@ def settings_of(a1, a2, b1, b2) -> BellSettings:
 def partial_involutions(d, rank, rng):
     """X1, X2 = V S V^† with V a d x rank isometry onto one fixed subspace and
     S = diag(+-1), so that X1^2 = X2^2 is the same rank-``rank`` projector."""
-    u = haar_unitary(d, rng)[:, :rank]
+    u = haar_unitary(complex_gaussian(d, rng))[:, :rank]
 
     def one():
-        v = u @ haar_unitary(rank, rng)
+        v = u @ haar_unitary(complex_gaussian(rank, rng))
         return (v * rng.choice([-1.0, 1.0], size=rank)) @ v.conj().T
 
     return one(), one()
@@ -87,6 +94,31 @@ def partial_involutions(d, rank, rng):
 def dense_margin(s: BellSettings, dims) -> float:
     r = bell_oracle(*(op.matrix for op in (s.a1, s.a2, s.b1, s.b2)), dims[:2])
     return SQRT2 - 0.5 * float(np.max(np.abs(np.linalg.eigvalsh(r))))
+
+
+DENSE_CASES = ["half", "unequal_squares", "zero", "general_b"]
+
+
+def dense_path_settings(case: str) -> BellSettings:
+    """Settings on 3,3 outside Landau's precondition (X1^2 = X2^2 a nonzero
+    projector on both sides)."""
+    _, canon = canonical_max_violation(RegionLayout((3, 3)))
+    a1, a2, b1, b2 = (op.matrix for op in (canon.a1, canon.a2, canon.b1, canon.b2))
+    if case == "half":  # A1^2 = A2^2 = P / 4, not a projector
+        a1, a2 = 0.5 * a1, 0.5 * a2
+    elif case == "unequal_squares":  # A1^2 = 1, A2^2 = the rank-2 block
+        a1 = np.diag([1.0, -1.0, 1.0]).astype(complex)
+    elif case == "zero":
+        a1 = a2 = np.zeros((3, 3), dtype=complex)
+    else:
+        b2 = random_contractions((3, 3), np.random.default_rng(5))[3]
+    return settings_of(a1, a2, b1, b2)
+
+
+def stacked(settings: list) -> tuple[np.ndarray, np.ndarray]:
+    """The (A1, A2) and (B1, B2) stacks of a list of settings."""
+    return tuple(np.array([[getattr(s, x).matrix, getattr(s, y).matrix] for s in settings])
+                 for x, y in (("a1", "a2"), ("b1", "b2")))
 
 
 def spy_bell_operator():
@@ -163,6 +195,18 @@ class TestHermitianPart:
                 BellSettings(a1=LocalOperator(0, x), a2=canon.a2, b1=canon.b1, b2=canon.b2)
 
 
+    def test_stack_names_the_first_failing_matrix(self):
+        x = np.array([[Z, X]] * 3)
+        x[1, 1] = 2.0 * X
+        x[2, 0] = [[0.0, 1.0], [0.0, 0.0]]
+        with pytest.raises(ValueError, match="A2 is not a contraction"):
+            correlations.hermitian_contractions(x, ("A1", "A2"))
+        with pytest.raises(ValueError, match="B1 is not self-adjoint"):
+            correlations.hermitian_contractions(x[2:], ("B1", "B2"))
+        np.testing.assert_array_equal(correlations.hermitian_contractions(x[:1], ("A1", "A2")),
+                                      x[:1])
+
+
 class TestApplyBell:
     @given(dims=st.lists(st.integers(2, 3), min_size=2, max_size=3), seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -198,24 +242,42 @@ class TestLandauNorm:
         assert dense.call_count == 0
         assert abs(got - dense_margin(s, (d, d))) <= 1e-12
 
-    @pytest.mark.parametrize("case", ["half", "unequal_squares", "zero", "general_b"])
+    @pytest.mark.parametrize("case", DENSE_CASES)
     def test_other_settings_take_the_dense_path(self, case):
         layout = RegionLayout((3, 3))
-        _, canon = canonical_max_violation(layout)
-        a1, a2, b1, b2 = (op.matrix for op in (canon.a1, canon.a2, canon.b1, canon.b2))
-        if case == "half":  # A1^2 = A2^2 = P / 4, not a projector
-            a1, a2 = 0.5 * a1, 0.5 * a2
-        elif case == "unequal_squares":  # A1^2 = 1, A2^2 = the rank-2 block
-            a1 = np.diag([1.0, -1.0, 1.0]).astype(complex)
-        elif case == "zero":
-            a1 = a2 = np.zeros((3, 3), dtype=complex)
-        else:
-            b2 = random_contractions((3, 3), np.random.default_rng(5))[3]
-        s = settings_of(a1, a2, b1, b2)
+        s = dense_path_settings(case)
         with spy_bell_operator() as dense:
             got = tsirelson_certificate(s, layout)
         assert dense.call_count == 1
         assert abs(got - dense_margin(s, layout.dims)) <= 1e-12
+
+    def test_dense_path_inside_a_stack(self):
+        layout = RegionLayout((3, 3))
+        rng = np.random.default_rng(11)
+        shared = [canonical_max_violation(layout)[1]] + [
+            settings_of(*partial_involutions(3, rank, rng), *partial_involutions(3, 2, rng))
+            for rank in (1, 2, 3)]
+        dense_cases = [dense_path_settings(case) for case in DENSE_CASES]
+        stack = [shared[0], dense_cases[0], shared[1], dense_cases[1], dense_cases[2],
+                 shared[2], dense_cases[3], shared[3]]
+        with spy_bell_operator() as dense:
+            got = tsirelson_margins(*stacked(stack), layout)
+        assert dense.call_count == len(dense_cases)
+        for call, s in zip(dense.call_args_list, dense_cases):
+            assert all(np.array_equal(getattr(call.args[0], x).matrix, getattr(s, x).matrix)
+                       for x in ("a1", "a2", "b1", "b2"))
+        for margin, s in zip(got, stack):
+            assert abs(margin - dense_margin(s, layout.dims)) <= 1e-12
+
+    @given(d1=st.integers(2, 6), d2=st.integers(2, 6), seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_stack_matches_each_setting_bit_for_bit(self, d1, d2, seed):
+        layout = RegionLayout((d1, d2))
+        rng = np.random.default_rng(seed)
+        stack = [random_settings(layout, int(rng.integers(0, 10**6))) for _ in range(6)]
+        stack.append(settings_of(*random_contractions(layout.dims, rng)))  # the dense path
+        got = tsirelson_margins(*stacked(stack), layout)
+        assert got.tolist() == [tsirelson_certificate(s, layout) for s in stack]
 
     def test_three_slot_layout_uses_slots_zero_and_one(self):
         layout = RegionLayout((2, 3, 6))

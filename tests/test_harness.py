@@ -13,14 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import run_cli
+from conftest import run_cli, tsirelson_sweep_reference
 
-from vacuumcorr import correlations, linalg, root_theorem
+from vacuumcorr import correlations, harness, linalg, root_theorem
 from vacuumcorr.cli import build_parser, main
 from vacuumcorr.correlations import (
     BellReport,
     bell_correlation,
     canonical_max_violation,
+    contraction_from_projector,
     epr_projector_pair,
     tsirelson_certificate,
     violate_conditional_bell,
@@ -278,7 +279,7 @@ class TestNoFullSpaceMatrix:
         numpy_modules = {np.linalg, sys.modules.get("numpy.linalg._linalg", np.linalg)}
         for fn_name in ("svd", "eigvalsh", "eigh"):
             def recording(a, *args, _fn=getattr(np.linalg, fn_name), **kwargs):
-                sides.append(max(np.shape(a)))
+                sides.append(max(np.shape(a)[-2:]))  # matrix sides, not stack axes
                 return _fn(a, *args, **kwargs)
 
             for module in numpy_modules:
@@ -315,6 +316,22 @@ class TestSpectraComputedOnce:
                             lambda a: calls.append(a.shape) or original(a))
         assert run_scenario(cfg()).passed
         assert len(calls) == 2
+
+
+class TestTsirelsonSweepStacks:
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    def test_stacked_contractions_match_one_at_a_time(self, d):
+        # Each 2P - 1 of a stack carries the bits of the single-setting path:
+        # P = B B^† with B the first rank columns of the Haar unitary.
+        rng = np.random.default_rng(d)
+        ranks = rng.integers(1, d + 1, size=(25, 2))
+        gaussians = np.array([[linalg.complex_gaussian(d, rng) for _ in range(2)]
+                              for _ in range(25)])
+        got = harness._random_contractions(ranks, gaussians, ("A1", "A2"))
+        for idx in np.ndindex(25, 2):
+            u = linalg.haar_unitary(gaussians[idx])
+            x = contraction_from_projector(LocalOperator(0, linalg.projector(u[:, :ranks[idx]])))
+            assert np.array_equal(got[idx], 0.5 * (x.matrix + x.matrix.conj().T))
 
 
 class TestSweep:
@@ -652,18 +669,23 @@ def _oracle_certificates(c, report):
     if c.scenario == "cond-bell":
         rep = violate_conditional_bell(layout, make_vacuum(layout, c.seed), c.eps)
         return {"bell": _bell_report_payload(rep)}
-    # reeh-schlieder and tsirelson-sweep carry plain numbers only.
+    if c.scenario == "tsirelson-sweep":
+        lo, hi = tsirelson_sweep_reference(c.layout, c.seed)
+        return {"margins": {"min": lo, "max": hi}}
+    # reeh-schlieder carries plain numbers only.
     return report.certificates
 
 
 class TestReportSchema:
-    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("scenario,layout", [
         ("reeh-schlieder", [2, 2]), ("reeh-schlieder", [3, 3]), ("reeh-schlieder", [2, 2, 4]),
         ("root-cert", [2, 2]), ("root-cert", [3, 3]),
         ("epr", [2, 2]), ("epr", [3, 3]),
         ("bell-max", [2, 2]), ("bell-max", [3, 3]),
-        ("tsirelson-sweep", [2, 2]), ("tsirelson-sweep", [3, 3]),
+        # 12,12 takes 100 settings in chunks of 14; 32,32 in chunks of 2.
+        ("tsirelson-sweep", [2, 2]), ("tsirelson-sweep", [3, 3]), ("tsirelson-sweep", [2, 5]),
+        ("tsirelson-sweep", [12, 12]), ("tsirelson-sweep", [32, 32]),
         ("cond-bell", [2, 2, 4]),
     ])
     def test_report_bytes_match_the_reference_builders(self, scenario, layout, seed):

@@ -176,6 +176,29 @@ class TestHermitianEig:
         np.testing.assert_allclose(np.sort(got)[::-1], want, atol=1e-8)
 
 
+class TestStacks:
+    """Stacked kernels give each matrix of the stack the bits it gets alone."""
+
+    @pytest.mark.parametrize("d", [2, 3, 7])
+    def test_haar_unitary_stack(self, d):
+        rng = np.random.default_rng(d)
+        g = np.array([[linalg.complex_gaussian(d, rng) for _ in range(2)] for _ in range(3)])
+        u = linalg.haar_unitary(g)
+        for idx in np.ndindex(3, 2):
+            assert np.array_equal(u[idx], linalg.haar_unitary(g[idx]))
+        np.testing.assert_allclose(u @ linalg.dagger(u), np.broadcast_to(np.eye(d), u.shape),
+                                   atol=1e-12)
+
+    def test_projector_checks_per_matrix(self):
+        u = linalg.haar_unitary(linalg.complex_gaussian(4, np.random.default_rng(1)))
+        p = projector(u[:, :2])
+        stack = np.array([p, 0.5 * p, p + 1e-9 * np.triu(np.ones((4, 4)), 1), np.eye(4)])
+        assert linalg.is_projector(stack).tolist() == [True, False, False, True]
+        assert [bool(linalg.is_projector(m)) for m in stack] == [True, False, False, True]
+        np.testing.assert_array_equal(linalg.dagger_distance(stack),
+                                      [linalg.dagger_distance(m) for m in stack])
+
+
 class TestSchmidtCoefficients:
     def test_coefficients_normalized(self):
         psi = random_state(12, np.random.default_rng(4))

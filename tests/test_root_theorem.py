@@ -359,7 +359,8 @@ class TestEpsilonChainProperty:
             degenerate = trial == 100
             if degenerate:
                 # C ~ U diag(2, 1, ..., 1): Q1 has eigenvalue 1 with multiplicity d_r - 1.
-                c0 = linalg.haar_unitary(d_r, rng) * np.r_[2.0, np.ones(d_r - 1)]
+                u = linalg.haar_unitary(linalg.complex_gaussian(d_r, rng))
+                c0 = u * np.r_[2.0, np.ones(d_r - 1)]
                 psi = embed_oracle(c0, region, layout.dims) @ v.omega
                 psi /= np.linalg.norm(psi)
             else:
