@@ -5,8 +5,8 @@ Usage:
     vacuumcorr sweep --scenario root-cert --layout 2,2 --eps-list 0.1,0.01
 
 A JSON config file may supply any field; explicit flags override it.
-Exit status: 0 all assertions passed, 1 some failed, 2 invalid config,
-3 a pipeline stage missed its bound (the message names the stage).
+Exit status: 0 all assertions passed, 1 some failed, 2 invalid config or
+unwritable --out, 3 a pipeline stage missed its bound (named in the message).
 """
 
 from __future__ import annotations
@@ -99,7 +99,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 3
     if args.out:
-        emit_report(report, args.format, args.out, include_timings=args.timings)
+        try:
+            emit_report(report, args.format, args.out, include_timings=args.timings)
+        except OSError as exc:
+            print(f"error: {ConfigError('out', str(exc))}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(render_report(report, args.format, include_timings=args.timings))
     return 0 if report.passed else 1

@@ -3,20 +3,20 @@
 Each scenario exercises one verified result on a configured layout/seed
 and records every comparison as an assertion carrying both numbers.  A
 report's certificate objects are the library's result dataclasses
-(``RootCertificate``, ``BellReport``, ``EPRReport``, ...) written field by
-field, with complex arrays as lists of ``[re, im]`` pairs.  Serialized
-reports are byte-stable for identical configs: keys are sorted, floats
-are printed with 17 significant digits, and wall-clock timings are kept
-on the in-memory report only (opt-in for emission, since they are the
-one non-deterministic ingredient).
+(``RootCertificate``, ``BellReport``, ...) written field by field, with
+complex arrays as lists of ``[re, im]`` pairs; each array is checked and
+formatted once per report, even where the report holds it twice.  Reports
+are byte-stable for identical configs: keys sorted, floats at 17 significant
+digits, and wall-clock timings on the in-memory report only (opt-in for
+emission: they are the one non-deterministic ingredient).
 """
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, fields, is_dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -488,48 +488,69 @@ def _format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def canonical_json(value) -> str:
-    """JSON with sorted keys and floats at 17 significant digits; an
-    ndarray is written as (rows of) complex ``[re, im]`` pairs."""
-    if isinstance(value, np.ndarray):
-        if value.ndim != 1:
-            return "[" + ",".join(canonical_json(row) for row in value) + "]"
-        re_im = np.ascontiguousarray(value, complex).view(float).tolist()
-        cells = [_format_float(x) for x in re_im]
-        return "[" + ",".join(f"[{re},{im}]" for re, im in zip(cells[::2], cells[1::2])) + "]"
-    if isinstance(value, dict):
-        items = sorted(value.items())
-        body = ",".join(f"{json.dumps(str(k))}:{canonical_json(v)}" for k, v in items)
-        return "{" + body + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(canonical_json(v) for v in value) + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+def _scalar(value) -> str:
+    """A JSON scalar; also the text of a CSV cell."""
     if isinstance(value, (float, np.floating)):
         return _format_float(float(value))
-    if value is None:
-        return "null"
     if isinstance(value, str):
-        return json.dumps(value)
+        return encode_basestring_ascii(value)
+    if isinstance(value, bool) or value is None:
+        return {None: "null", True: "true", False: "false"}[value]
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return _format_float(float(value))
-    return str(value)
+def _array_rows(a: np.ndarray):
+    """Row texts of ``a`` as ``[re, im]`` pairs, nested in lists along its leading axes:
+    one finiteness check, then one ``%.17g`` template per row (``_format_float``'s bytes)."""
+    re_im = np.asarray(a, complex, order="C").view(float)
+    if not np.isfinite(re_im).all():
+        raise ValueError(f"cannot serialize non-finite float {re_im[~np.isfinite(re_im)][0]}")
+    *lead, width = re_im.shape
+    template = "[" + ",".join(["[%.17g,%.17g]"] * (width // 2)) + "]"
+    rows = [template % tuple(row.tolist()) for row in re_im.reshape(math.prod(lead), width)]
+    return np.array(rows, dtype=object).reshape(lead).tolist()
+
+
+def _write(out: list, arrays: dict, value, raw: bool = False) -> None:
+    """Append the JSON of ``value`` to ``out``.  ``arrays`` maps id -> (array, row
+    texts) for each array written; with ``raw``, strings are row texts, appended as is."""
+    if isinstance(value, np.ndarray):
+        if id(value) not in arrays:  # holding the array keeps its id unique
+            arrays[id(value)] = (value, _array_rows(value))
+        _write(out, arrays, arrays[id(value)][1], raw=True)
+    elif isinstance(value, dict):
+        out.append("{")
+        for i, (k, v) in enumerate(sorted(value.items())):
+            out.append(("," if i else "") + encode_basestring_ascii(str(k)) + ":")
+            _write(out, arrays, v)
+        out.append("}")
+    elif isinstance(value, (list, tuple)):
+        out.append("[")
+        for i, v in enumerate(value):
+            if i:
+                out.append(",")
+            _write(out, arrays, v, raw)
+        out.append("]")
+    else:
+        out.append(value if raw else _scalar(value))
+
+
+def canonical_json(value) -> str:
+    """JSON with sorted keys and floats at 17 significant digits; an ndarray is
+    written as (rows of) complex ``[re, im]`` pairs, formatting each array object once."""
+    out: list[str] = []
+    _write(out, {}, value)
+    return "".join(out)
 
 
 def _report_csv(report: RunReport) -> str:
     lines = ["name,lhs,op,rhs,passed"]
     for a in report.assertions:
         lines.append(",".join([
-            a["name"], _csv_cell(a["lhs"]), f'"{a["op"]}"',
-            _csv_cell(a["rhs"]), _csv_cell(a["passed"]),
+            a["name"], _scalar(a["lhs"]), f'"{a["op"]}"',
+            _scalar(a["rhs"]), _scalar(a["passed"]),
         ]))
     return "\n".join(lines) + "\n"
 
@@ -537,7 +558,7 @@ def _report_csv(report: RunReport) -> str:
 def _sweep_csv(table: SweepTable) -> str:
     lines = [",".join(SWEEP_COLUMNS)]
     for row in table.rows:
-        lines.append(",".join(_csv_cell(row[c]) for c in SWEEP_COLUMNS))
+        lines.append(",".join(_scalar(row[c]) for c in SWEEP_COLUMNS))
     return "\n".join(lines) + "\n"
 
 

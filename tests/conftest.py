@@ -5,10 +5,12 @@ come from characteristic-polynomial roots, span dimensions from explicit
 matrix-unit orbits, least-squares residuals from normal equations, and
 Bell ceilings from a grid over qubit measurement angles.  The Tsirelson
 sweep's reference takes its settings one at a time through the single-setting
-API.  ``run_cli`` runs the command line on this checkout's sources.
+API, and the report writer's reference formats one float at a time.
+``run_cli`` runs the command line on this checkout's sources.
 """
 
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -156,6 +158,41 @@ def tsirelson_sweep_reference(dims, seed: int, samples: int = 100) -> tuple[floa
         s = BellSettings(a1=contraction(0), a2=contraction(0), b1=contraction(1), b2=contraction(1))
         margins.append(tsirelson_certificate(s, layout))
     return min(margins), max(margins)
+
+
+def _format_float_reference(x: float) -> str:
+    if math.isnan(x) or math.isinf(x):
+        raise ValueError(f"cannot serialize non-finite float {x}")
+    return f"{x:.17g}"
+
+
+def canonical_json_reference(value) -> str:
+    """The report writer, one node and one float at a time: sorted keys,
+    floats at 17 significant digits, and an ndarray as (rows of) complex
+    ``[re, im]`` pairs, each array written in full wherever it appears."""
+    if isinstance(value, np.ndarray):
+        if value.ndim != 1:
+            return "[" + ",".join(canonical_json_reference(row) for row in value) + "]"
+        re_im = np.ascontiguousarray(value, complex).view(float).tolist()
+        cells = [_format_float_reference(x) for x in re_im]
+        return "[" + ",".join(f"[{re},{im}]" for re, im in zip(cells[::2], cells[1::2])) + "]"
+    if isinstance(value, dict):
+        items = sorted(value.items())
+        body = ",".join(f"{json.dumps(str(k))}:{canonical_json_reference(v)}" for k, v in items)
+        return "{" + body + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(canonical_json_reference(v) for v in value) + "]"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _format_float_reference(float(value))
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise TypeError(f"cannot serialize {type(value)!r}")
 
 
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import re
 import sys
 import tracemalloc
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import run_cli, tsirelson_sweep_reference
+from conftest import canonical_json_reference, run_cli, tsirelson_sweep_reference
 
 from vacuumcorr import correlations, harness, linalg, root_theorem
 from vacuumcorr.cli import build_parser, main
@@ -527,6 +528,13 @@ class TestCLI:
         assert proc.stderr.startswith(f"error: [{stage}] ")
         assert "Traceback" not in proc.stderr
 
+    def test_unwritable_out_exit_two(self, tmp_path):
+        out = tmp_path / "missing-dir" / "r.json"
+        proc = run_cli("run", "--scenario", "root-cert", "--layout", "2,2", "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"error: config field 'out': cannot write report to {out}")
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("eps", ["1e-12", "1e-13", "1e-14"])
     @pytest.mark.parametrize("scenario,layout", [
         ("root-cert", "2,2"), ("epr", "3,3"), ("cond-bell", "2,2,4"),
@@ -698,14 +706,14 @@ class TestReportSchema:
             "certificates": _oracle_certificates(c, report),
             "timings": {},
         }
-        assert render_report(report, "json") == canonical_json(oracle) + "\n"
+        assert render_report(report, "json") == canonical_json_reference(oracle) + "\n"
 
     def test_sweep_bytes_match_the_reference_builders(self):
         c = cfg(sweep=[0.1, 0.01, 0.001])
         table = sweep_eps(c)
         oracle = {"schema": 1, "config": _config_payload(c),
                   "columns": list(SWEEP_COLUMNS), "rows": table.rows}
-        assert render_report(table, "json") == canonical_json(oracle) + "\n"
+        assert render_report(table, "json") == canonical_json_reference(oracle) + "\n"
 
 
 class TestCanonicalJsonArrays:
@@ -715,17 +723,17 @@ class TestCanonicalJsonArrays:
         rng = np.random.default_rng(0)
         v = rng.standard_normal(7) + 1j * rng.standard_normal(7)
         v[:6] += self.EDGE + 1j * self.EDGE[::-1]
-        assert canonical_json(v) == canonical_json(_vector_payload(v))
+        assert canonical_json(v) == canonical_json_reference(_vector_payload(v))
 
     @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (4, 2)])
     def test_matrix_as_rows_of_pairs(self, shape):
         rng = np.random.default_rng(1)
         m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         m.flat[:1] = -0.0 - 0.0j
-        assert canonical_json(m) == canonical_json(_matrix_payload(m))
+        assert canonical_json(m) == canonical_json_reference(_matrix_payload(m))
         # A non-contiguous view and a real array are written the same way.
-        assert canonical_json(m.T) == canonical_json(_matrix_payload(m.T))
-        assert canonical_json(m.real) == canonical_json(_matrix_payload(m.real))
+        assert canonical_json(m.T) == canonical_json_reference(_matrix_payload(m.T))
+        assert canonical_json(m.real) == canonical_json_reference(_matrix_payload(m.real))
 
     @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf)])
     def test_non_finite_entry_rejected(self, bad):
@@ -735,3 +743,74 @@ class TestCanonicalJsonArrays:
             canonical_json(v)
         with pytest.raises(ValueError, match="non-finite"):
             canonical_json(np.stack([v, v]))
+
+
+# Floats that stress 17-digit formatting, mixed into Hypothesis's own.
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-300, -1e-300,
+               1.7e308, -1.7e308, 1.0 / 3.0, -2.5e17)
+VIEWS = {
+    "as-is": lambda a: a,
+    "transposed": lambda a: a.T,
+    "reversed": lambda a: a[::-1],
+    "strided": lambda a: a[..., ::2],
+}
+
+
+@st.composite
+def report_arrays(draw, min_side=0):
+    """A real or complex array of 1 to 3 axes of 0..5 entries, or a view of one."""
+    shape = tuple(draw(st.lists(st.integers(min_side, 5), min_size=1, max_size=3)))
+    floats = st.one_of(st.sampled_from(EDGE_FLOATS),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    parts = [np.array(draw(st.lists(floats, min_size=math.prod(shape),
+                                    max_size=math.prod(shape))), dtype=float).reshape(shape)
+             for _ in range(draw(st.sampled_from([1, 2])))]
+    if len(parts) == 1:
+        a = parts[0]
+    else:
+        a = np.empty(shape, dtype=complex)
+        a.real, a.imag = parts
+    return VIEWS[draw(st.sampled_from(sorted(VIEWS)))](a)
+
+
+def payload_with(a, repeat: str) -> dict:
+    """A report-like payload holding ``a``, and under a second key ``a`` itself,
+    an equal copy, an array of the same shape and other values, or nothing."""
+    payload = {"matrix": a, "scalars": [1, -0.0, None, True, "x"]}
+    again = {"same object": a, "equal copy": a.copy(), "negated": -a}.get(repeat)
+    if again is not None:
+        payload["again"] = {"matrix": again}
+    return payload
+
+
+REPEATS = st.sampled_from(["once", "same object", "equal copy", "negated"])
+
+
+class TestWriterMatchesReference:
+    """The report writer against the one-float-at-a-time reference writer."""
+
+    @given(a=report_arrays(), repeat=REPEATS)
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_match(self, a, repeat):
+        payload = payload_with(a, repeat)
+        assert canonical_json(payload) == canonical_json_reference(payload)
+
+    @pytest.mark.parametrize("shape,text", [((0,), "[]"), ((2, 0), "[[],[]]"),
+                                            ((0, 3), "[]"), ((2, 0, 3), "[[],[]]")])
+    def test_zero_size(self, shape, text):
+        assert canonical_json(np.zeros(shape, dtype=complex)) == text
+        assert canonical_json_reference(np.zeros(shape, dtype=complex)) == text
+
+    @given(a=report_arrays(min_side=1), data=st.data(), repeat=REPEATS)
+    @settings(max_examples=150, deadline=None)
+    def test_non_finite_entry_rejected(self, a, data, repeat):
+        bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        index = data.draw(st.integers(0, a.size - 1))
+        parts = [a.real, a.imag] if np.iscomplexobj(a) else [a]
+        data.draw(st.sampled_from(parts)).flat[index] = bad
+        payload = payload_with(a, repeat)
+        with pytest.raises(ValueError, match="non-finite") as got:
+            canonical_json(payload)
+        with pytest.raises(ValueError, match="non-finite") as want:
+            canonical_json_reference(payload)
+        assert str(got.value) == str(want.value)
