@@ -21,13 +21,16 @@ from .root_theorem import (
     EpsilonBudget,
     ProjectorDecomposition,
     RootCertificate,
+    RootProducts,
     StageFailure,
+    certify_root,
     combined_window,
     expectation_window,
     normalize_approximant,
     positive_spectral_decomposition,
     prove_root_certificate,
     rescale_to_unit_vacuum,
+    root_products,
     select_extremal_projectors,
     solve_cyclic_approx,
 )
@@ -68,6 +71,7 @@ __all__ = [
     "ProjectorDecomposition",
     "RegionLayout",
     "RootCertificate",
+    "RootProducts",
     "RunReport",
     "ScenarioConfig",
     "SQRT2",
@@ -77,6 +81,7 @@ __all__ = [
     "bell_correlation",
     "bell_operator",
     "canonical_max_violation",
+    "certify_root",
     "check_cyclic",
     "check_separating",
     "combined_window",
@@ -94,6 +99,7 @@ __all__ = [
     "prove_root_certificate",
     "random_projector",
     "rescale_to_unit_vacuum",
+    "root_products",
     "run_scenario",
     "seesaw_maximize",
     "select_extremal_projectors",

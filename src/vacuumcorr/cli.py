@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .harness import (
@@ -91,6 +92,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)
+        # Before the run, which can take long: its report would have nowhere to go.
+        if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            raise ConfigError("out", f"cannot write report to {args.out}: no such directory")
         if args.command == "run":
             report = run_scenario(cfg)
         else:

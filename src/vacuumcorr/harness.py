@@ -37,7 +37,6 @@ from .correlations import (
 from .linalg import (
     PROJECTOR_FLOOR,
     SCHMIDT_RANK_TOL,
-    complex_gaussian,
     haar_unitary,
     projector,
     random_hermitian,
@@ -50,7 +49,14 @@ from .local_algebra import (
     random_projector,
     vacuum_positivity,
 )
-from .root_theorem import BUDGET_TOL, WEIGHTS_TOL, RootCertificate, prove_root_certificate
+from .root_theorem import (
+    BUDGET_TOL,
+    WEIGHTS_TOL,
+    RootCertificate,
+    certify_root,
+    prove_root_certificate,
+    root_products,
+)
 
 # Two floating-point evaluations of one number: the canonical correlation and
 # sqrt(2); the conditional correlation recomputed from P3 omega and the pipeline's.
@@ -285,13 +291,21 @@ def _scenario_reeh_schlieder(cfg: ScenarioConfig) -> tuple[list, dict]:
     return assertions, {"certified_ranks": ranks}
 
 
-def _root_cert(cfg: ScenarioConfig, eps: float) -> tuple[list, RootCertificate]:
+def _root_inputs(cfg: ScenarioConfig) -> tuple[LocalOperator, np.ndarray, VacuumModel]:
+    """A on slot 1, psi and the vacuum of a root-cert config; the target region is slot 0."""
     layout = cfg.region_layout()
     v = make_vacuum(layout, cfg.seed)
     rng = np.random.default_rng(cfg.seed)
     a = LocalOperator(1, random_hermitian(layout.dims[1], rng))
-    psi = _random_state(layout.total_dim, rng)
-    cert = prove_root_certificate(a, psi, v, (0,), eps)
+    return a, _random_state(layout.total_dim, rng), v
+
+
+def _root_cert(cfg: ScenarioConfig, eps: float) -> tuple[list, RootCertificate]:
+    cert = prove_root_certificate(*_root_inputs(cfg), (0,), eps)
+    return _root_assertions(cfg, cert), cert
+
+
+def _root_assertions(cfg: ScenarioConfig, cert: RootCertificate) -> list:
     assertions: list = []
     _record(assertions, "root_max_inequality", cert.lhs_max, ">", cert.rhs_max)
     _record(assertions, "root_min_inequality", cert.lhs_min, "<", cert.rhs_min)
@@ -307,7 +321,7 @@ def _root_cert(cfg: ScenarioConfig, eps: float) -> tuple[list, RootCertificate]:
     for name, bound in bounds.items():
         _record(assertions, f"budget_{name}", cert.achieved[name], "<=",
                 bound + cfg.tolerances.budget_check)
-    return assertions, cert
+    return assertions
 
 
 def _scenario_root_cert(cfg: ScenarioConfig) -> tuple[list, dict]:
@@ -370,6 +384,7 @@ def _scenario_tsirelson_sweep(cfg: ScenarioConfig) -> tuple[list, dict]:
     slack = cfg.tolerances.tsirelson_slack
     dims = layout.dims
     chunk = max(1, SWEEP_STACK_BYTES // (2 * max(dims) ** 2 * np.dtype(complex).itemsize))
+    buffers = [np.empty((2, d, d)) for d in dims]
     margins = []
     for start in range(0, TSIRELSON_SAMPLES, chunk):
         n = min(chunk, TSIRELSON_SAMPLES - start)
@@ -377,9 +392,13 @@ def _scenario_tsirelson_sweep(cfg: ScenarioConfig) -> tuple[list, dict]:
         gaussians = [np.empty((n, 2, d, d), dtype=complex) for d in dims]
         for i in range(n):
             for k in range(4):  # A1, A2 on slot 0; B1, B2 on slot 1
-                d = dims[k // 2]
-                ranks[i, k] = rng.integers(1, d + 1)
-                gaussians[k // 2][i, k % 2] = complex_gaussian(d, rng)
+                side = k // 2
+                ranks[i, k] = rng.integers(1, dims[side] + 1)
+                # complex_gaussian's draw: its real, then its imaginary block.
+                rng.standard_normal(out=buffers[side])
+                g = gaussians[side][i, k % 2]
+                g.real = buffers[side][0]
+                g.imag = buffers[side][1]
         a = _random_contractions(ranks[:, :2], gaussians[0], ("A1", "A2"))
         b = _random_contractions(ranks[:, 2:], gaussians[1], ("B1", "B2"))
         margins.append(tsirelson_margins(a, b, layout))
@@ -459,14 +478,17 @@ class SweepTable:
 
 
 def sweep_eps(cfg: ScenarioConfig) -> SweepTable:
-    """One root-cert pipeline run per sweep eps, in the given order."""
+    """The root-cert pipeline's products once, then one certification per
+    sweep eps, in the given order."""
     if cfg.scenario != "root-cert":
         raise ConfigError("scenario", f"sweeps support root-cert only, got {cfg.scenario!r}")
     if not cfg.sweep:
         raise ConfigError("sweep", "missing eps list")
+    products = root_products(*_root_inputs(cfg), (0,))
     rows = []
     for eps in cfg.sweep:
-        assertions, cert = _root_cert(cfg, eps)
+        cert = certify_root(products, eps)
+        assertions = _root_assertions(cfg, cert)
         row = {
             "eps": eps,
             **{name: getattr(cert.budget, name) for name in SWEEP_COLUMNS[1:6]},
@@ -537,12 +559,16 @@ def _write(out: list, arrays: dict, value, raw: bool = False) -> None:
         out.append(value if raw else _scalar(value))
 
 
+def _json_chunks(value) -> list[str]:
+    out: list[str] = []
+    _write(out, {}, value)
+    return out
+
+
 def canonical_json(value) -> str:
     """JSON with sorted keys and floats at 17 significant digits; an ndarray is
     written as (rows of) complex ``[re, im]`` pairs, formatting each array object once."""
-    out: list[str] = []
-    _write(out, {}, value)
-    return "".join(out)
+    return "".join(_json_chunks(value))
 
 
 def _report_csv(report: RunReport) -> str:
@@ -562,21 +588,26 @@ def _sweep_csv(table: SweepTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_report(report, fmt: str, include_timings: bool = False) -> str:
+def _report_chunks(report, fmt: str, include_timings: bool) -> list[str]:
     if fmt == "json":
-        return canonical_json(report.to_payload(include_timings=include_timings)) + "\n"
+        return _json_chunks(report.to_payload(include_timings=include_timings)) + ["\n"]
     if fmt == "csv":
         if isinstance(report, SweepTable):
-            return _sweep_csv(report)
-        return _report_csv(report)
+            return [_sweep_csv(report)]
+        return [_report_csv(report)]
     raise ValueError(f"unknown format {fmt!r} (expected json or csv)")
 
 
+def render_report(report, fmt: str, include_timings: bool = False) -> str:
+    return "".join(_report_chunks(report, fmt, include_timings))
+
+
 def emit_report(report, fmt: str, path, include_timings: bool = False) -> None:
-    """Write a report; byte-identical output for identical inputs."""
-    text = render_report(report, fmt, include_timings=include_timings)
+    """Write a report, chunk by chunk, never joined into one text; byte-identical
+    output for identical inputs."""
+    chunks = _report_chunks(report, fmt, include_timings)
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc

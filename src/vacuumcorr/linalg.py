@@ -175,8 +175,9 @@ def schmidt_coefficients(psi, dims, left_slots) -> np.ndarray:
 
 def complex_gaussian(dim: int, rng: np.random.Generator) -> np.ndarray:
     """A dim x dim standard complex Gaussian matrix: the real block is drawn
-    first, then the imaginary block."""
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    first, then the imaginary block, in one call."""
+    g = rng.standard_normal((2, dim, dim))
+    return g[0] + 1j * g[1]
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -17,6 +17,16 @@ whole eps-budget chain can be checked numerically:
 
 eps4_tilde is not a free parameter: the spectral cutoff tau is derived
 from the share of eps that the split leaves to ||A|| eps4.
+
+The work that does not depend on eps is done once, by ``root_products``:
+K, ||A||, the one cyclic solve C~ with C~ omega, C omega = C~ omega /
+||C~ omega|| (scaled, not recomputed), <A>_{C omega}, tr Q1, Q1's
+eigenspaces, and every eigenspace's <P_i>_omega and <A P_i>_omega from one
+V^† W and one V^† (A omega).  ``certify_root`` certifies one eps on them:
+the budget check, then each stage's check in pipeline order, on the
+eigenspaces above tau (a prefix, as the eigenvalues descend).
+``prove_root_certificate`` is the one-eps case; a sweep builds the products
+once.  The stage functions run one stage alone, with the same checks.
 """
 
 from __future__ import annotations
@@ -132,15 +142,22 @@ class ProjectorDecomposition:
         m = (vecs * lam) @ vecs.conj().T
         return 0.5 * (m + m.conj().T)
 
-    def overlaps(self, v: VacuumModel, x) -> np.ndarray:
-        """<omega, (P_i (x) 1) x> for every i, as vdot(B_i^† W, B_i^† X) with W
-        and X the coefficient matrices of omega and x across slots|rest: the
-        per-column products of V^† W and V^† X, summed over each block."""
-        vh = np.hstack(self.blocks).conj().T
-        w, xm = (vh @ linalg.coefficient_matrix(y, v.layout.dims, self.slots)
-                 for y in (v.omega, x))
-        starts = np.cumsum([0] + [b.shape[1] for b in self.blocks[:-1]])
-        return np.add.reduceat(np.sum(w.conj() * xm, axis=1), starts)
+    def overlaps(self, v: VacuumModel, x) -> tuple[np.ndarray, np.ndarray]:
+        """<P_i>_omega and <omega, (P_i (x) 1) x> for every i."""
+        return _block_overlaps(self.blocks, self.slots, v, x)
+
+
+def _block_overlaps(blocks, slots, v: VacuumModel, x) -> tuple[np.ndarray, np.ndarray]:
+    """<P_i>_omega and <omega, (P_i (x) 1) x> for each P_i = B_i B_i^†, as
+    vdot(B_i^† W, B_i^† W) and vdot(B_i^† W, B_i^† X) with W and X the
+    coefficient matrices of omega and x across slots|rest: the per-column
+    products of V^† W with itself and with V^† X, summed over each block of
+    the concatenated blocks V.  Two products by V^† serve every block."""
+    vh = np.hstack(blocks).conj().T
+    w, xm = (vh @ linalg.coefficient_matrix(y, v.layout.dims, slots) for y in (v.omega, x))
+    starts = np.cumsum([0] + [b.shape[1] for b in blocks[:-1]])
+    w_conj = w.conj()
+    return tuple(np.add.reduceat(np.sum(w_conj * y, axis=1), starts) for y in (w, xm))
 
 
 @dataclass(frozen=True)
@@ -183,18 +200,32 @@ class RootCertificate:
             raise StageFailure("certificate", "weights do not sum to 1", total=sum(self.weights))
 
 
-def solve_cyclic_approx(
-    psi, v: VacuumModel, slots, eps1: float
-) -> tuple[LocalOperator, float]:
-    """Find C on the region with ||psi - embed(C) omega|| <= eps1.
+@dataclass(frozen=True)
+class RootProducts:
+    """The eps-independent products of the pipeline for one A, psi and target
+    region, each computed once by ``root_products``; ``certify_root``
+    certifies any eps on them."""
 
-    Solved exactly: embed(C) omega is linear in C, and for a cyclic vacuum
-    the map from region operators onto the whole space is surjective, so
-    the least-squares residual sits at numerical noise level.  Returns
-    (C~, achieved residual).
-    """
-    psi = as_state(psi)
-    slots = linalg._normalize_slots(slots)
+    slots: tuple[int, ...]
+    k: float  # <A>_psi
+    norm_a: float  # ||A||
+    cyclic_residual: float  # ||C~ omega - psi||
+    c_tilde_norm: float  # ||C~ omega||
+    normalized_error: float  # ||C omega - psi||
+    window: complex  # <A>_{C omega}
+    q: np.ndarray  # Q1 = C^† C
+    q_trace: float  # tr Q1
+    spectrum: linalg.EigenSystem  # Q1's eigenspaces, eigenvalues descending
+    p_expects: np.ndarray  # <P_i>_omega for every eigenspace P_i of Q1
+    aps: np.ndarray  # <A P_i>_omega for every eigenspace P_i of Q1
+
+
+def _cyclic_preimage(psi: np.ndarray, v: VacuumModel, slots) -> tuple[LocalOperator, np.ndarray]:
+    """The least-squares C~ on the region with C~ omega = psi, and C~ omega.
+
+    embed(C) omega is linear in C, and for a cyclic vacuum the map from
+    region operators onto the whole space is surjective, so the residual
+    sits at numerical noise level."""
     if not check_cyclic(v, slots):
         raise ValueError(f"vacuum is not cyclic for region {slots}")
     omega_mat = linalg.coefficient_matrix(v.omega, v.layout.dims, slots)
@@ -202,87 +233,71 @@ def solve_cyclic_approx(
     # C @ omega_mat = psi_mat  <=>  omega_mat.T @ C.T = psi_mat.T
     sol, *_ = np.linalg.lstsq(omega_mat.T, psi_mat.T, rcond=None)
     c_tilde = LocalOperator(slots, sol.T)
-    residual = float(np.linalg.norm(c_tilde.apply(v.omega, v.layout) - psi))
+    return c_tilde, c_tilde.apply(v.omega, v.layout)
+
+
+def _omega_norm(c_tilde_omega: np.ndarray) -> float:
+    nrm = float(np.linalg.norm(c_tilde_omega))
+    if nrm <= PROJECTOR_FLOOR:
+        raise ValueError("||C~ omega|| is at the numerical floor; vacuum not separating?")
+    return nrm
+
+
+def _window_value(a: LocalOperator, c_omega: np.ndarray, v: VacuumModel) -> complex:
+    """<A> in the state C omega / ||C omega||."""
+    state = c_omega / np.linalg.norm(c_omega)
+    return complex(np.vdot(state, a.apply(state, v.layout)))
+
+
+def _check_cyclic(residual: float, eps1: float) -> None:
     if residual > eps1:
         raise StageFailure(
             "cyclic-approx", "residual exceeds eps1", achieved=residual, bound=eps1
         )
-    return c_tilde, residual
 
 
-def normalize_approximant(
-    c_tilde: LocalOperator, psi, v: VacuumModel, eps1: float
-) -> tuple[LocalOperator, float]:
-    """Rescale C~ so ||C omega|| = 1; the error grows to at most
-    eps2 = 2 eps1 / (1 - eps1).  Returns (C, achieved error)."""
-    psi = as_state(psi)
-    nrm = float(np.linalg.norm(c_tilde.apply(v.omega, v.layout)))
-    if nrm <= PROJECTOR_FLOOR:
-        raise ValueError("||C~ omega|| is at the numerical floor; vacuum not separating?")
+def _check_normalized(nrm: float, achieved: float, eps1: float) -> None:
     if nrm <= 1.0 - eps1:
         raise StageFailure(
             "normalize", "||C~ omega|| <= 1 - eps1", norm=nrm, bound=1.0 - eps1
         )
-    c = LocalOperator(c_tilde.slots, c_tilde.matrix / nrm)
-    achieved = float(np.linalg.norm(c.apply(v.omega, v.layout) - psi))
     eps2 = EpsilonBudget.eps2_from_eps1(eps1)
     if achieved > eps2:
         raise StageFailure(
             "normalize", "error exceeds eps2", achieved=achieved, bound=eps2
         )
-    return c, achieved
 
 
-def expectation_window(
-    a: LocalOperator, c: LocalOperator, v: VacuumModel, k: float, eps3: float
-) -> float:
-    """<A>_{C omega}, certified to lie in the open window (K - eps3, K + eps3)."""
-    if set(a.slots) & set(c.slots):
-        raise ValueError(f"regions overlap: {a.slots} vs {c.slots}")
-    state = c.apply(v.omega, v.layout)
-    state = state / np.linalg.norm(state)
-    val = complex(np.vdot(state, a.apply(state, v.layout)))
+def _real_in_window(stage: str, of: str, bound: str, val: complex, k: float, eps: float) -> float:
+    """Re ``val``, certified real to NOISE_TOL and inside (k - eps, k + eps)."""
     if abs(val.imag) > NOISE_TOL:
-        raise StageFailure("window", "non-real expectation of Hermitian A", imag=val.imag)
+        raise StageFailure(stage, f"non-real expectation of {of}", imag=val.imag)
     value = float(val.real)
-    if not (k - eps3 < value < k + eps3):
+    if not (k - eps < value < k + eps):
         raise StageFailure(
-            "window", "expectation outside eps3 window",
-            value=value, lower=k - eps3, upper=k + eps3,
+            stage, f"expectation outside {bound} window",
+            value=value, lower=k - eps, upper=k + eps,
         )
     return value
 
 
-def positive_spectral_decomposition(c: LocalOperator, tau: float) -> ProjectorDecomposition:
-    """Spectral decomposition of Q1 = C^† C keeping eigenvalues above tau.
-
-    The residual is the largest dropped eigenvalue (at most tau), so
-    ||Q1 - Q1'~|| <= tau by construction.  The result keeps Q1 as ``q``.
-    """
-    q = c.matrix.conj().T @ c.matrix
-    es = hermitian_eig(q)
-    coeffs = []
-    blocks = []
-    dropped = [0.0]
-    for lam, block in zip(es.eigenvalues, es.blocks):
-        if lam > tau:
-            coeffs.append(float(lam))
-            blocks.append(block)
-        else:
-            dropped.append(abs(lam))
+def _above(
+    slots, spectrum: linalg.EigenSystem, tau: float, q: np.ndarray
+) -> ProjectorDecomposition:
+    """Q1's eigenspaces with eigenvalue above tau: a prefix, since the
+    eigenvalues descend.  The residual is the largest dropped |eigenvalue|."""
+    n = sum(lam > tau for lam in spectrum.eigenvalues)
+    residual = max((abs(lam) for lam in spectrum.eigenvalues[n:]), default=0.0)
     return ProjectorDecomposition(
-        c.slots, tuple(coeffs), tuple(blocks), residual=max(dropped), q=q
+        slots, spectrum.eigenvalues[:n], spectrum.blocks[:n], residual=residual, q=q
     )
 
 
-def rescale_to_unit_vacuum(
-    dec: ProjectorDecomposition, v: VacuumModel
-) -> ProjectorDecomposition:
-    """Divide the coefficients by <Q1'~>_omega so <Q1'>_omega = 1; the
-    result records the divisor as ``q_expect``."""
+def _unit(dec: ProjectorDecomposition, p_expects: np.ndarray) -> ProjectorDecomposition:
+    """``dec`` with its coefficients divided by <Q1'~>_omega = sum_i lambda_i <P_i>_omega."""
     if dec.is_degenerate:
         raise StageFailure("rescale", "degenerate decomposition (Q1 = 0)")
-    q_expect = float(np.dot(dec.coeffs, dec.overlaps(v, v.omega)).real)
+    q_expect = float(np.dot(dec.coeffs, p_expects).real)
     if q_expect <= PROJECTOR_FLOOR:
         raise ValueError(
             f"<Q1'~>_omega = {q_expect} at the floor; vacuum not separating for {dec.slots}"
@@ -291,40 +306,13 @@ def rescale_to_unit_vacuum(
     return replace(dec, coeffs=coeffs, q_expect=q_expect)
 
 
-def combined_window(
-    a: LocalOperator, dec: ProjectorDecomposition, v: VacuumModel, k: float, eps5: float
-) -> float:
-    """<A Q1'>_omega, certified to lie in (K - eps5, K + eps5)."""
-    if set(a.slots) & set(dec.slots):
-        raise ValueError(f"regions overlap: {a.slots} vs {dec.slots}")
-    val = complex(np.dot(dec.coeffs, dec.overlaps(v, a.apply(v.omega, v.layout))))
-    if abs(val.imag) > NOISE_TOL:
-        raise StageFailure("combined", "non-real expectation of commuting product", imag=val.imag)
-    value = float(val.real)
-    if not (k - eps5 < value < k + eps5):
-        raise StageFailure(
-            "combined", "expectation outside eps5 window",
-            value=value, lower=k - eps5, upper=k + eps5,
-        )
-    return value
-
-
-def select_extremal_projectors(
-    a: LocalOperator, dec: ProjectorDecomposition, v: VacuumModel
-) -> ExtremalProjectors:
-    """Pick the projectors with extremal vacuum ratios <A P_i> / <P_i>.
-
-    Weights w_i = lambda_i <P_i>_omega form a convex combination whose
-    value is <A Q1'>_omega, so the max ratio dominates it and the min
-    ratio is dominated by it.  Ties break toward the lowest index.
-    """
-    if dec.is_degenerate:
-        raise StageFailure("extremal", "empty decomposition")
-    p_expects = dec.overlaps(v, v.omega).real.tolist()
+def _extremal(dec: ProjectorDecomposition, p_expects: np.ndarray, aps: np.ndarray
+              ) -> ExtremalProjectors:
+    p_expects = p_expects.real.tolist()
     for p_expect in p_expects:
         if p_expect <= PROJECTOR_FLOOR:
             raise StageFailure("extremal", "<P_i>_omega at the floor", value=p_expect)
-    aps = dec.overlaps(v, a.apply(v.omega, v.layout)).real.tolist()
+    aps = aps.real.tolist()
     ratios = [ap / p for ap, p in zip(aps, p_expects)]
     i_max = int(np.argmax(ratios))
     i_min = int(np.argmin(ratios))
@@ -343,24 +331,89 @@ def select_extremal_projectors(
     )
 
 
-def prove_root_certificate(
-    a: LocalOperator,
-    psi,
-    v: VacuumModel,
-    slots,
-    eps: float,
-) -> RootCertificate:
-    """Run the full pipeline and return a verified certificate.
+def solve_cyclic_approx(
+    psi, v: VacuumModel, slots, eps1: float
+) -> tuple[LocalOperator, float]:
+    """Find C on the region with ||psi - embed(C) omega|| <= eps1, solved
+    exactly by least squares.  Returns (C~, achieved residual)."""
+    psi = as_state(psi)
+    c_tilde, c_tilde_omega = _cyclic_preimage(psi, v, linalg._normalize_slots(slots))
+    residual = float(np.linalg.norm(c_tilde_omega - psi))
+    _check_cyclic(residual, eps1)
+    return c_tilde, residual
 
-    The requested eps is split evenly between the expectation window
-    (eps3 = eps/2) and the decomposition term (||A|| eps4 = eps/2);
-    eps1 is then derived through the closed-form eps2, and the spectral
-    cutoff tau = eps4_tilde from the eps4 share.
+
+def normalize_approximant(
+    c_tilde: LocalOperator, psi, v: VacuumModel, eps1: float
+) -> tuple[LocalOperator, float]:
+    """Rescale C~ so ||C omega|| = 1; the error grows to at most
+    eps2 = 2 eps1 / (1 - eps1).  Returns (C, achieved error)."""
+    psi = as_state(psi)
+    c_tilde_omega = c_tilde.apply(v.omega, v.layout)
+    nrm = _omega_norm(c_tilde_omega)
+    achieved = float(np.linalg.norm(c_tilde_omega / nrm - psi))
+    _check_normalized(nrm, achieved, eps1)
+    return LocalOperator(c_tilde.slots, c_tilde.matrix / nrm), achieved
+
+
+def expectation_window(
+    a: LocalOperator, c: LocalOperator, v: VacuumModel, k: float, eps3: float
+) -> float:
+    """<A>_{C omega}, certified to lie in the open window (K - eps3, K + eps3)."""
+    if set(a.slots) & set(c.slots):
+        raise ValueError(f"regions overlap: {a.slots} vs {c.slots}")
+    val = _window_value(a, c.apply(v.omega, v.layout), v)
+    return _real_in_window("window", "Hermitian A", "eps3", val, k, eps3)
+
+
+def positive_spectral_decomposition(c: LocalOperator, tau: float) -> ProjectorDecomposition:
+    """Spectral decomposition of Q1 = C^† C keeping eigenvalues above tau.
+
+    The residual is the largest dropped eigenvalue (at most tau), so
+    ||Q1 - Q1'~|| <= tau by construction.  The result keeps Q1 as ``q``.
     """
+    q = c.matrix.conj().T @ c.matrix
+    return _above(c.slots, hermitian_eig(q), tau, q)
+
+
+def rescale_to_unit_vacuum(
+    dec: ProjectorDecomposition, v: VacuumModel
+) -> ProjectorDecomposition:
+    """Divide the coefficients by <Q1'~>_omega so <Q1'>_omega = 1; the
+    result records the divisor as ``q_expect``."""
+    p_expects = dec.overlaps(v, v.omega)[0] if dec.blocks else ()
+    return _unit(dec, p_expects)
+
+
+def combined_window(
+    a: LocalOperator, dec: ProjectorDecomposition, v: VacuumModel, k: float, eps5: float
+) -> float:
+    """<A Q1'>_omega, certified to lie in (K - eps5, K + eps5)."""
+    if set(a.slots) & set(dec.slots):
+        raise ValueError(f"regions overlap: {a.slots} vs {dec.slots}")
+    aps = dec.overlaps(v, a.apply(v.omega, v.layout))[1]
+    val = complex(np.dot(dec.coeffs, aps))
+    return _real_in_window("combined", "commuting product", "eps5", val, k, eps5)
+
+
+def select_extremal_projectors(
+    a: LocalOperator, dec: ProjectorDecomposition, v: VacuumModel
+) -> ExtremalProjectors:
+    """Pick the projectors with extremal vacuum ratios <A P_i> / <P_i>.
+
+    Weights w_i = lambda_i <P_i>_omega form a convex combination whose
+    value is <A Q1'>_omega, so the max ratio dominates it and the min
+    ratio is dominated by it.  Ties break toward the lowest index.
+    """
+    if dec.is_degenerate:
+        raise StageFailure("extremal", "empty decomposition")
+    return _extremal(dec, *dec.overlaps(v, a.apply(v.omega, v.layout)))
+
+
+def root_products(a: LocalOperator, psi, v: VacuumModel, slots) -> RootProducts:
+    """Validate the inputs and compute every eps-independent product once."""
     psi = as_state(psi)
     slots = linalg._normalize_slots(slots)
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
     if set(a.slots) & set(slots):
         raise ValueError(f"A's region {a.slots} overlaps the target region {slots}")
     herm_dev = linalg.dagger_distance(a.matrix)
@@ -369,9 +422,40 @@ def prove_root_certificate(
     norm_a = operator_norm(a.matrix)
     if norm_a <= PROJECTOR_FLOOR:
         raise ValueError("A is numerically zero; the eps-budget is undefined")
+    c_tilde, c_tilde_omega = _cyclic_preimage(psi, v, slots)
+    nrm = _omega_norm(c_tilde_omega)
+    c = c_tilde.matrix / nrm
+    c_omega = c_tilde_omega / nrm
+    q = c.conj().T @ c
+    spectrum = hermitian_eig(q)
+    p_expects, aps = _block_overlaps(spectrum.blocks, slots, v, a.apply(v.omega, v.layout))
+    return RootProducts(
+        slots=slots,
+        k=float(np.vdot(psi, a.apply(psi, v.layout)).real),
+        norm_a=norm_a,
+        cyclic_residual=float(np.linalg.norm(c_tilde_omega - psi)),
+        c_tilde_norm=nrm,
+        normalized_error=float(np.linalg.norm(c_omega - psi)),
+        window=_window_value(a, c_omega, v),
+        q=q,
+        q_trace=float(np.vdot(c, c).real),
+        spectrum=spectrum,
+        p_expects=p_expects,
+        aps=aps,
+    )
 
-    k = float(np.vdot(psi, a.apply(psi, v.layout)).real)
 
+def certify_root(p: RootProducts, eps: float) -> RootCertificate:
+    """Certify one eps on the products and return the verified certificate.
+
+    The requested eps is split evenly between the expectation window
+    (eps3 = eps/2) and the decomposition term (||A|| eps4 = eps/2);
+    eps1 is then derived through the closed-form eps2, and the spectral
+    cutoff tau = eps4_tilde from the eps4 share.
+    """
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    k, norm_a = p.k, p.norm_a
     eps3 = 0.5 * eps
     eps4_target = 0.5 * eps / norm_a
     eps2 = EpsilonBudget.eps2_from_eps3(eps3, norm_a)
@@ -382,14 +466,15 @@ def prove_root_certificate(
         raise StageFailure("budget", "eps is out of floating-point range for eps1..eps5",
                            eps=eps, eps1=eps1, eps2=eps2)
 
-    c_tilde, err1 = solve_cyclic_approx(psi, v, slots, eps1)
-    c, err2 = normalize_approximant(c_tilde, psi, v, eps1)
-    val3 = expectation_window(a, c, v, k, eps3)
+    _check_cyclic(p.cyclic_residual, eps1)
+    _check_normalized(p.c_tilde_norm, p.normalized_error, eps1)
+    val3 = _real_in_window("window", "Hermitian A", "eps3", p.window, k, eps3)
 
     # ||Q1|| <= tr Q1, <Q1'~>_omega >= 1 - tau, so eps4 < eps4_target/2; and tau < 1 <= ||Q1||.
-    tau = eps4_target / (2.0 * (float(np.vdot(c.matrix, c.matrix).real) + 1.0 + eps4_target))
-    dec = positive_spectral_decomposition(c, tau)
-    dec_unit = rescale_to_unit_vacuum(dec, v)
+    tau = eps4_target / (2.0 * (p.q_trace + 1.0 + eps4_target))
+    dec = _above(p.slots, p.spectrum, tau, p.q)
+    kept = len(dec.coeffs)
+    dec_unit = _unit(dec, p.p_expects[:kept])
     q_norm = dec.coeffs[0]  # ||Q1||: the top kept eigenvalue of the positive Q1
     eps4 = (q_norm + 1.0) * tau / dec_unit.q_expect
     if eps4 > eps4_target:
@@ -403,15 +488,16 @@ def prove_root_certificate(
         eps1=eps1, eps2=eps2, eps3=eps3, eps4=eps4, eps5=eps5,
         norm_a=norm_a, q_norm=q_norm, q_expect=dec_unit.q_expect, eps4_tilde=tau,
     )
-    val5 = combined_window(a, dec_unit, v, k, eps5)
-    ext = select_extremal_projectors(a, dec_unit, v)
+    val5 = _real_in_window("combined", "commuting product", "eps5",
+                           complex(np.dot(dec_unit.coeffs, p.aps[:kept])), k, eps5)
+    ext = _extremal(dec_unit, p.p_expects[:kept], p.aps[:kept])
 
     achieved = {
-        "cyclic_residual": err1,
-        "normalized_error": err2,
+        "cyclic_residual": p.cyclic_residual,
+        "normalized_error": p.normalized_error,
         "window_error": abs(val3 - k),
         "decomposition_residual": dec.residual,
-        "rescale_error": operator_norm(dec.q - dec_unit.local_matrix()),
+        "rescale_error": operator_norm(p.q - dec_unit.local_matrix()),
         "combined_error": abs(val5 - k),
     }
     return RootCertificate(
@@ -427,3 +513,14 @@ def prove_root_certificate(
         weights=ext.weights,
         achieved=achieved,
     )
+
+
+def prove_root_certificate(
+    a: LocalOperator,
+    psi,
+    v: VacuumModel,
+    slots,
+    eps: float,
+) -> RootCertificate:
+    """Run the full pipeline for one eps: ``certify_root`` on ``root_products``."""
+    return certify_root(root_products(a, psi, v, slots), eps)

@@ -14,7 +14,7 @@ from conftest import (
     random_state,
 )
 
-from vacuumcorr import correlations
+from vacuumcorr import correlations, linalg
 from vacuumcorr.correlations import (
     SQRT2,
     BellSettings,
@@ -194,6 +194,41 @@ class TestHermitianPart:
             with pytest.raises(ValueError, match="not self-adjoint|not a contraction"):
                 BellSettings(a1=LocalOperator(0, x), a2=canon.a2, b1=canon.b1, b2=canon.b2)
 
+
+    @given(d=st.integers(2, 6), n=st.integers(1, 4), seed=st.integers(0, 10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_contraction_check_decides_as_eigvalsh_alone(self, d, n, seed):
+        # Reflections 2P - 1 (which the one-product bound clears) and scaled
+        # Hermitian matrices, each stretched or shrunk by 10**-12 to 10**-8,
+        # across the NOISE_TOL threshold, and some pushed off the Hermitian line.
+        rng = np.random.default_rng(seed)
+        x = np.empty((n, 2, d, d), dtype=complex)
+        for idx in np.ndindex(n, 2):
+            if rng.random() < 0.5:
+                u = haar_unitary(complex_gaussian(d, rng))[:, :rng.integers(1, d + 1)]
+                h = 2.0 * u @ u.conj().T - np.eye(d)
+            else:
+                h = random_hermitian(d, rng)
+                h /= np.abs(np.linalg.eigvalsh(h)).max()
+            scale = 1.0 + rng.choice([-1.0, 0.0, 1.0]) * 10.0 ** rng.uniform(-12, -8)
+            noise = 10.0 ** rng.uniform(-16, -9) * complex_gaussian(d, rng)
+            x[idx] = scale * h + noise * (rng.random() < 0.3)
+        names = ("A1", "A2")
+        dev = linalg.dagger_distance(x)
+        herm = 0.5 * (x + linalg.dagger(x))
+        nrm = np.abs(np.linalg.eigvalsh(herm)).max(axis=-1) + 0.5 * dev
+        bad = (dev > NOISE_TOL) | (nrm > 1.0 + NOISE_TOL)
+        if not bad.any():
+            np.testing.assert_array_equal(correlations.hermitian_contractions(x, names), herm)
+            return
+        i = np.unravel_index(np.argmax(bad), bad.shape)
+        if dev[i] > NOISE_TOL:
+            want = f"{names[i[-1]]} is not self-adjoint: |X - X^†| = {dev[i]}"
+        else:
+            want = f"{names[i[-1]]} is not a contraction: norm {nrm[i]}"
+        with pytest.raises(ValueError) as info:
+            correlations.hermitian_contractions(x, names)
+        assert str(info.value) == want
 
     def test_stack_names_the_first_failing_matrix(self):
         x = np.array([[Z, X]] * 3)

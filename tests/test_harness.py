@@ -6,6 +6,7 @@ import math
 import re
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import canonical_json_reference, run_cli, tsirelson_sweep_reference
 
-from vacuumcorr import correlations, harness, linalg, root_theorem
+from vacuumcorr import cli, correlations, harness, linalg, local_algebra, root_theorem
 from vacuumcorr.cli import build_parser, main
 from vacuumcorr.correlations import (
     BellReport,
@@ -43,6 +44,8 @@ from vacuumcorr.harness import (
 from vacuumcorr.local_algebra import LocalOperator, make_vacuum, random_projector
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+# The eps list of the benchmark's root-cert sweeps (benchmark/workloads.py).
+SWEEP_EPS = (0.1, 0.03, 0.01, 0.003, 0.001)
 
 
 def cfg(**overrides) -> ScenarioConfig:
@@ -356,6 +359,61 @@ class TestSweep:
         with pytest.raises(ConfigError, match="missing eps list"):
             sweep_eps(cfg())
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_rows_equal_separate_runs_bit_for_bit(self, d, seed):
+        table = sweep_eps(cfg(layout=[d, d], seed=seed, sweep=list(SWEEP_EPS)))
+        for row, eps in zip(table.rows, SWEEP_EPS, strict=True):
+            report = run_scenario(cfg(layout=[d, d], seed=seed, eps=eps))
+            cert = report.certificates["root_certificate"]
+            assert row == {
+                "eps": eps,
+                **{name: cert["budget"][name] for name in SWEEP_COLUMNS[1:6]},
+                **cert["achieved"],
+                "slack_max": cert["lhs_max"] - cert["rhs_max"],
+                "slack_min": cert["rhs_min"] - cert["lhs_min"],
+                "passed": report.passed,
+            }
+
+
+def counting(monkeypatch, targets) -> Counter:
+    """Count the calls of each (module, name) in ``targets``, wherever a
+    vacuumcorr module binds the function."""
+    counts: Counter = Counter()
+    for module, name in targets:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        if module is np.linalg:
+            monkeypatch.setattr(module, name, counted)
+        else:
+            patch_every_binding(monkeypatch, original, counted)
+    return counts
+
+
+class TestEachProductOnce:
+    """The root pipeline's eps-independent products, once per report and
+    once per eps sweep."""
+
+    def test_once_per_sweep(self, monkeypatch):
+        counts = counting(monkeypatch, [(local_algebra, "make_vacuum"), (np.linalg, "lstsq"),
+                                        (linalg, "hermitian_eig")])
+        assert sweep_eps(cfg(layout=[4, 4], sweep=list(SWEEP_EPS))).passed
+        assert counts == {"make_vacuum": 1, "lstsq": 1, "hermitian_eig": 1}
+
+    @pytest.mark.parametrize("layout", [[2, 2], [8, 8]])
+    def test_per_report(self, monkeypatch, layout):
+        # <A>_psi, C~ omega, <A>_{C omega} and A omega; V^† W and V^† (A omega)
+        # come from one _block_overlaps call.
+        counts = counting(monkeypatch, [(linalg, "apply_local"),
+                                        (root_theorem, "_block_overlaps")])
+        assert run_scenario(cfg(layout=layout)).passed
+        assert counts["apply_local"] <= 4
+        assert counts["_block_overlaps"] == 1
+
 
 class TestSerialization:
     def test_canonical_json_sorted_and_formatted(self):
@@ -405,6 +463,15 @@ class TestSerialization:
         bad = tmp_path / "missing-dir" / "report.json"
         with pytest.raises(OSError, match=str(bad)):
             emit_report(report, "json", bad)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("sweep", [None, [0.1, 0.01]])
+    def test_emit_report_writes_what_render_report_returns(self, tmp_path, fmt, sweep):
+        config = cfg(layout=[3, 3], sweep=sweep)
+        report = sweep_eps(config) if sweep else run_scenario(config)
+        path = tmp_path / "r.out"
+        emit_report(report, fmt, path)
+        assert path.read_bytes() == render_report(report, fmt).encode("ascii")
 
     def test_emit_report_byte_identical_files(self, tmp_path):
         p1 = tmp_path / "a.json"
@@ -527,6 +594,22 @@ class TestCLI:
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith(f"error: [{stage}] ")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_missing_out_directory_exits_two_before_the_run(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def never(config):
+            raise AssertionError("the run started before --out was checked")
+
+        monkeypatch.setattr(cli, "run_scenario", never)
+        monkeypatch.setattr(cli, "sweep_eps", never)
+        out = tmp_path / "missing-dir" / "r.json"
+        code = main([command, "--scenario", "root-cert", "--layout", "2,2",
+                     "--eps-list" if command == "sweep" else "--eps", "0.01", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config field 'out': cannot write report to {out}")
 
     def test_unwritable_out_exit_two(self, tmp_path):
         out = tmp_path / "missing-dir" / "r.json"

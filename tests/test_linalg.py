@@ -199,6 +199,21 @@ class TestStacks:
                                       [linalg.dagger_distance(m) for m in stack])
 
 
+class TestComplexGaussian:
+    @pytest.mark.parametrize("d", [2, 3, 8, 13])
+    def test_one_draw_matches_the_two_call_form(self, d):
+        # complex_gaussian draws both blocks in one call, and the Tsirelson
+        # sweep fills a real (2, d, d) buffer: both must continue the stream
+        # exactly as a real draw followed by an imaginary one.
+        one, buffered, two = (np.random.default_rng(d) for _ in range(3))
+        want = two.standard_normal((d, d)) + 1j * two.standard_normal((d, d))
+        buf = np.empty((2, d, d))
+        buffered.standard_normal(out=buf)
+        np.testing.assert_array_equal(linalg.complex_gaussian(d, one), want)
+        np.testing.assert_array_equal(buf[0] + 1j * buf[1], want)
+        assert one.bit_generator.state == buffered.bit_generator.state == two.bit_generator.state
+
+
 class TestSchmidtCoefficients:
     def test_coefficients_normalized(self):
         psi = random_state(12, np.random.default_rng(4))

@@ -14,6 +14,7 @@ from vacuumcorr.local_algebra import (
     make_vacuum,
 )
 from vacuumcorr.root_theorem import (
+    BUDGET_TOL,
     EpsilonBudget,
     StageFailure,
     combined_window,
@@ -407,3 +408,81 @@ class TestEpsilonChainProperty:
                 ep = dense(p, layout)
                 assert abs(ap - expectation(ea @ ep, v.omega).real) <= 1e-12
                 assert abs(p_expect - expectation(ep, v.omega).real) <= 1e-12
+
+
+def stagewise_certificate(a, psi, v, slots, eps) -> dict:
+    """The pipeline as a chain of the stage functions, each forming its own
+    products: the reference for the products-once path.  Returns the
+    certificate's numbers and picks, or raises the first StageFailure."""
+    norm_a = operator_norm(a.matrix)
+    k = float(np.vdot(psi, a.apply(psi, v.layout)).real)
+    eps3 = 0.5 * eps
+    eps4_target = 0.5 * eps / norm_a
+    eps2 = EpsilonBudget.eps2_from_eps3(eps3, norm_a)
+    eps1 = EpsilonBudget.eps1_from_eps2(eps2)
+    want2 = EpsilonBudget.eps2_from_eps1(eps1)
+    if not 0 < eps1 < 1 or abs(eps2 - want2) > BUDGET_TOL * max(1.0, abs(want2)):
+        raise StageFailure("budget", "eps out of range")
+    c_tilde, err1 = solve_cyclic_approx(psi, v, slots, eps1)
+    c, err2 = normalize_approximant(c_tilde, psi, v, eps1)
+    val3 = expectation_window(a, c, v, k, eps3)
+    tau = eps4_target / (2.0 * (float(np.vdot(c.matrix, c.matrix).real) + 1.0 + eps4_target))
+    dec = positive_spectral_decomposition(c, tau)
+    dec_unit = rescale_to_unit_vacuum(dec, v)
+    eps4 = (dec.coeffs[0] + 1.0) * tau / dec_unit.q_expect
+    if eps4 > eps4_target:
+        raise StageFailure("spectral", "eps4 over its share")
+    eps5 = eps3 + norm_a * eps4
+    val5 = combined_window(a, dec_unit, v, k, eps5)
+    ext = select_extremal_projectors(a, dec_unit, v)
+    rhs_max, rhs_min = (k - eps) * ext.p_max_expect, (k + eps) * ext.p_min_expect
+    if not (ext.ap_max > rhs_max and ext.ap_min < rhs_min):
+        raise StageFailure("certificate", "inequality violated")
+    return {
+        "numbers": [k, eps1, eps2, eps3, eps4, eps5, norm_a, dec.coeffs[0], dec_unit.q_expect,
+                    tau, err1, err2, abs(val3 - k), dec.residual, abs(val5 - k),
+                    ext.ap_max, rhs_max, ext.ap_min, rhs_min, *ext.weights],
+        "picks": (ext.p_max.matrix, ext.p_min.matrix),
+    }
+
+
+def certificate_numbers(cert) -> dict:
+    b, got = cert.budget, cert.achieved
+    return {
+        "numbers": [cert.target_k, b.eps1, b.eps2, b.eps3, b.eps4, b.eps5, b.norm_a, b.q_norm,
+                    b.q_expect, b.eps4_tilde, got["cyclic_residual"], got["normalized_error"],
+                    got["window_error"], got["decomposition_residual"], got["combined_error"],
+                    cert.lhs_max, cert.rhs_max, cert.lhs_min, cert.rhs_min, *cert.weights],
+        "picks": (cert.p_max.matrix, cert.p_min.matrix),
+    }
+
+
+class TestProductsOnceMatchesStagewise:
+    """prove_root_certificate forms each product once and certifies eps on
+    them; the chain of stage functions forms them per stage.  Both fail at
+    the same stage, and agree on every number to rounding."""
+
+    @pytest.mark.parametrize("layout,region,a_region", [
+        (L22, (0,), (1,)), (RegionLayout((3, 3)), (0,), (1,)), (RegionLayout((8, 8)), (0,), (1,)),
+        (L224, (2,), (0, 1)), (L224, (2,), (1,)),
+    ], ids=["2x2", "3x3", "8x8", "2x2x4", "2x2x4-a-on-1"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_stage_and_numbers(self, layout, region, a_region, seed):
+        v = make_vacuum(layout, seed)
+        rng = np.random.default_rng(seed)
+        a = LocalOperator(a_region, linalg.random_hermitian(layout.region_dim(a_region), rng))
+        psi = random_state(layout.total_dim, rng)
+        for eps in (1e20, 1e17, 1e3, 1.0, 0.1, 0.01, 1e-4, 1e-8, 1e-12,
+                    1e-14, 1e-15, 1e-16, 1e-17):
+            try:
+                want = stagewise_certificate(a, psi, v, region, eps)
+            except StageFailure as exc:
+                with pytest.raises(StageFailure) as info:
+                    prove_root_certificate(a, psi, v, region, eps)
+                assert info.value.stage == exc.stage, eps
+                continue
+            got = certificate_numbers(prove_root_certificate(a, psi, v, region, eps))
+            # Noise-level values (residuals near 1e-16) are compared absolutely.
+            np.testing.assert_allclose(got["numbers"], want["numbers"], rtol=1e-14, atol=1e-13)
+            for mine, ref in zip(got["picks"], want["picks"]):
+                np.testing.assert_allclose(mine, ref, rtol=0, atol=1e-13)
