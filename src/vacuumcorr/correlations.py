@@ -40,11 +40,6 @@ SEESAW_ITERS = 200
 SEESAW_DRAWS = 8
 
 
-def _herm_norm(h: np.ndarray) -> float:
-    """Operator norm of a Hermitian matrix, as max |eigenvalue| (no SVD)."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(h))))
-
-
 @dataclass(frozen=True)
 class BellSettings:
     """Two self-adjoint contractions per side: A's on slot 0, B's on slot 1,
@@ -255,7 +250,7 @@ def tsirelson_margins(a: np.ndarray, b: np.ndarray, layout: RegionLayout) -> np.
     for i in np.flatnonzero(~(shared_a & shared_b)):
         s = BellSettings(LocalOperator(0, a[i, 0]), LocalOperator(0, a[i, 1]),
                          LocalOperator(1, b[i, 0]), LocalOperator(1, b[i, 1]))
-        margins[i] = SQRT2 - 0.5 * _herm_norm(bell_operator(s, RegionLayout(layout.dims[:2])))
+        margins[i] = SQRT2 - 0.5 * operator_norm(bell_operator(s, RegionLayout(layout.dims[:2])))
     return margins
 
 
@@ -409,9 +404,8 @@ def general_contraction_extension(
     optimum minus eps.
     """
     settings = BellSettings(a1=a1, a2=a2, b1=b1, b2=b2)
-    for name, p, q in (("A", a1, a2), ("B", b1, b2)):
-        comm = p.matrix @ q.matrix - q.matrix @ p.matrix
-        if operator_norm(comm) <= NOISE_TOL:
+    for name, p, q in (("A", settings.a1, settings.a2), ("B", settings.b1, settings.b2)):
+        if operator_norm(1j * (p.matrix @ q.matrix - q.matrix @ p.matrix)) <= NOISE_TOL:
             raise ValueError(f"{name}1 and {name}2 commute; the extension needs "
                              "non-commuting pairs")
     r01 = bell_operator(settings, RegionLayout(v.layout.dims[:2]))

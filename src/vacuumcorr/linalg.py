@@ -107,11 +107,9 @@ def apply_local(op, slots, vec, dims) -> np.ndarray:
 
 
 def operator_norm(a) -> float:
-    """Largest singular value (max |eigenvalue| for Hermitian input)."""
-    a = np.asarray(a, dtype=complex)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
+    """The operator norm of a Hermitian matrix, max |eigenvalue|; the input
+    must be Hermitian (``eigvalsh`` reads only its lower triangle)."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(a))))
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 
 Each spacetime region is modeled as one tensor slot carrying a full matrix
 algebra; spacelike commutativity then holds by construction.  The vacuum
-analog is a unit vector that holds its Schmidt spectrum across every cut
-of its layout, computed once; the Schmidt ranks read from those spectra
-certify the cyclic and separating properties:
+analog is a unit vector that holds its Schmidt spectrum across each cut
+of its layout, computed on first use; the Schmidt ranks read from those
+spectra certify the cyclic and separating properties:
 
 * cyclic for a region  <=>  Schmidt rank across region|rest equals the
   dimension of the complement,
@@ -85,26 +85,27 @@ class LocalOperator:
 
 @dataclass(frozen=True)
 class VacuumModel:
-    """A unit vector playing the role of the vacuum, with its Schmidt spectra:
-    each cut of a 2- or 3-slot layout has one slot s alone on a side, and
-    ``spectra[s]`` holds the Schmidt coefficients across s|rest."""
+    """A unit vector playing the role of the vacuum, with its Schmidt spectra
+    computed on first use: each cut of a 2- or 3-slot layout has one slot s
+    alone on a side, and ``spectra[s]`` caches the Schmidt coefficients
+    across s|rest (slot 0 stands for the one cut of 2 slots)."""
 
     layout: RegionLayout
     omega: np.ndarray
-    spectra: dict[int, np.ndarray] = field(compare=False)
+    spectra: dict[int, np.ndarray] = field(default_factory=dict, init=False, compare=False,
+                                           repr=False)
 
     @classmethod
     def from_vector(cls, layout: RegionLayout, omega) -> "VacuumModel":
-        """Certify an arbitrary unit vector (also serves as the
-        bounded-energy replacement for the distinguished vacuum)."""
+        """Validate an arbitrary unit vector as a vacuum, taking no spectrum
+        (also serves as the bounded-energy replacement for the distinguished
+        vacuum)."""
         omega = linalg.as_state(omega)
         if omega.shape[0] != layout.total_dim:
             raise ValueError(
                 f"vector dim {omega.shape[0]} does not match layout {layout.dims}"
             )
-        cut_slots = range(layout.n_slots) if layout.n_slots == 3 else (0,)
-        spectra = {s: linalg.schmidt_coefficients(omega, layout.dims, s) for s in cut_slots}
-        return cls(layout, omega, spectra)
+        return cls(layout, omega)
 
     def schmidt_rank(self, slots, tol: float = linalg.SCHMIDT_RANK_TOL) -> int:
         """Number of Schmidt coefficients above ``tol`` across region|rest,
@@ -113,9 +114,12 @@ class VacuumModel:
         n = self.layout.n_slots
         if not slots or len(slots) == n or any(s < 0 or s >= n for s in slots):
             raise ValueError(f"region {slots} is not a proper region of layout {self.layout.dims}")
-        if len(slots) > 1 or slots[0] not in self.spectra:
+        if len(slots) > 1:  # a merged region's cut is its complement's
             slots = self.layout.complement(slots)
-        return int(np.sum(self.spectra[slots[0]] > tol))
+        cut = slots[0] if n == 3 else 0  # the one cut of 2 slots
+        if cut not in self.spectra:
+            self.spectra[cut] = linalg.schmidt_coefficients(self.omega, self.layout.dims, cut)
+        return int(np.sum(self.spectra[cut] > tol))
 
 
 def make_vacuum(layout: RegionLayout, seed: int) -> VacuumModel:
@@ -182,7 +186,7 @@ def vacuum_positivity(v: VacuumModel, p: LocalOperator) -> float:
     """
     if not p.is_projector():
         raise ValueError("operator is not a projector")
-    if operator_norm(p.matrix) <= NOISE_TOL:
+    if np.trace(p.matrix).real <= NOISE_TOL:  # P's rank, once P is a projector
         raise ValueError("zero projector rejected")
     return float(np.vdot(v.omega, p.apply(v.omega, v.layout)).real)
 

@@ -101,8 +101,10 @@ class EpsilonBudget:
     @staticmethod
     def eps2_from_eps3(eps3: float, norm_a: float) -> float:
         """Closed-form eps2 achieving a requested eps3 for given ||A||:
-        the exact inverse of eps3 = (eps2^2 + 2 eps2) ||A||."""
-        return -1.0 + math.sqrt(1.0 + eps3 / norm_a)
+        the exact inverse of eps3 = (eps2^2 + 2 eps2) ||A||, written as
+        x / (1 + sqrt(1 + x)) with x = eps3 / ||A|| so that no 1 cancels."""
+        x = eps3 / norm_a
+        return x / (1.0 + math.sqrt(1.0 + x))
 
     @staticmethod
     def eps1_from_eps2(eps2: float) -> float:
@@ -461,7 +463,7 @@ def certify_root(p: RootProducts, eps: float) -> RootCertificate:
     eps2 = EpsilonBudget.eps2_from_eps3(eps3, norm_a)
     eps1 = EpsilonBudget.eps1_from_eps2(eps2)
     # EpsilonBudget's checks before any stage runs: from eps / ||A|| ~ 1e16 on,
-    # 1 - eps1 cancels, then eps1 rounds to 1; below ~1e-16, eps2 rounds to 0.
+    # 1 - eps1 cancels, then eps1 rounds to 1.
     if not 0 < eps1 < 1 or _off(eps2, EpsilonBudget.eps2_from_eps1(eps1), BUDGET_TOL):
         raise StageFailure("budget", "eps is out of floating-point range for eps1..eps5",
                            eps=eps, eps1=eps1, eps2=eps2)

@@ -2,10 +2,11 @@
 
 These deliberately avoid the library code paths they check: eigenvalues
 come from characteristic-polynomial roots, span dimensions from explicit
-matrix-unit orbits, least-squares residuals from normal equations, and
-Bell ceilings from a grid over qubit measurement angles.  The Tsirelson
-sweep's reference takes its settings one at a time through the single-setting
-API, and the report writer's reference formats one float at a time.
+matrix-unit orbits, least-squares residuals from normal equations,
+operator norms of any matrix from a dense SVD, and Bell ceilings from a
+grid over qubit measurement angles.  The Tsirelson sweep's reference
+takes its settings one at a time through the single-setting API, and the
+report writer's reference formats one float at a time.
 ``run_cli`` runs the command line on this checkout's sources.
 """
 
@@ -38,6 +39,11 @@ def charpoly_eigenvalues(a: np.ndarray) -> np.ndarray:
         coeffs.append(c)
     roots = np.roots(coeffs)
     return np.sort_complex(roots)[::-1]
+
+
+def operator_norm_oracle(a) -> float:
+    """The largest singular value of any matrix, from a dense SVD."""
+    return float(np.linalg.norm(np.asarray(a, dtype=complex), 2))
 
 
 def matrix_units(dim: int):

@@ -10,6 +10,7 @@ from conftest import (
     bell_oracle,
     charpoly_eigenvalues,
     expectation,
+    operator_norm_oracle,
     qubit_angle_grid_bell,
     random_state,
 )
@@ -540,11 +541,11 @@ class TestGeneralContractionExtension:
         while found < 3:
             s = random_settings(L224, 5000 + seed)
             seed += 1
-            if operator_norm(
+            if operator_norm_oracle(
                 s.a1.matrix @ s.a2.matrix - s.a2.matrix @ s.a1.matrix
             ) <= 1e-6:
                 continue
-            if operator_norm(
+            if operator_norm_oracle(
                 s.b1.matrix @ s.b2.matrix - s.b2.matrix @ s.b1.matrix
             ) <= 1e-6:
                 continue

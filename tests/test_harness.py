@@ -293,24 +293,50 @@ class TestNoFullSpaceMatrix:
         assert sides and max(sides) <= d
 
 
+def record_schmidt_calls(monkeypatch) -> list:
+    """The argument tuples of every ``schmidt_coefficients`` call from here on."""
+    calls = []
+    original = linalg.schmidt_coefficients
+    patch_every_binding(monkeypatch, original,
+                        lambda *args, **kw: calls.append(args) or original(*args, **kw))
+    return calls
+
+
 class TestSpectraComputedOnce:
-    """Each Schmidt spectrum of the vacuum, and ||Q1||, is computed once."""
+    """Each Schmidt spectrum of a vacuum is computed on first use and at most
+    once, and ||Q1|| comes from Q1's spectrum."""
 
     @pytest.mark.parametrize("scenario,layout,svds", [
         ("root-cert", [2, 2], 1),
         ("root-cert", [8, 8], 1),
         ("epr", [4, 4], 1),
-        ("cond-bell", [3, 3, 9], 3),
+        ("cond-bell", [3, 3, 9], 1),  # only cut 2, for the cyclic solve onto slot 2
         ("reeh-schlieder", [8, 8], 2),
-        ("reeh-schlieder", [3, 3, 9], 6),
+        ("reeh-schlieder", [3, 3, 9], 4),  # the vacuum's 3 cuts, the product state's cut 0
     ])
     def test_schmidt_decompositions_per_run(self, monkeypatch, scenario, layout, svds):
-        calls = []
-        original = linalg.schmidt_coefficients
-        patch_every_binding(monkeypatch, original,
-                            lambda *args, **kw: calls.append(args) or original(*args, **kw))
+        calls = record_schmidt_calls(monkeypatch)
         assert run_scenario(cfg(scenario=scenario, layout=layout, eps=0.05)).passed
         assert len(calls) == svds
+
+    @pytest.mark.parametrize("layout", [(2, 2), (3, 3, 9)])
+    def test_from_vector_takes_no_spectrum(self, monkeypatch, layout):
+        calls = record_schmidt_calls(monkeypatch)
+        v = make_vacuum(local_algebra.RegionLayout(layout), 0)
+        assert calls == [] and v.spectra == {}
+
+    @pytest.mark.parametrize("layout,regions,cut", [
+        ((3, 3), [(0,), (1,), (0,)], 0),  # both slots of 2 slots share cut 0
+        ((2, 2, 4), [(2,), (0, 1), (1, 0), (2,)], 2),  # (0, 1) is cut 2 seen from the rest
+        ((2, 2, 4), [(1,), (1,)], 1),
+    ])
+    def test_a_second_rank_on_a_cut_takes_no_spectrum(self, monkeypatch, layout, regions, cut):
+        calls = record_schmidt_calls(monkeypatch)
+        v = make_vacuum(local_algebra.RegionLayout(layout), 0)
+        ranks = [v.schmidt_rank(region) for region in regions]
+        assert [args[2] for args in calls] == [cut]
+        assert list(v.spectra) == [cut]
+        assert len(set(ranks)) == 1
 
     def test_root_certificate_takes_two_operator_norms(self, monkeypatch):
         # ||A|| and the measured rescale error; ||Q1|| comes from the spectrum.
@@ -320,6 +346,48 @@ class TestSpectraComputedOnce:
                             lambda a: calls.append(a.shape) or original(a))
         assert run_scenario(cfg()).passed
         assert len(calls) == 2
+
+
+class TestOperatorNormPrecondition:
+    """``operator_norm`` takes max |eigenvalue| and so needs Hermitian input:
+    every call in the library passes a Hermitian matrix."""
+
+    @pytest.fixture
+    def norm_inputs(self, monkeypatch) -> list:
+        inputs = []
+        original = linalg.operator_norm
+
+        def guarded(a):
+            assert linalg.dagger_distance(a) <= linalg.NOISE_TOL
+            inputs.append(a.shape)
+            return original(a)
+
+        patch_every_binding(monkeypatch, original, guarded)
+        return inputs
+
+    @pytest.mark.parametrize("scenario,layout,calls", [
+        ("reeh-schlieder", [3, 3, 9], 0),
+        ("root-cert", [3, 3], 2),  # ||A|| and the rescale error
+        ("epr", [3, 3], 2),
+        ("bell-max", [3, 3], 0),  # every setting meets Landau's precondition
+        ("tsirelson-sweep", [3, 3], 0),
+        ("cond-bell", [2, 2, 4], 2),
+    ])
+    def test_scenarios_pass_hermitian_input(self, norm_inputs, scenario, layout, calls):
+        assert run_scenario(cfg(scenario=scenario, layout=layout, eps=0.05)).passed
+        assert len(norm_inputs) == calls
+
+    def test_library_callers_pass_hermitian_input(self, norm_inputs):
+        layout = local_algebra.RegionLayout((2, 2, 4))
+        v = make_vacuum(layout, 0)
+        assert local_algebra.check_separating(v, (0,), trials=3)
+        _, s = canonical_max_violation(layout)
+        half = LocalOperator(0, 0.5 * s.a1.matrix)  # A1^2 != A2^2: the dense fallback
+        assert tsirelson_certificate(correlations.BellSettings(half, s.a2, s.b1, s.b2),
+                                     layout) >= 0.0
+        correlations.general_contraction_extension(s.a1, s.a2, s.b1, s.b2, v, eps=0.05)
+        # 3 trials, 1 dense norm, 2 commutators, and the pipeline's 2.
+        assert len(norm_inputs) == 8
 
 
 class TestTsirelsonSweepStacks:

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import charpoly_eigenvalues, embed_oracle, random_state
+from conftest import SRC, charpoly_eigenvalues, embed_oracle, operator_norm_oracle, random_state
 
 from vacuumcorr import linalg
 from vacuumcorr.linalg import (
@@ -92,7 +93,7 @@ class TestLocalOperatorEmbed:
         rng = np.random.default_rng(seed)
         a = embed(linalg.random_hermitian(2, rng), 0, (2, 3))
         b = embed(linalg.random_hermitian(3, rng), 1, (2, 3))
-        assert operator_norm(a @ b - b @ a) <= 1e-10
+        assert operator_norm_oracle(a @ b - b @ a) <= 1e-10
 
 
 class TestOperatorNorm:
@@ -110,7 +111,52 @@ class TestOperatorNorm:
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        assert operator_norm(a @ b) <= operator_norm(a) * operator_norm(b) + 1e-9
+        assert operator_norm_oracle(a @ b) <= (
+            operator_norm_oracle(a) * operator_norm_oracle(b) + 1e-9)
+
+    @given(seed=st.integers(0, 10_000), dim=st.integers(1, 12),
+           log_scale=st.floats(-8, 8), rank=st.integers(0, 12))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_svd_oracle_on_hermitian_input(self, seed, dim, log_scale, rank):
+        rng = np.random.default_rng(seed)
+        w = 10.0**log_scale * rng.standard_normal(dim)
+        w[rank:] = 0.0  # zero eigenvalues where rank < dim
+        u = linalg.haar_unitary(linalg.complex_gaussian(dim, rng))
+        a = (u * w) @ u.conj().T
+        a = 0.5 * (a + a.conj().T)
+        want = operator_norm_oracle(a)
+        assert abs(operator_norm(a) - want) <= 1e-13 * want
+
+
+def _svd_calls(path):
+    """``module:line: call`` for each call in a source file that takes an SVD
+    (``*.svd``, or a 2-norm ``*.norm(x, 2)``), and how many of them sit in
+    ``schmidt_coefficients``, the one function allowed to."""
+    tree = ast.parse(path.read_text())
+    allowed = {id(node) for f in ast.walk(tree)
+               if isinstance(f, ast.FunctionDef) and f.name == "schmidt_coefficients"
+               for node in ast.walk(f)}
+    found, inside = [], 0
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = ast.unparse(node.func)
+        orders = [ast.unparse(k.value) for k in node.keywords if k.arg == "ord"]
+        orders += [ast.unparse(arg) for arg in node.args[1:2]]
+        if name.endswith("svd") or (name.endswith("norm") and {"2", "-2"} & set(orders)):
+            if id(node) in allowed:
+                inside += 1
+            else:
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    return found, inside
+
+
+def test_no_svd_outside_the_schmidt_spectra():
+    # Every other norm in the package is of a Hermitian matrix or of a vector.
+    paths = sorted((SRC / "vacuumcorr").glob("*.py"))
+    results = [_svd_calls(path) for path in paths]
+    assert [call for found, _ in results for call in found] == []
+    assert sum(inside for _, inside in results) == 1
 
 
 class TestDaggerDistance:
@@ -156,9 +202,9 @@ class TestHermitianEig:
         projectors = [projector(b) for b in es.blocks]
         for i, p in enumerate(projectors):
             assert operator_norm(p @ p - p) <= 1e-10
-            assert operator_norm(p - p.conj().T) <= 1e-10
+            assert operator_norm_oracle(p - p.conj().T) <= 1e-10
             for q in projectors[i + 1:]:
-                assert operator_norm(p @ q) <= 1e-10
+                assert operator_norm_oracle(p @ q) <= 1e-10
 
     @given(seed=st.integers(0, 10_000), dim=st.integers(2, 4))
     @settings(max_examples=40, deadline=None)

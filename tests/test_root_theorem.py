@@ -1,9 +1,16 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from conftest import embed_oracle, expectation, normal_equations_solve, random_state
+from conftest import (
+    embed_oracle,
+    expectation,
+    normal_equations_solve,
+    operator_norm_oracle,
+    random_state,
+)
 
 from vacuumcorr import linalg
 from vacuumcorr.linalg import operator_norm
@@ -78,6 +85,17 @@ class TestBudgetFormulas:
             for norm_a in (0.5, 1.0, 3.7):
                 eps2 = EpsilonBudget.eps2_from_eps3(eps3, norm_a)
                 assert abs((eps2**2 + 2 * eps2) * norm_a - eps3) <= 1e-12
+
+    @pytest.mark.parametrize("norm_a", [1.0, 0.37, 3.7, 1024.0])
+    def test_eps2_within_four_ulp_of_a_decimal_reference(self, norm_a):
+        # -1 + sqrt(1 + x) to 60 digits, with x = eps3 / ||A|| taken exactly.
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for x in np.logspace(-20, 16, 361):
+                eps3 = float(x) * norm_a
+                want = (1 + Decimal(eps3) / Decimal(norm_a)).sqrt() - 1
+                got = EpsilonBudget.eps2_from_eps3(eps3, norm_a)
+                assert abs(Decimal(got) - want) <= 4 * Decimal(math.ulp(float(want))), x
 
     def test_inconsistent_budget_rejected(self):
         with pytest.raises(ValueError, match="inconsistency"):
@@ -199,7 +217,7 @@ class TestSpectralDecomposition:
         projectors = [linalg.projector(b) for b in dec.blocks]
         for i, p in enumerate(projectors):
             for q in projectors[i + 1:]:
-                assert operator_norm(p @ q) <= 1e-10
+                assert operator_norm_oracle(p @ q) <= 1e-10
 
 
 class TestRescale:
