@@ -6,6 +6,8 @@ root-certificate pipeline with its full eps-budget, and verifies the EPR
 and Bell correlation results up to the Tsirelson bound.
 """
 
+import types
+
 from .linalg import EigenSystem, hermitian_eig, operator_norm
 from .local_algebra import (
     LocalOperator,
@@ -61,51 +63,6 @@ from .harness import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BellReport",
-    "BellSettings",
-    "ConfigError",
-    "EigenSystem",
-    "EpsilonBudget",
-    "LocalOperator",
-    "ProjectorDecomposition",
-    "RegionLayout",
-    "RootCertificate",
-    "RootProducts",
-    "RunReport",
-    "ScenarioConfig",
-    "SQRT2",
-    "StageFailure",
-    "SweepTable",
-    "VacuumModel",
-    "bell_correlation",
-    "bell_operator",
-    "canonical_max_violation",
-    "certify_root",
-    "check_cyclic",
-    "check_separating",
-    "combined_window",
-    "conditional_bell_correlation",
-    "contraction_from_projector",
-    "emit_report",
-    "epr_projector_pair",
-    "expectation_window",
-    "general_contraction_extension",
-    "hermitian_eig",
-    "make_vacuum",
-    "normalize_approximant",
-    "operator_norm",
-    "positive_spectral_decomposition",
-    "prove_root_certificate",
-    "random_projector",
-    "rescale_to_unit_vacuum",
-    "root_products",
-    "run_scenario",
-    "seesaw_maximize",
-    "select_extremal_projectors",
-    "solve_cyclic_approx",
-    "sweep_eps",
-    "tsirelson_certificate",
-    "vacuum_positivity",
-    "violate_conditional_bell",
-]
+# Every name imported above: the public names, without the submodules.
+__all__ = sorted(name for name, value in list(globals().items())
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

@@ -51,12 +51,16 @@ class BellSettings:
     b2: LocalOperator
 
     def __post_init__(self):
-        for attr, slot in (("a1", 0), ("a2", 0), ("b1", 1), ("b2", 1)):
-            op, name = getattr(self, attr), attr.upper()
-            if op.slots != (slot,):
-                raise ValueError(f"{name} must live on slot {slot}, got {op.slots}")
-            herm = hermitian_contractions(op.matrix[None], (name,))[0]
-            object.__setattr__(self, attr, LocalOperator(slot, herm))
+        for slot, names in ((0, ("A1", "A2")), (1, ("B1", "B2"))):
+            ops = [getattr(self, name.lower()) for name in names]
+            for name, op in zip(names, ops):
+                if op.slots != (slot,):
+                    raise ValueError(f"{name} must live on slot {slot}, got {op.slots}")
+            if ops[0].dim != ops[1].dim:
+                raise ValueError(f"{names[0]} and {names[1]} differ in dimension")
+            herm = hermitian_contractions(np.stack([op.matrix for op in ops]), names)
+            for name, h in zip(names, herm):
+                object.__setattr__(self, name.lower(), LocalOperator(slot, h))
 
 
 def hermitian_contractions(x: np.ndarray, names) -> np.ndarray:
@@ -70,7 +74,8 @@ def hermitian_contractions(x: np.ndarray, names) -> np.ndarray:
     # that bound misses 1 + NOISE_TOL / 2, half the tolerance left for rounding.
     nrm = np.sqrt(1.0 + linalg.frobenius(herm @ herm - np.eye(x.shape[-1]))) + 0.5 * dev
     loose = nrm > 1.0 + 0.5 * NOISE_TOL
-    nrm[loose] = np.abs(np.linalg.eigvalsh(herm[loose])).max(axis=-1) + 0.5 * dev[loose]
+    if loose.any():
+        nrm[loose] = np.abs(np.linalg.eigvalsh(herm[loose])).max(axis=-1) + 0.5 * dev[loose]
     bad = (dev > NOISE_TOL) | (nrm > 1.0 + NOISE_TOL)
     if bad.any():
         i = np.unravel_index(np.argmax(bad), bad.shape)
@@ -167,10 +172,10 @@ def canonical_max_violation(layout: RegionLayout) -> tuple[np.ndarray, BellSetti
 
 
 def _sign_contraction(g: np.ndarray) -> np.ndarray:
-    """sign(G) via eigendecomposition; zero eigenvalues map to +1."""
-    w, vecs = np.linalg.eigh(0.5 * (g + g.conj().T))
-    s = np.where(w < 0.0, -1.0, 1.0)
-    return (vecs * s) @ vecs.conj().T
+    """sign(G) for each matrix of a stack (..., r, r), via eigendecomposition of
+    its Hermitian part; zero eigenvalues map to +1."""
+    w, vecs = np.linalg.eigh(0.5 * (g + linalg.dagger(g)))
+    return (vecs * np.where(w < 0.0, -1.0, 1.0)[..., None, :]) @ linalg.dagger(vecs)
 
 
 def seesaw_maximize(
@@ -178,54 +183,57 @@ def seesaw_maximize(
     layout: RegionLayout,
     seed: int,
 ) -> tuple[BellSettings, float]:
-    """Alternating maximization of (1/2) <R> over contraction settings.
+    """Alternating maximization of (1/2) <R> over contraction settings, on the
+    state's Schmidt support (Werner & Wolf, Quantum Inf. Comput. 1, 1 (2001)).
 
-    With the B's fixed, each A_i sees the effective Hermitian operator
-    G_i = herm(Psi M_i^T Psi^†) (M1 = B1 + B2, M2 = B1 - B2, Psi the
-    coefficient matrix of the state), and sign(G_i) is the optimal
-    contraction; symmetrically for the B's.  The objective never
-    decreases, so the run stops at a fixed point or after SEESAW_ITERS.
-    A run ending with A1, A2 commuting on the state's support is stuck at a
-    classical point (value <= 1); it is redone from the next draw, up to
-    SEESAW_DRAWS draws.
+    With the B's fixed, A_i = sign(Psi M_i^T Psi^†) (M1 = B1 + B2, M2 = B1 - B2,
+    Psi the state's coefficient matrix) is optimal; symmetrically for the B's.
+    With Psi = U S W^† of Schmidt rank r (singular values below SCHMIDT_RANK_TOL
+    count as 0), sign(U g U^†) = U sign(g) U^† + (1 - U U^†), so the alternation
+    runs on r x r matrices a_i = U^† A_i U and t_i = W^† B_i^T W:
+    a_{1,2} = sign(S (t1 ± t2) S), t_{1,2} = sign(S (a1 ± a2) S), and the
+    objective (1/2) Re sum_i tr(a_i S (t1 ± t2) S) never decreases; a run stops
+    at a fixed point or after SEESAW_ITERS.  A run ending with [A1, A2] Psi = 0
+    ([a1, a2] S = 0) is stuck at a classical point (value <= 1) and is redone
+    from the next draw, up to SEESAW_DRAWS; a draw starts from the signs of
+    four random d x d Hermitian matrices.  The settings are written once, as
+    A_i = U a_i U^† + (1 - U U^†) and B_i = (W t_i W^†)^T + (1 - (W W^†)^T):
+    +1 on the kernel by construction.
     """
     if layout.n_slots != 2:
         raise ValueError("see-saw runs on 2-slot layouts")
-    state = as_state(state)
     d1, d2 = layout.dims
-    psi_mat = state.reshape(d1, d2)
+    u, s, wh = linalg.schmidt_support(as_state(state), layout.dims, 0)
     rng = np.random.default_rng(seed)
 
-    def objective(a1, a2, b1, b2) -> float:
-        val = np.trace(a1 @ psi_mat @ (b1 + b2).T @ psi_mat.conj().T)
-        val += np.trace(a2 @ psi_mat @ (b1 - b2).T @ psi_mat.conj().T)
-        return 0.5 * float(val.real)
+    def sums(x):  # S (x1 + x2) S and S (x1 - x2) S
+        return s[:, None] * np.stack((x[0] + x[1], x[0] - x[1])) * s
 
     for _ in range(SEESAW_DRAWS):
-        b1 = _sign_contraction(linalg.random_hermitian(d2, rng))
-        b2 = _sign_contraction(linalg.random_hermitian(d2, rng))
-        a1 = _sign_contraction(linalg.random_hermitian(d1, rng))
-        a2 = _sign_contraction(linalg.random_hermitian(d1, rng))
-        best = objective(a1, a2, b1, b2)
+        b = _sign_contraction(np.stack([linalg.random_hermitian(d2, rng) for _ in range(2)]))
+        a = _sign_contraction(np.stack([linalg.random_hermitian(d1, rng) for _ in range(2)]))
+        g = sums(wh @ b.swapaxes(-1, -2) @ linalg.dagger(wh))
+        a = linalg.dagger(u) @ a @ u
+        best = 0.5 * np.vdot(a, g).real  # tr(a g) = <a, g> for Hermitian a
         for _ in range(SEESAW_ITERS):
-            a1 = _sign_contraction(psi_mat @ (b1 + b2).T @ psi_mat.conj().T)
-            a2 = _sign_contraction(psi_mat @ (b1 - b2).T @ psi_mat.conj().T)
-            h1 = (psi_mat.conj().T @ a1 @ psi_mat).T
-            h2 = (psi_mat.conj().T @ a2 @ psi_mat).T
-            b1 = _sign_contraction(h1 + h2)
-            b2 = _sign_contraction(h1 - h2)
-            current = objective(a1, a2, b1, b2)
+            a = _sign_contraction(g)
+            t = _sign_contraction(sums(a))
+            g = sums(t)
+            current = 0.5 * np.vdot(a, g).real
             if current - best < SEESAW_TOL:
                 best = max(best, current)
                 break
             best = current
-        if np.linalg.norm((a1 @ a2 - a2 @ a1) @ psi_mat) > NOISE_TOL:
+        if linalg.frobenius((a[0] @ a[1] - a[1] @ a[0]) * s) > NOISE_TOL:
             break
+    eye = np.eye(len(s))
+    a = np.eye(d1) + u @ (a - eye) @ linalg.dagger(u)
+    b = np.eye(d2) + (linalg.dagger(wh) @ (t - eye) @ wh).swapaxes(-1, -2)
     settings = BellSettings(
-        a1=LocalOperator(0, a1), a2=LocalOperator(0, a2),
-        b1=LocalOperator(1, b1), b2=LocalOperator(1, b2),
+        a1=LocalOperator(0, a[0]), a2=LocalOperator(0, a[1]),
+        b1=LocalOperator(1, b[0]), b2=LocalOperator(1, b[1]),
     )
-    return settings, best
+    return settings, float(best)
 
 
 def _landau_factor(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

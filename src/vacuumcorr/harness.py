@@ -70,6 +70,9 @@ SEESAW_SHORTFALL = 1e-6
 # SWEEP_STACK_BYTES: one stack of all of them raises peak memory at large d.
 TSIRELSON_SAMPLES = 100
 SWEEP_STACK_BYTES = 64 * 1024
+# An array's text is joined into one chunk up to CHUNK_CHARS, below glibc's mmap
+# threshold; one 3 MB string per matrix raised epr 256,256's peak RSS by 7 MB.
+CHUNK_CHARS = 64 * 1024
 
 
 class ConfigError(ValueError):
@@ -504,16 +507,12 @@ def sweep_eps(cfg: ScenarioConfig) -> SweepTable:
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
-def _format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError(f"cannot serialize non-finite float {x}")
-    return f"{x:.17g}"
-
-
 def _scalar(value) -> str:
     """A JSON scalar; also the text of a CSV cell."""
     if isinstance(value, (float, np.floating)):
-        return _format_float(float(value))
+        if not math.isfinite(value):
+            raise ValueError(f"cannot serialize non-finite float {float(value)}")
+        return f"{float(value):.17g}"
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if isinstance(value, bool) or value is None:
@@ -523,46 +522,62 @@ def _scalar(value) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _array_rows(a: np.ndarray):
-    """Row texts of ``a`` as ``[re, im]`` pairs, nested in lists along its leading axes:
-    one finiteness check, then one ``%.17g`` template per row (``_format_float``'s bytes)."""
+def _array_chunks(a: np.ndarray) -> list[str]:
+    """The JSON of ``a`` as ``[re, im]`` pairs, nested in lists along its leading axes:
+    one chunk, or its rows and separators if longer than CHUNK_CHARS.  One finiteness
+    check, then one ``%.17g`` template per row (``_scalar``'s bytes)."""
     re_im = np.asarray(a, complex, order="C").view(float)
     if not np.isfinite(re_im).all():
         raise ValueError(f"cannot serialize non-finite float {re_im[~np.isfinite(re_im)][0]}")
-    *lead, width = re_im.shape
-    template = "[" + ",".join(["[%.17g,%.17g]"] * (width // 2)) + "]"
-    rows = [template % tuple(row.tolist()) for row in re_im.reshape(math.prod(lead), width)]
-    return np.array(rows, dtype=object).reshape(lead).tolist()
+    template = "[" + ",".join(["[%.17g,%.17g]"] * (re_im.shape[-1] // 2)) + "]"
+    texts = list(_array_rows(re_im, template))
+    return ["".join(texts)] if sum(map(len, texts)) <= CHUNK_CHARS else texts
 
 
-def _write(out: list, arrays: dict, value, raw: bool = False) -> None:
-    """Append the JSON of ``value`` to ``out``.  ``arrays`` maps id -> (array, row
-    texts) for each array written; with ``raw``, strings are row texts, appended as is."""
+def _array_rows(re_im: np.ndarray, template: str):
+    """The text of ``re_im`` (..., width), one row at a time."""
+    if re_im.ndim == 1:
+        yield template % tuple(re_im.tolist())
+        return
+    yield "["
+    for i, sub in enumerate(re_im):
+        if i:
+            yield ","
+        yield from _array_rows(sub, template)
+    yield "]"
+
+
+def _write(chunks: list, text: list, arrays: dict, value) -> None:
+    """Append the JSON of ``value``: ``text`` collects the strings since the last array;
+    an array appends them to ``chunks`` as one string, then its own chunks, formatted
+    once per array object (``arrays`` maps id -> (array, chunks))."""
     if isinstance(value, np.ndarray):
         if id(value) not in arrays:  # holding the array keeps its id unique
-            arrays[id(value)] = (value, _array_rows(value))
-        _write(out, arrays, arrays[id(value)][1], raw=True)
+            arrays[id(value)] = (value, _array_chunks(value))
+        chunks.append("".join(text))
+        chunks.extend(arrays[id(value)][1])
+        text.clear()
     elif isinstance(value, dict):
-        out.append("{")
+        text.append("{")
         for i, (k, v) in enumerate(sorted(value.items())):
-            out.append(("," if i else "") + encode_basestring_ascii(str(k)) + ":")
-            _write(out, arrays, v)
-        out.append("}")
+            text.append(("," if i else "") + encode_basestring_ascii(str(k)) + ":")
+            _write(chunks, text, arrays, v)
+        text.append("}")
     elif isinstance(value, (list, tuple)):
-        out.append("[")
+        text.append("[")
         for i, v in enumerate(value):
             if i:
-                out.append(",")
-            _write(out, arrays, v, raw)
-        out.append("]")
+                text.append(",")
+            _write(chunks, text, arrays, v)
+        text.append("]")
     else:
-        out.append(value if raw else _scalar(value))
+        text.append(_scalar(value))
 
 
 def _json_chunks(value) -> list[str]:
-    out: list[str] = []
-    _write(out, {}, value)
-    return out
+    chunks, text = [], []
+    _write(chunks, text, {}, value)
+    return chunks + ["".join(text)]
 
 
 def canonical_json(value) -> str:

@@ -171,6 +171,15 @@ def schmidt_coefficients(psi, dims, left_slots) -> np.ndarray:
     return np.linalg.svd(coefficient_matrix(psi, dims, left_slots), compute_uv=False)
 
 
+def schmidt_support(psi, dims, left_slots) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coefficient matrix across left_slots|rest as U S W^† on its support:
+    the r singular values S above SCHMIDT_RANK_TOL (those below count as 0),
+    U with r orthonormal columns and W^† with r orthonormal rows."""
+    u, s, wh = np.linalg.svd(coefficient_matrix(psi, dims, left_slots), full_matrices=False)
+    r = int(np.sum(s > SCHMIDT_RANK_TOL))
+    return u[:, :r], s[:r], wh[:r]
+
+
 def complex_gaussian(dim: int, rng: np.random.Generator) -> np.ndarray:
     """A dim x dim standard complex Gaussian matrix: the real block is drawn
     first, then the imaginary block, in one call."""

@@ -493,13 +493,14 @@ def certify_root(p: RootProducts, eps: float) -> RootCertificate:
     val5 = _real_in_window("combined", "commuting product", "eps5",
                            complex(np.dot(dec_unit.coeffs, p.aps[:kept])), k, eps5)
     ext = _extremal(dec_unit, p.p_expects[:kept], p.aps[:kept])
+    rescale = p.q - dec_unit.local_matrix()  # Hermitian to rounding only, as Q1 = C^† C is
 
     achieved = {
         "cyclic_residual": p.cyclic_residual,
         "normalized_error": p.normalized_error,
         "window_error": abs(val3 - k),
         "decomposition_residual": dec.residual,
-        "rescale_error": operator_norm(p.q - dec_unit.local_matrix()),
+        "rescale_error": operator_norm(0.5 * (rescale + linalg.dagger(rescale))),
         "combined_error": abs(val5 - k),
     }
     return RootCertificate(

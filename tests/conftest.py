@@ -4,7 +4,8 @@ These deliberately avoid the library code paths they check: eigenvalues
 come from characteristic-polynomial roots, span dimensions from explicit
 matrix-unit orbits, least-squares residuals from normal equations,
 operator norms of any matrix from a dense SVD, and Bell ceilings from a
-grid over qubit measurement angles.  The Tsirelson sweep's reference
+grid over qubit measurement angles.  The see-saw's reference iterates
+on full d x d matrices.  The Tsirelson sweep's reference
 takes its settings one at a time through the single-setting API, and the
 report writer's reference formats one float at a time.
 ``run_cli`` runs the command line on this checkout's sources.
@@ -20,8 +21,16 @@ from pathlib import Path
 
 import numpy as np
 
-from vacuumcorr.correlations import BellSettings, contraction_from_projector, tsirelson_certificate
-from vacuumcorr.local_algebra import RegionLayout, random_projector
+from vacuumcorr.correlations import (
+    SEESAW_DRAWS,
+    SEESAW_ITERS,
+    SEESAW_TOL,
+    BellSettings,
+    contraction_from_projector,
+    tsirelson_certificate,
+)
+from vacuumcorr.linalg import NOISE_TOL, random_hermitian
+from vacuumcorr.local_algebra import LocalOperator, RegionLayout, random_projector
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -164,6 +173,54 @@ def tsirelson_sweep_reference(dims, seed: int, samples: int = 100) -> tuple[floa
         s = BellSettings(a1=contraction(0), a2=contraction(0), b1=contraction(1), b2=contraction(1))
         margins.append(tsirelson_certificate(s, layout))
     return min(margins), max(margins)
+
+
+def _dense_sign(g: np.ndarray) -> np.ndarray:
+    """sign(G) via eigendecomposition; zero eigenvalues map to +1."""
+    w, vecs = np.linalg.eigh(0.5 * (g + g.conj().T))
+    s = np.where(w < 0.0, -1.0, 1.0)
+    return (vecs * s) @ vecs.conj().T
+
+
+def seesaw_oracle(state, layout, seed: int):
+    """The see-saw on full d x d matrices, with the library's random stream:
+    four d x d eigendecompositions and the objective from d x d products per
+    iteration.  Returns (BellSettings, best value) like ``seesaw_maximize``."""
+    state = np.asarray(state, dtype=complex).ravel()
+    d1, d2 = layout.dims
+    psi_mat = state.reshape(d1, d2)
+    rng = np.random.default_rng(seed)
+
+    def objective(a1, a2, b1, b2) -> float:
+        val = np.trace(a1 @ psi_mat @ (b1 + b2).T @ psi_mat.conj().T)
+        val += np.trace(a2 @ psi_mat @ (b1 - b2).T @ psi_mat.conj().T)
+        return 0.5 * float(val.real)
+
+    for _ in range(SEESAW_DRAWS):
+        b1 = _dense_sign(random_hermitian(d2, rng))
+        b2 = _dense_sign(random_hermitian(d2, rng))
+        a1 = _dense_sign(random_hermitian(d1, rng))
+        a2 = _dense_sign(random_hermitian(d1, rng))
+        best = objective(a1, a2, b1, b2)
+        for _ in range(SEESAW_ITERS):
+            a1 = _dense_sign(psi_mat @ (b1 + b2).T @ psi_mat.conj().T)
+            a2 = _dense_sign(psi_mat @ (b1 - b2).T @ psi_mat.conj().T)
+            h1 = (psi_mat.conj().T @ a1 @ psi_mat).T
+            h2 = (psi_mat.conj().T @ a2 @ psi_mat).T
+            b1 = _dense_sign(h1 + h2)
+            b2 = _dense_sign(h1 - h2)
+            current = objective(a1, a2, b1, b2)
+            if current - best < SEESAW_TOL:
+                best = max(best, current)
+                break
+            best = current
+        if np.linalg.norm((a1 @ a2 - a2 @ a1) @ psi_mat) > NOISE_TOL:
+            break
+    settings = BellSettings(
+        a1=LocalOperator(0, a1), a2=LocalOperator(0, a2),
+        b1=LocalOperator(1, b1), b2=LocalOperator(1, b2),
+    )
+    return settings, best
 
 
 def _format_float_reference(x: float) -> str:

@@ -13,10 +13,12 @@ from conftest import (
     operator_norm_oracle,
     qubit_angle_grid_bell,
     random_state,
+    seesaw_oracle,
 )
 
 from vacuumcorr import correlations, linalg
 from vacuumcorr.correlations import (
+    SEESAW_DRAWS,
     SQRT2,
     BellSettings,
     bell_correlation,
@@ -26,6 +28,8 @@ from vacuumcorr.correlations import (
     contraction_from_projector,
     epr_projector_pair,
     general_contraction_extension,
+    hermitian_contractions,
+    reflections,
     seesaw_maximize,
     tsirelson_certificate,
     tsirelson_margins,
@@ -157,6 +161,30 @@ class TestBellSettings:
                 b1=LocalOperator(1, Z),
                 b2=LocalOperator(1, X),
             )
+
+    def test_one_stacked_validation_per_side(self, monkeypatch):
+        _, s = canonical_max_violation(RegionLayout((3, 4)))
+        stacks = []
+        original = correlations.hermitian_contractions
+
+        def recording(x, names):
+            stacks.append((x.shape, tuple(names)))
+            return original(x, names)
+
+        monkeypatch.setattr(correlations, "hermitian_contractions", recording)
+        BellSettings(a1=s.a1, a2=s.a2, b1=s.b1, b2=s.b2)
+        assert stacks == [((2, 3, 3), ("A1", "A2")), ((2, 4, 4), ("B1", "B2"))]
+
+    def test_pair_of_different_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="B1 and B2 differ in dimension"):
+            BellSettings(a1=LocalOperator(0, Z), a2=LocalOperator(0, X),
+                         b1=LocalOperator(1, Z), b2=LocalOperator(1, np.eye(3)))
+
+    def test_reflections_take_no_eigvalsh(self, monkeypatch):
+        # 2P - 1 clears the one-product bound, so no matrix is loose.
+        x = reflections(random_projector(RegionLayout((5, 5)), 0, 2, seed=1).matrix[None])
+        monkeypatch.setattr(np.linalg, "eigvalsh", mock.Mock(side_effect=AssertionError))
+        assert np.array_equal(hermitian_contractions(x, ("A1",)), x)
 
     def test_non_self_adjoint_rejected(self):
         with pytest.raises(ValueError, match="not self-adjoint"):
@@ -415,6 +443,61 @@ class TestSeesaw:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="2-slot"):
             seesaw_maximize(np.ones(16) / 4.0, L224, seed=0)
+
+
+def rotated_rank_two(d: int, rotation: int):
+    """The canonical state (U (x) V) phi for Haar unitaries U, V, with the
+    projectors onto U's and V's first two columns: ran Psi and ran Psi^T."""
+    layout = RegionLayout((d, d))
+    phi, _ = canonical_max_violation(layout)
+    rng = np.random.default_rng(1000 + rotation)
+    u, v = (haar_unitary(complex_gaussian(d, rng)) for _ in range(2))
+    state = (u @ phi.reshape(d, d) @ v.T).ravel()
+    return layout, state, u[:, :2] @ u[:, :2].conj().T, v[:, :2] @ v[:, :2].conj().T
+
+
+class TestSeesawOnTheSupport:
+    @pytest.mark.parametrize("dims", [(d, d) for d in range(2, 25)] + [(2, 5), (6, 3)])
+    def test_matches_the_dense_oracle_on_the_canonical_state(self, dims):
+        layout = RegionLayout(dims)
+        state, _ = canonical_max_violation(layout)
+        for seed in range(40):
+            got = seesaw_maximize(state, layout, seed)[1]
+            assert abs(got - seesaw_oracle(state, layout, seed)[1]) <= 1e-12, seed
+
+    @pytest.mark.parametrize("d", [3, 4, 8, 16])
+    def test_every_call_reaches_tsirelson_on_rotated_rank_two_states(self, d):
+        # The dense iteration misses sqrt(2) - 1e-6 on some of these calls at d = 3, 4.
+        for rotation in range(5):
+            layout, state, _, _ = rotated_rank_two(d, rotation)
+            for seed in range(40):
+                assert seesaw_maximize(state, layout, seed)[1] >= SQRT2 - 1e-6, (rotation, seed)
+
+    def test_settings_are_the_identity_on_the_kernel(self):
+        layout, state, pa, pb = rotated_rank_two(16, 0)
+        s, value = seesaw_maximize(state, layout, seed=0)
+        assert value >= SQRT2 - 1e-6
+        for ops, p in (((s.a1, s.a2), pa), ((s.b1, s.b2), pb)):
+            kernel = np.eye(16) - p
+            for op in ops:
+                assert np.abs(op.matrix @ kernel - kernel).max() <= 1e-12
+
+    def test_no_full_size_eigh_inside_the_iteration(self, monkeypatch):
+        sides = []
+        original = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            sides.append(np.shape(a)[-1])
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        layout = RegionLayout((16, 16))
+        state, _ = canonical_max_violation(layout)
+        seesaw_maximize(state, layout, seed=3)
+        # Two stacked d x d signs per draw start it; every iteration signs 2 x 2 stacks.
+        assert set(sides) == {2, 16}
+        assert sides.count(16) <= 2 * SEESAW_DRAWS
+        assert sides.index(2) == 2
 
 
 class TestEPRProjectorPair:

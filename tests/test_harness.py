@@ -541,6 +541,34 @@ class TestSerialization:
         emit_report(report, fmt, path)
         assert path.read_bytes() == render_report(report, fmt).encode("ascii")
 
+    @pytest.mark.parametrize("scenario,layout", [("root-cert", [3, 3]), ("cond-bell", [3, 3, 9])])
+    def test_chunks_are_the_text_between_arrays_and_each_small_array(self, scenario, layout):
+        report = run_scenario(cfg(scenario=scenario, layout=layout, eps=0.05))
+        payload = report.to_payload()
+        arrays = []
+
+        def collect(value):
+            if isinstance(value, np.ndarray):
+                arrays.append(value)
+            elif isinstance(value, dict):
+                for _, v in sorted(value.items()):
+                    collect(v)
+            elif isinstance(value, (list, tuple)):
+                for v in value:
+                    collect(v)
+
+        collect(payload)
+        chunks = harness._report_chunks(report, "json", include_timings=False)
+        assert len(chunks) == 2 * len(arrays) + 2  # the last is the newline
+        assert chunks[1::2][:len(arrays)] == [canonical_json_reference(a) for a in arrays]
+
+    def test_an_array_longer_than_chunk_chars_row_by_row(self):
+        m = np.random.default_rng(0).standard_normal((120, 120)) * (1 + 1j)
+        chunks = harness._json_chunks({"m": m})
+        assert len(canonical_json_reference(m)) > harness.CHUNK_CHARS
+        assert chunks[1:-1][1::2] == [canonical_json_reference(row) for row in m]
+        assert "".join(chunks) == canonical_json_reference({"m": m})
+
     def test_emit_report_byte_identical_files(self, tmp_path):
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"

@@ -131,10 +131,11 @@ class TestOperatorNorm:
 def _svd_calls(path):
     """``module:line: call`` for each call in a source file that takes an SVD
     (``*.svd``, or a 2-norm ``*.norm(x, 2)``), and how many of them sit in
-    ``schmidt_coefficients``, the one function allowed to."""
+    ``schmidt_coefficients`` or ``schmidt_support``, the two functions allowed to."""
     tree = ast.parse(path.read_text())
     allowed = {id(node) for f in ast.walk(tree)
-               if isinstance(f, ast.FunctionDef) and f.name == "schmidt_coefficients"
+               if isinstance(f, ast.FunctionDef)
+               and f.name in ("schmidt_coefficients", "schmidt_support")
                for node in ast.walk(f)}
     found, inside = [], 0
     for node in ast.walk(tree):
@@ -156,7 +157,7 @@ def test_no_svd_outside_the_schmidt_spectra():
     paths = sorted((SRC / "vacuumcorr").glob("*.py"))
     results = [_svd_calls(path) for path in paths]
     assert [call for found, _ in results for call in found] == []
-    assert sum(inside for _, inside in results) == 1
+    assert sum(inside for _, inside in results) == 2
 
 
 class TestDaggerDistance:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -24,12 +25,14 @@ from vacuumcorr.root_theorem import (
     BUDGET_TOL,
     EpsilonBudget,
     StageFailure,
+    certify_root,
     combined_window,
     expectation_window,
     normalize_approximant,
     positive_spectral_decomposition,
     prove_root_certificate,
     rescale_to_unit_vacuum,
+    root_products,
     select_extremal_projectors,
     solve_cyclic_approx,
 )
@@ -504,3 +507,17 @@ class TestProductsOnceMatchesStagewise:
             np.testing.assert_allclose(got["numbers"], want["numbers"], rtol=1e-14, atol=1e-13)
             for mine, ref in zip(got["picks"], want["picks"]):
                 np.testing.assert_allclose(mine, ref, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("d,seed", [(11, 3), (57, 3)])
+def test_rescale_error_reads_both_triangles_of_q1(d, seed):
+    # Q1 = C^† C is Hermitian only to rounding here; its adjoint must give the same bits.
+    layout = RegionLayout((d, d))
+    v = make_vacuum(layout, seed)
+    rng = np.random.default_rng(seed)
+    a = LocalOperator(1, linalg.random_hermitian(d, rng))
+    products = root_products(a, random_state(layout.total_dim, rng), v, (0,))
+    assert not np.array_equal(products.q, products.q.conj().T)
+    flipped = replace(products, q=products.q.conj().T)
+    got = [certify_root(p, 0.01).achieved["rescale_error"] for p in (products, flipped)]
+    assert got[0] == got[1]
