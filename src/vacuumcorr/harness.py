@@ -29,7 +29,7 @@ from .correlations import (
     epr_projector_pair,
     hermitian_contractions,
     reflections,
-    seesaw_maximize,
+    seesaw_starts,
     tsirelson_certificate,
     tsirelson_margins,
     violate_conditional_bell,
@@ -354,13 +354,10 @@ def _scenario_bell_max(cfg: ScenarioConfig) -> tuple[list, dict]:
     assertions: list = []
     _record(assertions, "canonical_upper", value, "<=", SQRT2 + RECOMPUTE_TOL)
     _record(assertions, "canonical_lower", value, ">=", SQRT2 - RECOMPUTE_TOL)
-    best = -math.inf
-    n_starts = 5
-    for k in range(n_starts):
-        _, beta = seesaw_maximize(state, layout, cfg.seed + k)
+    values = [beta for _, beta in seesaw_starts(state, layout, range(cfg.seed, cfg.seed + 5))]
+    for k, beta in enumerate(values):
         _record(assertions, f"seesaw_ceiling_start_{k}", beta, "<=", SQRT2 + SEESAW_CEILING)
-        best = max(best, beta)
-    _record(assertions, "seesaw_best", best, ">=", SQRT2 - SEESAW_SHORTFALL)
+    _record(assertions, "seesaw_best", max(values), ">=", SQRT2 - SEESAW_SHORTFALL)
     margin = tsirelson_certificate(settings, layout)
     _record(assertions, "tsirelson_margin", margin, ">=", -cfg.tolerances.tsirelson_slack)
     report = BellReport(settings=settings, state=state, correlation=value, tsirelson_margin=margin)
@@ -387,21 +384,23 @@ def _scenario_tsirelson_sweep(cfg: ScenarioConfig) -> tuple[list, dict]:
     slack = cfg.tolerances.tsirelson_slack
     dims = layout.dims
     chunk = max(1, SWEEP_STACK_BYTES // (2 * max(dims) ** 2 * np.dtype(complex).itemsize))
-    buffers = [np.empty((2, d, d)) for d in dims]
+    integers, normal = rng.integers, rng.standard_normal
     margins = []
     for start in range(0, TSIRELSON_SAMPLES, chunk):
         n = min(chunk, TSIRELSON_SAMPLES - start)
-        ranks = np.empty((n, 4), dtype=int)
-        gaussians = [np.empty((n, 2, d, d), dtype=complex) for d in dims]
+        ranks = []
+        # complex_gaussian's draws (its real, then its imaginary block), per side;
+        # dropped once copied, as holding them raised the sweep's peak memory.
+        draws = [np.empty((n, 2, 2, d, d)) for d in dims]
         for i in range(n):
             for k in range(4):  # A1, A2 on slot 0; B1, B2 on slot 1
-                side = k // 2
-                ranks[i, k] = rng.integers(1, dims[side] + 1)
-                # complex_gaussian's draw: its real, then its imaginary block.
-                rng.standard_normal(out=buffers[side])
-                g = gaussians[side][i, k % 2]
-                g.real = buffers[side][0]
-                g.imag = buffers[side][1]
+                ranks.append(integers(1, dims[k // 2] + 1))
+                normal(out=draws[k // 2][i, k % 2])
+        gaussians = [np.empty((n, 2, d, d), dtype=complex) for d in dims]
+        for side, g in enumerate(gaussians):
+            g.real, g.imag = draws[side][:, :, 0], draws[side][:, :, 1]
+        del draws
+        ranks = np.array(ranks).reshape(n, 4)
         a = _random_contractions(ranks[:, :2], gaussians[0], ("A1", "A2"))
         b = _random_contractions(ranks[:, 2:], gaussians[1], ("B1", "B2"))
         margins.append(tsirelson_margins(a, b, layout))

@@ -5,9 +5,10 @@ come from characteristic-polynomial roots, span dimensions from explicit
 matrix-unit orbits, least-squares residuals from normal equations,
 operator norms of any matrix from a dense SVD, and Bell ceilings from a
 grid over qubit measurement angles.  The see-saw's reference iterates
-on full d x d matrices.  The Tsirelson sweep's reference
-takes its settings one at a time through the single-setting API, and the
-report writer's reference formats one float at a time.
+on full d x d matrices, from the library's r x r starts lifted to d x d.
+The Tsirelson sweep's reference takes its settings one at a time through
+the single-setting API, and the report writer's reference formats one
+float at a time.
 ``run_cli`` runs the command line on this checkout's sources.
 """
 
@@ -29,7 +30,7 @@ from vacuumcorr.correlations import (
     contraction_from_projector,
     tsirelson_certificate,
 )
-from vacuumcorr.linalg import NOISE_TOL, random_hermitian
+from vacuumcorr.linalg import NOISE_TOL, SCHMIDT_RANK_TOL, random_hermitian
 from vacuumcorr.local_algebra import LocalOperator, RegionLayout, random_projector
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -184,12 +185,21 @@ def _dense_sign(g: np.ndarray) -> np.ndarray:
 
 def seesaw_oracle(state, layout, seed: int):
     """The see-saw on full d x d matrices, with the library's random stream:
-    four d x d eigendecompositions and the objective from d x d products per
-    iteration.  Returns (BellSettings, best value) like ``seesaw_maximize``."""
+    each draw's r x r starts (r the Schmidt rank) are lifted to d x d as
+    U a U^† + (1 - U U^†), with U from this function's own SVD, then iterated
+    by four d x d eigendecompositions and the objective from d x d products.
+    Returns (BellSettings, best value) like ``seesaw_maximize``."""
     state = np.asarray(state, dtype=complex).ravel()
     d1, d2 = layout.dims
     psi_mat = state.reshape(d1, d2)
+    u, s, wh = np.linalg.svd(psi_mat, full_matrices=False)
+    r = int(np.sum(s > SCHMIDT_RANK_TOL))
+    u, w = u[:, :r], wh[:r].conj().T
     rng = np.random.default_rng(seed)
+
+    def lift(v, h):  # sign(h) on ran V, +1 on its complement
+        p = v @ v.conj().T
+        return v @ _dense_sign(h) @ v.conj().T + np.eye(len(p)) - p
 
     def objective(a1, a2, b1, b2) -> float:
         val = np.trace(a1 @ psi_mat @ (b1 + b2).T @ psi_mat.conj().T)
@@ -197,10 +207,10 @@ def seesaw_oracle(state, layout, seed: int):
         return 0.5 * float(val.real)
 
     for _ in range(SEESAW_DRAWS):
-        b1 = _dense_sign(random_hermitian(d2, rng))
-        b2 = _dense_sign(random_hermitian(d2, rng))
-        a1 = _dense_sign(random_hermitian(d1, rng))
-        a2 = _dense_sign(random_hermitian(d1, rng))
+        b1 = lift(w, random_hermitian(r, rng)).T
+        b2 = lift(w, random_hermitian(r, rng)).T
+        a1 = lift(u, random_hermitian(r, rng))
+        a2 = lift(u, random_hermitian(r, rng))
         best = objective(a1, a2, b1, b2)
         for _ in range(SEESAW_ITERS):
             a1 = _dense_sign(psi_mat @ (b1 + b2).T @ psi_mat.conj().T)

@@ -18,7 +18,6 @@ from conftest import (
 
 from vacuumcorr import correlations, linalg
 from vacuumcorr.correlations import (
-    SEESAW_DRAWS,
     SQRT2,
     BellSettings,
     bell_correlation,
@@ -487,17 +486,20 @@ class TestSeesawOnTheSupport:
         original = np.linalg.eigh
 
         def recording(a, *args, **kwargs):
-            sides.append(np.shape(a)[-1])
+            sides.append(np.shape(a)[-2:])
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", recording)
-        layout = RegionLayout((16, 16))
-        state, _ = canonical_max_violation(layout)
-        seesaw_maximize(state, layout, seed=3)
-        # Two stacked d x d signs per draw start it; every iteration signs 2 x 2 stacks.
-        assert set(sides) == {2, 16}
-        assert sides.count(16) <= 2 * SEESAW_DRAWS
-        assert sides.index(2) == 2
+        canonical = RegionLayout((16, 16))
+        skewed = RegionLayout((6, 3))
+        for layout, state, rank in (
+            (canonical, canonical_max_violation(canonical)[0], 2),
+            (skewed, random_state(18, np.random.default_rng(4)), 3),
+        ):
+            sides.clear()
+            seesaw_maximize(state, layout, seed=3)
+            # The starts and every iteration sign r x r stacks only.
+            assert sides and set(sides) == {(rank, rank)}, layout.dims
 
 
 class TestEPRProjectorPair:

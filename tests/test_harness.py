@@ -168,11 +168,22 @@ class TestScenarios:
         assert budget["norm_a"] * budget["eps4"] <= cert["requested_eps"] / 4
         assert cert["achieved"]["decomposition_residual"] <= budget["eps4_tilde"]
 
-    @pytest.mark.parametrize("layout,seed", [([3, 3], 483374545), ([4, 4], 1542785184)])
-    def test_bell_max_survives_classical_seesaw_stalls(self, layout, seed):
-        # Every start of these seeds first lands on the classical fixed point 1.
+    @pytest.mark.parametrize("layout,seed", [([3, 3], 1834), ([4, 4], 2030)])
+    def test_bell_max_survives_classical_seesaw_stalls(self, monkeypatch, layout, seed):
+        # Every start of these seeds first lands on the classical fixed point 1,
+        # so each start draws again: more than the 4 matrices of one draw.
+        rngs = []
+        original = linalg.random_hermitian
+
+        def recording(dim, rng):
+            rngs.append(rng)  # held, so that each start's generator keeps its id
+            return original(dim, rng)
+
+        monkeypatch.setattr(linalg, "random_hermitian", recording)
         report = run_scenario(cfg(scenario="bell-max", layout=layout, seed=seed))
         assert report.passed
+        draws = Counter(map(id, rngs))
+        assert len(draws) == 5 and min(draws.values()) > 4
 
     def test_bell_max_asserts_the_tsirelson_margin(self):
         report = run_scenario(cfg(scenario="bell-max", layout=[2, 2],
@@ -318,6 +329,22 @@ class TestSpectraComputedOnce:
         calls = record_schmidt_calls(monkeypatch)
         assert run_scenario(cfg(scenario=scenario, layout=layout, eps=0.05)).passed
         assert len(calls) == svds
+
+    @pytest.mark.parametrize("layout", [[2, 2], [16, 16], [3, 8]])
+    def test_bell_max_takes_one_svd(self, monkeypatch, layout):
+        # The five see-saw starts share one Schmidt decomposition of the state.
+        calls = []
+        original = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            calls.append(kwargs.get("compute_uv", True))
+            return original(a, *args, **kwargs)
+
+        # np.linalg.norm(a, 2) reaches svd through numpy's private module.
+        for module in {np.linalg, sys.modules.get("numpy.linalg._linalg", np.linalg)}:
+            monkeypatch.setattr(module, "svd", recording)
+        assert run_scenario(cfg(scenario="bell-max", layout=layout)).passed
+        assert calls == [True]
 
     @pytest.mark.parametrize("layout", [(2, 2), (3, 3, 9)])
     def test_from_vector_takes_no_spectrum(self, monkeypatch, layout):
