@@ -12,9 +12,10 @@ R is applied term by term, never formed for a correlation.  Landau's identity
 B1^2 = B2^2 = P_B are nonzero projectors (every 2P - 1, the canonical settings):
 R^2 = 4 P_A P_B - [A1,A2][B1,B2], each commutator's spectrum is symmetric
 (A1 [A1,A2] A1 = -[A1,A2]), so ||R|| = sqrt(4 + ||[A1,A2]|| ||[B1,B2]||).
-``tsirelson_margins`` works on stacks of settings; the Tsirelson sweep passes
-it stacks of at most 64 KiB, and it takes the dense norm per setting where
-Landau's precondition fails.
+``tsirelson_margins`` takes the dense norm where Landau's precondition fails.
+The Tsirelson sweep's settings are 2P - 1 for Haar projectors P, and it reads
+each commutator from the frames of the P's alone, in the two-subspace sine
+form (Halmos, Trans. AMS 144, 381 (1969)): ``reflection_commutator_norms``.
 """
 
 from __future__ import annotations
@@ -105,14 +106,9 @@ class BellReport:
 
 def contraction_from_projector(p: LocalOperator) -> LocalOperator:
     """2P - 1: a self-adjoint contraction with spectrum in {-1, +1}."""
-    return LocalOperator(p.slots, reflections(p.matrix))
-
-
-def reflections(p: np.ndarray) -> np.ndarray:
-    """2P - 1 for each projector P of a stack (..., d, d)."""
-    if not np.all(linalg.is_projector(p)):
+    if not p.is_projector():
         raise ValueError("input is not a projector")
-    return 2.0 * p - np.eye(p.shape[-1], dtype=complex)
+    return LocalOperator(p.slots, 2.0 * p.matrix - np.eye(p.dim, dtype=complex))
 
 
 def bell_operator(s: BellSettings, layout: RegionLayout) -> np.ndarray:
@@ -196,16 +192,21 @@ def seesaw_maximize(state, layout: RegionLayout, seed: int) -> tuple[BellSetting
     draw H).  The settings are written once, as A_i = U a_i U^† + (1 - U U^†)
     and B_i = (W t_i W^†)^T + (1 - (W W^†)^T): +1 on the kernel by construction.
     """
-    return next(seesaw_starts(state, layout, (seed,)))
-
-
-def seesaw_starts(state, layout: RegionLayout, seeds) -> Iterator[tuple[BellSettings, float]]:
-    """``seesaw_maximize`` for each of ``seeds`` in turn, on one SVD of the state."""
     if layout.n_slots != 2:
         raise ValueError("see-saw runs on 2-slot layouts")
-    d1, d2 = layout.dims
     u, s, wh = linalg.schmidt_support(as_state(state), layout.dims, 0)
-    r, eye = len(s), np.eye(len(s))
+    value, a, t = next(seesaw_starts(s, (seed,)))
+    a = np.eye(len(u)) + u @ (a - np.eye(len(s))) @ linalg.dagger(u)
+    b = np.eye(wh.shape[1]) + (linalg.dagger(wh) @ (t - np.eye(len(s))) @ wh).swapaxes(-1, -2)
+    return BellSettings(LocalOperator(0, a[0]), LocalOperator(0, a[1]),
+                        LocalOperator(1, b[0]), LocalOperator(1, b[1])), value
+
+
+def seesaw_starts(s: np.ndarray, seeds) -> Iterator[tuple[float, np.ndarray, np.ndarray]]:
+    """``seesaw_maximize``'s value and r x r settings (a, t), checked but not lifted,
+    for each of ``seeds`` in turn, on a state with the r Schmidt coefficients ``s``
+    (``linalg.schmidt_support``'s): the see-saw depends on nothing else."""
+    r = len(s)
 
     def sums(x):  # S (x1 + x2) S and S (x1 - x2) S
         return s[:, None] * np.stack((x[0] + x[1], x[0] - x[1])) * s
@@ -227,13 +228,28 @@ def seesaw_starts(state, layout: RegionLayout, seeds) -> Iterator[tuple[BellSett
                 best = current
             if linalg.frobenius((a[0] @ a[1] - a[1] @ a[0]) * s) > NOISE_TOL:
                 break
-        a = np.eye(d1) + u @ (a - eye) @ linalg.dagger(u)
-        b = np.eye(d2) + (linalg.dagger(wh) @ (t - eye) @ wh).swapaxes(-1, -2)
-        settings = BellSettings(
-            a1=LocalOperator(0, a[0]), a2=LocalOperator(0, a[1]),
-            b1=LocalOperator(1, b[0]), b2=LocalOperator(1, b[1]),
-        )
-        yield settings, float(best)
+        # U a U^† + (1 - U U^†) is a self-adjoint contraction exactly when a is.
+        herm = hermitian_contractions(np.concatenate((a, t)), ("A1", "A2", "B1", "B2"))
+        yield float(best), herm[:2], herm[2:]
+
+
+def reflection_commutator_norms(u: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """||[2 P1 - 1, 2 P2 - 1]|| for each pair of a stack ``u`` (n, 2, d, k), P_j the
+    projector onto the first ``ranks[i, j]`` columns Q_j of ``u[i, j]``, which must
+    be orthonormal to NOISE_TOL (ValueError).  It is 4 ||T|| with T = P1 P2 (1 - P1)
+    = Q1 M (Q2 - Q1 M)^†, M = Q1^† Q2 (Halmos, Trans. AMS 144, 381 (1969)): a sine
+    form, exact at small principal angles where the cosine form from the singular
+    values of M loses them (Björck & Golub, Math. Comp. 27, 579 (1973))."""
+    width = int(ranks.max())
+    kept = np.arange(width) < ranks[..., None]
+    q = u[..., :width] * kept[..., None, :]
+    dev = linalg.frobenius(linalg.dagger(q) @ q - kept[..., None] * np.eye(width))
+    if not (dev <= NOISE_TOL).all():
+        i, j = np.unravel_index(np.argmax(~(dev <= NOISE_TOL)), dev.shape)
+        raise ValueError(f"frame {j + 1} of setting {i} is not orthonormal: {dev[i, j]}")
+    m = linalg.dagger(q[:, 0]) @ q[:, 1]
+    t = m @ linalg.dagger(q[:, 1] - q[:, 0] @ m)  # T = Q1 t
+    return 4.0 * np.sqrt(np.linalg.eigvalsh(t @ linalg.dagger(t))[..., -1])
 
 
 def _landau_factor(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -27,19 +27,17 @@ from .correlations import (
     bell_correlation,
     canonical_max_violation,
     epr_projector_pair,
-    hermitian_contractions,
-    reflections,
+    reflection_commutator_norms,
     seesaw_starts,
     tsirelson_certificate,
-    tsirelson_margins,
     violate_conditional_bell,
 )
 from .linalg import (
     PROJECTOR_FLOOR,
     SCHMIDT_RANK_TOL,
     haar_unitary,
-    projector,
     random_hermitian,
+    schmidt_support,
 )
 from .local_algebra import (
     LocalOperator,
@@ -354,7 +352,8 @@ def _scenario_bell_max(cfg: ScenarioConfig) -> tuple[list, dict]:
     assertions: list = []
     _record(assertions, "canonical_upper", value, "<=", SQRT2 + RECOMPUTE_TOL)
     _record(assertions, "canonical_lower", value, ">=", SQRT2 - RECOMPUTE_TOL)
-    values = [beta for _, beta in seesaw_starts(state, layout, range(cfg.seed, cfg.seed + 5))]
+    s = schmidt_support(state, layout.dims, 0)[1]
+    values = [beta for beta, _, _ in seesaw_starts(s, range(cfg.seed, cfg.seed + 5))]
     for k, beta in enumerate(values):
         _record(assertions, f"seesaw_ceiling_start_{k}", beta, "<=", SQRT2 + SEESAW_CEILING)
     _record(assertions, "seesaw_best", max(values), ">=", SQRT2 - SEESAW_SHORTFALL)
@@ -364,25 +363,10 @@ def _scenario_bell_max(cfg: ScenarioConfig) -> tuple[list, dict]:
     return assertions, {"bell": _plain(report)}
 
 
-def _random_contractions(ranks: np.ndarray, gaussians: np.ndarray, names) -> np.ndarray:
-    """2P - 1 for a stack (n, 2, d, d) of complex Gaussian matrices, as
-    ``hermitian_contractions`` returns it: P projects onto the first
-    ``ranks[i, k]`` columns of the Haar unitary made from ``gaussians[i, k]``."""
-    u = haar_unitary(gaussians)
-    p = np.empty_like(u)
-    for rank in set(ranks.flat):
-        # B B^† with exactly ``rank`` columns: zero-padded columns would
-        # change BLAS's summation and so the last bits of P.
-        keep = ranks == rank
-        p[keep] = projector(u[keep][..., :rank])
-    return hermitian_contractions(reflections(p), names)
-
-
 def _scenario_tsirelson_sweep(cfg: ScenarioConfig) -> tuple[list, dict]:
-    layout = cfg.region_layout()
     rng = np.random.default_rng(cfg.seed)
     slack = cfg.tolerances.tsirelson_slack
-    dims = layout.dims
+    dims = cfg.layout
     chunk = max(1, SWEEP_STACK_BYTES // (2 * max(dims) ** 2 * np.dtype(complex).itemsize))
     integers, normal = rng.integers, rng.standard_normal
     margins = []
@@ -401,9 +385,10 @@ def _scenario_tsirelson_sweep(cfg: ScenarioConfig) -> tuple[list, dict]:
             g.real, g.imag = draws[side][:, :, 0], draws[side][:, :, 1]
         del draws
         ranks = np.array(ranks).reshape(n, 4)
-        a = _random_contractions(ranks[:, :2], gaussians[0], ("A1", "A2"))
-        b = _random_contractions(ranks[:, 2:], gaussians[1], ("B1", "B2"))
-        margins.append(tsirelson_margins(a, b, layout))
+        # ||R|| by Landau's identity: every 2P - 1 squares to 1.
+        ca = reflection_commutator_norms(haar_unitary(gaussians[0]), ranks[:, :2])
+        cb = reflection_commutator_norms(haar_unitary(gaussians[1]), ranks[:, 2:])
+        margins.append(SQRT2 - 0.5 * np.sqrt(4.0 + ca * cb))
     margins = np.concatenate(margins)
     lo, hi = float(margins.min()), float(margins.max())
     assertions: list = []

@@ -193,9 +193,9 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def haar_unitary(g: np.ndarray) -> np.ndarray:
-    """A Haar-distributed unitary from each complex Gaussian matrix of a stack
-    (..., d, d): its QR factor Q with the standard phase fix (Mezzadri,
-    Notices AMS 54, 592 (2007)), column j times the phase of R_jj."""
+    """A Haar unitary's first k columns from each complex Gaussian matrix of a stack
+    (..., d, k): its QR factor Q with the standard phase fix (Mezzadri, Notices
+    AMS 54, 592 (2007)), column j times the phase of R_jj."""
     q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]

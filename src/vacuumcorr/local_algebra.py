@@ -199,6 +199,5 @@ def random_projector(
     d = layout.region_dim(slots)
     if not 1 <= rank <= d:
         raise ValueError(f"rank must lie in [1, {d}], got {rank}")
-    rng = np.random.default_rng(seed)
-    u = linalg.haar_unitary(linalg.complex_gaussian(d, rng))
-    return LocalOperator(slots, linalg.projector(u[:, :rank]))
+    g = linalg.complex_gaussian(d, np.random.default_rng(seed))
+    return LocalOperator(slots, linalg.projector(linalg.haar_unitary(g[:, :rank])))

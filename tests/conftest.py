@@ -7,8 +7,8 @@ operator norms of any matrix from a dense SVD, and Bell ceilings from a
 grid over qubit measurement angles.  The see-saw's reference iterates
 on full d x d matrices, from the library's r x r starts lifted to d x d.
 The Tsirelson sweep's reference takes its settings one at a time through
-the single-setting API, and the report writer's reference formats one
-float at a time.
+the single-setting API, the frame norm's reference builds the d x d
+reflections, and the report writer's reference formats one float at a time.
 ``run_cli`` runs the command line on this checkout's sources.
 """
 
@@ -174,6 +174,18 @@ def tsirelson_sweep_reference(dims, seed: int, samples: int = 100) -> tuple[floa
         s = BellSettings(a1=contraction(0), a2=contraction(0), b1=contraction(1), b2=contraction(1))
         margins.append(tsirelson_certificate(s, layout))
     return min(margins), max(margins)
+
+
+def reflection_commutator_oracle(u: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """||[2 P1 - 1, 2 P2 - 1]|| for each pair of a stack ``u`` (n, 2, d, k), P_j
+    projecting onto the first ``ranks[i, j]`` columns of ``u[i, j]``, from the
+    dense reflections and an SVD."""
+    norms = []
+    for frames, kept in zip(u, ranks):
+        x1, x2 = (2.0 * q[:, :k] @ q[:, :k].conj().T - np.eye(len(q))
+                  for q, k in zip(frames, kept))
+        norms.append(operator_norm_oracle(x1 @ x2 - x2 @ x1))
+    return np.array(norms)
 
 
 def _dense_sign(g: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from conftest import (
     operator_norm_oracle,
     qubit_angle_grid_bell,
     random_state,
+    reflection_commutator_oracle,
     seesaw_oracle,
 )
 
@@ -28,8 +29,9 @@ from vacuumcorr.correlations import (
     epr_projector_pair,
     general_contraction_extension,
     hermitian_contractions,
-    reflections,
+    reflection_commutator_norms,
     seesaw_maximize,
+    seesaw_starts,
     tsirelson_certificate,
     tsirelson_margins,
     violate_conditional_bell,
@@ -181,7 +183,8 @@ class TestBellSettings:
 
     def test_reflections_take_no_eigvalsh(self, monkeypatch):
         # 2P - 1 clears the one-product bound, so no matrix is loose.
-        x = reflections(random_projector(RegionLayout((5, 5)), 0, 2, seed=1).matrix[None])
+        p = random_projector(RegionLayout((5, 5)), 0, 2, seed=1)
+        x = contraction_from_projector(p).matrix[None]
         monkeypatch.setattr(np.linalg, "eigvalsh", mock.Mock(side_effect=AssertionError))
         assert np.array_equal(hermitian_contractions(x, ("A1",)), x)
 
@@ -500,6 +503,63 @@ class TestSeesawOnTheSupport:
             seesaw_maximize(state, layout, seed=3)
             # The starts and every iteration sign r x r stacks only.
             assert sides and set(sides) == {(rank, rank)}, layout.dims
+
+    @pytest.mark.parametrize("d,canonical", [(2, True), (3, False), (16, True)])
+    def test_starts_yield_the_values_of_seesaw_maximize(self, d, canonical):
+        layout = RegionLayout((d, d))
+        state = (canonical_max_violation(layout)[0] if canonical
+                 else random_state(d * d, np.random.default_rng(d)))
+        s = linalg.schmidt_support(state, layout.dims, 0)[1]
+        assert len(s) == (2 if canonical else d)
+        seeds = range(12)
+        for seed, (value, a, t) in zip(seeds, seesaw_starts(s, seeds), strict=True):
+            assert value == seesaw_maximize(state, layout, seed)[1]
+            assert a.shape == t.shape == (2, len(s), len(s))
+
+
+def frame_stack(d: int, n: int, rng) -> np.ndarray:
+    """n pairs of d x d Haar unitaries, (n, 2, d, d)."""
+    return haar_unitary(np.array([[complex_gaussian(d, rng) for _ in range(2)] for _ in range(n)]))
+
+
+class TestReflectionCommutatorNorms:
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 12])
+    def test_matches_the_dense_oracle(self, d):
+        rng = np.random.default_rng(d)
+        u = frame_stack(d, 25, rng)
+        ranks = rng.integers(1, d + 1, size=(25, 2))
+        # 2P - 1 = 1 on one side or both: the pair commutes.
+        ranks[0, 0] = ranks[1, 1] = ranks[2, 0] = ranks[2, 1] = d
+        # One subspace in two frames: the pair commutes.
+        k = ranks[3, 0] = ranks[3, 1] = max(1, d // 2)
+        u[3, 1, :, :k] = u[3, 0, :, :k] @ haar_unitary(complex_gaussian(k, rng))
+        got = reflection_commutator_norms(u, ranks)
+        np.testing.assert_allclose(got, reflection_commutator_oracle(u, ranks), rtol=0, atol=1e-13)
+        assert got[:4].max() <= 1e-13
+
+    @pytest.mark.parametrize("theta", [1e-3, 1e-6, 1e-9])
+    def test_planted_principal_angle(self, theta):
+        # Exact frames: the first 3 columns of I, and the same with column 0
+        # rotated by theta toward column 3.  The norm is 2 sin(2 theta); the
+        # cosine form from the singular values of Q1^† Q2 misses it at 1e-6.
+        d, k = 6, 3
+        u = np.stack([np.eye(d, dtype=complex)] * 2)[None]
+        u[0, 1, [0, k], 0] = np.cos(theta), np.sin(theta)
+        got = reflection_commutator_norms(u, np.array([[k, k]]))[0]
+        want = 2.0 * math.sin(2.0 * theta)
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_rejects_a_frame_that_is_not_orthonormal(self):
+        u = frame_stack(4, 3, np.random.default_rng(0))
+        ranks = np.full((3, 2), 2)
+        u[1, 0, :, 2] *= 2.0  # beyond the rank: never read
+        assert reflection_commutator_norms(u, ranks).shape == (3,)
+        u[2, 1, :, 1] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match="frame 2 of setting 2 is not orthonormal"):
+            reflection_commutator_norms(u, ranks)
+        u[0, 0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="frame 1 of setting 0 is not orthonormal"):
+            reflection_commutator_norms(u, ranks)
 
 
 class TestEPRProjectorPair:

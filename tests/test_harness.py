@@ -23,7 +23,6 @@ from vacuumcorr.correlations import (
     BellReport,
     bell_correlation,
     canonical_max_violation,
-    contraction_from_projector,
     epr_projector_pair,
     tsirelson_certificate,
     violate_conditional_bell,
@@ -346,6 +345,21 @@ class TestSpectraComputedOnce:
         assert run_scenario(cfg(scenario="bell-max", layout=layout)).passed
         assert calls == [True]
 
+    @pytest.mark.parametrize("layout", [[16, 16], [3, 8]])
+    def test_bell_max_validates_no_lifted_seesaw_setting(self, monkeypatch, layout):
+        # Only the canonical settings are d x d; each see-saw start is checked
+        # on the 2 x 2 settings of the canonical state's Schmidt support.
+        sides, built = [], []
+        original = correlations.hermitian_contractions
+        monkeypatch.setattr(correlations, "hermitian_contractions",
+                            lambda x, names: sides.append(x.shape[-1]) or original(x, names))
+        init = correlations.BellSettings.__post_init__
+        monkeypatch.setattr(correlations.BellSettings, "__post_init__",
+                            lambda self: built.append(self) or init(self))
+        assert run_scenario(cfg(scenario="bell-max", layout=layout)).passed
+        assert len(built) == 1
+        assert sorted(sides) == [2] * 5 + sorted(layout)
+
     @pytest.mark.parametrize("layout", [(2, 2), (3, 3, 9)])
     def test_from_vector_takes_no_spectrum(self, monkeypatch, layout):
         calls = record_schmidt_calls(monkeypatch)
@@ -415,22 +429,6 @@ class TestOperatorNormPrecondition:
         correlations.general_contraction_extension(s.a1, s.a2, s.b1, s.b2, v, eps=0.05)
         # 3 trials, 1 dense norm, 2 commutators, and the pipeline's 2.
         assert len(norm_inputs) == 8
-
-
-class TestTsirelsonSweepStacks:
-    @pytest.mark.parametrize("d", [2, 3, 5, 7])
-    def test_stacked_contractions_match_one_at_a_time(self, d):
-        # Each 2P - 1 of a stack carries the bits of the single-setting path:
-        # P = B B^† with B the first rank columns of the Haar unitary.
-        rng = np.random.default_rng(d)
-        ranks = rng.integers(1, d + 1, size=(25, 2))
-        gaussians = np.array([[linalg.complex_gaussian(d, rng) for _ in range(2)]
-                              for _ in range(25)])
-        got = harness._random_contractions(ranks, gaussians, ("A1", "A2"))
-        for idx in np.ndindex(25, 2):
-            u = linalg.haar_unitary(gaussians[idx])
-            x = contraction_from_projector(LocalOperator(0, linalg.projector(u[:, :ranks[idx]])))
-            assert np.array_equal(got[idx], 0.5 * (x.matrix + x.matrix.conj().T))
 
 
 class TestSweep:
@@ -884,8 +882,13 @@ def _oracle_certificates(c, report):
         rep = violate_conditional_bell(layout, make_vacuum(layout, c.seed), c.eps)
         return {"bell": _bell_report_payload(rep)}
     if c.scenario == "tsirelson-sweep":
-        lo, hi = tsirelson_sweep_reference(c.layout, c.seed)
-        return {"margins": {"min": lo, "max": hi}}
+        # The sweep's margins come from frames, the reference's from dense
+        # reflections one setting at a time: they agree to 1e-14.
+        got = report.certificates["margins"]
+        reference = dict(zip(("min", "max"), tsirelson_sweep_reference(c.layout, c.seed)))
+        for key, want in reference.items():
+            assert abs(got[key] - want) <= 1e-14, key
+        return {"margins": {key: got[key] for key in reference}}
     # reeh-schlieder carries plain numbers only.
     return report.certificates
 

@@ -277,6 +277,20 @@ class TestRandomProjector:
         if not old_accepts:
             assert not LocalOperator(0, p).is_projector()
 
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 17, 39, 64, 128])
+    def test_thin_qr_matches_the_full_qr_projector(self, d):
+        # The same draw, with the QR of only its first rank columns: the same
+        # bits at rank 1 (every harness call), rounding-level elsewhere.
+        for seed in range(5):
+            u = linalg.haar_unitary(linalg.complex_gaussian(d, np.random.default_rng(seed)))
+            for rank in sorted({1, 2, d // 3 + 1, d}):
+                got = random_projector(RegionLayout((d, 2)), 0, rank, seed).matrix
+                want = linalg.projector(u[:, :rank])
+                if rank == 1:
+                    np.testing.assert_array_equal(got, want)
+                else:
+                    assert np.abs(got - want).max() <= 1e-15, (seed, rank)
+
     def test_deterministic(self):
         a = random_projector(L22, 1, 1, seed=42)
         b = random_projector(L22, 1, 1, seed=42)
