@@ -89,9 +89,12 @@ def apply_local(op, slots, vec, dims) -> np.ndarray:
     in ``slots`` and flattens the result back: O(dim(op) total_dim) work,
     never the total_dim x total_dim matrix.
     """
-    op = as_operator(op)
-    dims = tuple(int(d) for d in dims)
-    slots = _normalize_slots(slots)
+    return _apply_local(as_operator(op), _normalize_slots(slots), vec,
+                        tuple(int(d) for d in dims))
+
+
+def _apply_local(op: np.ndarray, slots: tuple[int, ...], vec, dims: tuple[int, ...]):
+    """``apply_local`` on a matrix ``as_operator`` has validated, with normalized slots."""
     n = len(dims)
     if not slots or any(s < 0 or s >= n for s in slots):
         raise ValueError(f"slots {slots} out of range for layout {dims}")
@@ -118,11 +121,13 @@ class EigenSystem:
 
     Eigenvalues are real and strictly descending after merging near-equal
     values; ``blocks[i]`` holds orthonormal eigenvectors spanning the i-th
-    eigenspace as its columns (d x multiplicity).
+    eigenspace as its columns (d x multiplicity); ``values`` are the unmerged
+    eigenvalues, one per column of the blocks in turn.
     """
 
     eigenvalues: tuple[float, ...]
     blocks: tuple[np.ndarray, ...]
+    values: np.ndarray
 
 
 def projector(block) -> np.ndarray:
@@ -151,18 +156,33 @@ def hermitian_eig(a) -> EigenSystem:
     w, vecs = np.linalg.eigh(a)
     w = w[::-1]
     vecs = vecs[:, ::-1]
-    eigenvalues: list[float] = []
-    blocks: list[np.ndarray] = []
-    i = 0
-    n = len(w)
-    while i < n:
-        j = i + 1
-        while j < n and abs(w[j] - w[j - 1]) <= NOISE_TOL:
-            j += 1
-        eigenvalues.append(float(np.mean(w[i:j])))
-        blocks.append(vecs[:, i:j])
-        i = j
-    return EigenSystem(tuple(eigenvalues), tuple(blocks))
+    bounds = [0, *(np.flatnonzero(np.abs(np.diff(w)) > NOISE_TOL) + 1).tolist(), len(w)]
+    blocks = tuple(vecs[:, i:j] for i, j in zip(bounds, bounds[1:]))
+    if len(blocks) == len(w):  # no eigenvalue merged: each is its own mean
+        return EigenSystem(tuple(w.tolist()), blocks, w)
+    # Each block is summed after a leading 0.0, as np.add.reduce sums from its
+    # identity: every merged eigenvalue keeps the bits of np.mean over its block.
+    starts = bounds[:-1]
+    sums = np.add.reduceat(np.insert(w, starts, 0.0), np.arange(len(starts)) + starts)
+    return EigenSystem(tuple((sums / np.diff(bounds)).tolist()), blocks, w)
+
+
+def gram_bound(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """The Gram matrix G of ``m``'s shorter side (m^† m, or m m^† for a wide
+    ``m``) and a lower bound on each squared singular value of ``m``: by
+    Weyl's inequality each lies within ||G - cI||_F of c = tr G / n, where
+    the product's rounding moves G by at most gamma_{k+2} ||m||_F^2 (inner
+    length k; Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., ch. 3) and the norm's own rounding, once below c, by no more."""
+    k, n = max(m.shape), min(m.shape)
+    g = m.conj().T @ m if m.shape[0] >= m.shape[1] else m @ m.conj().T
+    trace = float(np.trace(g).real)  # ||m||_F^2 to rounding
+    diag = g.diagonal().copy()
+    np.fill_diagonal(g, diag - trace / n)  # G - cI in place, then G again
+    dev = float(np.linalg.norm(g))
+    np.fill_diagonal(g, diag)
+    ku = (k + 2) * np.finfo(float).eps / 2
+    return g, trace / n - dev - 2 * ku / (1 - ku) * trace
 
 
 def schmidt_coefficients(psi, dims, left_slots) -> np.ndarray:

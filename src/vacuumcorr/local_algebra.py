@@ -2,9 +2,10 @@
 
 Each spacetime region is modeled as one tensor slot carrying a full matrix
 algebra; spacelike commutativity then holds by construction.  The vacuum
-analog is a unit vector that holds its Schmidt spectrum across each cut
-of its layout, computed on first use; the Schmidt ranks read from those
-spectra certify the cyclic and separating properties:
+analog is a unit vector holding, per cut of its layout, one Gram matrix
+whose bound proves full Schmidt rank, and the Schmidt spectrum only where
+that bound fails; the Schmidt ranks certify the cyclic and separating
+properties:
 
 * cyclic for a region  <=>  Schmidt rank across region|rest equals the
   dimension of the complement,
@@ -75,8 +76,9 @@ class LocalOperator:
         return np.column_stack([self.apply(e, layout) for e in basis])
 
     def apply(self, vec, layout: RegionLayout) -> np.ndarray:
-        """The operator on the layout applied to ``vec`` (the local-action kernel)."""
-        return apply_local(self.matrix, self.slots, vec, layout.dims)
+        """The operator on the layout applied to ``vec``, by the local-action
+        kernel on the matrix the constructor validated."""
+        return linalg._apply_local(self.matrix, self.slots, vec, layout.dims)
 
     def is_projector(self) -> bool:
         """P^2 = P = P^† to NOISE_TOL in the Frobenius norm (>= the operator norm)."""
@@ -85,13 +87,15 @@ class LocalOperator:
 
 @dataclass(frozen=True)
 class VacuumModel:
-    """A unit vector playing the role of the vacuum, with its Schmidt spectra
-    computed on first use: each cut of a 2- or 3-slot layout has one slot s
-    alone on a side, and ``spectra[s]`` caches the Schmidt coefficients
-    across s|rest (slot 0 stands for the one cut of 2 slots)."""
+    """A unit vector playing the role of the vacuum.  Each cut of a 2- or
+    3-slot layout has one slot s alone on a side (slot 0 for 2 slots):
+    ``grams[s]`` caches ``linalg.gram_bound`` of the coefficients across
+    s|rest, and ``spectra[s]`` the Schmidt coefficients where it fails."""
 
     layout: RegionLayout
     omega: np.ndarray
+    grams: dict[int, tuple[np.ndarray, float]] = field(default_factory=dict, init=False,
+                                                       compare=False, repr=False)
     spectra: dict[int, np.ndarray] = field(default_factory=dict, init=False, compare=False,
                                            repr=False)
 
@@ -107,19 +111,40 @@ class VacuumModel:
             )
         return cls(layout, omega)
 
-    def schmidt_rank(self, slots, tol: float = linalg.SCHMIDT_RANK_TOL) -> int:
-        """Number of Schmidt coefficients above ``tol`` across region|rest,
-        read from the spectrum of the region's cut (slot order is immaterial)."""
-        slots = linalg._normalize_slots(slots)
-        n = self.layout.n_slots
+    def _cut_gram(self, slots: tuple[int, ...]) -> tuple[int, np.ndarray, float]:
+        """The cut of a proper region (slot order is immaterial), with the
+        Gram matrix and bound it holds, formed on first use."""
+        n, dims = self.layout.n_slots, self.layout.dims
         if not slots or len(slots) == n or any(s < 0 or s >= n for s in slots):
-            raise ValueError(f"region {slots} is not a proper region of layout {self.layout.dims}")
+            raise ValueError(f"region {slots} is not a proper region of layout {dims}")
         if len(slots) > 1:  # a merged region's cut is its complement's
             slots = self.layout.complement(slots)
         cut = slots[0] if n == 3 else 0  # the one cut of 2 slots
+        if cut not in self.grams:
+            self.grams[cut] = linalg.gram_bound(linalg.coefficient_matrix(self.omega, dims, cut))
+        return (cut, *self.grams[cut])
+
+    def schmidt_rank(self, slots, tol: float = linalg.SCHMIDT_RANK_TOL) -> int:
+        """Number of Schmidt coefficients above ``tol`` across region|rest:
+        full rank where the cut's Gram bound exceeds tol^2, else counted from
+        the cut's Schmidt spectrum."""
+        cut, g, lower = self._cut_gram(linalg._normalize_slots(slots))
+        if lower > tol * tol:
+            return len(g)
         if cut not in self.spectra:
             self.spectra[cut] = linalg.schmidt_coefficients(self.omega, self.layout.dims, cut)
         return int(np.sum(self.spectra[cut] > tol))
+
+    def gram(self, slots) -> tuple[np.ndarray, np.ndarray]:
+        """M and M^† M, for M the coefficient matrix across slots|rest with
+        rows over ``slots``: the cut's Gram where the region is the cut's
+        slot on the longer side of M, else a Gram of its own."""
+        slots = linalg._normalize_slots(slots)
+        cut, g, _ = self._cut_gram(slots)
+        m = linalg.coefficient_matrix(self.omega, self.layout.dims, slots)
+        if slots != (cut,) or m.shape[0] < m.shape[1]:
+            g = m.conj().T @ m
+        return m, g
 
 
 def make_vacuum(layout: RegionLayout, seed: int) -> VacuumModel:

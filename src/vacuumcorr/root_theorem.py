@@ -19,12 +19,14 @@ eps4_tilde is not a free parameter: the spectral cutoff tau is derived
 from the share of eps that the split leaves to ||A|| eps4.
 
 The work that does not depend on eps is done once, by ``root_products``:
-K, ||A||, the one cyclic solve C~ with C~ omega, C omega = C~ omega /
+K, ||A||, the one cyclic solve C~ = Psi G^-1 M^† on the Gram matrix G of
+the cut that also proved the vacuum cyclic, C~ omega, C omega = C~ omega /
 ||C~ omega|| (scaled, not recomputed), <A>_{C omega}, tr Q1, Q1's
 eigenspaces, and every eigenspace's <P_i>_omega and <A P_i>_omega from one
 V^† W and one V^† (A omega).  ``certify_root`` certifies one eps on them:
 the budget check, then each stage's check in pipeline order, on the
-eigenspaces above tau (a prefix, as the eigenvalues descend).
+eigenspaces above tau (a prefix, as the eigenvalues descend), with
+||Q1 - Q1'|| read from Q1's eigenvalues; ||A|| is the one operator norm.
 ``prove_root_certificate`` is the one-eps case; a sweep builds the products
 once.  The stage functions run one stage alone, with the same checks.
 """
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -121,7 +122,6 @@ class ProjectorDecomposition:
     coeffs: tuple[float, ...]
     blocks: tuple[np.ndarray, ...]
     residual: float  # achieved ||Q1 - Q1'~||
-    q: Optional[np.ndarray] = None  # the decomposed Q1 = C^† C, when built from C
     q_expect: float = 1.0  # <Q1'~>_omega the coefficients were divided by
 
     def __post_init__(self):
@@ -133,16 +133,6 @@ class ProjectorDecomposition:
     @property
     def is_degenerate(self) -> bool:
         return len(self.coeffs) == 0
-
-    def local_matrix(self) -> np.ndarray:
-        """sum_i lambda_i P_i as one product (V lambda) V^† over the
-        concatenated blocks V, with lambda_i repeated per column of B_i."""
-        if self.is_degenerate:
-            raise StageFailure("spectral", "empty (degenerate) decomposition")
-        vecs = np.hstack(self.blocks)
-        lam = np.repeat(self.coeffs, [b.shape[1] for b in self.blocks])
-        m = (vecs * lam) @ vecs.conj().T
-        return 0.5 * (m + m.conj().T)
 
     def overlaps(self, v: VacuumModel, x) -> tuple[np.ndarray, np.ndarray]:
         """<P_i>_omega and <omega, (P_i (x) 1) x> for every i."""
@@ -215,7 +205,6 @@ class RootProducts:
     c_tilde_norm: float  # ||C~ omega||
     normalized_error: float  # ||C omega - psi||
     window: complex  # <A>_{C omega}
-    q: np.ndarray  # Q1 = C^† C
     q_trace: float  # tr Q1
     spectrum: linalg.EigenSystem  # Q1's eigenspaces, eigenvalues descending
     p_expects: np.ndarray  # <P_i>_omega for every eigenspace P_i of Q1
@@ -223,18 +212,19 @@ class RootProducts:
 
 
 def _cyclic_preimage(psi: np.ndarray, v: VacuumModel, slots) -> tuple[LocalOperator, np.ndarray]:
-    """The least-squares C~ on the region with C~ omega = psi, and C~ omega.
-
-    embed(C) omega is linear in C, and for a cyclic vacuum the map from
-    region operators onto the whole space is surjective, so the residual
-    sits at numerical noise level."""
+    """The least-squares C~ on the region with C~ omega = psi, and C~ omega:
+    C~ M = Psi for the coefficient matrices M, Psi of omega, psi across
+    region|rest, and cyclicity gives M full column rank, so C~ = Psi G^-1 M^†
+    on the Gram G = M^† M the rank check formed."""
     if not check_cyclic(v, slots):
         raise ValueError(f"vacuum is not cyclic for region {slots}")
-    omega_mat = linalg.coefficient_matrix(v.omega, v.layout.dims, slots)
+    omega_mat, g = v.gram(slots)
     psi_mat = linalg.coefficient_matrix(psi, v.layout.dims, slots)
-    # C @ omega_mat = psi_mat  <=>  omega_mat.T @ C.T = psi_mat.T
-    sol, *_ = np.linalg.lstsq(omega_mat.T, psi_mat.T, rcond=None)
-    c_tilde = LocalOperator(slots, sol.T)
+    try:
+        c_tilde = LocalOperator(slots, psi_mat @ np.linalg.solve(g, omega_mat.conj().T))
+    except ValueError as exc:  # LinAlgError, or entries that overflowed
+        raise StageFailure("cyclic-approx", "the cut's Gram matrix is singular "
+                           "to working precision") from exc
     return c_tilde, c_tilde.apply(v.omega, v.layout)
 
 
@@ -283,16 +273,12 @@ def _real_in_window(stage: str, of: str, bound: str, val: complex, k: float, eps
     return value
 
 
-def _above(
-    slots, spectrum: linalg.EigenSystem, tau: float, q: np.ndarray
-) -> ProjectorDecomposition:
+def _above(slots, spectrum: linalg.EigenSystem, tau: float) -> ProjectorDecomposition:
     """Q1's eigenspaces with eigenvalue above tau: a prefix, since the
     eigenvalues descend.  The residual is the largest dropped |eigenvalue|."""
     n = sum(lam > tau for lam in spectrum.eigenvalues)
     residual = max((abs(lam) for lam in spectrum.eigenvalues[n:]), default=0.0)
-    return ProjectorDecomposition(
-        slots, spectrum.eigenvalues[:n], spectrum.blocks[:n], residual=residual, q=q
-    )
+    return ProjectorDecomposition(slots, spectrum.eigenvalues[:n], spectrum.blocks[:n], residual)
 
 
 def _unit(dec: ProjectorDecomposition, p_expects: np.ndarray) -> ProjectorDecomposition:
@@ -337,7 +323,7 @@ def solve_cyclic_approx(
     psi, v: VacuumModel, slots, eps1: float
 ) -> tuple[LocalOperator, float]:
     """Find C on the region with ||psi - embed(C) omega|| <= eps1, solved
-    exactly by least squares.  Returns (C~, achieved residual)."""
+    exactly by least squares on the cut's Gram.  Returns (C~, achieved residual)."""
     psi = as_state(psi)
     c_tilde, c_tilde_omega = _cyclic_preimage(psi, v, linalg._normalize_slots(slots))
     residual = float(np.linalg.norm(c_tilde_omega - psi))
@@ -372,10 +358,9 @@ def positive_spectral_decomposition(c: LocalOperator, tau: float) -> ProjectorDe
     """Spectral decomposition of Q1 = C^† C keeping eigenvalues above tau.
 
     The residual is the largest dropped eigenvalue (at most tau), so
-    ||Q1 - Q1'~|| <= tau by construction.  The result keeps Q1 as ``q``.
+    ||Q1 - Q1'~|| <= tau by construction.
     """
-    q = c.matrix.conj().T @ c.matrix
-    return _above(c.slots, hermitian_eig(q), tau, q)
+    return _above(c.slots, hermitian_eig(c.matrix.conj().T @ c.matrix), tau)
 
 
 def rescale_to_unit_vacuum(
@@ -428,8 +413,7 @@ def root_products(a: LocalOperator, psi, v: VacuumModel, slots) -> RootProducts:
     nrm = _omega_norm(c_tilde_omega)
     c = c_tilde.matrix / nrm
     c_omega = c_tilde_omega / nrm
-    q = c.conj().T @ c
-    spectrum = hermitian_eig(q)
+    spectrum = hermitian_eig(c.conj().T @ c)
     p_expects, aps = _block_overlaps(spectrum.blocks, slots, v, a.apply(v.omega, v.layout))
     return RootProducts(
         slots=slots,
@@ -439,7 +423,6 @@ def root_products(a: LocalOperator, psi, v: VacuumModel, slots) -> RootProducts:
         c_tilde_norm=nrm,
         normalized_error=float(np.linalg.norm(c_omega - psi)),
         window=_window_value(a, c_omega, v),
-        q=q,
         q_trace=float(np.vdot(c, c).real),
         spectrum=spectrum,
         p_expects=p_expects,
@@ -474,7 +457,7 @@ def certify_root(p: RootProducts, eps: float) -> RootCertificate:
 
     # ||Q1|| <= tr Q1, <Q1'~>_omega >= 1 - tau, so eps4 < eps4_target/2; and tau < 1 <= ||Q1||.
     tau = eps4_target / (2.0 * (p.q_trace + 1.0 + eps4_target))
-    dec = _above(p.slots, p.spectrum, tau, p.q)
+    dec = _above(p.slots, p.spectrum, tau)
     kept = len(dec.coeffs)
     dec_unit = _unit(dec, p.p_expects[:kept])
     q_norm = dec.coeffs[0]  # ||Q1||: the top kept eigenvalue of the positive Q1
@@ -493,14 +476,18 @@ def certify_root(p: RootProducts, eps: float) -> RootCertificate:
     val5 = _real_in_window("combined", "commuting product", "eps5",
                            complex(np.dot(dec_unit.coeffs, p.aps[:kept])), k, eps5)
     ext = _extremal(dec_unit, p.p_expects[:kept], p.aps[:kept])
-    rescale = p.q - dec_unit.local_matrix()  # Hermitian to rounding only, as Q1 = C^† C is
+    # Q1 - Q1' is diagonal in Q1's eigenbasis: lambda_j - lambda_i / q_expect on
+    # the kept eigenspaces, lambda_j on the dropped ones, over the unmerged lambda_j.
+    sizes = [b.shape[1] for b in dec.blocks]
+    offsets = p.spectrum.values.copy()
+    offsets[:sum(sizes)] -= np.repeat(dec_unit.coeffs, sizes)
 
     achieved = {
         "cyclic_residual": p.cyclic_residual,
         "normalized_error": p.normalized_error,
         "window_error": abs(val3 - k),
         "decomposition_residual": dec.residual,
-        "rescale_error": operator_norm(0.5 * (rescale + linalg.dagger(rescale))),
+        "rescale_error": float(np.max(np.abs(offsets))),
         "combined_error": abs(val5 - k),
     }
     return RootCertificate(

@@ -2,9 +2,11 @@
 
 These deliberately avoid the library code paths they check: eigenvalues
 come from characteristic-polynomial roots, span dimensions from explicit
-matrix-unit orbits, least-squares residuals from normal equations,
-operator norms of any matrix from a dense SVD, and Bell ceilings from a
-grid over qubit measurement angles.  The see-saw's reference iterates
+matrix-unit orbits, Schmidt ranks from a dense SVD, least-squares
+residuals from normal equations, operator norms of any matrix from a
+dense SVD, eigenspace blocks from a loop over the eigenvalues, a
+decomposition's Q1' from its d x d sum, and Bell ceilings from a grid
+over qubit measurement angles.  The see-saw's reference iterates
 on full d x d matrices, from the library's r x r starts lifted to d x d.
 The Tsirelson sweep's reference takes its settings one at a time through
 the single-setting API, the frame norm's reference builds the d x d
@@ -30,7 +32,14 @@ from vacuumcorr.correlations import (
     contraction_from_projector,
     tsirelson_certificate,
 )
-from vacuumcorr.linalg import NOISE_TOL, SCHMIDT_RANK_TOL, random_hermitian
+from vacuumcorr.linalg import (
+    NOISE_TOL,
+    SCHMIDT_RANK_TOL,
+    as_operator,
+    complex_gaussian,
+    haar_unitary,
+    random_hermitian,
+)
 from vacuumcorr.local_algebra import LocalOperator, RegionLayout, random_projector
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -54,6 +63,67 @@ def charpoly_eigenvalues(a: np.ndarray) -> np.ndarray:
 def operator_norm_oracle(a) -> float:
     """The largest singular value of any matrix, from a dense SVD."""
     return float(np.linalg.norm(np.asarray(a, dtype=complex), 2))
+
+
+def schmidt_rank_oracle(psi, dims, slots, tol: float = SCHMIDT_RANK_TOL) -> int:
+    """Singular values above ``tol`` of psi's coefficients across slots|rest,
+    the tensor permuted with moveaxis and decomposed by a dense SVD."""
+    slots = (slots,) if isinstance(slots, int) else tuple(slots)
+    t = np.moveaxis(np.asarray(psi, dtype=complex).reshape(dims), slots, range(len(slots)))
+    m = t.reshape(math.prod(dims[s] for s in slots), -1)
+    return int(np.sum(np.linalg.svd(m, compute_uv=False) > tol))
+
+
+def spectrum_matrix(kind: str, shape, log_scale: float, rng) -> np.ndarray:
+    """A matrix U diag(s) V^T of the given shape with Haar U, V and the
+    singular values of ``kind``: rank-deficient, spread geometrically down
+    to 10^log_scale (ill-conditioned), all near 10^log_scale (scaled), or a
+    single one (a product state)."""
+    n = min(shape)
+    if kind == "deficient":
+        s = np.r_[rng.uniform(0.1, 1.0, rng.integers(1, n)), np.zeros(n)][:n]
+    elif kind == "ill-conditioned":
+        s = np.logspace(0.0, log_scale, n)
+    elif kind == "scaled":
+        s = rng.uniform(0.5, 1.0, n) * 10.0**log_scale
+    else:
+        s = np.r_[1.0, np.zeros(n - 1)]
+    u, v = (haar_unitary(complex_gaussian(d, rng))[:, :n] for d in shape)
+    return (u * s) @ v.T
+
+
+def hermitian_eig_loop(a) -> tuple[tuple[float, ...], tuple[np.ndarray, ...]]:
+    """Eigenvalues and eigenspace blocks of a Hermitian matrix, merged one
+    eigenvalue at a time: a run within NOISE_TOL of its neighbours is one
+    block, its eigenvalue the mean of the run."""
+    w, vecs = np.linalg.eigh(as_operator(a))
+    w = w[::-1]
+    vecs = vecs[:, ::-1]
+    eigenvalues, blocks = [], []
+    i = 0
+    while i < len(w):
+        j = i + 1
+        while j < len(w) and abs(w[j] - w[j - 1]) <= NOISE_TOL:
+            j += 1
+        eigenvalues.append(float(np.mean(w[i:j])))
+        blocks.append(vecs[:, i:j])
+        i = j
+    return tuple(eigenvalues), tuple(blocks)
+
+
+def local_matrix(dec) -> np.ndarray:
+    """A decomposition's sum_i lambda_i P_i as one d x d matrix (V lambda) V^†
+    over its concatenated blocks V, lambda_i repeated per column of B_i."""
+    vecs = np.hstack(dec.blocks)
+    lam = np.repeat(dec.coeffs, [b.shape[1] for b in dec.blocks])
+    m = (vecs * lam) @ vecs.conj().T
+    return 0.5 * (m + m.conj().T)
+
+
+def rescale_error_oracle(q: np.ndarray, dec_unit) -> float:
+    """||Q1 - Q1'|| from the dense difference of Q1 and the rescaled
+    decomposition's local matrix, by a dense SVD."""
+    return operator_norm_oracle(q - local_matrix(dec_unit))
 
 
 def matrix_units(dim: int):

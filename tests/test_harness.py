@@ -15,7 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import canonical_json_reference, run_cli, tsirelson_sweep_reference
+from conftest import (
+    canonical_json_reference,
+    rescale_error_oracle,
+    run_cli,
+    tsirelson_sweep_reference,
+)
 
 from vacuumcorr import cli, correlations, harness, linalg, local_algebra, root_theorem
 from vacuumcorr.cli import build_parser, main
@@ -313,21 +318,34 @@ def record_schmidt_calls(monkeypatch) -> list:
 
 
 class TestSpectraComputedOnce:
-    """Each Schmidt spectrum of a vacuum is computed on first use and at most
-    once, and ||Q1|| comes from Q1's spectrum."""
+    """Each cut of a vacuum forms one Gram matrix, on first use; its Schmidt
+    spectrum is computed only where the Gram bound cannot prove full rank,
+    and at most once.  ||Q1|| and ||Q1 - Q1'|| come from Q1's spectrum."""
 
     @pytest.mark.parametrize("scenario,layout,svds", [
-        ("root-cert", [2, 2], 1),
-        ("root-cert", [8, 8], 1),
-        ("epr", [4, 4], 1),
-        ("cond-bell", [3, 3, 9], 1),  # only cut 2, for the cyclic solve onto slot 2
-        ("reeh-schlieder", [8, 8], 2),
-        ("reeh-schlieder", [3, 3, 9], 4),  # the vacuum's 3 cuts, the product state's cut 0
+        ("root-cert", [2, 2], 0),
+        ("root-cert", [8, 8], 0),
+        ("epr", [4, 4], 0),
+        ("cond-bell", [3, 3, 9], 0),
+        ("reeh-schlieder", [8, 8], 1),  # the product state's cut 0
+        ("reeh-schlieder", [3, 3, 9], 1),
     ])
     def test_schmidt_decompositions_per_run(self, monkeypatch, scenario, layout, svds):
         calls = record_schmidt_calls(monkeypatch)
         assert run_scenario(cfg(scenario=scenario, layout=layout, eps=0.05)).passed
         assert len(calls) == svds
+
+    @pytest.mark.parametrize("scenario,layout,grams", [
+        ("root-cert", [8, 8], 1),  # cut 0: the cyclic check, then the solve onto slot 0
+        ("epr", [4, 4], 1),
+        ("cond-bell", [3, 3, 9], 1),  # cut 2, for the cyclic solve onto slot 2
+        ("reeh-schlieder", [8, 8], 2),  # the vacuum's cut, the product state's
+        ("reeh-schlieder", [3, 3, 9], 4),  # the vacuum's 3 cuts, the product state's cut 0
+    ])
+    def test_one_gram_per_cut(self, monkeypatch, scenario, layout, grams):
+        counts = counting(monkeypatch, [(linalg, "gram_bound")])
+        assert run_scenario(cfg(scenario=scenario, layout=layout, eps=0.05)).passed
+        assert counts["gram_bound"] == grams
 
     @pytest.mark.parametrize("layout", [[2, 2], [16, 16], [3, 8]])
     def test_bell_max_takes_one_svd(self, monkeypatch, layout):
@@ -372,21 +390,92 @@ class TestSpectraComputedOnce:
         ((2, 2, 4), [(1,), (1,)], 1),
     ])
     def test_a_second_rank_on_a_cut_takes_no_spectrum(self, monkeypatch, layout, regions, cut):
+        # The vacuum's Gram bound proves each rank; a product state needs the SVD.
         calls = record_schmidt_calls(monkeypatch)
-        v = make_vacuum(local_algebra.RegionLayout(layout), 0)
+        layout = local_algebra.RegionLayout(layout)
+        v = make_vacuum(layout, 0)
         ranks = [v.schmidt_rank(region) for region in regions]
-        assert [args[2] for args in calls] == [cut]
-        assert list(v.spectra) == [cut]
+        assert calls == [] and v.spectra == {}
+        assert list(v.grams) == [cut]
         assert len(set(ranks)) == 1
+        product = np.zeros(layout.total_dim, dtype=complex)
+        product[0] = 1.0
+        counter = local_algebra.VacuumModel.from_vector(layout, product)
+        assert [counter.schmidt_rank(region) for region in regions] == [1] * len(regions)
+        assert [args[2] for args in calls] == [cut]
+        assert list(counter.spectra) == list(counter.grams) == [cut]
 
-    def test_root_certificate_takes_two_operator_norms(self, monkeypatch):
-        # ||A|| and the measured rescale error; ||Q1|| comes from the spectrum.
+    def test_root_certificate_takes_one_operator_norm(self, monkeypatch):
+        # ||A||; ||Q1|| and the rescale error come from Q1's spectrum.
         calls = []
         original = root_theorem.operator_norm
         monkeypatch.setattr(root_theorem, "operator_norm",
                             lambda a: calls.append(a.shape) or original(a))
         assert run_scenario(cfg()).passed
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+
+def record_certifications(monkeypatch) -> list:
+    """(the dense ||Q1 - Q1'||, certificate) for every ``certify_root`` call from
+    here on, Q1 being the matrix whose eigendecomposition its products hold."""
+    seen, q1 = [], {}
+    eig, certify = root_theorem.hermitian_eig, root_theorem.certify_root
+
+    def recording_eig(q):
+        es = eig(q)
+        q1[id(es)] = (es, q)
+        return es
+
+    def recording_certify(p, eps):
+        cert = certify(p, eps)
+        # Q1' = sum_i (lambda_i / q_expect) P_i over the certificate's kept eigenspaces.
+        kept = len(cert.weights)
+        coeffs = tuple(lam / cert.budget.q_expect for lam in p.spectrum.eigenvalues[:kept])
+        dec = root_theorem.ProjectorDecomposition(p.slots, coeffs, p.spectrum.blocks[:kept], 0.0)
+        seen.append((rescale_error_oracle(q1[id(p.spectrum)][1], dec), cert))
+        return cert
+
+    monkeypatch.setattr(root_theorem, "hermitian_eig", recording_eig)
+    patch_every_binding(monkeypatch, certify, recording_certify)
+    return seen
+
+
+class TestSpectralRescaleError:
+    """The rescale error read from Q1's eigenvalues is the dense
+    ||Q1 - Q1'|| to rounding: 1e-13 absolute, or 1e-14 ||Q1|| once ||Q1||
+    exceeds 10 (epr's ||Q1|| is about d)."""
+
+    @pytest.mark.parametrize("scenario,layout,seed", [
+        *[(scenario, layout, seed) for seed in (0, 1, 7)
+          for scenario, layout in (("root-cert", [2, 2]), ("root-cert", [3, 3]),
+                                   ("epr", [2, 2]), ("epr", [3, 3]), ("cond-bell", [2, 2, 4]))],
+        *[(scenario, [d, d], 0) for d in (8, 32, 128, 256) for scenario in ("root-cert", "epr")],
+    ])
+    def test_matches_the_dense_difference(self, monkeypatch, scenario, layout, seed):
+        seen = record_certifications(monkeypatch)
+        assert run_scenario(cfg(scenario=scenario, layout=layout, seed=seed)).passed
+        [(want, cert)] = seen
+        tol = max(1e-13, 1e-14 * cert.budget.q_norm)
+        assert abs(cert.achieved["rescale_error"] - want) <= tol
+
+    @pytest.mark.parametrize("d", [3, 8, 32])
+    def test_merged_eigenvalue_block(self, monkeypatch, d):
+        # C~ = U diag(2, 1, ..., 1): Q1 has one eigenvalue of multiplicity d - 1,
+        # merged from eigenvalues that differ in their last bits.
+        layout = local_algebra.RegionLayout((d, d))
+        v = make_vacuum(layout, 0)
+        rng = np.random.default_rng(d)
+        u = linalg.haar_unitary(linalg.complex_gaussian(d, rng))
+        psi = LocalOperator(0, u * np.r_[2.0, np.ones(d - 1)]).apply(v.omega, layout)
+        a = LocalOperator(1, linalg.random_hermitian(d, rng))
+        seen = record_certifications(monkeypatch)
+        products = root_theorem.root_products(a, psi / np.linalg.norm(psi), v, (0,))
+        assert [b.shape[1] for b in products.spectrum.blocks] == [1, d - 1]
+        assert len(set(products.spectrum.values[1:].tolist())) > 1
+        for eps in (0.1, 0.01):
+            cert = root_theorem.certify_root(products, eps)
+            want = seen[-1][0]
+            assert abs(cert.achieved["rescale_error"] - want) <= 1e-13
 
 
 class TestOperatorNormPrecondition:
@@ -408,11 +497,11 @@ class TestOperatorNormPrecondition:
 
     @pytest.mark.parametrize("scenario,layout,calls", [
         ("reeh-schlieder", [3, 3, 9], 0),
-        ("root-cert", [3, 3], 2),  # ||A|| and the rescale error
-        ("epr", [3, 3], 2),
+        ("root-cert", [3, 3], 1),  # ||A||
+        ("epr", [3, 3], 1),
         ("bell-max", [3, 3], 0),  # every setting meets Landau's precondition
         ("tsirelson-sweep", [3, 3], 0),
-        ("cond-bell", [2, 2, 4], 2),
+        ("cond-bell", [2, 2, 4], 1),
     ])
     def test_scenarios_pass_hermitian_input(self, norm_inputs, scenario, layout, calls):
         assert run_scenario(cfg(scenario=scenario, layout=layout, eps=0.05)).passed
@@ -427,8 +516,8 @@ class TestOperatorNormPrecondition:
         assert tsirelson_certificate(correlations.BellSettings(half, s.a2, s.b1, s.b2),
                                      layout) >= 0.0
         correlations.general_contraction_extension(s.a1, s.a2, s.b1, s.b2, v, eps=0.05)
-        # 3 trials, 1 dense norm, 2 commutators, and the pipeline's 2.
-        assert len(norm_inputs) == 8
+        # 3 trials, 1 dense norm, 2 commutators, and the pipeline's ||A||.
+        assert len(norm_inputs) == 7
 
 
 class TestSweep:
@@ -492,10 +581,10 @@ class TestEachProductOnce:
     once per eps sweep."""
 
     def test_once_per_sweep(self, monkeypatch):
-        counts = counting(monkeypatch, [(local_algebra, "make_vacuum"), (np.linalg, "lstsq"),
+        counts = counting(monkeypatch, [(local_algebra, "make_vacuum"), (np.linalg, "solve"),
                                         (linalg, "hermitian_eig")])
         assert sweep_eps(cfg(layout=[4, 4], sweep=list(SWEEP_EPS))).passed
-        assert counts == {"make_vacuum": 1, "lstsq": 1, "hermitian_eig": 1}
+        assert counts == {"make_vacuum": 1, "solve": 1, "hermitian_eig": 1}
 
     @pytest.mark.parametrize("layout", [[2, 2], [8, 8]])
     def test_per_report(self, monkeypatch, layout):

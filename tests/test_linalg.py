@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SRC, charpoly_eigenvalues, embed_oracle, operator_norm_oracle, random_state
+from conftest import (
+    SRC,
+    charpoly_eigenvalues,
+    embed_oracle,
+    hermitian_eig_loop,
+    operator_norm_oracle,
+    random_state,
+    schmidt_rank_oracle,
+    spectrum_matrix,
+)
 
 from vacuumcorr import linalg
 from vacuumcorr.linalg import (
@@ -46,6 +55,19 @@ class TestApplyLocal:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
             linalg.apply_local(Z, 1, np.ones(6), (2, 3))
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 3, 2), (2, 2, 4)])
+    def test_local_operator_matches_apply_local_bit_for_bit(self, dims):
+        # LocalOperator.apply skips only the re-validation of its matrix;
+        # merged and unordered slot tuples included.
+        rng = np.random.default_rng(len(dims) * 10 + dims[-1])
+        layout = RegionLayout(dims)
+        for slots in ordered_slot_tuples(len(dims)):
+            d = layout.region_dim(slots)
+            op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            vec = random_state(layout.total_dim, rng)
+            np.testing.assert_array_equal(LocalOperator(slots, op).apply(vec, layout),
+                                          linalg.apply_local(op, slots, vec, dims))
 
 
 def embed(op, slots, dims) -> np.ndarray:
@@ -207,6 +229,26 @@ class TestHermitianEig:
             for q in projectors[i + 1:]:
                 assert operator_norm_oracle(p @ q) <= 1e-10
 
+    @given(sizes=st.lists(st.sampled_from([1, 2, 9]), min_size=1, max_size=5),
+           seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_match_the_merge_loop_bit_for_bit(self, sizes, seed):
+        # Clusters spread over 0.8 NOISE_TOL merge, clusters 1 apart do not.
+        rng = np.random.default_rng(seed)
+        w = np.concatenate([c + rng.uniform(-0.4, 0.4, size) * linalg.NOISE_TOL
+                            for c, size in zip(rng.permutation(len(sizes)), sizes)])
+        u = linalg.haar_unitary(linalg.complex_gaussian(len(w), rng))
+        a = (u * w) @ u.conj().T
+        a = 0.5 * (a + a.conj().T)
+        es = hermitian_eig(a)
+        eigenvalues, blocks = hermitian_eig_loop(a)
+        assert es.eigenvalues == eigenvalues
+        assert sorted(b.shape[1] for b in es.blocks) == sorted(sizes)
+        assert len(es.blocks) == len(blocks)
+        for got, want in zip(es.blocks, blocks):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(es.values, np.linalg.eigh(a)[0][::-1])
+
     @given(seed=st.integers(0, 10_000), dim=st.integers(2, 4))
     @settings(max_examples=40, deadline=None)
     def test_matches_charpoly_oracle(self, seed, dim):
@@ -259,6 +301,29 @@ class TestComplexGaussian:
         np.testing.assert_array_equal(linalg.complex_gaussian(d, one), want)
         np.testing.assert_array_equal(buf[0] + 1j * buf[1], want)
         assert one.bit_generator.state == buffered.bit_generator.state == two.bit_generator.state
+
+
+class TestGramBound:
+    @given(kind=st.sampled_from(["deficient", "ill-conditioned", "scaled", "product"]),
+           shape=st.tuples(st.integers(2, 9), st.integers(2, 9)),
+           log_scale=st.floats(-14.0, 0.0), seed=st.integers(0, 10_000))
+    @settings(max_examples=200, deadline=None)
+    def test_never_proves_a_rank_the_svd_denies(self, kind, shape, log_scale, seed):
+        m = spectrum_matrix(kind, shape, log_scale, np.random.default_rng(seed))
+        g, lower = linalg.gram_bound(m)
+        n = min(shape)
+        np.testing.assert_array_equal(g, m.conj().T @ m if shape[0] >= shape[1]
+                                      else m @ m.conj().T)
+        if lower > linalg.SCHMIDT_RANK_TOL**2:
+            assert schmidt_rank_oracle(m.ravel(), shape, 0) == n
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 7), (9, 4), (64, 64)])
+    def test_proves_the_rank_of_a_maximally_entangled_cut(self, shape):
+        n = min(shape)
+        m = np.eye(*shape) / math.sqrt(n)
+        g, lower = linalg.gram_bound(m)
+        assert 0.0 < 1.0 / n - lower <= 1e-12  # the rounding terms alone
+        assert g.shape == (n, n)
 
 
 class TestSchmidtCoefficients:

@@ -3,10 +3,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import embed_oracle, operator_norm_oracle, random_state, span_dimension
+from conftest import (
+    embed_oracle,
+    operator_norm_oracle,
+    random_state,
+    schmidt_rank_oracle,
+    span_dimension,
+    spectrum_matrix,
+)
 
 from vacuumcorr import linalg
 from vacuumcorr.linalg import operator_norm, schmidt_coefficients
@@ -132,6 +139,23 @@ class TestSchmidtRank:
         v = bell_vacuum()  # both Schmidt coefficients are 1/sqrt(2)
         assert v.schmidt_rank(0, tol=0.7) == v.schmidt_rank(1, tol=0.7) == 2
         assert v.schmidt_rank(0, tol=0.8) == v.schmidt_rank(1, tol=0.8) == 0
+
+    @given(kind=st.sampled_from(["deficient", "ill-conditioned", "scaled", "product"]),
+           dims=st.sampled_from([(2, 2), (3, 5), (6, 4), (2, 2, 4), (2, 3, 6)]),
+           log_scale=st.floats(-14.0, 0.0), seed=st.integers(0, 10_000))
+    @settings(max_examples=150, deadline=None)
+    def test_rank_matches_the_svd_oracle_on_every_region(self, kind, dims, log_scale, seed):
+        # The Gram bound or the SVD fallback, whichever decides, against a dense
+        # SVD; coefficients within 1e-6 of the cutoff may round either way.
+        m = spectrum_matrix(kind, (math.prod(dims[:-1]), dims[-1]), log_scale,
+                            np.random.default_rng(seed))
+        psi = m.ravel() / np.linalg.norm(m)
+        v = VacuumModel.from_vector(RegionLayout(dims), psi)
+        for k in range(1, len(dims)):
+            for region in itertools.combinations(range(len(dims)), k):
+                svals = schmidt_coefficients(psi, dims, region)
+                assume(np.all(np.abs(svals / linalg.SCHMIDT_RANK_TOL - 1.0) > 1e-6))
+                assert v.schmidt_rank(region) == schmidt_rank_oracle(psi, dims, region)
 
     @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 2, 4), (2, 3, 6)])
     @pytest.mark.parametrize("terms", [None, 1, 2])
