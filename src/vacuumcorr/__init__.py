@@ -26,15 +26,9 @@ from .root_theorem import (
     RootProducts,
     StageFailure,
     certify_root,
-    combined_window,
-    expectation_window,
-    normalize_approximant,
-    positive_spectral_decomposition,
     prove_root_certificate,
     rescale_to_unit_vacuum,
     root_products,
-    select_extremal_projectors,
-    solve_cyclic_approx,
 )
 from .correlations import (
     SQRT2,

@@ -12,7 +12,7 @@ R is applied term by term, never formed for a correlation.  Landau's identity
 B1^2 = B2^2 = P_B are nonzero projectors (every 2P - 1, the canonical settings):
 R^2 = 4 P_A P_B - [A1,A2][B1,B2], each commutator's spectrum is symmetric
 (A1 [A1,A2] A1 = -[A1,A2]), so ||R|| = sqrt(4 + ||[A1,A2]|| ||[B1,B2]||).
-``tsirelson_margins`` takes the dense norm where Landau's precondition fails.
+``tsirelson_certificate`` takes the dense norm where Landau's precondition fails.
 The Tsirelson sweep's settings are 2P - 1 for Haar projectors P, and it reads
 each commutator from the frames of the P's alone, in the two-subspace sine
 form (Halmos, Trans. AMS 144, 381 (1969)): ``reflection_commutator_norms``.
@@ -252,37 +252,18 @@ def reflection_commutator_norms(u: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     return 4.0 * np.sqrt(np.linalg.eigvalsh(t @ linalg.dagger(t))[..., -1])
 
 
-def _landau_factor(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each pair (X1, X2) of a stack (n, 2, d, d): ||[X1, X2]||, and whether
-    X1^2 = X2^2 is a nonzero projector, to NOISE_TOL in the Frobenius norm."""
-    x1, x2 = x[:, 0], x[:, 1]
-    p = x1 @ x1
-    shared = ((linalg.frobenius(p - x2 @ x2) <= NOISE_TOL)
-              & (linalg.frobenius(p @ p - p) <= NOISE_TOL) & (NOISE_TOL < linalg.frobenius(p)))
-    comm = np.abs(np.linalg.eigvalsh(1j * (x1 @ x2 - x2 @ x1))).max(axis=-1)
-    return comm, shared
-
-
-def tsirelson_margins(a: np.ndarray, b: np.ndarray, layout: RegionLayout) -> np.ndarray:
-    """sqrt(2) - (1/2) ||R|| >= 0 (to noise) for each setting of a stack: ``a``
-    (n, 2, d1, d1) holds (A1, A2) and ``b`` (n, 2, d2, d2) holds (B1, B2), as
-    the Hermitian parts ``hermitian_contractions`` returns.  ||R|| is
-    Landau's where both pairs share their support, and else the dense norm."""
-    ca, shared_a = _landau_factor(a)
-    cb, shared_b = _landau_factor(b)
-    margins = SQRT2 - 0.5 * np.sqrt(4.0 + ca * cb)
-    for i in np.flatnonzero(~(shared_a & shared_b)):
-        s = BellSettings(LocalOperator(0, a[i, 0]), LocalOperator(0, a[i, 1]),
-                         LocalOperator(1, b[i, 0]), LocalOperator(1, b[i, 1]))
-        margins[i] = SQRT2 - 0.5 * operator_norm(bell_operator(s, RegionLayout(layout.dims[:2])))
-    return margins
-
-
 def tsirelson_certificate(s: BellSettings, layout: RegionLayout) -> float:
-    """sqrt(2) - (1/2) ||R|| >= 0 (to noise); ||R|| by Landau's identity where it holds."""
-    a = np.array([[s.a1.matrix, s.a2.matrix]])
-    b = np.array([[s.b1.matrix, s.b2.matrix]])
-    return float(tsirelson_margins(a, b, layout)[0])
+    """sqrt(2) - (1/2) ||R|| >= 0 (to noise).  ||R|| is Landau's where X1^2 = X2^2
+    is a nonzero projector on each side, to NOISE_TOL in the Frobenius norm, and
+    else the dense norm."""
+    comms = []
+    for x1, x2 in ((s.a1.matrix, s.a2.matrix), (s.b1.matrix, s.b2.matrix)):
+        p = x1 @ x1
+        if not (linalg.frobenius(p - x2 @ x2) <= NOISE_TOL
+                and linalg.frobenius(p @ p - p) <= NOISE_TOL and NOISE_TOL < linalg.frobenius(p)):
+            return SQRT2 - 0.5 * operator_norm(bell_operator(s, RegionLayout(layout.dims[:2])))
+        comms.append(np.abs(np.linalg.eigvalsh(1j * (x1 @ x2 - x2 @ x1))).max())
+    return float(SQRT2 - 0.5 * np.sqrt(4.0 + comms[0] * comms[1]))
 
 
 @dataclass(frozen=True)

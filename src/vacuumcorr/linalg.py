@@ -147,11 +147,13 @@ def hermitian_eig(a) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix into eigenspace blocks.
 
     Eigenvalues agreeing within NOISE_TOL are merged into a single block
-    with one column per unit of multiplicity.
+    with one column per unit of multiplicity.  ``a`` must be Hermitian to
+    NOISE_TOL relative to its Frobenius norm (at least 1), so that rounding
+    in a large product such as C^† C does not count as skew.
     """
     a = as_operator(a)
     dev = dagger_distance(a)
-    if dev > NOISE_TOL:
+    if dev > NOISE_TOL * max(1.0, float(np.linalg.norm(a))):
         raise ValueError(f"matrix is not Hermitian: |a - a^†| = {dev}")
     w, vecs = np.linalg.eigh(a)
     w = w[::-1]

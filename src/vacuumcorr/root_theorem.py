@@ -7,8 +7,9 @@ and P_min on a disjoint region such that
     <A P_max>_omega > (K - eps) <P_max>_omega     and
     <A P_min>_omega < (K + eps) <P_min>_omega.
 
-Every intermediate stage is exposed with its explicit error bound so the
-whole eps-budget chain can be checked numerically:
+Every stage checks its explicit error bound, and the certificate records
+the budget and each stage's achieved error, so the whole eps-budget chain
+can be checked numerically:
 
     eps2 = 2 eps1 / (1 - eps1)
     eps3 = (eps2^2 + 2 eps2) ||A||
@@ -28,7 +29,8 @@ the budget check, then each stage's check in pipeline order, on the
 eigenspaces above tau (a prefix, as the eigenvalues descend), with
 ||Q1 - Q1'|| read from Q1's eigenvalues; ||A|| is the one operator norm.
 ``prove_root_certificate`` is the one-eps case; a sweep builds the products
-once.  The stage functions run one stage alone, with the same checks.
+once.  ``rescale_to_unit_vacuum`` runs the rescale stage alone, on a
+decomposition the caller builds.
 """
 
 from __future__ import annotations
@@ -153,19 +155,6 @@ def _block_overlaps(blocks, slots, v: VacuumModel, x) -> tuple[np.ndarray, np.nd
 
 
 @dataclass(frozen=True)
-class ExtremalProjectors:
-    p_max: LocalOperator
-    p_min: LocalOperator
-    ratio_max: float
-    ratio_min: float
-    weights: tuple[float, ...]
-    ap_max: float  # <A P_max>_omega
-    p_max_expect: float  # <P_max>_omega
-    ap_min: float  # <A P_min>_omega
-    p_min_expect: float  # <P_min>_omega
-
-
-@dataclass(frozen=True)
 class RootCertificate:
     """Output of the full pipeline; every claim is recomputable from it."""
 
@@ -211,55 +200,6 @@ class RootProducts:
     aps: np.ndarray  # <A P_i>_omega for every eigenspace P_i of Q1
 
 
-def _cyclic_preimage(psi: np.ndarray, v: VacuumModel, slots) -> tuple[LocalOperator, np.ndarray]:
-    """The least-squares C~ on the region with C~ omega = psi, and C~ omega:
-    C~ M = Psi for the coefficient matrices M, Psi of omega, psi across
-    region|rest, and cyclicity gives M full column rank, so C~ = Psi G^-1 M^†
-    on the Gram G = M^† M the rank check formed."""
-    if not check_cyclic(v, slots):
-        raise ValueError(f"vacuum is not cyclic for region {slots}")
-    omega_mat, g = v.gram(slots)
-    psi_mat = linalg.coefficient_matrix(psi, v.layout.dims, slots)
-    try:
-        c_tilde = LocalOperator(slots, psi_mat @ np.linalg.solve(g, omega_mat.conj().T))
-    except ValueError as exc:  # LinAlgError, or entries that overflowed
-        raise StageFailure("cyclic-approx", "the cut's Gram matrix is singular "
-                           "to working precision") from exc
-    return c_tilde, c_tilde.apply(v.omega, v.layout)
-
-
-def _omega_norm(c_tilde_omega: np.ndarray) -> float:
-    nrm = float(np.linalg.norm(c_tilde_omega))
-    if nrm <= PROJECTOR_FLOOR:
-        raise ValueError("||C~ omega|| is at the numerical floor; vacuum not separating?")
-    return nrm
-
-
-def _window_value(a: LocalOperator, c_omega: np.ndarray, v: VacuumModel) -> complex:
-    """<A> in the state C omega / ||C omega||."""
-    state = c_omega / np.linalg.norm(c_omega)
-    return complex(np.vdot(state, a.apply(state, v.layout)))
-
-
-def _check_cyclic(residual: float, eps1: float) -> None:
-    if residual > eps1:
-        raise StageFailure(
-            "cyclic-approx", "residual exceeds eps1", achieved=residual, bound=eps1
-        )
-
-
-def _check_normalized(nrm: float, achieved: float, eps1: float) -> None:
-    if nrm <= 1.0 - eps1:
-        raise StageFailure(
-            "normalize", "||C~ omega|| <= 1 - eps1", norm=nrm, bound=1.0 - eps1
-        )
-    eps2 = EpsilonBudget.eps2_from_eps1(eps1)
-    if achieved > eps2:
-        raise StageFailure(
-            "normalize", "error exceeds eps2", achieved=achieved, bound=eps2
-        )
-
-
 def _real_in_window(stage: str, of: str, bound: str, val: complex, k: float, eps: float) -> float:
     """Re ``val``, certified real to NOISE_TOL and inside (k - eps, k + eps)."""
     if abs(val.imag) > NOISE_TOL:
@@ -271,14 +211,6 @@ def _real_in_window(stage: str, of: str, bound: str, val: complex, k: float, eps
             value=value, lower=k - eps, upper=k + eps,
         )
     return value
-
-
-def _above(slots, spectrum: linalg.EigenSystem, tau: float) -> ProjectorDecomposition:
-    """Q1's eigenspaces with eigenvalue above tau: a prefix, since the
-    eigenvalues descend.  The residual is the largest dropped |eigenvalue|."""
-    n = sum(lam > tau for lam in spectrum.eigenvalues)
-    residual = max((abs(lam) for lam in spectrum.eigenvalues[n:]), default=0.0)
-    return ProjectorDecomposition(slots, spectrum.eigenvalues[:n], spectrum.blocks[:n], residual)
 
 
 def _unit(dec: ProjectorDecomposition, p_expects: np.ndarray) -> ProjectorDecomposition:
@@ -294,75 +226,6 @@ def _unit(dec: ProjectorDecomposition, p_expects: np.ndarray) -> ProjectorDecomp
     return replace(dec, coeffs=coeffs, q_expect=q_expect)
 
 
-def _extremal(dec: ProjectorDecomposition, p_expects: np.ndarray, aps: np.ndarray
-              ) -> ExtremalProjectors:
-    p_expects = p_expects.real.tolist()
-    for p_expect in p_expects:
-        if p_expect <= PROJECTOR_FLOOR:
-            raise StageFailure("extremal", "<P_i>_omega at the floor", value=p_expect)
-    aps = aps.real.tolist()
-    ratios = [ap / p for ap, p in zip(aps, p_expects)]
-    i_max = int(np.argmax(ratios))
-    i_min = int(np.argmin(ratios))
-    # One operator when both picks are the same block.
-    picks = {i: LocalOperator(dec.slots, projector(dec.blocks[i])) for i in {i_max, i_min}}
-    return ExtremalProjectors(
-        p_max=picks[i_max],
-        p_min=picks[i_min],
-        ratio_max=ratios[i_max],
-        ratio_min=ratios[i_min],
-        weights=tuple(lam * p for lam, p in zip(dec.coeffs, p_expects)),
-        ap_max=aps[i_max],
-        p_max_expect=p_expects[i_max],
-        ap_min=aps[i_min],
-        p_min_expect=p_expects[i_min],
-    )
-
-
-def solve_cyclic_approx(
-    psi, v: VacuumModel, slots, eps1: float
-) -> tuple[LocalOperator, float]:
-    """Find C on the region with ||psi - embed(C) omega|| <= eps1, solved
-    exactly by least squares on the cut's Gram.  Returns (C~, achieved residual)."""
-    psi = as_state(psi)
-    c_tilde, c_tilde_omega = _cyclic_preimage(psi, v, linalg._normalize_slots(slots))
-    residual = float(np.linalg.norm(c_tilde_omega - psi))
-    _check_cyclic(residual, eps1)
-    return c_tilde, residual
-
-
-def normalize_approximant(
-    c_tilde: LocalOperator, psi, v: VacuumModel, eps1: float
-) -> tuple[LocalOperator, float]:
-    """Rescale C~ so ||C omega|| = 1; the error grows to at most
-    eps2 = 2 eps1 / (1 - eps1).  Returns (C, achieved error)."""
-    psi = as_state(psi)
-    c_tilde_omega = c_tilde.apply(v.omega, v.layout)
-    nrm = _omega_norm(c_tilde_omega)
-    achieved = float(np.linalg.norm(c_tilde_omega / nrm - psi))
-    _check_normalized(nrm, achieved, eps1)
-    return LocalOperator(c_tilde.slots, c_tilde.matrix / nrm), achieved
-
-
-def expectation_window(
-    a: LocalOperator, c: LocalOperator, v: VacuumModel, k: float, eps3: float
-) -> float:
-    """<A>_{C omega}, certified to lie in the open window (K - eps3, K + eps3)."""
-    if set(a.slots) & set(c.slots):
-        raise ValueError(f"regions overlap: {a.slots} vs {c.slots}")
-    val = _window_value(a, c.apply(v.omega, v.layout), v)
-    return _real_in_window("window", "Hermitian A", "eps3", val, k, eps3)
-
-
-def positive_spectral_decomposition(c: LocalOperator, tau: float) -> ProjectorDecomposition:
-    """Spectral decomposition of Q1 = C^† C keeping eigenvalues above tau.
-
-    The residual is the largest dropped eigenvalue (at most tau), so
-    ||Q1 - Q1'~|| <= tau by construction.
-    """
-    return _above(c.slots, hermitian_eig(c.matrix.conj().T @ c.matrix), tau)
-
-
 def rescale_to_unit_vacuum(
     dec: ProjectorDecomposition, v: VacuumModel
 ) -> ProjectorDecomposition:
@@ -370,31 +233,6 @@ def rescale_to_unit_vacuum(
     result records the divisor as ``q_expect``."""
     p_expects = dec.overlaps(v, v.omega)[0] if dec.blocks else ()
     return _unit(dec, p_expects)
-
-
-def combined_window(
-    a: LocalOperator, dec: ProjectorDecomposition, v: VacuumModel, k: float, eps5: float
-) -> float:
-    """<A Q1'>_omega, certified to lie in (K - eps5, K + eps5)."""
-    if set(a.slots) & set(dec.slots):
-        raise ValueError(f"regions overlap: {a.slots} vs {dec.slots}")
-    aps = dec.overlaps(v, a.apply(v.omega, v.layout))[1]
-    val = complex(np.dot(dec.coeffs, aps))
-    return _real_in_window("combined", "commuting product", "eps5", val, k, eps5)
-
-
-def select_extremal_projectors(
-    a: LocalOperator, dec: ProjectorDecomposition, v: VacuumModel
-) -> ExtremalProjectors:
-    """Pick the projectors with extremal vacuum ratios <A P_i> / <P_i>.
-
-    Weights w_i = lambda_i <P_i>_omega form a convex combination whose
-    value is <A Q1'>_omega, so the max ratio dominates it and the min
-    ratio is dominated by it.  Ties break toward the lowest index.
-    """
-    if dec.is_degenerate:
-        raise StageFailure("extremal", "empty decomposition")
-    return _extremal(dec, *dec.overlaps(v, a.apply(v.omega, v.layout)))
 
 
 def root_products(a: LocalOperator, psi, v: VacuumModel, slots) -> RootProducts:
@@ -409,10 +247,26 @@ def root_products(a: LocalOperator, psi, v: VacuumModel, slots) -> RootProducts:
     norm_a = operator_norm(a.matrix)
     if norm_a <= PROJECTOR_FLOOR:
         raise ValueError("A is numerically zero; the eps-budget is undefined")
-    c_tilde, c_tilde_omega = _cyclic_preimage(psi, v, slots)
-    nrm = _omega_norm(c_tilde_omega)
+    # The least-squares C~ on the region with C~ omega = psi: C~ M = Psi for the
+    # coefficient matrices M, Psi of omega, psi across region|rest, and cyclicity
+    # gives M full column rank, so C~ = Psi G^-1 M^† on the Gram G = M^† M the
+    # rank check formed.
+    if not check_cyclic(v, slots):
+        raise ValueError(f"vacuum is not cyclic for region {slots}")
+    omega_mat, g = v.gram(slots)
+    psi_mat = linalg.coefficient_matrix(psi, v.layout.dims, slots)
+    try:
+        c_tilde = LocalOperator(slots, psi_mat @ np.linalg.solve(g, omega_mat.conj().T))
+    except ValueError as exc:  # LinAlgError, or entries that overflowed
+        raise StageFailure("cyclic-approx", "the cut's Gram matrix is singular "
+                           "to working precision") from exc
+    c_tilde_omega = c_tilde.apply(v.omega, v.layout)
+    nrm = float(np.linalg.norm(c_tilde_omega))
+    if nrm <= PROJECTOR_FLOOR:
+        raise ValueError("||C~ omega|| is at the numerical floor; vacuum not separating?")
     c = c_tilde.matrix / nrm
     c_omega = c_tilde_omega / nrm
+    state = c_omega / np.linalg.norm(c_omega)  # C omega as a unit vector
     spectrum = hermitian_eig(c.conj().T @ c)
     p_expects, aps = _block_overlaps(spectrum.blocks, slots, v, a.apply(v.omega, v.layout))
     return RootProducts(
@@ -422,7 +276,7 @@ def root_products(a: LocalOperator, psi, v: VacuumModel, slots) -> RootProducts:
         cyclic_residual=float(np.linalg.norm(c_tilde_omega - psi)),
         c_tilde_norm=nrm,
         normalized_error=float(np.linalg.norm(c_omega - psi)),
-        window=_window_value(a, c_omega, v),
+        window=complex(np.vdot(state, a.apply(state, v.layout))),
         q_trace=float(np.vdot(c, c).real),
         spectrum=spectrum,
         p_expects=p_expects,
@@ -451,14 +305,26 @@ def certify_root(p: RootProducts, eps: float) -> RootCertificate:
         raise StageFailure("budget", "eps is out of floating-point range for eps1..eps5",
                            eps=eps, eps1=eps1, eps2=eps2)
 
-    _check_cyclic(p.cyclic_residual, eps1)
-    _check_normalized(p.c_tilde_norm, p.normalized_error, eps1)
+    if p.cyclic_residual > eps1:
+        raise StageFailure("cyclic-approx", "residual exceeds eps1",
+                           achieved=p.cyclic_residual, bound=eps1)
+    if p.c_tilde_norm <= 1.0 - eps1:
+        raise StageFailure("normalize", "||C~ omega|| <= 1 - eps1",
+                           norm=p.c_tilde_norm, bound=1.0 - eps1)
+    eps2_bound = EpsilonBudget.eps2_from_eps1(eps1)  # the normalize stage's own bound
+    if p.normalized_error > eps2_bound:
+        raise StageFailure("normalize", "error exceeds eps2",
+                           achieved=p.normalized_error, bound=eps2_bound)
     val3 = _real_in_window("window", "Hermitian A", "eps3", p.window, k, eps3)
 
     # ||Q1|| <= tr Q1, <Q1'~>_omega >= 1 - tau, so eps4 < eps4_target/2; and tau < 1 <= ||Q1||.
     tau = eps4_target / (2.0 * (p.q_trace + 1.0 + eps4_target))
-    dec = _above(p.slots, p.spectrum, tau)
-    kept = len(dec.coeffs)
+    # Q1's eigenspaces with eigenvalue above tau: a prefix, since the eigenvalues
+    # descend.  The residual is the largest dropped |eigenvalue|.
+    eigenvalues = p.spectrum.eigenvalues
+    kept = sum(lam > tau for lam in eigenvalues)
+    residual = max((abs(lam) for lam in eigenvalues[kept:]), default=0.0)
+    dec = ProjectorDecomposition(p.slots, eigenvalues[:kept], p.spectrum.blocks[:kept], residual)
     dec_unit = _unit(dec, p.p_expects[:kept])
     q_norm = dec.coeffs[0]  # ||Q1||: the top kept eigenvalue of the positive Q1
     eps4 = (q_norm + 1.0) * tau / dec_unit.q_expect
@@ -475,7 +341,22 @@ def certify_root(p: RootProducts, eps: float) -> RootCertificate:
     )
     val5 = _real_in_window("combined", "commuting product", "eps5",
                            complex(np.dot(dec_unit.coeffs, p.aps[:kept])), k, eps5)
-    ext = _extremal(dec_unit, p.p_expects[:kept], p.aps[:kept])
+
+    # The extremal vacuum ratios <A P_i> / <P_i>: the weights w_i = lambda_i <P_i>_omega
+    # form a convex combination whose value is <A Q1'>_omega, so the max ratio
+    # dominates it and the min ratio is dominated by it.  Ties break toward the
+    # lowest index.
+    p_expects = p.p_expects[:kept].real.tolist()
+    for p_expect in p_expects:
+        if p_expect <= PROJECTOR_FLOOR:
+            raise StageFailure("extremal", "<P_i>_omega at the floor", value=p_expect)
+    aps = p.aps[:kept].real.tolist()
+    ratios = [ap / p_expect for ap, p_expect in zip(aps, p_expects)]
+    i_max = int(np.argmax(ratios))
+    i_min = int(np.argmin(ratios))
+    # One operator when both picks are the same block.
+    picks = {i: LocalOperator(p.slots, projector(dec.blocks[i])) for i in {i_max, i_min}}
+
     # Q1 - Q1' is diagonal in Q1's eigenbasis: lambda_j - lambda_i / q_expect on
     # the kept eigenspaces, lambda_j on the dropped ones, over the unmerged lambda_j.
     sizes = [b.shape[1] for b in dec.blocks]
@@ -493,14 +374,14 @@ def certify_root(p: RootProducts, eps: float) -> RootCertificate:
     return RootCertificate(
         target_k=k,
         requested_eps=eps,
-        p_max=ext.p_max,
-        p_min=ext.p_min,
-        lhs_max=ext.ap_max,
-        rhs_max=(k - eps) * ext.p_max_expect,
-        lhs_min=ext.ap_min,
-        rhs_min=(k + eps) * ext.p_min_expect,
+        p_max=picks[i_max],
+        p_min=picks[i_min],
+        lhs_max=aps[i_max],
+        rhs_max=(k - eps) * p_expects[i_max],
+        lhs_min=aps[i_min],
+        rhs_min=(k + eps) * p_expects[i_min],
         budget=budget,
-        weights=ext.weights,
+        weights=tuple(lam * p_expect for lam, p_expect in zip(dec_unit.coeffs, p_expects)),
         achieved=achieved,
     )
 

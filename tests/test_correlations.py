@@ -33,7 +33,6 @@ from vacuumcorr.correlations import (
     seesaw_maximize,
     seesaw_starts,
     tsirelson_certificate,
-    tsirelson_margins,
     violate_conditional_bell,
 )
 from vacuumcorr.linalg import (
@@ -119,12 +118,6 @@ def dense_path_settings(case: str) -> BellSettings:
     else:
         b2 = random_contractions((3, 3), np.random.default_rng(5))[3]
     return settings_of(a1, a2, b1, b2)
-
-
-def stacked(settings: list) -> tuple[np.ndarray, np.ndarray]:
-    """The (A1, A2) and (B1, B2) stacks of a list of settings."""
-    return tuple(np.array([[getattr(s, x).matrix, getattr(s, y).matrix] for s in settings])
-                 for x, y in (("a1", "a2"), ("b1", "b2")))
 
 
 def spy_bell_operator():
@@ -316,34 +309,6 @@ class TestLandauNorm:
             got = tsirelson_certificate(s, layout)
         assert dense.call_count == 1
         assert abs(got - dense_margin(s, layout.dims)) <= 1e-12
-
-    def test_dense_path_inside_a_stack(self):
-        layout = RegionLayout((3, 3))
-        rng = np.random.default_rng(11)
-        shared = [canonical_max_violation(layout)[1]] + [
-            settings_of(*partial_involutions(3, rank, rng), *partial_involutions(3, 2, rng))
-            for rank in (1, 2, 3)]
-        dense_cases = [dense_path_settings(case) for case in DENSE_CASES]
-        stack = [shared[0], dense_cases[0], shared[1], dense_cases[1], dense_cases[2],
-                 shared[2], dense_cases[3], shared[3]]
-        with spy_bell_operator() as dense:
-            got = tsirelson_margins(*stacked(stack), layout)
-        assert dense.call_count == len(dense_cases)
-        for call, s in zip(dense.call_args_list, dense_cases):
-            assert all(np.array_equal(getattr(call.args[0], x).matrix, getattr(s, x).matrix)
-                       for x in ("a1", "a2", "b1", "b2"))
-        for margin, s in zip(got, stack):
-            assert abs(margin - dense_margin(s, layout.dims)) <= 1e-12
-
-    @given(d1=st.integers(2, 6), d2=st.integers(2, 6), seed=st.integers(0, 10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_stack_matches_each_setting_bit_for_bit(self, d1, d2, seed):
-        layout = RegionLayout((d1, d2))
-        rng = np.random.default_rng(seed)
-        stack = [random_settings(layout, int(rng.integers(0, 10**6))) for _ in range(6)]
-        stack.append(settings_of(*random_contractions(layout.dims, rng)))  # the dense path
-        got = tsirelson_margins(*stacked(stack), layout)
-        assert got.tolist() == [tsirelson_certificate(s, layout) for s in stack]
 
     def test_three_slot_layout_uses_slots_zero_and_one(self):
         layout = RegionLayout((2, 3, 6))

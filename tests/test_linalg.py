@@ -207,9 +207,20 @@ class TestHermitianEig:
         es = hermitian_eig(X)
         np.testing.assert_allclose(es.eigenvalues, [1.0, -1.0], atol=1e-12)
 
-    def test_non_hermitian_rejected(self):
+    # The check is relative to ||a||_F, and absolute below ||a||_F = 1.
+    @pytest.mark.parametrize("scale,skew", [(1e18, 1e3), (1e-3, 5e-11)],
+                             ids=["relative", "absolute"])
+    def test_rounding_level_skew_accepted(self, scale, skew):
+        a = scale * np.array([[1.0, 1.0], [1.0, 2.0]])
+        a[0, 1] += skew
+        assert len(hermitian_eig(a).eigenvalues) == 2
+
+    # A 1e18-norm matrix skewed by 1e-6 of its norm still fails.
+    @pytest.mark.parametrize("a", [[[0.0, 1.0], [0.0, 0.0]],
+                                   [[1e18, 1e18 + 2e12], [1e18, 1e18]]])
+    def test_non_hermitian_rejected(self, a):
         with pytest.raises(ValueError, match="not Hermitian"):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            hermitian_eig(np.array(a))
 
     def test_random_reconstruction(self):
         rng = np.random.default_rng(5)
