@@ -2,10 +2,10 @@
 
 Each spacetime region is modeled as one tensor slot carrying a full matrix
 algebra; spacelike commutativity then holds by construction.  The vacuum
-analog is a unit vector holding, per cut of its layout, one Gram matrix
-whose bound proves full Schmidt rank, and the Schmidt spectrum only where
-that bound fails; the Schmidt ranks certify the cyclic and separating
-properties:
+analog is a unit vector holding, per cut of its layout, the Gram bound
+that proves full Schmidt rank (a float, not the Gram matrix), and the
+Schmidt spectrum only where that bound fails; the Schmidt ranks certify
+the cyclic and separating properties:
 
 * cyclic for a region  <=>  Schmidt rank across region|rest equals the
   dimension of the complement,
@@ -53,6 +53,16 @@ class RegionLayout:
         slots = linalg._normalize_slots(slots)
         return tuple(i for i in range(self.n_slots) if i not in slots)
 
+    def cut(self, slots) -> int:
+        """The cut of a proper region: the slot alone on one side of
+        region|rest (slot 0 for 2 slots); slot order is immaterial."""
+        slots, n = linalg._normalize_slots(slots), self.n_slots
+        if not slots or len(slots) == n or any(s < 0 or s >= n for s in slots):
+            raise ValueError(f"region {slots} is not a proper region of layout {self.dims}")
+        if len(slots) > 1:  # a merged region's cut is its complement's
+            slots = self.complement(slots)
+        return slots[0] if n == 3 else 0  # the one cut of 2 slots
+
 
 @dataclass(frozen=True)
 class LocalOperator:
@@ -89,13 +99,14 @@ class LocalOperator:
 class VacuumModel:
     """A unit vector playing the role of the vacuum.  Each cut of a 2- or
     3-slot layout has one slot s alone on a side (slot 0 for 2 slots):
-    ``grams[s]`` caches ``linalg.gram_bound`` of the coefficients across
-    s|rest, and ``spectra[s]`` the Schmidt coefficients where it fails."""
+    ``bounds[s]`` caches the ``linalg.gram_bound`` lower bound on the squared
+    Schmidt coefficients across s|rest, and ``spectra[s]`` the Schmidt
+    coefficients where that bound fails."""
 
     layout: RegionLayout
     omega: np.ndarray
-    grams: dict[int, tuple[np.ndarray, float]] = field(default_factory=dict, init=False,
-                                                       compare=False, repr=False)
+    bounds: dict[int, float] = field(default_factory=dict, init=False, compare=False,
+                                     repr=False)
     spectra: dict[int, np.ndarray] = field(default_factory=dict, init=False, compare=False,
                                            repr=False)
 
@@ -111,40 +122,19 @@ class VacuumModel:
             )
         return cls(layout, omega)
 
-    def _cut_gram(self, slots: tuple[int, ...]) -> tuple[int, np.ndarray, float]:
-        """The cut of a proper region (slot order is immaterial), with the
-        Gram matrix and bound it holds, formed on first use."""
-        n, dims = self.layout.n_slots, self.layout.dims
-        if not slots or len(slots) == n or any(s < 0 or s >= n for s in slots):
-            raise ValueError(f"region {slots} is not a proper region of layout {dims}")
-        if len(slots) > 1:  # a merged region's cut is its complement's
-            slots = self.layout.complement(slots)
-        cut = slots[0] if n == 3 else 0  # the one cut of 2 slots
-        if cut not in self.grams:
-            self.grams[cut] = linalg.gram_bound(linalg.coefficient_matrix(self.omega, dims, cut))
-        return (cut, *self.grams[cut])
-
     def schmidt_rank(self, slots, tol: float = linalg.SCHMIDT_RANK_TOL) -> int:
         """Number of Schmidt coefficients above ``tol`` across region|rest:
         full rank where the cut's Gram bound exceeds tol^2, else counted from
         the cut's Schmidt spectrum."""
-        cut, g, lower = self._cut_gram(linalg._normalize_slots(slots))
-        if lower > tol * tol:
-            return len(g)
+        cut, dims = self.layout.cut(slots), self.layout.dims
+        if cut not in self.bounds:
+            m = linalg.coefficient_matrix(self.omega, dims, cut)
+            _, self.bounds[cut] = linalg.gram_bound(m)
+        if self.bounds[cut] > tol * tol:
+            return min(dims[cut], self.layout.total_dim // dims[cut])
         if cut not in self.spectra:
-            self.spectra[cut] = linalg.schmidt_coefficients(self.omega, self.layout.dims, cut)
+            self.spectra[cut] = linalg.schmidt_coefficients(self.omega, dims, cut)
         return int(np.sum(self.spectra[cut] > tol))
-
-    def gram(self, slots) -> tuple[np.ndarray, np.ndarray]:
-        """M and M^† M, for M the coefficient matrix across slots|rest with
-        rows over ``slots``: the cut's Gram where the region is the cut's
-        slot on the longer side of M, else a Gram of its own."""
-        slots = linalg._normalize_slots(slots)
-        cut, g, _ = self._cut_gram(slots)
-        m = linalg.coefficient_matrix(self.omega, self.layout.dims, slots)
-        if slots != (cut,) or m.shape[0] < m.shape[1]:
-            g = m.conj().T @ m
-        return m, g
 
 
 def make_vacuum(layout: RegionLayout, seed: int) -> VacuumModel:

@@ -185,7 +185,9 @@ def span_dimension(omega: np.ndarray, dims, slots) -> int:
 def normal_equations_solve(psi: np.ndarray, omega: np.ndarray, dims, slots):
     """Least-squares preimage via explicit normal equations.
 
-    Returns (c_matrix, residual) for min_C ||embed(C) omega - psi||.
+    Returns (c_matrix, residual) for min_C ||embed(C) omega - psi||; the
+    Gram over the matrix units is invertible where omega is separating for
+    the region.
     """
     slots = (slots,) if isinstance(slots, int) else tuple(slots)
     d = math.prod(dims[s] for s in slots)
@@ -193,7 +195,7 @@ def normal_equations_solve(psi: np.ndarray, omega: np.ndarray, dims, slots):
     m = np.column_stack(cols)
     gram = m.conj().T @ m
     rhs = m.conj().T @ psi
-    coeff = np.linalg.solve(gram + 1e-14 * np.eye(d * d), rhs)
+    coeff = np.linalg.solve(gram, rhs)
     c = coeff.reshape(d, d)
     residual = float(np.linalg.norm(m @ coeff - psi))
     return c, residual

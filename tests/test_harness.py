@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import re
@@ -318,9 +319,11 @@ def record_schmidt_calls(monkeypatch) -> list:
 
 
 class TestSpectraComputedOnce:
-    """Each cut of a vacuum forms one Gram matrix, on first use; its Schmidt
-    spectrum is computed only where the Gram bound cannot prove full rank,
-    and at most once.  ||Q1|| and ||Q1 - Q1'|| come from Q1's spectrum."""
+    """A vacuum answers rank questions from one Gram bound per cut, formed on
+    first use and kept as a float; its Schmidt spectrum is computed only where
+    that bound cannot prove full rank, and at most once.  A root solve forms
+    the one Gram it solves on, whose bound also proves the region cyclic.
+    ||Q1|| and ||Q1 - Q1'|| come from Q1's spectrum."""
 
     @pytest.mark.parametrize("scenario,layout,svds", [
         ("root-cert", [2, 2], 0),
@@ -336,9 +339,9 @@ class TestSpectraComputedOnce:
         assert len(calls) == svds
 
     @pytest.mark.parametrize("scenario,layout,grams", [
-        ("root-cert", [8, 8], 1),  # cut 0: the cyclic check, then the solve onto slot 0
+        ("root-cert", [8, 8], 1),  # the solve onto slot 0, its bound the cyclic check
         ("epr", [4, 4], 1),
-        ("cond-bell", [3, 3, 9], 1),  # cut 2, for the cyclic solve onto slot 2
+        ("cond-bell", [3, 3, 9], 1),  # the solve onto slot 2, likewise
         ("reeh-schlieder", [8, 8], 2),  # the vacuum's cut, the product state's
         ("reeh-schlieder", [3, 3, 9], 4),  # the vacuum's 3 cuts, the product state's cut 0
     ])
@@ -396,14 +399,46 @@ class TestSpectraComputedOnce:
         v = make_vacuum(layout, 0)
         ranks = [v.schmidt_rank(region) for region in regions]
         assert calls == [] and v.spectra == {}
-        assert list(v.grams) == [cut]
+        assert list(v.bounds) == [cut]
         assert len(set(ranks)) == 1
         product = np.zeros(layout.total_dim, dtype=complex)
         product[0] = 1.0
         counter = local_algebra.VacuumModel.from_vector(layout, product)
         assert [counter.schmidt_rank(region) for region in regions] == [1] * len(regions)
         assert [args[2] for args in calls] == [cut]
-        assert list(counter.spectra) == list(counter.grams) == [cut]
+        assert list(counter.spectra) == list(counter.bounds) == [cut]
+
+    @pytest.mark.parametrize("layout,region", [((3, 3), (1,)), ((2, 2, 4), (0, 1))])
+    def test_vacuum_holds_no_matrix_but_omega_and_spectra(self, layout, region):
+        # A rank question caches one float per cut; the root solve's Gram is freed.
+        layout = local_algebra.RegionLayout(layout)
+        product = np.zeros(layout.total_dim, dtype=complex)
+        product[0] = 1.0
+        n = layout.n_slots
+        regions = [r for k in range(1, n) for r in itertools.permutations(range(n), k)]
+        slot = layout.complement(region)[0]
+        a = LocalOperator(slot, np.eye(layout.dims[slot]))
+        psi = np.full(layout.total_dim, layout.total_dim**-0.5, dtype=complex)
+        v = make_vacuum(layout, 0)
+        counter = local_algebra.VacuumModel.from_vector(layout, product)
+        for r in regions:
+            v.schmidt_rank(r)
+            counter.schmidt_rank(r)
+        root_theorem.root_products(a, psi, v, region)
+        with pytest.raises(ValueError, match="not cyclic"):
+            root_theorem.root_products(a, psi, counter, region)
+        assert v.spectra == {} and counter.spectra
+        for vacuum in (v, counter):
+            held, arrays = list(vars(vacuum).values()), set()
+            while held:  # every field, with its dicts and tuples opened
+                x = held.pop()
+                if isinstance(x, (dict, tuple)):
+                    held.extend(x.values() if isinstance(x, dict) else x)
+                elif isinstance(x, np.ndarray):
+                    arrays.add(id(x))
+            assert arrays == {id(vacuum.omega), *map(id, vacuum.spectra.values())}
+            assert sorted(vacuum.bounds) == list(range(n if n == 3 else 1))
+            assert all(isinstance(b, float) for b in vacuum.bounds.values())
 
     def test_root_certificate_takes_one_operator_norm(self, monkeypatch):
         # ||A||; ||Q1|| and the rescale error come from Q1's spectrum.

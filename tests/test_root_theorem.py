@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 from decimal import Decimal, localcontext
@@ -16,6 +17,7 @@ from conftest import (
     operator_norm_oracle,
     random_state,
     rescale_error_oracle,
+    schmidt_rank_oracle,
 )
 
 from vacuumcorr import linalg
@@ -165,9 +167,40 @@ class TestCyclicApproxStage:
         p = root_products(ONE, psi, v22, (0,))
         c, nrm = normalized_oracle(psi, v22, (0,))
         _, res_oracle = normal_equations_solve(psi, v22.omega, (2, 2), 0)
-        np.testing.assert_allclose(q1_matrix(p), c.conj().T @ c, atol=1e-6)
-        assert abs(p.c_tilde_norm - nrm) <= 1e-6
-        assert res_oracle <= 1e-6
+        np.testing.assert_allclose(q1_matrix(p), c.conj().T @ c, atol=1e-12)
+        assert abs(p.c_tilde_norm - nrm) <= 1e-12
+        assert res_oracle <= 1e-12
+
+    @pytest.mark.parametrize("dims,own_gram", [
+        ((3, 3), [(1,)]),  # M across 1|0 is the transpose of the cut's
+        ((2, 2, 4), [(0, 1), (1, 0)]),  # the cut is 2|(0, 1)
+        ((2, 3, 6), [(0, 1), (1, 0)]),
+    ])
+    def test_accepts_exactly_the_cyclic_regions(self, dims, own_gram):
+        # The solve's own Gram bound accepts a region with at least as many rows
+        # as columns; a wide one is rejected, as the rank oracle has it.
+        layout = RegionLayout(dims)
+        v = make_vacuum(layout, 0)
+        rng = np.random.default_rng(0)
+        psi = random_state(layout.total_dim, rng)
+        n = len(dims)
+        regions = [r for k in range(1, n) for r in itertools.permutations(range(n), k)]
+        accepted = []
+        for region in regions:
+            rest = layout.complement(region)
+            a = LocalOperator(rest[0], linalg.random_hermitian(dims[rest[0]], rng))
+            cyclic = schmidt_rank_oracle(v.omega, dims, region) == layout.region_dim(rest)
+            try:
+                p = root_products(a, psi, v, region)
+            except ValueError as exc:
+                assert not cyclic and "not cyclic" in str(exc), region
+            else:
+                assert cyclic and p.cyclic_residual <= 1e-10, region
+                accepted.append(region)
+        tall = [r for r in regions
+                if layout.region_dim(r) >= layout.region_dim(layout.complement(r))]
+        assert accepted == tall
+        assert set(own_gram) <= set(accepted)
 
     def test_non_cyclic_vacuum_rejected(self):
         product = np.zeros(4, dtype=complex)
@@ -211,8 +244,7 @@ class TestCyclicApproxStage:
 
     def test_singular_gram_ends_at_cyclic_approx(self, monkeypatch, v22):
         # A Gram that LAPACK finds exactly singular ends at the stage, not in a traceback.
-        monkeypatch.setattr(VacuumModel, "gram",
-                            lambda self, slots: (np.eye(2), np.zeros((2, 2), complex)))
+        monkeypatch.setattr(linalg, "gram_bound", lambda m: (np.zeros((2, 2), complex), 1.0))
         with pytest.raises(StageFailure) as info:
             root_products(ONE, random_state(4, np.random.default_rng(0)), v22, (0,))
         assert info.value.stage == "cyclic-approx"
