@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import linalg
-from .linalg import NOISE_TOL, PROJECTOR_FLOOR, apply_local, as_state, hermitian_eig, operator_norm
+from .linalg import NOISE_TOL, PROJECTOR_FLOOR, as_state, hermitian_eig, operator_norm
 from .local_algebra import LocalOperator, RegionLayout, VacuumModel
 from .root_theorem import RootCertificate, StageFailure, prove_root_certificate
 
@@ -70,10 +70,11 @@ def hermitian_contractions(x: np.ndarray, names) -> np.ndarray:
     names the first matrix that is not self-adjoint or not a contraction."""
     dev = linalg.dagger_distance(x)
     herm = 0.5 * (x + linalg.dagger(x))
-    # >= ||X||, as ||X - H||_F = dev / 2.  First by one product: every
-    # eigenvalue l of H has l^2 - 1 <= ||H^2 - 1||_F.  eigvalsh runs only where
-    # that bound misses 1 + NOISE_TOL / 2, half the tolerance left for rounding.
-    nrm = np.sqrt(1.0 + linalg.frobenius(herm @ herm - np.eye(x.shape[-1]))) + 0.5 * dev
+    # >= ||X||, as ||X - H||_F = dev / 2.  First by two products, tight where H^2 is a
+    # projector: an eigenvalue l of H with l^2 > 1 has l^2 - 1 <= ||H^4 - H^2||_F.  eigvalsh
+    # runs only where that misses 1 + NOISE_TOL / 2, half the tolerance left for rounding.
+    h2 = herm @ herm
+    nrm = np.sqrt(1.0 + linalg.frobenius(h2 @ h2 - h2)) + 0.5 * dev
     loose = nrm > 1.0 + 0.5 * NOISE_TOL
     if loose.any():
         nrm[loose] = np.abs(np.linalg.eigvalsh(herm[loose])).max(axis=-1) + 0.5 * dev[loose]
@@ -123,11 +124,11 @@ def bell_operator(s: BellSettings, layout: RegionLayout) -> np.ndarray:
 
 
 def _apply_bell(s: BellSettings, vec, layout: RegionLayout) -> np.ndarray:
-    """R vec = A1 (B1 + B2) vec + A2 (B1 - B2) vec, one slot at a time."""
+    """R vec = A1 (B1 + B2) vec + A2 (B1 - B2) vec, one slot at a time, on validated settings."""
     a1, a2, b1, b2 = (op.matrix for op in (s.a1, s.a2, s.b1, s.b2))
     dims = layout.dims
-    return (apply_local(a1, 0, apply_local(b1 + b2, 1, vec, dims), dims)
-            + apply_local(a2, 0, apply_local(b1 - b2, 1, vec, dims), dims))
+    return (linalg._apply_local(a1, (0,), linalg._apply_local(b1 + b2, (1,), vec, dims), dims)
+            + linalg._apply_local(a2, (0,), linalg._apply_local(b1 - b2, (1,), vec, dims), dims))
 
 
 def bell_correlation(s: BellSettings, state, layout: RegionLayout) -> float:
@@ -195,42 +196,55 @@ def seesaw_maximize(state, layout: RegionLayout, seed: int) -> tuple[BellSetting
     if layout.n_slots != 2:
         raise ValueError("see-saw runs on 2-slot layouts")
     u, s, wh = linalg.schmidt_support(as_state(state), layout.dims, 0)
-    value, a, t = next(seesaw_starts(s, (seed,)))
+    value, a, t = seesaw_starts(s, (seed,))[0]
     a = np.eye(len(u)) + u @ (a - np.eye(len(s))) @ linalg.dagger(u)
     b = np.eye(wh.shape[1]) + (linalg.dagger(wh) @ (t - np.eye(len(s))) @ wh).swapaxes(-1, -2)
     return BellSettings(LocalOperator(0, a[0]), LocalOperator(0, a[1]),
                         LocalOperator(1, b[0]), LocalOperator(1, b[1])), value
 
 
-def seesaw_starts(s: np.ndarray, seeds) -> Iterator[tuple[float, np.ndarray, np.ndarray]]:
+def seesaw_starts(s: np.ndarray, seeds) -> list[tuple[float, np.ndarray, np.ndarray]]:
     """``seesaw_maximize``'s value and r x r settings (a, t), checked but not lifted,
-    for each of ``seeds`` in turn, on a state with the r Schmidt coefficients ``s``
-    (``linalg.schmidt_support``'s): the see-saw depends on nothing else."""
+    for each of ``seeds``, on a state with the r Schmidt coefficients ``s``
+    (``linalg.schmidt_support``'s): the see-saw depends on nothing else.  The starts iterate
+    as one stack, each on its own seed's stream; a start leaves it once it stops gaining,
+    and the starts that end at a classical point draw again together."""
     r = len(s)
 
-    def sums(x):  # S (x1 + x2) S and S (x1 - x2) S
-        return s[:, None] * np.stack((x[0] + x[1], x[0] - x[1])) * s
+    def sums(x):  # S (x1 + x2) S and S (x1 - x2) S for each start of a stack (k, 2, r, r)
+        return s[:, None] * np.stack((x[:, 0] + x[:, 1], x[:, 0] - x[:, 1]), axis=1) * s
 
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        for _ in range(SEESAW_DRAWS):
-            x = _sign_contraction(np.stack([linalg.random_hermitian(r, rng) for _ in range(4)]))
-            g, a = sums(x[:2]), x[2:]
-            best = 0.5 * np.vdot(a, g).real  # tr(a g) = <a, g> for Hermitian a
-            for _ in range(SEESAW_ITERS):
-                a = _sign_contraction(g)
-                t = _sign_contraction(sums(a))
-                g = sums(t)
-                current = 0.5 * np.vdot(a, g).real
-                if current - best < SEESAW_TOL:
-                    best = max(best, current)
-                    break
-                best = current
-            if linalg.frobenius((a[0] @ a[1] - a[1] @ a[0]) * s) > NOISE_TOL:
+    def values(a, g):  # (1/2) tr(a g) = (1/2) <a, g> for Hermitian a, one start at a time
+        return np.array([0.5 * np.vdot(ak, gk).real for ak, gk in zip(a, g)])
+
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    best, out = np.empty(len(rngs)), np.empty((len(rngs), 4, r, r), dtype=complex)  # a, t
+    todo = np.arange(len(rngs))
+    for _ in range(SEESAW_DRAWS):
+        # Four random_hermitian(r, rng) draws per start (t1, t2, a1, a2), in one call.
+        z = np.stack([rngs[i].standard_normal((4, 2, r, r)) for i in todo])
+        x = z[:, :, 0] + 1j * z[:, :, 1]
+        x = _sign_contraction(0.5 * (x + linalg.dagger(x)))
+        live, g = todo, sums(x[:, :2])
+        value = values(x[:, 2:], g)
+        for _ in range(SEESAW_ITERS):
+            a = _sign_contraction(g)
+            t = _sign_contraction(sums(a))
+            g = sums(t)
+            current = values(a, g)
+            best[live] = np.where(current > value, current, value)  # max(value, current)
+            out[live] = np.concatenate((a, t), axis=1)
+            going = ~(current - value < SEESAW_TOL)
+            live, g, value = live[going], g[going], current[going]
+            if not live.size:
                 break
-        # U a U^† + (1 - U U^†) is a self-adjoint contraction exactly when a is.
-        herm = hermitian_contractions(np.concatenate((a, t)), ("A1", "A2", "B1", "B2"))
-        yield float(best), herm[:2], herm[2:]
+        a = out[todo, :2]
+        todo = todo[~(linalg.frobenius((a[:, 0] @ a[:, 1] - a[:, 1] @ a[:, 0]) * s) > NOISE_TOL)]
+        if not todo.size:
+            break
+    # U a U^† + (1 - U U^†) is a self-adjoint contraction exactly when a is.
+    herm = hermitian_contractions(out, ("A1", "A2", "B1", "B2"))
+    return [(float(v), h[:2], h[2:]) for v, h in zip(best, herm)]
 
 
 def reflection_commutator_norms(u: np.ndarray, ranks: np.ndarray) -> np.ndarray:

@@ -384,10 +384,10 @@ def _scenario_tsirelson_sweep(cfg: ScenarioConfig) -> tuple[list, dict]:
         for side, g in enumerate(gaussians):
             g.real, g.imag = draws[side][:, :, 0], draws[side][:, :, 1]
         del draws
-        ranks = np.array(ranks).reshape(n, 4)
-        # ||R|| by Landau's identity: every 2P - 1 squares to 1.
-        ca = reflection_commutator_norms(haar_unitary(gaussians[0]), ranks[:, :2])
-        cb = reflection_commutator_norms(haar_unitary(gaussians[1]), ranks[:, 2:])
+        ranks = np.array(ranks).reshape(n, 2, 2)  # (setting, side, pair)
+        # ||R|| by Landau's identity (every 2P - 1 squares to 1); QR only the columns read.
+        ca, cb = (reflection_commutator_norms(haar_unitary(g[..., :k.max()]), k)
+                  for g, k in zip(gaussians, ranks.swapaxes(0, 1)))
         margins.append(SQRT2 - 0.5 * np.sqrt(4.0 + ca * cb))
     margins = np.concatenate(margins)
     lo, hi = float(margins.min()), float(margins.max())

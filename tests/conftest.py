@@ -7,7 +7,8 @@ residuals from normal equations, operator norms of any matrix from a
 dense SVD, eigenspace blocks from a loop over the eigenvalues, a
 decomposition's Q1' from its d x d sum, and Bell ceilings from a grid
 over qubit measurement angles.  The see-saw's reference iterates
-on full d x d matrices, from the library's r x r starts lifted to d x d.
+on full d x d matrices, from the library's r x r starts lifted to d x d, and
+the stacked starts' reference runs them one at a time.
 The Tsirelson sweep's reference takes its settings one at a time through
 the single-setting API, the frame norm's reference builds the d x d
 reflections, and the report writer's reference formats one float at a time.
@@ -29,7 +30,9 @@ from vacuumcorr.correlations import (
     SEESAW_ITERS,
     SEESAW_TOL,
     BellSettings,
+    _sign_contraction,
     contraction_from_projector,
+    hermitian_contractions,
     tsirelson_certificate,
 )
 from vacuumcorr.linalg import (
@@ -37,6 +40,7 @@ from vacuumcorr.linalg import (
     SCHMIDT_RANK_TOL,
     as_operator,
     complex_gaussian,
+    frobenius,
     haar_unitary,
     random_hermitian,
 )
@@ -315,6 +319,37 @@ def seesaw_oracle(state, layout, seed: int):
         b1=LocalOperator(1, b1), b2=LocalOperator(1, b2),
     )
     return settings, best
+
+
+def seesaw_starts_loop(s: np.ndarray, seeds) -> list:
+    """``seesaw_starts`` one start after another: each draw's four r x r starts
+    from four ``random_hermitian`` calls, and each start iterated on its own."""
+    r = len(s)
+
+    def sums(x):  # S (x1 + x2) S and S (x1 - x2) S
+        return s[:, None] * np.stack((x[0] + x[1], x[0] - x[1])) * s
+
+    out = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        for _ in range(SEESAW_DRAWS):
+            x = _sign_contraction(np.stack([random_hermitian(r, rng) for _ in range(4)]))
+            g, a = sums(x[:2]), x[2:]
+            best = 0.5 * np.vdot(a, g).real
+            for _ in range(SEESAW_ITERS):
+                a = _sign_contraction(g)
+                t = _sign_contraction(sums(a))
+                g = sums(t)
+                current = 0.5 * np.vdot(a, g).real
+                if current - best < SEESAW_TOL:
+                    best = max(best, current)
+                    break
+                best = current
+            if frobenius((a[0] @ a[1] - a[1] @ a[0]) * s) > NOISE_TOL:
+                break
+        herm = hermitian_contractions(np.concatenate((a, t)), ("A1", "A2", "B1", "B2"))
+        out.append((float(best), herm[:2], herm[2:]))
+    return out
 
 
 def _format_float_reference(x: float) -> str:

@@ -15,6 +15,7 @@ from conftest import (
     random_state,
     reflection_commutator_oracle,
     seesaw_oracle,
+    seesaw_starts_loop,
 )
 
 from vacuumcorr import correlations, linalg
@@ -180,6 +181,12 @@ class TestBellSettings:
         x = contraction_from_projector(p).matrix[None]
         monkeypatch.setattr(np.linalg, "eigvalsh", mock.Mock(side_effect=AssertionError))
         assert np.array_equal(hermitian_contractions(x, ("A1",)), x)
+
+    @pytest.mark.parametrize("dims", [(16, 16), (3, 8)])
+    def test_canonical_settings_take_no_eigvalsh(self, monkeypatch, dims):
+        # The zero-padded qubit blocks square to projectors: the two-product bound is tight.
+        monkeypatch.setattr(np.linalg, "eigvalsh", mock.Mock(side_effect=AssertionError))
+        canonical_max_violation(RegionLayout(dims))
 
     def test_non_self_adjoint_rejected(self):
         with pytest.raises(ValueError, match="not self-adjoint"):
@@ -480,6 +487,25 @@ class TestSeesawOnTheSupport:
         for seed, (value, a, t) in zip(seeds, seesaw_starts(s, seeds), strict=True):
             assert value == seesaw_maximize(state, layout, seed)[1]
             assert a.shape == t.shape == (2, len(s), len(s))
+
+    @pytest.mark.parametrize("dims,canonical,seeds", [
+        ((16, 16), True, range(40)),
+        ((6, 3), False, range(40)),
+        # Every start of these first ends at a classical point and draws again.
+        ((3, 3), True, range(1834, 1839)),
+        ((4, 4), True, range(2030, 2035)),
+    ])
+    def test_stack_matches_the_one_start_loop(self, dims, canonical, seeds):
+        layout = RegionLayout(dims)
+        state = (canonical_max_violation(layout)[0] if canonical
+                 else random_state(math.prod(dims), np.random.default_rng(6)))
+        s = linalg.schmidt_support(state, layout.dims, 0)[1]
+        assert len(s) == (2 if canonical else min(dims))
+        got, want = seesaw_starts(s, seeds), seesaw_starts_loop(s, seeds)
+        assert len(got) == len(want) == len(seeds)
+        for (value, a, t), (value_loop, a_loop, t_loop) in zip(got, want):
+            assert value == value_loop
+            assert np.array_equal(a, a_loop) and np.array_equal(t, t_loop)
 
 
 def frame_stack(d: int, n: int, rng) -> np.ndarray:

@@ -20,6 +20,7 @@ from conftest import (
     canonical_json_reference,
     rescale_error_oracle,
     run_cli,
+    seesaw_starts_loop,
     tsirelson_sweep_reference,
 )
 
@@ -176,19 +177,43 @@ class TestScenarios:
     @pytest.mark.parametrize("layout,seed", [([3, 3], 1834), ([4, 4], 2030)])
     def test_bell_max_survives_classical_seesaw_stalls(self, monkeypatch, layout, seed):
         # Every start of these seeds first lands on the classical fixed point 1,
-        # so each start draws again: more than the 4 matrices of one draw.
+        # so each start's generator draws again: more than the one call of one draw.
         rngs = []
-        original = linalg.random_hermitian
+        original = np.random.default_rng
 
-        def recording(dim, rng):
-            rngs.append(rng)  # held, so that each start's generator keeps its id
-            return original(dim, rng)
+        class Counting:
+            def __init__(self, seed):
+                self.rng, self.draws = original(seed), 0
+                rngs.append(self)
 
-        monkeypatch.setattr(linalg, "random_hermitian", recording)
+            def standard_normal(self, *args, **kwargs):
+                self.draws += 1
+                return self.rng.standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", Counting)
         report = run_scenario(cfg(scenario="bell-max", layout=layout, seed=seed))
         assert report.passed
-        draws = Counter(map(id, rngs))
-        assert len(draws) == 5 and min(draws.values()) > 4
+        assert len(rngs) == 5 and min(rng.draws for rng in rngs) > 1
+
+    @pytest.mark.parametrize("layout,seed", [([3, 3], 0), ([4, 4], 2030)])
+    def test_bell_max_signs_the_seesaw_starts_as_one_stack(self, monkeypatch, layout, seed):
+        # One eigh per step of the five starts together, not one per step of each.
+        state = canonical_max_violation(local_algebra.RegionLayout(tuple(layout)))[0]
+        s = linalg.schmidt_support(state, tuple(layout), 0)[1]
+        shapes = []
+        original = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        seesaw_starts_loop(s, range(seed, seed + 5))
+        loop_calls = len(shapes)
+        shapes.clear()
+        assert run_scenario(cfg(scenario="bell-max", layout=layout, seed=seed)).passed
+        assert shapes[0] == (5, 4, 2, 2)
+        assert len(shapes) < loop_calls, (len(shapes), loop_calls)
 
     def test_bell_max_asserts_the_tsirelson_margin(self):
         report = run_scenario(cfg(scenario="bell-max", layout=[2, 2],
@@ -368,18 +393,18 @@ class TestSpectraComputedOnce:
 
     @pytest.mark.parametrize("layout", [[16, 16], [3, 8]])
     def test_bell_max_validates_no_lifted_seesaw_setting(self, monkeypatch, layout):
-        # Only the canonical settings are d x d; each see-saw start is checked
-        # on the 2 x 2 settings of the canonical state's Schmidt support.
-        sides, built = [], []
+        # Only the canonical settings are d x d; the five see-saw starts are checked
+        # once, as one stack of 2 x 2 settings on the canonical state's Schmidt support.
+        shapes, built = [], []
         original = correlations.hermitian_contractions
         monkeypatch.setattr(correlations, "hermitian_contractions",
-                            lambda x, names: sides.append(x.shape[-1]) or original(x, names))
+                            lambda x, names: shapes.append(x.shape) or original(x, names))
         init = correlations.BellSettings.__post_init__
         monkeypatch.setattr(correlations.BellSettings, "__post_init__",
                             lambda self: built.append(self) or init(self))
         assert run_scenario(cfg(scenario="bell-max", layout=layout)).passed
         assert len(built) == 1
-        assert sorted(sides) == [2] * 5 + sorted(layout)
+        assert sorted(shapes) == sorted([(5, 4, 2, 2)] + [(2, d, d) for d in layout])
 
     @pytest.mark.parametrize("layout", [(2, 2), (3, 3, 9)])
     def test_from_vector_takes_no_spectrum(self, monkeypatch, layout):
