@@ -114,13 +114,13 @@ def contraction_from_projector(p: LocalOperator) -> LocalOperator:
 
 def bell_operator(s: BellSettings, layout: RegionLayout) -> np.ndarray:
     """R = A1 (B1 + B2) + A2 (B1 - B2) as a dense matrix on the layout: R01 (x) 1,
-    since slots (0,1) are the leading Kronecker factors."""
+    since slots (0,1) are the leading Kronecker factors, and R01 itself on 2 slots."""
     a1, a2, b1, b2 = (op.matrix for op in (s.a1, s.a2, s.b1, s.b2))
     r01 = np.kron(a1, b1 + b2) + np.kron(a2, b1 - b2)
     dev = linalg.dagger_distance(r01)
     if dev > NOISE_TOL:
         raise StageFailure("bell-operator", "R is not Hermitian", deviation=dev)
-    return np.kron(r01, np.eye(math.prod(layout.dims[2:])))
+    return r01 if layout.n_slots == 2 else np.kron(r01, np.eye(math.prod(layout.dims[2:])))
 
 
 def _apply_bell(s: BellSettings, vec, layout: RegionLayout) -> np.ndarray:

@@ -72,41 +72,41 @@ def _normalize_slots(slots) -> tuple[int, ...]:
     return out
 
 
+def _slots_first(vec, dims, slots: tuple[int, ...]):
+    """``coefficient_matrix`` on normalized slots, with the axis order and the
+    shape of the permuted layout tensor that it flattens."""
+    order = slots + tuple([i for i in range(len(dims)) if i not in slots])
+    t = np.asarray(vec, dtype=complex).reshape(dims).transpose(order)
+    return t.reshape(math.prod(t.shape[:len(slots)]), -1), order, t.shape
+
+
 def coefficient_matrix(vec, dims, slots) -> np.ndarray:
     """``vec`` as a matrix across slots|rest: rows run over ``slots`` in the
     given order, columns over the other slots in layout order."""
-    slots = _normalize_slots(slots)
-    t = np.asarray(vec, dtype=complex).reshape(dims)
-    t = t.transpose(slots + tuple(i for i in range(len(dims)) if i not in slots))
-    return t.reshape(math.prod(dims[s] for s in slots), -1)
+    return _slots_first(vec, dims, _normalize_slots(slots))[0]
 
 
 def apply_local(op, slots, vec, dims) -> np.ndarray:
     """``op`` acting on the (ordered) factors ``slots`` of the layout ``dims``
     and as the identity on the others, applied to ``vec``.
 
-    Reshapes ``vec`` to the layout tensor, contracts ``op`` with the axes
-    in ``slots`` and flattens the result back: O(dim(op) total_dim) work,
-    never the total_dim x total_dim matrix.
+    One transpose puts the axes ``slots`` first, one matmul applies ``op`` to
+    the coefficient matrix across slots|rest, one transpose puts the axes
+    back: O(dim(op) total_dim) work, never the total_dim x total_dim matrix.
     """
-    return _apply_local(as_operator(op), _normalize_slots(slots), vec,
-                        tuple(int(d) for d in dims))
+    return _apply_local(as_operator(op), _normalize_slots(slots), vec, tuple(map(int, dims)))
 
 
 def _apply_local(op: np.ndarray, slots: tuple[int, ...], vec, dims: tuple[int, ...]):
     """``apply_local`` on a matrix ``as_operator`` has validated, with normalized slots."""
-    n = len(dims)
-    if not slots or any(s < 0 or s >= n for s in slots):
+    if not slots or min(slots) < 0 or max(slots) >= len(dims):
         raise ValueError(f"slots {slots} out of range for layout {dims}")
-    d_slots = math.prod(dims[s] for s in slots)
-    if op.shape[0] != d_slots:
-        raise ValueError(
-            f"operator dim {op.shape[0]} does not match slot dims "
-            f"{tuple(dims[s] for s in slots)} (need {d_slots})"
-        )
-    order = list(slots) + [i for i in range(n) if i not in slots]
-    t = op @ coefficient_matrix(vec, dims, slots)
-    return t.reshape([dims[i] for i in order]).transpose(np.argsort(order)).reshape(-1)
+    m, order, shape = _slots_first(vec, dims, slots)
+    if op.shape[0] != m.shape[0]:
+        raise ValueError(f"operator dim {op.shape[0]} does not match slot dims "
+                         f"{tuple(dims[s] for s in slots)} (need {m.shape[0]})")
+    inverse = tuple(map(order.index, range(len(order))))
+    return (op @ m).reshape(shape).transpose(inverse).reshape(-1)
 
 
 def operator_norm(a) -> float:

@@ -178,9 +178,9 @@ def check_cyclic(v: VacuumModel, slots) -> bool:
 def check_separating(v: VacuumModel, slots, trials: int = 0, seed: int = 0) -> bool:
     """True iff no nonzero operator on the region annihilates the vacuum.
 
-    The rank criterion (Schmidt rank of the region's cut equals the
-    region's dimension) is exact; ``trials`` random nonzero local operators
-    cross-validate it (any A with embed(A) omega = 0 refutes the claim).
+    The rank criterion (Schmidt rank of the region's cut equals the region's
+    dimension) is exact; ``trials`` random nonzero local operators cross-validate
+    it (any A with (A (x) 1) omega = 0, computed by ``apply_local``, refutes it).
     """
     ok = v.schmidt_rank(slots) == v.layout.region_dim(slots)
     if ok and trials > 0:

@@ -2,8 +2,8 @@
 
 These deliberately avoid the library code paths they check: eigenvalues
 come from characteristic-polynomial roots, span dimensions from explicit
-matrix-unit orbits, Schmidt ranks from a dense SVD, least-squares
-residuals from normal equations, operator norms of any matrix from a
+matrix-unit orbits, coefficient matrices from an entry-by-entry copy,
+Schmidt ranks from a dense SVD, least-squares residuals from normal equations, operator norms of any matrix from a
 dense SVD, eigenspace blocks from a loop over the eigenvalues, a
 decomposition's Q1' from its d x d sum, and Bell ceilings from a grid
 over qubit measurement angles.  The see-saw's reference iterates
@@ -160,6 +160,28 @@ def embed_oracle(op: np.ndarray, slots, dims) -> np.ndarray:
                 r_full = r_full * d + row[s]
                 c_full = c_full * d + col[s]
             out[r_full, c_full] = op[r_local, c_local]
+    return out
+
+
+def coefficient_matrix_oracle(vec, dims, slots) -> np.ndarray:
+    """``vec``'s coefficients across slots|rest, copied entry by entry: the row
+    index runs over ``slots`` in the given order, the column index over the
+    other slots in layout order."""
+    slots = (slots,) if isinstance(slots, int) else tuple(slots)
+    dims = tuple(dims)
+    rest = [s for s in range(len(dims)) if s not in slots]
+    vec = np.asarray(vec, dtype=complex).ravel()
+    out = np.zeros((math.prod(dims[s] for s in slots), math.prod(dims[s] for s in rest)),
+                   dtype=complex)
+    for idx in itertools.product(*[range(d) for d in dims]):
+        row = col = flat = 0
+        for s in slots:
+            row = row * dims[s] + idx[s]
+        for s in rest:
+            col = col * dims[s] + idx[s]
+        for s, d in enumerate(dims):
+            flat = flat * d + idx[s]
+        out[row, col] = vec[flat]
     return out
 
 

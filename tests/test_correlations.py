@@ -331,6 +331,12 @@ class TestBellOperator:
         r = bell_operator(s, L22)
         assert abs(operator_norm(r) - 2.0 * SQRT2) <= 1e-12
 
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 5)])
+    def test_two_slot_operator_is_r01_bit_for_bit(self, dims):
+        a1, a2, b1, b2 = random_contractions(dims, np.random.default_rng(sum(dims)))
+        r = bell_operator(settings_of(a1, a2, b1, b2), RegionLayout(dims))
+        np.testing.assert_array_equal(r, np.kron(a1, b1 + b2) + np.kron(a2, b1 - b2))
+
     def test_equal_b_settings_collapse(self):
         # B1 = B2 removes the A2 term: R = 2 A1 B1, so ||R|| <= 2.
         s = BellSettings(

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     SRC,
     charpoly_eigenvalues,
+    coefficient_matrix_oracle,
     embed_oracle,
     hermitian_eig_loop,
     operator_norm_oracle,
@@ -53,21 +55,59 @@ class TestApplyLocal:
             np.testing.assert_allclose(local.apply(vec, layout), want, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="does not match"):
+        with pytest.raises(ValueError, match=re.escape(
+                "operator dim 2 does not match slot dims (3,) (need 3)")):
             linalg.apply_local(Z, 1, np.ones(6), (2, 3))
+        with pytest.raises(ValueError, match=re.escape(
+                "operator dim 2 does not match slot dims (2, 3) (need 6)")):
+            LocalOperator((0, 1), Z).apply(np.ones(6), RegionLayout((2, 3)))
 
-    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 3, 2), (2, 2, 4)])
+    @pytest.mark.parametrize("slots,shown", [(2, "(2,)"), (-1, "(-1,)"), ((0, 2), "(0, 2)")])
+    def test_out_of_range_slot_rejected(self, slots, shown):
+        want = f"slots {shown} out of range for layout (2, 3)"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            linalg.apply_local(Z, slots, np.ones(6), (2, 3))
+        with pytest.raises(ValueError, match=re.escape(want)):
+            LocalOperator(slots, Z).apply(np.ones(6), RegionLayout((2, 3)))
+
+    def test_empty_slots_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("slots () out of range for layout (2, 3)")):
+            linalg.apply_local(np.eye(1), (), np.ones(6), (2, 3))
+
+    def test_duplicate_slots_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("duplicate slot indices: (1, 1)")):
+            linalg.apply_local(np.eye(9), (1, 1), np.ones(6), (2, 3))
+        with pytest.raises(ValueError, match=re.escape("duplicate slot indices: (0, 0)")):
+            LocalOperator((0, 0), np.eye(4))
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 3, 2), (2, 2, 4), (3, 2, 4), (2, 3, 6)])
     def test_local_operator_matches_apply_local_bit_for_bit(self, dims):
-        # LocalOperator.apply skips only the re-validation of its matrix;
-        # merged and unordered slot tuples included.
+        # Both entry points run one matmul on the slots-first coefficient
+        # matrix, permuted back to layout order; LocalOperator.apply skips
+        # only the re-validation of its matrix.  Merged and unordered slot
+        # tuples included.
         rng = np.random.default_rng(len(dims) * 10 + dims[-1])
         layout = RegionLayout(dims)
         for slots in ordered_slot_tuples(len(dims)):
             d = layout.region_dim(slots)
             op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             vec = random_state(layout.total_dim, rng)
-            np.testing.assert_array_equal(LocalOperator(slots, op).apply(vec, layout),
-                                          linalg.apply_local(op, slots, vec, dims))
+            rest = [i for i in range(len(dims)) if i not in slots]
+            t = (op @ linalg.coefficient_matrix(vec, dims, slots)).reshape(
+                [dims[i] for i in (*slots, *rest)])
+            want = np.moveaxis(t, range(len(slots)), slots).reshape(-1)
+            np.testing.assert_array_equal(linalg.apply_local(op, slots, vec, dims), want)
+            np.testing.assert_array_equal(LocalOperator(slots, op).apply(vec, layout), want)
+
+
+class TestCoefficientMatrix:
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2, 4), (2, 3, 6)])
+    def test_matches_the_entry_by_entry_oracle(self, dims):
+        rng = np.random.default_rng(len(dims))
+        vec = random_state(math.prod(dims), rng)
+        for slots in ordered_slot_tuples(len(dims)):
+            np.testing.assert_array_equal(linalg.coefficient_matrix(vec, dims, slots),
+                                          coefficient_matrix_oracle(vec, dims, slots))
 
 
 def embed(op, slots, dims) -> np.ndarray:
