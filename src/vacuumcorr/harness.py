@@ -63,9 +63,11 @@ RECOMPUTE_TOL = 1e-9
 SEESAW_CEILING = 1e-7
 # A see-saw run stops once an iteration gains less than SEESAW_TOL.
 SEESAW_SHORTFALL = 1e-6
-# tsirelson-sweep draws TSIRELSON_SAMPLES settings and takes them in chunks
-# small enough that no (settings, 2, d, d) complex stack exceeds
-# SWEEP_STACK_BYTES: one stack of all of them raises peak memory at large d.
+# tsirelson-sweep draws the ranks of its TSIRELSON_SAMPLES settings in one call,
+# then their Gaussians setting by setting, one call per stack small enough that no
+# (settings, 2, d, d) complex stack exceeds SWEEP_STACK_BYTES: one stack of all of
+# them raises peak memory at large d.  A Generator fills its normals in order, so
+# the sample depends on the seed only, not on the stack size.
 TSIRELSON_SAMPLES = 100
 SWEEP_STACK_BYTES = 64 * 1024
 # An array's text is joined into one chunk up to CHUNK_CHARS, below glibc's mmap
@@ -368,26 +370,22 @@ def _scenario_tsirelson_sweep(cfg: ScenarioConfig) -> tuple[list, dict]:
     slack = cfg.tolerances.tsirelson_slack
     dims = cfg.layout
     chunk = max(1, SWEEP_STACK_BYTES // (2 * max(dims) ** 2 * np.dtype(complex).itemsize))
-    integers, normal = rng.integers, rng.standard_normal
+    ranks = rng.integers(1, np.repeat(dims, 2) + 1, size=(TSIRELSON_SAMPLES, 4))
+    ranks = ranks.reshape(-1, 2, 2)  # (setting, side, pair): A1, A2 on slot 0; B1, B2 on slot 1
+    sizes = [4 * d * d for d in dims]  # per setting and side: 2 matrices, real then imaginary
     margins = []
     for start in range(0, TSIRELSON_SAMPLES, chunk):
         n = min(chunk, TSIRELSON_SAMPLES - start)
-        ranks = []
-        # complex_gaussian's draws (its real, then its imaginary block), per side;
-        # dropped once copied, as holding them raised the sweep's peak memory.
-        draws = [np.empty((n, 2, 2, d, d)) for d in dims]
-        for i in range(n):
-            for k in range(4):  # A1, A2 on slot 0; B1, B2 on slot 1
-                ranks.append(integers(1, dims[k // 2] + 1))
-                normal(out=draws[k // 2][i, k % 2])
+        # Setting by setting, complex_gaussian's draws of A1, A2, B1, B2; dropped
+        # once copied, as holding them raised the sweep's peak memory.
+        draws = np.split(rng.standard_normal((n, sum(sizes))), sizes[:1], axis=1)
         gaussians = [np.empty((n, 2, d, d), dtype=complex) for d in dims]
-        for side, g in enumerate(gaussians):
-            g.real, g.imag = draws[side][:, :, 0], draws[side][:, :, 1]
-        del draws
-        ranks = np.array(ranks).reshape(n, 2, 2)  # (setting, side, pair)
+        for g, d, draw in zip(gaussians, dims, draws):
+            g.real, g.imag = np.moveaxis(draw.reshape(n, 2, 2, d, d), 2, 0)
+        del draws, draw
         # ||R|| by Landau's identity (every 2P - 1 squares to 1); QR only the columns read.
         ca, cb = (reflection_commutator_norms(haar_unitary(g[..., :k.max()]), k)
-                  for g, k in zip(gaussians, ranks.swapaxes(0, 1)))
+                  for g, k in zip(gaussians, ranks[start:start + n].swapaxes(0, 1)))
         margins.append(SQRT2 - 0.5 * np.sqrt(4.0 + ca * cb))
     margins = np.concatenate(margins)
     lo, hi = float(margins.min()), float(margins.max())

@@ -258,18 +258,20 @@ def qubit_angle_grid_bell(state: np.ndarray, n_angles: int = 48) -> float:
 
 def tsirelson_sweep_reference(dims, seed: int, samples: int = 100) -> tuple[float, float]:
     """Min and max Tsirelson margin of tsirelson-sweep's settings, one setting
-    at a time: each of A1, A2, B1, B2 draws a rank, then a random projector
-    of that rank continuing the same stream, and becomes 2P - 1."""
+    at a time: the ranks of every A1, A2, B1, B2 are drawn first, in one call;
+    then each of them draws a random projector of its rank continuing the same
+    stream, and becomes 2P - 1."""
     layout = RegionLayout(tuple(dims))
     rng = np.random.default_rng(seed)
+    ranks = rng.integers(1, np.repeat(layout.dims, 2) + 1, size=(samples, 4))
 
-    def contraction(slot):
-        rank = int(rng.integers(1, layout.dims[slot] + 1))
-        return contraction_from_projector(random_projector(layout, slot, rank, rng))
+    def contraction(slot, rank):
+        return contraction_from_projector(random_projector(layout, slot, int(rank), rng))
 
     margins = []
-    for _ in range(samples):
-        s = BellSettings(a1=contraction(0), a2=contraction(0), b1=contraction(1), b2=contraction(1))
+    for r in ranks:
+        s = BellSettings(a1=contraction(0, r[0]), a2=contraction(0, r[1]),
+                         b1=contraction(1, r[2]), b2=contraction(1, r[3]))
         margins.append(tsirelson_certificate(s, layout))
     return min(margins), max(margins)
 

@@ -222,6 +222,48 @@ class TestScenarios:
         assert check["passed"] and check["op"] == ">=" and check["rhs"] == -1e-6
         assert check["lhs"] == report.certificates["bell"]["tsirelson_margin"]
 
+    # Stacks of the default SWEEP_STACK_BYTES: 100 settings at 3,3; 32 at d = 8; 14 at d = 12.
+    @pytest.mark.parametrize("layout,stacks", [
+        ([3, 3], 1), ([8, 8], 4), ([12, 12], 8), ([3, 8], 4),
+    ])
+    def test_tsirelson_sweep_draws_its_settings_in_blocks(self, monkeypatch, layout, stacks):
+        # One rank draw for the whole sweep and one Gaussian draw per stack,
+        # not one scalar call per rank and one per Gaussian matrix pair.
+        calls = Counter()
+        original = np.random.default_rng
+
+        class Counting:
+            def __init__(self, seed):
+                self.rng = original(seed)
+
+            def integers(self, *args, **kwargs):
+                calls["integers"] += 1
+                return self.rng.integers(*args, **kwargs)
+
+            def standard_normal(self, *args, **kwargs):
+                calls["standard_normal"] += 1
+                return self.rng.standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", Counting)
+        assert run_scenario(cfg(scenario="tsirelson-sweep", layout=layout, seed=0)).passed
+        assert calls == {"integers": 1, "standard_normal": stacks}
+
+    @pytest.mark.parametrize("layout,seed", [([3, 3], 0), ([8, 8], 1), ([3, 8], 7)])
+    def test_tsirelson_sweep_sample_does_not_depend_on_the_stack_size(
+            self, monkeypatch, layout, seed):
+        config = cfg(scenario="tsirelson-sweep", layout=layout, seed=seed)
+        default = run_scenario(config)
+        reference = dict(zip(("min", "max"), tsirelson_sweep_reference(layout, seed)))
+        stack_bytes = 2 * max(layout) ** 2 * np.dtype(complex).itemsize  # one setting's side
+        for settings_per_stack in (1, harness.TSIRELSON_SAMPLES):
+            monkeypatch.setattr(harness, "SWEEP_STACK_BYTES", settings_per_stack * stack_bytes)
+            report = run_scenario(config)
+            assert report.passed
+            margins = report.certificates["margins"]
+            for key, want in reference.items():
+                assert abs(margins[key] - default.certificates["margins"][key]) <= 1e-14
+                assert abs(margins[key] - want) <= 1e-14
+
     def test_cond_bell_recompute_is_independent_of_the_pipeline(self, monkeypatch):
         # A pipeline whose conditional correlation is off by 1e-6 must fail the recompute.
         original = correlations.conditional_bell_correlation
