@@ -13,9 +13,9 @@ B1^2 = B2^2 = P_B are nonzero projectors (every 2P - 1, the canonical settings):
 R^2 = 4 P_A P_B - [A1,A2][B1,B2], each commutator's spectrum is symmetric
 (A1 [A1,A2] A1 = -[A1,A2]), so ||R|| = sqrt(4 + ||[A1,A2]|| ||[B1,B2]||).
 ``tsirelson_certificate`` takes the dense norm where Landau's precondition fails.
-The Tsirelson sweep's settings are 2P - 1 for Haar projectors P, and it reads
-each commutator from the frames of the P's alone, in the two-subspace sine
-form (Halmos, Trans. AMS 144, 381 (1969)): ``reflection_commutator_norms``.
+The Tsirelson sweep's settings are 2P - 1 for Haar projectors P, each pair read as a
+coordinate projector and one Haar frame (one unitary on both keeps the norm), in the
+two-subspace sine form (Halmos, 1969): ``reflection_commutator_norms``.
 """
 
 from __future__ import annotations
@@ -248,21 +248,21 @@ def seesaw_starts(s: np.ndarray, seeds) -> list[tuple[float, np.ndarray, np.ndar
 
 
 def reflection_commutator_norms(u: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """||[2 P1 - 1, 2 P2 - 1]|| for each pair of a stack ``u`` (n, 2, d, k), P_j the
-    projector onto the first ``ranks[i, j]`` columns Q_j of ``u[i, j]``, which must
-    be orthonormal to NOISE_TOL (ValueError).  It is 4 ||T|| with T = P1 P2 (1 - P1)
-    = Q1 M (Q2 - Q1 M)^†, M = Q1^† Q2 (Halmos, Trans. AMS 144, 381 (1969)): a sine
-    form, exact at small principal angles where the cosine form from the singular
-    values of M loses them (Björck & Golub, Math. Comp. 27, 579 (1973))."""
-    width = int(ranks.max())
-    kept = np.arange(width) < ranks[..., None]
-    q = u[..., :width] * kept[..., None, :]
+    """||[2 E - 1, 2 P - 1]|| for each setting of a stack ``u`` (n, d, w): E projects
+    onto the first ``ranks[i, 0]`` basis vectors, P onto the first ``ranks[i, 1]``
+    columns Q of ``u[i]``, which must be orthonormal to NOISE_TOL (ValueError).  It is
+    4 ||(E Q) ((1 - E) Q)^†||, a sine form (Halmos, Trans. AMS 144, 381 (1969)) on row
+    blocks of Q with no subtraction: exact at small principal angles, which the cosine
+    form from the singular values of E Q loses (Björck & Golub, Math. Comp. 27, 579 (1973))."""
+    rows, width = ranks.max(axis=0).tolist()
+    kept = np.arange(width) < ranks[:, 1, None]
+    q = u[..., :width] * kept[:, None, :]
     dev = linalg.frobenius(linalg.dagger(q) @ q - kept[..., None] * np.eye(width))
     if not (dev <= NOISE_TOL).all():
-        i, j = np.unravel_index(np.argmax(~(dev <= NOISE_TOL)), dev.shape)
-        raise ValueError(f"frame {j + 1} of setting {i} is not orthonormal: {dev[i, j]}")
-    m = linalg.dagger(q[:, 0]) @ q[:, 1]
-    t = m @ linalg.dagger(q[:, 1] - q[:, 0] @ m)  # T = Q1 t
+        i = int(np.argmax(~(dev <= NOISE_TOL)))
+        raise ValueError(f"the frame of setting {i} is not orthonormal: {dev[i]}")
+    inside = np.arange(u.shape[1])[:, None] < ranks[:, 0, None, None]
+    t = (q[:, :rows] * inside[:, :rows]) @ linalg.dagger(q * ~inside)  # E P (1 - E)'s top rows
     return 4.0 * np.sqrt(np.linalg.eigvalsh(t @ linalg.dagger(t))[..., -1])
 
 

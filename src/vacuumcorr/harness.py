@@ -63,11 +63,11 @@ RECOMPUTE_TOL = 1e-9
 SEESAW_CEILING = 1e-7
 # A see-saw run stops once an iteration gains less than SEESAW_TOL.
 SEESAW_SHORTFALL = 1e-6
-# tsirelson-sweep draws the ranks of its TSIRELSON_SAMPLES settings in one call,
-# then their Gaussians setting by setting, one call per stack small enough that no
-# (settings, 2, d, d) complex stack exceeds SWEEP_STACK_BYTES: one stack of all of
-# them raises peak memory at large d.  A Generator fills its normals in order, so
-# the sample depends on the seed only, not on the stack size.
+# tsirelson-sweep draws its settings' ranks in one call, then one Gaussian per side and
+# setting (a side's first rank is a coordinate projector's), one call per stack small
+# enough that its sides' (settings, d, d) complex stacks stay within SWEEP_STACK_BYTES:
+# one stack of all of them raises peak memory at large d.  A Generator fills its normals
+# in order, so the sample depends on the seed only.
 TSIRELSON_SAMPLES = 100
 SWEEP_STACK_BYTES = 64 * 1024
 # An array's text is joined into one chunk up to CHUNK_CHARS, below glibc's mmap
@@ -367,30 +367,28 @@ def _scenario_bell_max(cfg: ScenarioConfig) -> tuple[list, dict]:
 
 def _scenario_tsirelson_sweep(cfg: ScenarioConfig) -> tuple[list, dict]:
     rng = np.random.default_rng(cfg.seed)
-    slack = cfg.tolerances.tsirelson_slack
     dims = cfg.layout
     chunk = max(1, SWEEP_STACK_BYTES // (2 * max(dims) ** 2 * np.dtype(complex).itemsize))
-    ranks = rng.integers(1, np.repeat(dims, 2) + 1, size=(TSIRELSON_SAMPLES, 4))
-    ranks = ranks.reshape(-1, 2, 2)  # (setting, side, pair): A1, A2 on slot 0; B1, B2 on slot 1
-    sizes = [4 * d * d for d in dims]  # per setting and side: 2 matrices, real then imaginary
+    ranks = rng.integers(1, np.repeat(dims, 2) + 1, size=(TSIRELSON_SAMPLES, 4)).reshape(-1, 2, 2)
+    sizes = [2 * d * d for d in dims]  # per setting and side: one matrix, real then imaginary
     margins = []
     for start in range(0, TSIRELSON_SAMPLES, chunk):
         n = min(chunk, TSIRELSON_SAMPLES - start)
-        # Setting by setting, complex_gaussian's draws of A1, A2, B1, B2; dropped
-        # once copied, as holding them raised the sweep's peak memory.
+        # Setting by setting, complex_gaussian's draws of A2's frame, then B2's;
+        # dropped once copied, as holding them raised the sweep's peak memory.
         draws = np.split(rng.standard_normal((n, sum(sizes))), sizes[:1], axis=1)
-        gaussians = [np.empty((n, 2, d, d), dtype=complex) for d in dims]
+        gaussians = [np.empty((n, d, d), dtype=complex) for d in dims]
         for g, d, draw in zip(gaussians, dims, draws):
-            g.real, g.imag = np.moveaxis(draw.reshape(n, 2, 2, d, d), 2, 0)
+            g.real, g.imag = draw.reshape(n, 2, d, d).swapaxes(0, 1)
         del draws, draw
         # ||R|| by Landau's identity (every 2P - 1 squares to 1); QR only the columns read.
-        ca, cb = (reflection_commutator_norms(haar_unitary(g[..., :k.max()]), k)
+        ca, cb = (reflection_commutator_norms(haar_unitary(g[..., :k[:, 1].max()]), k)
                   for g, k in zip(gaussians, ranks[start:start + n].swapaxes(0, 1)))
         margins.append(SQRT2 - 0.5 * np.sqrt(4.0 + ca * cb))
     margins = np.concatenate(margins)
     lo, hi = float(margins.min()), float(margins.max())
     assertions: list = []
-    _record(assertions, "tsirelson_min_margin", lo, ">=", -slack)
+    _record(assertions, "tsirelson_min_margin", lo, ">=", -cfg.tolerances.tsirelson_slack)
     _record(assertions, "tsirelson_samples", len(margins), "==", TSIRELSON_SAMPLES)
     return assertions, {"margins": {"min": lo, "max": hi}}
 

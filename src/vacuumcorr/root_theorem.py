@@ -252,9 +252,11 @@ def root_products(a: LocalOperator, psi, v: VacuumModel, slots) -> RootProducts:
     # gives M full column rank, so C~ = Psi G^-1 M^† on the Gram G = M^† M.  A wide
     # M has rank below its column count; a tall one has full rank where G's bound
     # proves it, else as the Schmidt spectrum decides.
-    v.layout.cut(slots)  # a proper region, or ValueError
+    cut = v.layout.cut(slots)  # a proper region, or ValueError
     omega_mat = linalg.coefficient_matrix(v.omega, v.layout.dims, slots)
     g, lower = linalg.gram_bound(omega_mat)
+    if slots == (cut,):  # the cut's own bound, which check_cyclic would form again
+        v.bounds.setdefault(cut, lower)
     if omega_mat.shape[0] < omega_mat.shape[1] or (
             lower <= linalg.SCHMIDT_RANK_TOL**2 and not check_cyclic(v, slots)):
         raise ValueError(f"vacuum is not cyclic for region {slots}")

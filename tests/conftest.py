@@ -259,19 +259,24 @@ def qubit_angle_grid_bell(state: np.ndarray, n_angles: int = 48) -> float:
 def tsirelson_sweep_reference(dims, seed: int, samples: int = 100) -> tuple[float, float]:
     """Min and max Tsirelson margin of tsirelson-sweep's settings, one setting
     at a time: the ranks of every A1, A2, B1, B2 are drawn first, in one call;
-    then each of them draws a random projector of its rank continuing the same
-    stream, and becomes 2P - 1."""
+    A1 and B1 are 2E - 1 for the dense coordinate projectors E of their ranks,
+    and A2 and B2, in that order, 2P - 1 for random projectors P of their ranks
+    continuing the same stream."""
     layout = RegionLayout(tuple(dims))
     rng = np.random.default_rng(seed)
     ranks = rng.integers(1, np.repeat(layout.dims, 2) + 1, size=(samples, 4))
 
-    def contraction(slot, rank):
+    def coordinate(slot, rank):
+        e = np.diag((np.arange(layout.dims[slot]) < rank).astype(complex))
+        return contraction_from_projector(LocalOperator(slot, e))
+
+    def haar(slot, rank):
         return contraction_from_projector(random_projector(layout, slot, int(rank), rng))
 
     margins = []
     for r in ranks:
-        s = BellSettings(a1=contraction(0, r[0]), a2=contraction(0, r[1]),
-                         b1=contraction(1, r[2]), b2=contraction(1, r[3]))
+        s = BellSettings(a1=coordinate(0, r[0]), a2=haar(0, r[1]),
+                         b1=coordinate(1, r[2]), b2=haar(1, r[3]))
         margins.append(tsirelson_certificate(s, layout))
     return min(margins), max(margins)
 

@@ -515,33 +515,51 @@ class TestSeesawOnTheSupport:
 
 
 def frame_stack(d: int, n: int, rng) -> np.ndarray:
-    """n pairs of d x d Haar unitaries, (n, 2, d, d)."""
-    return haar_unitary(np.array([[complex_gaussian(d, rng) for _ in range(2)] for _ in range(n)]))
+    """n d x d Haar unitaries, (n, d, d)."""
+    return haar_unitary(np.array([complex_gaussian(d, rng) for _ in range(n)]))
+
+
+def frames_and_ranks(d: int, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """n Haar frames Q and ranks (k1, k2), the first four pairs (E, P) commuting."""
+    u = frame_stack(d, n, rng)
+    ranks = rng.integers(1, d + 1, size=(n, 2))
+    # 2E - 1 = 1, 2P - 1 = 1, or both.
+    ranks[0, 0] = ranks[1, 1] = ranks[2, 0] = ranks[2, 1] = d
+    # span Q = range E, in a frame of its own.
+    k = ranks[3, 0] = ranks[3, 1] = max(1, d // 2)
+    u[3, :, :k] = 0.0
+    u[3, :k, :k] = haar_unitary(complex_gaussian(k, rng))
+    return u, ranks
 
 
 class TestReflectionCommutatorNorms:
     @pytest.mark.parametrize("d", [2, 3, 5, 7, 12])
     def test_matches_the_dense_oracle(self, d):
         rng = np.random.default_rng(d)
-        u = frame_stack(d, 25, rng)
-        ranks = rng.integers(1, d + 1, size=(25, 2))
-        # 2P - 1 = 1 on one side or both: the pair commutes.
-        ranks[0, 0] = ranks[1, 1] = ranks[2, 0] = ranks[2, 1] = d
-        # One subspace in two frames: the pair commutes.
-        k = ranks[3, 0] = ranks[3, 1] = max(1, d // 2)
-        u[3, 1, :, :k] = u[3, 0, :, :k] @ haar_unitary(complex_gaussian(k, rng))
+        u, ranks = frames_and_ranks(d, 25, rng)
         got = reflection_commutator_norms(u, ranks)
-        np.testing.assert_allclose(got, reflection_commutator_oracle(u, ranks), rtol=0, atol=1e-13)
+        e = np.broadcast_to(np.eye(d), u.shape)  # E's range: the first k1 columns of 1
+        want = reflection_commutator_oracle(np.stack([e, u], axis=1), ranks)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
         assert got[:4].max() <= 1e-13
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 12])
+    def test_one_unitary_on_both_frames_keeps_the_norm(self, d):
+        # The sweep's sample rests on this: (E, P) and (W E W^†, W P W^†) for a Haar W.
+        rng = np.random.default_rng(100 + d)
+        u, ranks = frames_and_ranks(d, 25, rng)
+        w = frame_stack(d, 25, rng)
+        want = reflection_commutator_oracle(np.stack([w, w @ u], axis=1), ranks)
+        np.testing.assert_allclose(reflection_commutator_norms(u, ranks), want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("theta", [1e-3, 1e-6, 1e-9])
     def test_planted_principal_angle(self, theta):
-        # Exact frames: the first 3 columns of I, and the same with column 0
-        # rotated by theta toward column 3.  The norm is 2 sin(2 theta); the
-        # cosine form from the singular values of Q1^† Q2 misses it at 1e-6.
+        # E projects onto the first 3 basis vectors, and Q is E's columns with
+        # column 0 rotated by theta toward column 3.  The norm is 2 sin(2 theta);
+        # the cosine form from the singular values of E Q misses it at 1e-6.
         d, k = 6, 3
-        u = np.stack([np.eye(d, dtype=complex)] * 2)[None]
-        u[0, 1, [0, k], 0] = np.cos(theta), np.sin(theta)
+        u = np.eye(d, dtype=complex)[None].copy()
+        u[0, [0, k], 0] = np.cos(theta), np.sin(theta)
         got = reflection_commutator_norms(u, np.array([[k, k]]))[0]
         want = 2.0 * math.sin(2.0 * theta)
         assert abs(got - want) <= 1e-12 * want
@@ -549,13 +567,13 @@ class TestReflectionCommutatorNorms:
     def test_rejects_a_frame_that_is_not_orthonormal(self):
         u = frame_stack(4, 3, np.random.default_rng(0))
         ranks = np.full((3, 2), 2)
-        u[1, 0, :, 2] *= 2.0  # beyond the rank: never read
+        u[1, :, 2] *= 2.0  # beyond the rank: never read
         assert reflection_commutator_norms(u, ranks).shape == (3,)
-        u[2, 1, :, 1] *= 1.0 + 1e-6
-        with pytest.raises(ValueError, match="frame 2 of setting 2 is not orthonormal"):
+        u[2, :, 1] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match="the frame of setting 2 is not orthonormal"):
             reflection_commutator_norms(u, ranks)
-        u[0, 0, 0, 0] = np.nan
-        with pytest.raises(ValueError, match="frame 1 of setting 0 is not orthonormal"):
+        u[0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="the frame of setting 0 is not orthonormal"):
             reflection_commutator_norms(u, ranks)
 
 
