@@ -14,8 +14,9 @@ R^2 = 4 P_A P_B - [A1,A2][B1,B2], each commutator's spectrum is symmetric
 (A1 [A1,A2] A1 = -[A1,A2]), so ||R|| = sqrt(4 + ||[A1,A2]|| ||[B1,B2]||).
 ``tsirelson_certificate`` takes the dense norm where Landau's precondition fails.
 The Tsirelson sweep's settings are 2P - 1 for Haar projectors P, each pair read as a
-coordinate projector and one Haar frame (one unitary on both keeps the norm), in the
-two-subspace sine form (Halmos, 1969): ``reflection_commutator_norms``.
+coordinate projector E and one Haar frame (one unitary on both keeps the norm), in the
+two-subspace sine form (Halmos, 1969): ``reflection_commutator_norms``, each matrix at most
+d // 2 wide by ||E P (1 - E)|| = ||(1 - E) P E|| = ||E (1 - P) (1 - E)|| (1 - P is Haar too).
 """
 
 from __future__ import annotations
@@ -253,15 +254,22 @@ def reflection_commutator_norms(u: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     columns Q of ``u[i]``, which must be orthonormal to NOISE_TOL (ValueError).  It is
     4 ||(E Q) ((1 - E) Q)^†||, a sine form (Halmos, Trans. AMS 144, 381 (1969)) on row
     blocks of Q with no subtraction: exact at small principal angles, which the cosine
-    form from the singular values of E Q loses (Björck & Golub, Math. Comp. 27, 579 (1973))."""
-    rows, width = ranks.max(axis=0).tolist()
+    form from the singular values of E Q loses (Björck & Golub, Math. Comp. 27, 579 (1973)).
+    Where 2 k1 > d it takes the adjoint's norm, so ``eigvalsh`` runs on <= d // 2 rows."""
+    d = u.shape[1]
+    flip = 2 * ranks[:, 0] > d  # ||(1 - E) P E||: rank d - k1 on Q's rows reversed
+    k1 = np.where(flip, d - ranks[:, 0], ranks[:, 0])
+    rows, width = int(k1.max()), int(ranks[:, 1].max())
     kept = np.arange(width) < ranks[:, 1, None]
     q = u[..., :width] * kept[:, None, :]
     dev = linalg.frobenius(linalg.dagger(q) @ q - kept[..., None] * np.eye(width))
     if not (dev <= NOISE_TOL).all():
         i = int(np.argmax(~(dev <= NOISE_TOL)))
         raise ValueError(f"the frame of setting {i} is not orthonormal: {dev[i]}")
-    inside = np.arange(u.shape[1])[:, None] < ranks[:, 0, None, None]
+    if not (rows and width):  # E = 0 or P = 0 in every setting: the pairs commute
+        return np.zeros(len(u))
+    q[flip] = q[flip, ::-1]
+    inside = np.arange(d)[:, None] < k1[:, None, None]
     t = (q[:, :rows] * inside[:, :rows]) @ linalg.dagger(q * ~inside)  # E P (1 - E)'s top rows
     return 4.0 * np.sqrt(np.linalg.eigvalsh(t @ linalg.dagger(t))[..., -1])
 

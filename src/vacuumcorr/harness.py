@@ -63,11 +63,12 @@ RECOMPUTE_TOL = 1e-9
 SEESAW_CEILING = 1e-7
 # A see-saw run stops once an iteration gains less than SEESAW_TOL.
 SEESAW_SHORTFALL = 1e-6
-# tsirelson-sweep draws its settings' ranks in one call, then one Gaussian per side and
-# setting (a side's first rank is a coordinate projector's), one call per stack small
-# enough that its sides' (settings, d, d) complex stacks stay within SWEEP_STACK_BYTES:
-# one stack of all of them raises peak memory at large d.  A Generator fills its normals
-# in order, so the sample depends on the seed only.
+# tsirelson-sweep draws its settings' ranks in one call, then one d x d // 2 Gaussian per
+# side and setting (a side's first rank is E's; a second, k, reads as 1 - P, Haar of rank
+# d - k, where 2k > d), one call per stack of as many settings as d x d blocks fit in
+# SWEEP_STACK_BYTES, so its d x d // 2 blocks stay within half of it: one stack of all of
+# them raises peak memory at large d.  A Generator fills its normals in order, so the
+# sample depends on the seed only.
 TSIRELSON_SAMPLES = 100
 SWEEP_STACK_BYTES = 64 * 1024
 # An array's text is joined into one chunk up to CHUNK_CHARS, below glibc's mmap
@@ -370,16 +371,17 @@ def _scenario_tsirelson_sweep(cfg: ScenarioConfig) -> tuple[list, dict]:
     dims = cfg.layout
     chunk = max(1, SWEEP_STACK_BYTES // (2 * max(dims) ** 2 * np.dtype(complex).itemsize))
     ranks = rng.integers(1, np.repeat(dims, 2) + 1, size=(TSIRELSON_SAMPLES, 4)).reshape(-1, 2, 2)
-    sizes = [2 * d * d for d in dims]  # per setting and side: one matrix, real then imaginary
+    ranks[..., 1] = np.minimum(ranks[..., 1], np.array(dims) - ranks[..., 1])
+    sizes = [2 * d * (d // 2) for d in dims]  # per setting and side: d x d // 2, real then imag
     margins = []
     for start in range(0, TSIRELSON_SAMPLES, chunk):
         n = min(chunk, TSIRELSON_SAMPLES - start)
-        # Setting by setting, complex_gaussian's draws of A2's frame, then B2's;
-        # dropped once copied, as holding them raised the sweep's peak memory.
+        # Setting by setting, the Gaussian of A2's frame, then B2's; dropped once
+        # copied, as holding them raised the sweep's peak memory.
         draws = np.split(rng.standard_normal((n, sum(sizes))), sizes[:1], axis=1)
-        gaussians = [np.empty((n, d, d), dtype=complex) for d in dims]
+        gaussians = [np.empty((n, d, d // 2), dtype=complex) for d in dims]
         for g, d, draw in zip(gaussians, dims, draws):
-            g.real, g.imag = draw.reshape(n, 2, d, d).swapaxes(0, 1)
+            g.real, g.imag = draw.reshape(n, 2, d, d // 2).swapaxes(0, 1)
         del draws, draw
         # ||R|| by Landau's identity (every 2P - 1 squares to 1); QR only the columns read.
         ca, cb = (reflection_commutator_norms(haar_unitary(g[..., :k[:, 1].max()]), k)

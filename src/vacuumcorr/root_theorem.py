@@ -255,8 +255,7 @@ def root_products(a: LocalOperator, psi, v: VacuumModel, slots) -> RootProducts:
     cut = v.layout.cut(slots)  # a proper region, or ValueError
     omega_mat = linalg.coefficient_matrix(v.omega, v.layout.dims, slots)
     g, lower = linalg.gram_bound(omega_mat)
-    if slots == (cut,):  # the cut's own bound, which check_cyclic would form again
-        v.bounds.setdefault(cut, lower)
+    v.bounds.setdefault(cut, lower)  # M has the cut's singular values (transposed at most)
     if omega_mat.shape[0] < omega_mat.shape[1] or (
             lower <= linalg.SCHMIDT_RANK_TOL**2 and not check_cyclic(v, slots)):
         raise ValueError(f"vacuum is not cyclic for region {slots}")

@@ -44,7 +44,7 @@ from vacuumcorr.linalg import (
     haar_unitary,
     random_hermitian,
 )
-from vacuumcorr.local_algebra import LocalOperator, RegionLayout, random_projector
+from vacuumcorr.local_algebra import LocalOperator, RegionLayout
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -259,9 +259,12 @@ def qubit_angle_grid_bell(state: np.ndarray, n_angles: int = 48) -> float:
 def tsirelson_sweep_reference(dims, seed: int, samples: int = 100) -> tuple[float, float]:
     """Min and max Tsirelson margin of tsirelson-sweep's settings, one setting
     at a time: the ranks of every A1, A2, B1, B2 are drawn first, in one call;
-    A1 and B1 are 2E - 1 for the dense coordinate projectors E of their ranks,
-    and A2 and B2, in that order, 2P - 1 for random projectors P of their ranks
-    continuing the same stream."""
+    A1 and B1 are 2E - 1 for the dense coordinate projectors E of their ranks.
+    A2 and B2, in that order, continue the same stream with a d x (d // 2)
+    complex Gaussian each (real block, then imaginary), and are 2P - 1 for the
+    dense projector P onto the Haar frame of its first min(k, d - k) columns,
+    k the drawn rank: where 2k > d, that P is 1 minus a Haar projector of rank k,
+    whose reflection has the opposite sign and the same commutator norm."""
     layout = RegionLayout(tuple(dims))
     rng = np.random.default_rng(seed)
     ranks = rng.integers(1, np.repeat(layout.dims, 2) + 1, size=(samples, 4))
@@ -271,7 +274,10 @@ def tsirelson_sweep_reference(dims, seed: int, samples: int = 100) -> tuple[floa
         return contraction_from_projector(LocalOperator(slot, e))
 
     def haar(slot, rank):
-        return contraction_from_projector(random_projector(layout, slot, int(rank), rng))
+        d = layout.dims[slot]
+        g = rng.standard_normal((2, d, d // 2))
+        q = haar_unitary((g[0] + 1j * g[1])[:, :min(rank, d - rank)])
+        return contraction_from_projector(LocalOperator(slot, q @ q.conj().T))
 
     margins = []
     for r in ranks:

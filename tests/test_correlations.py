@@ -553,16 +553,37 @@ class TestReflectionCommutatorNorms:
         np.testing.assert_allclose(reflection_commutator_norms(u, ranks), want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("theta", [1e-3, 1e-6, 1e-9])
-    def test_planted_principal_angle(self, theta):
-        # E projects onto the first 3 basis vectors, and Q is E's columns with
-        # column 0 rotated by theta toward column 3.  The norm is 2 sin(2 theta);
+    @pytest.mark.parametrize("k1", [3, 4, 5])
+    def test_planted_principal_angle(self, theta, k1):
+        # E projects onto the first k1 basis vectors, and Q is the first 3 with
+        # column 0 rotated by theta toward column k1.  The norm is 2 sin(2 theta);
         # the cosine form from the singular values of E Q misses it at 1e-6.
+        # Past k1 = d / 2 the kernel reads the adjoint pair on reversed rows.
         d, k = 6, 3
         u = np.eye(d, dtype=complex)[None].copy()
-        u[0, [0, k], 0] = np.cos(theta), np.sin(theta)
-        got = reflection_commutator_norms(u, np.array([[k, k]]))[0]
+        u[0, [0, k1], 0] = np.cos(theta), np.sin(theta)
+        got = reflection_commutator_norms(u, np.array([[k1, k]]))[0]
         want = 2.0 * math.sin(2.0 * theta)
         assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 12])
+    def test_stacks_with_no_rows_or_no_columns_match_the_dense_oracle(self, d):
+        # Every k1 = d (no rows once folded: E = 1), or every frame of width 0 (P = 0):
+        # each pair commutes, and the frame check still runs.
+        rng = np.random.default_rng(200 + d)
+        u, ranks = frames_and_ranks(d, 10, rng)
+        e = np.broadcast_to(np.eye(d), u.shape)
+        for column, value in ((0, d), (1, 0)):
+            planted = ranks.copy()
+            planted[:, column] = value
+            got = reflection_commutator_norms(u, planted)
+            want = reflection_commutator_oracle(np.stack([e, u], axis=1), planted)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        planted = ranks.copy()
+        planted[:, 0] = d
+        u[6, :, 0] *= 2.0
+        with pytest.raises(ValueError, match="the frame of setting 6 is not orthonormal"):
+            reflection_commutator_norms(u, planted)
 
     def test_rejects_a_frame_that_is_not_orthonormal(self):
         u = frame_stack(4, 3, np.random.default_rng(0))

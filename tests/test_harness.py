@@ -248,6 +248,45 @@ class TestScenarios:
         assert run_scenario(cfg(scenario="tsirelson-sweep", layout=layout, seed=0)).passed
         assert calls == {"integers": 1, "standard_normal": stacks}
 
+    @pytest.mark.parametrize("layout", [[2, 2], [7, 7], [3, 8], [12, 12]])
+    def test_tsirelson_sweep_draws_half_width_gaussians(self, monkeypatch, layout):
+        # Per setting and side, one d x (d // 2) complex Gaussian, real then imaginary.
+        normals = []
+        original = np.random.default_rng
+
+        class Counting:
+            def __init__(self, seed):
+                self.rng = original(seed)
+                self.integers = self.rng.integers
+
+            def standard_normal(self, size):
+                normals.append(math.prod(size))
+                return self.rng.standard_normal(size)
+
+        monkeypatch.setattr(np.random, "default_rng", Counting)
+        assert run_scenario(cfg(scenario="tsirelson-sweep", layout=layout, seed=0)).passed
+        assert sum(normals) == harness.TSIRELSON_SAMPLES * 2 * sum(d * (d // 2) for d in layout)
+
+    @pytest.mark.parametrize("layout", [[2, 2], [7, 7], [8, 8], [3, 8]])
+    def test_tsirelson_sweep_runs_half_width_qrs_and_eigvalsh(self, monkeypatch, layout):
+        # Each frame spans P or 1 - P, whichever is smaller, and each eigenvalue
+        # problem is E P (1 - E) or its adjoint, whichever has fewer rows.
+        shapes = {"qr": [], "eigvalsh": []}
+        for name, recorded in shapes.items():
+            original = getattr(np.linalg, name)
+
+            def recording(a, *args, _recorded=recorded, _original=original, **kwargs):
+                _recorded.append(np.shape(a))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        assert run_scenario(cfg(scenario="tsirelson-sweep", layout=layout, seed=0)).passed
+        # Each stack runs A's side, then B's.
+        for name, recorded in shapes.items():
+            assert recorded and len(recorded) % 2 == 0
+            for i, shape in enumerate(recorded):
+                assert shape[-1] <= layout[i % 2] // 2, (name, i, shape)
+
     @pytest.mark.parametrize("layout,seed", [([3, 3], 0), ([8, 8], 1), ([3, 8], 7)])
     def test_tsirelson_sweep_sample_does_not_depend_on_the_stack_size(
             self, monkeypatch, layout, seed):

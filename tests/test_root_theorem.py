@@ -242,9 +242,11 @@ class TestCyclicApproxStage:
                 assert not isinstance(exc, np.linalg.LinAlgError)
                 raise
 
-    def test_a_failed_gram_bound_is_formed_once(self, monkeypatch):
+    @pytest.mark.parametrize("region", [(0,), (1,)])
+    def test_a_failed_gram_bound_is_formed_once(self, monkeypatch, region):
         # Schmidt coefficients in proportion (1, 1, 1e-8): cyclic, but the Gram
         # bound fails, so the rank comes from the cut's spectrum, not a second Gram.
+        # Region (1,)'s matrix is the transpose of the cut's: the same bound.
         rng = np.random.default_rng(0)
         layout = RegionLayout((3, 3))
         u, w = (linalg.haar_unitary(linalg.complex_gaussian(3, rng)) for _ in range(2))
@@ -253,10 +255,10 @@ class TestCyclicApproxStage:
         calls = []
         original = linalg.gram_bound
         monkeypatch.setattr(linalg, "gram_bound", lambda m: calls.append(m) or original(m))
-        a = LocalOperator(1, linalg.random_hermitian(3, rng))
-        root_products(a, random_state(layout.total_dim, rng), v, (0,))
+        a = LocalOperator(1 - region[0], linalg.random_hermitian(3, rng))
+        root_products(a, random_state(layout.total_dim, rng), v, region)
         assert len(calls) == 1 and 0 in v.spectra
-        assert v.schmidt_rank((0,)) == 3 and len(calls) == 1
+        assert v.schmidt_rank(region) == 3 and len(calls) == 1
 
     def test_singular_gram_ends_at_cyclic_approx(self, monkeypatch, v22):
         # A Gram that LAPACK finds exactly singular ends at the stage, not in a traceback.
