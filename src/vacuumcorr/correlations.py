@@ -207,7 +207,7 @@ def seesaw_maximize(state, layout: RegionLayout, seed: int) -> tuple[BellSetting
 def seesaw_starts(s: np.ndarray, seeds) -> list[tuple[float, np.ndarray, np.ndarray]]:
     """``seesaw_maximize``'s value and r x r settings (a, t), checked but not lifted,
     for each of ``seeds``, on a state with the r Schmidt coefficients ``s``
-    (``linalg.schmidt_support``'s): the see-saw depends on nothing else.  The starts iterate
+    (``linalg.schmidt_values``): the see-saw depends on nothing else.  The starts iterate
     as one stack, each on its own seed's stream; a start leaves it once it stops gaining,
     and the starts that end at a classical point draw again together."""
     r = len(s)

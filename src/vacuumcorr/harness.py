@@ -37,7 +37,7 @@ from .linalg import (
     SCHMIDT_RANK_TOL,
     haar_unitary,
     random_hermitian,
-    schmidt_support,
+    schmidt_values,
 )
 from .local_algebra import (
     LocalOperator,
@@ -65,12 +65,15 @@ SEESAW_CEILING = 1e-7
 SEESAW_SHORTFALL = 1e-6
 # tsirelson-sweep draws its settings' ranks in one call, then one d x d // 2 Gaussian per
 # side and setting (a side's first rank is E's; a second, k, reads as 1 - P, Haar of rank
-# d - k, where 2k > d), one call per stack of as many settings as d x d blocks fit in
-# SWEEP_STACK_BYTES, so its d x d // 2 blocks stay within half of it: one stack of all of
-# them raises peak memory at large d.  A Generator fills its normals in order, so the
-# sample depends on the seed only.
+# d - k, where 2k > d), one call per stack of as many settings (at least one) as d x d
+# blocks fit in SWEEP_STACK_BYTES, so its d x d // 2 blocks stay within half of it.  Each
+# stack has a fixed cost (a draw, two QRs, two eigvalsh calls) that a few settings do not
+# amortize: 64 KiB split d = 8 into 4 stacks and took 1.5x the time of one.  At 1 MiB a
+# stack's working set outgrows a 2 MiB L2 and d = 96..128 ran 13-19 % slower; one stack
+# of all of them raises peak memory at large d.  A Generator fills its normals in order,
+# so the sample depends on the seed only.
 TSIRELSON_SAMPLES = 100
-SWEEP_STACK_BYTES = 64 * 1024
+SWEEP_STACK_BYTES = 256 * 1024
 # An array's text is joined into one chunk up to CHUNK_CHARS, below glibc's mmap
 # threshold; one 3 MB string per matrix raised epr 256,256's peak RSS by 7 MB.
 CHUNK_CHARS = 64 * 1024
@@ -355,7 +358,7 @@ def _scenario_bell_max(cfg: ScenarioConfig) -> tuple[list, dict]:
     assertions: list = []
     _record(assertions, "canonical_upper", value, "<=", SQRT2 + RECOMPUTE_TOL)
     _record(assertions, "canonical_lower", value, ">=", SQRT2 - RECOMPUTE_TOL)
-    s = schmidt_support(state, layout.dims, 0)[1]
+    s = schmidt_values(state, layout.dims, 0)
     values = [beta for beta, _, _ in seesaw_starts(s, range(cfg.seed, cfg.seed + 5))]
     for k, beta in enumerate(values):
         _record(assertions, f"seesaw_ceiling_start_{k}", beta, "<=", SQRT2 + SEESAW_CEILING)

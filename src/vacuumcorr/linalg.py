@@ -193,12 +193,24 @@ def schmidt_coefficients(psi, dims, left_slots) -> np.ndarray:
     return np.linalg.svd(coefficient_matrix(psi, dims, left_slots), compute_uv=False)
 
 
+def _support_rank(s: np.ndarray) -> int:
+    """How many of the singular values ``s`` lie above SCHMIDT_RANK_TOL: those
+    below count as 0."""
+    return int(np.sum(s > SCHMIDT_RANK_TOL))
+
+
+def schmidt_values(psi, dims, left_slots) -> np.ndarray:
+    """``schmidt_support``'s S alone, from an SVD that forms no vectors."""
+    s = schmidt_coefficients(psi, dims, left_slots)
+    return s[:_support_rank(s)]
+
+
 def schmidt_support(psi, dims, left_slots) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The coefficient matrix across left_slots|rest as U S W^† on its support:
     the r singular values S above SCHMIDT_RANK_TOL (those below count as 0),
     U with r orthonormal columns and W^† with r orthonormal rows."""
     u, s, wh = np.linalg.svd(coefficient_matrix(psi, dims, left_slots), full_matrices=False)
-    r = int(np.sum(s > SCHMIDT_RANK_TOL))
+    r = _support_rank(s)
     return u[:, :r], s[:r], wh[:r]
 
 

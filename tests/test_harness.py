@@ -222,13 +222,14 @@ class TestScenarios:
         assert check["passed"] and check["op"] == ">=" and check["rhs"] == -1e-6
         assert check["lhs"] == report.certificates["bell"]["tsirelson_margin"]
 
-    # Stacks of the default SWEEP_STACK_BYTES: 100 settings at 3,3; 32 at d = 8; 14 at d = 12.
-    @pytest.mark.parametrize("layout,stacks", [
-        ([3, 3], 1), ([8, 8], 4), ([12, 12], 8), ([3, 8], 4),
-    ])
-    def test_tsirelson_sweep_draws_its_settings_in_blocks(self, monkeypatch, layout, stacks):
+    @pytest.mark.parametrize("layout", [[3, 3], [8, 8], [12, 12], [3, 8], [32, 32]])
+    def test_tsirelson_sweep_draws_its_settings_in_blocks(self, monkeypatch, layout):
         # One rank draw for the whole sweep and one Gaussian draw per stack,
         # not one scalar call per rank and one per Gaussian matrix pair.
+        # As many settings as two d x d complex blocks fit in SWEEP_STACK_BYTES,
+        # at least one; 32,32 still takes several stacks.
+        block = 2 * max(layout) ** 2 * np.dtype(complex).itemsize
+        stacks = math.ceil(harness.TSIRELSON_SAMPLES / max(1, harness.SWEEP_STACK_BYTES // block))
         calls = Counter()
         original = np.random.default_rng
 
@@ -338,16 +339,29 @@ class TestScenarios:
 FULL_SPACE_SHARE = 1 / 8
 
 
-def peak_share(config: ScenarioConfig):
-    """The report, and tracemalloc's peak during run_scenario over the bytes
-    of one total_dim x total_dim complex matrix."""
-    full = config.region_layout().total_dim ** 2 * np.dtype(complex).itemsize
+# tsirelson-sweep's peak stays below these multiples of the 256 KiB its stacks are
+# sized at (SWEEP_STACK_BYTES): a stack's blocks and QR factors.  At 128,128 one
+# setting's two d x d blocks already take twice the budget, and a stack holds one.
+SWEEP_BUDGET = 256 * 1024
+SWEEP_PEAK_MULTIPLES = [([64, 64], 2), ([128, 128], 4)]
+
+
+def traced_peak(config: ScenarioConfig):
+    """The report, and tracemalloc's peak in bytes during run_scenario."""
     tracemalloc.start()
     try:
         report = run_scenario(config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return report, peak
+
+
+def peak_share(config: ScenarioConfig):
+    """The report, and tracemalloc's peak during run_scenario over the bytes
+    of one total_dim x total_dim complex matrix."""
+    full = config.region_layout().total_dim ** 2 * np.dtype(complex).itemsize
+    report, peak = traced_peak(config)
     return report, peak / full
 
 
@@ -365,6 +379,20 @@ class TestNoFullSpaceMatrix:
         report, share = peak_share(cfg(scenario=scenario, layout=layout, eps=0.05))
         assert report.passed
         assert share < FULL_SPACE_SHARE
+
+    @pytest.mark.parametrize("layout,multiple", SWEEP_PEAK_MULTIPLES)
+    def test_sweep_peak_is_bounded_by_its_stack_budget(self, layout, multiple):
+        report, peak = traced_peak(cfg(scenario="tsirelson-sweep", layout=layout))
+        assert report.passed
+        assert peak < multiple * SWEEP_BUDGET
+
+    @pytest.mark.parametrize("layout,multiple", SWEEP_PEAK_MULTIPLES)
+    def test_sweep_guard_trips_on_one_stack_of_every_setting(self, monkeypatch, layout, multiple):
+        block = 2 * max(layout) ** 2 * np.dtype(complex).itemsize
+        monkeypatch.setattr(harness, "SWEEP_STACK_BYTES", harness.TSIRELSON_SAMPLES * block)
+        report, peak = traced_peak(cfg(scenario="tsirelson-sweep", layout=layout))
+        assert report.passed
+        assert peak >= multiple * SWEEP_BUDGET
 
     def test_root_cert_holds_no_projector_matrix_per_eigenvalue(self):
         # Q1 has d distinct eigenvalues here; a d x d projector for each
@@ -458,7 +486,8 @@ class TestSpectraComputedOnce:
 
     @pytest.mark.parametrize("layout", [[2, 2], [16, 16], [3, 8]])
     def test_bell_max_takes_one_svd(self, monkeypatch, layout):
-        # The five see-saw starts share one Schmidt decomposition of the state.
+        # The five see-saw starts share the state's Schmidt values, from one SVD
+        # that forms no vectors.
         calls = []
         original = np.linalg.svd
 
@@ -470,7 +499,7 @@ class TestSpectraComputedOnce:
         for module in {np.linalg, sys.modules.get("numpy.linalg._linalg", np.linalg)}:
             monkeypatch.setattr(module, "svd", recording)
         assert run_scenario(cfg(scenario="bell-max", layout=layout)).passed
-        assert calls == [True]
+        assert calls == [False]
 
     @pytest.mark.parametrize("layout", [[16, 16], [3, 8]])
     def test_bell_max_validates_no_lifted_seesaw_setting(self, monkeypatch, layout):

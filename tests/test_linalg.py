@@ -382,3 +382,17 @@ class TestSchmidtCoefficients:
         psi = random_state(12, np.random.default_rng(4))
         svals = schmidt_coefficients(psi, (2, 3, 2), (0, 2))
         assert abs(np.sum(svals**2) - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("dims", [(3, 3), (3, 8), (8, 3)])
+    def test_values_are_the_support_values(self, dims):
+        # Planted singular values on both sides of SCHMIDT_RANK_TOL: the values-only
+        # SVD keeps the same ones as the SVD with vectors.
+        rng = np.random.default_rng(3)
+        u, w = (linalg.haar_unitary(linalg.complex_gaussian(d, rng))[:, :3] for d in dims)
+        planted = np.array([0.8, 1e2 * linalg.SCHMIDT_RANK_TOL, 1e-3 * linalg.SCHMIDT_RANK_TOL])
+        psi = ((u * planted) @ w.conj().T).reshape(-1)
+        values = linalg.schmidt_values(psi, dims, 0)
+        support = linalg.schmidt_support(psi, dims, 0)[1]
+        assert len(values) == len(support) == 2
+        assert np.max(np.abs(values - planted[:2])) <= 1e-14
+        assert np.max(np.abs(values - support)) <= 1e-15
