@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
@@ -71,7 +71,7 @@ SEESAW_SHORTFALL = 1e-6
 # amortize: 64 KiB split d = 8 into 4 stacks and took 1.5x the time of one.  At 1 MiB a
 # stack's working set outgrows a 2 MiB L2 and d = 96..128 ran 13-19 % slower; one stack
 # of all of them raises peak memory at large d.  A Generator fills its normals in order,
-# so the sample depends on the seed only.
+# so they depend on the seed only (the margins' last bits on the stacking too).
 TSIRELSON_SAMPLES = 100
 SWEEP_STACK_BYTES = 256 * 1024
 # An array's text is joined into one chunk up to CHUNK_CHARS, below glibc's mmap
@@ -199,9 +199,9 @@ class ScenarioConfig:
 class RunReport:
     """Assertions plus the certificate objects they were checked on.
 
-    ``certificates`` and ``to_payload()`` hold the result dataclasses as
-    plain dicts of their fields; matrix and vector leaves stay complex
-    ndarrays until ``canonical_json`` writes them as ``[re, im]`` pairs.
+    ``certificates`` maps a name to the library's result object
+    (``RootCertificate``, ``EPRReport``, ``BellReport``) or to plain numbers;
+    ``canonical_json`` writes each dataclass as the dict of its fields.
     """
 
     config: ScenarioConfig
@@ -216,7 +216,7 @@ class RunReport:
     def to_payload(self, include_timings: bool = False) -> dict:
         return {
             "schema": 1,
-            "config": _plain(self.config),
+            "config": self.config,
             "assertions": self.assertions,
             "certificates": self.certificates,
             "timings": dict(self.timings) if include_timings else {},
@@ -238,18 +238,6 @@ def _record(assertions: list, name: str, lhs: float, op: str, rhs: float) -> boo
         {"name": name, "lhs": float(lhs), "op": op, "rhs": float(rhs), "passed": passed}
     )
     return passed
-
-
-def _plain(value):
-    """Dataclasses as dicts of their fields and tuples as lists, recursively;
-    ndarray leaves are kept as they are."""
-    if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +321,7 @@ def _root_assertions(cfg: ScenarioConfig, cert: RootCertificate) -> list:
 
 def _scenario_root_cert(cfg: ScenarioConfig) -> tuple[list, dict]:
     assertions, cert = _root_cert(cfg, cfg.eps)
-    return assertions, {"root_certificate": _plain(cert)}
+    return assertions, {"root_certificate": cert}
 
 
 def _scenario_epr(cfg: ScenarioConfig) -> tuple[list, dict]:
@@ -348,7 +336,7 @@ def _scenario_epr(cfg: ScenarioConfig) -> tuple[list, dict]:
             report.joint_expect - report.p1_expect, "<=", PROJECTOR_FLOOR)
     _record(assertions, "epr_lower_strict", report.joint_expect, ">", report.lower_bound)
     _record(assertions, "p1_vacuum_positivity", report.p1_expect, ">", 0.0)
-    return assertions, {"epr": _plain(report)}
+    return assertions, {"epr": report}
 
 
 def _scenario_bell_max(cfg: ScenarioConfig) -> tuple[list, dict]:
@@ -366,7 +354,7 @@ def _scenario_bell_max(cfg: ScenarioConfig) -> tuple[list, dict]:
     margin = tsirelson_certificate(settings, layout)
     _record(assertions, "tsirelson_margin", margin, ">=", -cfg.tolerances.tsirelson_slack)
     report = BellReport(settings=settings, state=state, correlation=value, tsirelson_margin=margin)
-    return assertions, {"bell": _plain(report)}
+    return assertions, {"bell": report}
 
 
 def _scenario_tsirelson_sweep(cfg: ScenarioConfig) -> tuple[list, dict]:
@@ -413,7 +401,7 @@ def _scenario_cond_bell(cfg: ScenarioConfig) -> tuple[list, dict]:
             abs(recomputed - cond.conditional_correlation), "<=", RECOMPUTE_TOL)
     _record(assertions, "tsirelson_margin", report.tsirelson_margin, ">=",
             -cfg.tolerances.tsirelson_slack)
-    return assertions, {"bell": _plain(report)}
+    return assertions, {"bell": report}
 
 
 _SCENARIO_TABLE = {
@@ -459,7 +447,7 @@ class SweepTable:
     def to_payload(self, include_timings: bool = False) -> dict:
         return {
             "schema": 1,
-            "config": _plain(self.config),
+            "config": self.config,
             "columns": list(SWEEP_COLUMNS),
             "rows": self.rows,
         }
@@ -507,35 +495,34 @@ def _scalar(value) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
+def _template(shape) -> str:
+    """The ``%.17g`` template of a complex array of ``shape``, as nested ``[re, im]`` pairs."""
+    template = "[%.17g,%.17g]"
+    for n in reversed(shape):
+        template = "[" + ",".join([template] * n) + "]"
+    return template
+
+
 def _array_chunks(a: np.ndarray) -> list[str]:
-    """The JSON of ``a`` as ``[re, im]`` pairs, nested in lists along its leading axes:
-    one chunk, or its rows and separators if longer than CHUNK_CHARS.  One finiteness
-    check, then one ``%.17g`` template per row (``_scalar``'s bytes)."""
+    """The JSON of ``a`` after one finiteness check: one chunk, or its rows and separators
+    if longer than CHUNK_CHARS.  One ``%.17g`` template (``_scalar``'s bytes) per array, or per
+    row where its text could be longer: a float takes 24 characters at most, 8 for its brackets."""
     re_im = np.asarray(a, complex, order="C").view(float)
     if not np.isfinite(re_im).all():
         raise ValueError(f"cannot serialize non-finite float {re_im[~np.isfinite(re_im)][0]}")
-    template = "[" + ",".join(["[%.17g,%.17g]"] * (re_im.shape[-1] // 2)) + "]"
-    texts = list(_array_rows(re_im, template))
+    if a.ndim < 2 or 32 * re_im.size <= CHUNK_CHARS:
+        return [_template(a.shape) % tuple(re_im.ravel().tolist())]
+    row = _template(a.shape[1:])
+    texts = [t for r in re_im.reshape(len(a), -1).tolist() for t in (",", row % tuple(r))]
+    texts = ["[", *texts[1:], "]"]
     return ["".join(texts)] if sum(map(len, texts)) <= CHUNK_CHARS else texts
 
 
-def _array_rows(re_im: np.ndarray, template: str):
-    """The text of ``re_im`` (..., width), one row at a time."""
-    if re_im.ndim == 1:
-        yield template % tuple(re_im.tolist())
-        return
-    yield "["
-    for i, sub in enumerate(re_im):
-        if i:
-            yield ","
-        yield from _array_rows(sub, template)
-    yield "]"
-
-
 def _write(chunks: list, text: list, arrays: dict, value) -> None:
-    """Append the JSON of ``value``: ``text`` collects the strings since the last array;
-    an array appends them to ``chunks`` as one string, then its own chunks, formatted
-    once per array object (``arrays`` maps id -> (array, chunks))."""
+    """Append the JSON of ``value``, a dataclass as the dict of its fields: ``text``
+    collects the strings since the last array; an array appends them to ``chunks`` as
+    one string, then its own chunks, formatted once per array object (``arrays`` maps
+    id -> (array, chunks))."""
     if isinstance(value, np.ndarray):
         if id(value) not in arrays:  # holding the array keeps its id unique
             arrays[id(value)] = (value, _array_chunks(value))
@@ -555,6 +542,8 @@ def _write(chunks: list, text: list, arrays: dict, value) -> None:
                 text.append(",")
             _write(chunks, text, arrays, v)
         text.append("]")
+    elif hasattr(value, "__dataclass_fields__"):  # is_dataclass's test, without its call per scalar
+        _write(chunks, text, arrays, {f.name: getattr(value, f.name) for f in fields(value)})
     else:
         text.append(_scalar(value))
 
@@ -566,8 +555,8 @@ def _json_chunks(value) -> list[str]:
 
 
 def canonical_json(value) -> str:
-    """JSON with sorted keys and floats at 17 significant digits; an ndarray is
-    written as (rows of) complex ``[re, im]`` pairs, formatting each array object once."""
+    """JSON with sorted keys and floats at 17 significant digits, a dataclass as the dict of
+    its fields and an ndarray as (rows of) complex ``[re, im]`` pairs, each formatted once."""
     return "".join(_json_chunks(value))
 
 

@@ -160,10 +160,9 @@ def hermitian_eig(a) -> EigenSystem:
     vecs = vecs[:, ::-1]
     bounds = [0, *(np.flatnonzero(np.abs(np.diff(w)) > NOISE_TOL) + 1).tolist(), len(w)]
     blocks = tuple(vecs[:, i:j] for i, j in zip(bounds, bounds[1:]))
-    if len(blocks) == len(w):  # no eigenvalue merged: each is its own mean
-        return EigenSystem(tuple(w.tolist()), blocks, w)
     # Each block is summed after a leading 0.0, as np.add.reduce sums from its
-    # identity: every merged eigenvalue keeps the bits of np.mean over its block.
+    # identity: every eigenvalue keeps the bits of np.mean over its block (a block
+    # of one reads x itself, but -0.0 reads 0.0).
     starts = bounds[:-1]
     sums = np.add.reduceat(np.insert(w, starts, 0.0), np.arange(len(starts)) + starts)
     return EigenSystem(tuple((sums / np.diff(bounds)).tolist()), blocks, w)

@@ -84,9 +84,6 @@ class EpsilonBudget:
         for name in ("eps2", "eps3", "eps4", "eps5"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        self.validate(BUDGET_TOL)
-
-    def validate(self, tol: float) -> None:
         checks = [
             ("eps2", self.eps2, 2.0 * self.eps1 / (1.0 - self.eps1)),
             ("eps3", self.eps3, (self.eps2**2 + 2.0 * self.eps2) * self.norm_a),
@@ -94,7 +91,7 @@ class EpsilonBudget:
             ("eps5", self.eps5, self.eps3 + self.norm_a * self.eps4),
         ]
         for name, got, want in checks:
-            if _off(got, want, tol):
+            if _off(got, want, BUDGET_TOL):
                 raise ValueError(f"budget inconsistency: {name}={got}, formula gives {want}")
 
     @staticmethod
@@ -131,10 +128,6 @@ class ProjectorDecomposition:
             raise ValueError("all coefficients must be positive")
         if len(self.coeffs) != len(self.blocks):
             raise ValueError("coefficients and blocks must pair up")
-
-    @property
-    def is_degenerate(self) -> bool:
-        return len(self.coeffs) == 0
 
     def overlaps(self, v: VacuumModel, x) -> tuple[np.ndarray, np.ndarray]:
         """<P_i>_omega and <omega, (P_i (x) 1) x> for every i."""
@@ -215,7 +208,7 @@ def _real_in_window(stage: str, of: str, bound: str, val: complex, k: float, eps
 
 def _unit(dec: ProjectorDecomposition, p_expects: np.ndarray) -> ProjectorDecomposition:
     """``dec`` with its coefficients divided by <Q1'~>_omega = sum_i lambda_i <P_i>_omega."""
-    if dec.is_degenerate:
+    if not dec.coeffs:
         raise StageFailure("rescale", "degenerate decomposition (Q1 = 0)")
     q_expect = float(np.dot(dec.coeffs, p_expects).real)
     if q_expect <= PROJECTOR_FLOOR:

@@ -8,7 +8,7 @@ import re
 import sys
 import tracemalloc
 from collections import Counter
-from dataclasses import fields
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ from vacuumcorr import cli, correlations, harness, linalg, local_algebra, root_t
 from vacuumcorr.cli import build_parser, main
 from vacuumcorr.correlations import (
     BellReport,
+    EPRReport,
     bell_correlation,
     canonical_max_violation,
     epr_projector_pair,
@@ -48,6 +49,7 @@ from vacuumcorr.harness import (
     sweep_eps,
 )
 from vacuumcorr.local_algebra import LocalOperator, make_vacuum, random_projector
+from vacuumcorr.root_theorem import RootCertificate
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 # The eps list of the benchmark's root-cert sweeps (benchmark/workloads.py).
@@ -124,7 +126,7 @@ class TestScenarioConfig:
 
     def test_report_echoes_the_three_tolerances(self):
         payload = run_scenario(cfg()).to_payload()
-        assert payload["config"]["tolerances"] == {
+        assert asdict(payload["config"].tolerances) == {
             "budget_check": 1e-9, "schmidt_rank": 1e-9, "tsirelson_slack": 1e-9,
         }
 
@@ -166,13 +168,13 @@ class TestScenarios:
         report = run_scenario(cfg(scenario=scenario, layout=layout, seed=seed,
                                   eps=10.0 ** log_eps))
         assert report.passed
-        cert = report.certificates
-        for key in path:
-            cert = cert[key]
-        budget = cert["budget"]
+        cert = report.certificates[path[0]]
+        for key in path[1:]:
+            cert = getattr(cert, key)
+        budget = cert.budget
         # The derived cutoff leaves ||A|| eps4 at most half of its eps/2 share.
-        assert budget["norm_a"] * budget["eps4"] <= cert["requested_eps"] / 4
-        assert cert["achieved"]["decomposition_residual"] <= budget["eps4_tilde"]
+        assert budget.norm_a * budget.eps4 <= cert.requested_eps / 4
+        assert cert.achieved["decomposition_residual"] <= budget.eps4_tilde
 
     @pytest.mark.parametrize("layout,seed", [([3, 3], 1834), ([4, 4], 2030)])
     def test_bell_max_survives_classical_seesaw_stalls(self, monkeypatch, layout, seed):
@@ -215,12 +217,26 @@ class TestScenarios:
         assert shapes[0] == (5, 4, 2, 2)
         assert len(shapes) < loop_calls, (len(shapes), loop_calls)
 
+    @pytest.mark.parametrize("scenario,layout,name,kind", [
+        ("root-cert", [2, 2], "root_certificate", RootCertificate),
+        ("epr", [2, 2], "epr", EPRReport),
+        ("bell-max", [2, 2], "bell", BellReport),
+        ("cond-bell", [2, 2, 4], "bell", BellReport),
+    ])
+    def test_certificates_are_the_result_objects(self, scenario, layout, name, kind):
+        # The report holds what the library returned, not a copy of its fields.
+        report = run_scenario(cfg(scenario=scenario, layout=layout, eps=0.05))
+        assert isinstance(report.certificates[name], kind)
+        payload = report.to_payload()
+        assert payload["certificates"] is report.certificates
+        assert payload["config"] is report.config
+
     def test_bell_max_asserts_the_tsirelson_margin(self):
         report = run_scenario(cfg(scenario="bell-max", layout=[2, 2],
                                   tolerances={"tsirelson_slack": 1e-6}))
         check = {a["name"]: a for a in report.assertions}["tsirelson_margin"]
         assert check["passed"] and check["op"] == ">=" and check["rhs"] == -1e-6
-        assert check["lhs"] == report.certificates["bell"]["tsirelson_margin"]
+        assert check["lhs"] == report.certificates["bell"].tsirelson_margin
 
     @pytest.mark.parametrize("layout", [[3, 3], [8, 8], [12, 12], [3, 8], [32, 32]])
     def test_tsirelson_sweep_draws_its_settings_in_blocks(self, monkeypatch, layout):
@@ -720,10 +736,10 @@ class TestSweep:
             cert = report.certificates["root_certificate"]
             assert row == {
                 "eps": eps,
-                **{name: cert["budget"][name] for name in SWEEP_COLUMNS[1:6]},
-                **cert["achieved"],
-                "slack_max": cert["lhs_max"] - cert["rhs_max"],
-                "slack_min": cert["rhs_min"] - cert["lhs_min"],
+                **{name: getattr(cert.budget, name) for name in SWEEP_COLUMNS[1:6]},
+                **cert.achieved,
+                "slack_max": cert.lhs_max - cert.rhs_max,
+                "slack_min": cert.rhs_min - cert.lhs_min,
                 "passed": report.passed,
             }
 
@@ -834,6 +850,8 @@ class TestSerialization:
         def collect(value):
             if isinstance(value, np.ndarray):
                 arrays.append(value)
+            elif is_dataclass(value):
+                collect({f.name: getattr(value, f.name) for f in fields(value)})
             elif isinstance(value, dict):
                 for _, v in sorted(value.items()):
                     collect(v)
@@ -852,6 +870,26 @@ class TestSerialization:
         assert len(canonical_json_reference(m)) > harness.CHUNK_CHARS
         assert chunks[1:-1][1::2] == [canonical_json_reference(row) for row in m]
         assert "".join(chunks) == canonical_json_reference({"m": m})
+
+    @pytest.mark.parametrize("scenario,layout,sweep", [
+        ("reeh-schlieder", [3, 3, 9], None), ("root-cert", [8, 8], None),
+        ("root-cert", [3, 3], list(SWEEP_EPS)), ("epr", [8, 8], None),
+        ("bell-max", [3, 8], None), ("tsirelson-sweep", [4, 4], None),
+        ("cond-bell", [2, 2, 4], None),
+    ])
+    def test_bytes_do_not_depend_on_chunk_chars(self, monkeypatch, tmp_path,
+                                                scenario, layout, sweep):
+        # CHUNK_CHARS = 1 splits every matrix into rows, 10**9 joins every array.
+        config = cfg(scenario=scenario, layout=layout, eps=0.05, sweep=sweep)
+        report = sweep_eps(config) if sweep else run_scenario(config)
+        path = tmp_path / "r.out"
+        want = {fmt: render_report(report, fmt) for fmt in ("json", "csv")}
+        for chunk_chars in (1, 10**9):
+            monkeypatch.setattr(harness, "CHUNK_CHARS", chunk_chars)
+            for fmt, text in want.items():
+                assert render_report(report, fmt) == text
+                emit_report(report, fmt, path)
+                assert path.read_bytes() == text.encode("ascii")
 
     def test_emit_report_byte_identical_files(self, tmp_path):
         p1 = tmp_path / "a.json"
