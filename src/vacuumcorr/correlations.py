@@ -5,14 +5,14 @@ contractions A_i on slot 0 and B_i on slot 1.  Its spectral ceiling is
 2 sqrt(2), so every correlation (1/2) <R> stays below the sqrt(2) bound;
 the canonical two-qubit construction saturates it.  Conditioning on a
 projector in a third region reproduces the near-maximal vacuum violation
-through the root-certificate pipeline.
+through the root pipeline, whose A is the settings' ``slots``, ``apply`` and ``hermitian_norm``.
 
-R is applied term by term, never formed for a correlation.  Landau's identity
+R is applied term by term, never formed for a correlation or a pipeline.  Landau's identity
 (Phys. Lett. A 120, 54 (1987)) gives its norm when A1^2 = A2^2 = P_A and
 B1^2 = B2^2 = P_B are nonzero projectors (every 2P - 1, the canonical settings):
 R^2 = 4 P_A P_B - [A1,A2][B1,B2], each commutator's spectrum is symmetric
 (A1 [A1,A2] A1 = -[A1,A2]), so ||R|| = sqrt(4 + ||[A1,A2]|| ||[B1,B2]||).
-``tsirelson_certificate`` takes the dense norm where Landau's precondition fails.
+``BellSettings.hermitian_norm`` takes the dense norm where Landau's precondition fails.
 The Tsirelson sweep's settings are 2P - 1 for Haar projectors P, each pair read as a
 coordinate projector E and one Haar frame (one unitary on both keeps the norm), in the
 two-subspace sine form (Halmos, 1969): ``reflection_commutator_norms``, each matrix at most
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -45,8 +45,11 @@ SEESAW_DRAWS = 8
 @dataclass(frozen=True)
 class BellSettings:
     """Two self-adjoint contractions per side: A's on slot 0, B's on slot 1,
-    each stored as its Hermitian part H, so that R is exactly Hermitian."""
+    each stored as its Hermitian part H.  R lives on ``slots`` and is exactly
+    Hermitian with no check: sums and Kronecker products of exactly Hermitian
+    factors stay exactly Hermitian."""
 
+    slots: ClassVar[tuple[int, ...]] = (0, 1)
     a1: LocalOperator
     a2: LocalOperator
     b1: LocalOperator
@@ -63,6 +66,25 @@ class BellSettings:
             herm = hermitian_contractions(np.stack([op.matrix for op in ops]), names)
             for name, h in zip(names, herm):
                 object.__setattr__(self, name.lower(), LocalOperator(slot, h))
+
+    def apply(self, vec, layout: RegionLayout) -> np.ndarray:
+        """R vec = A1 (B1 + B2) vec + A2 (B1 - B2) vec, one slot at a time."""
+        a1, a2, b1, b2 = (op.matrix for op in (self.a1, self.a2, self.b1, self.b2))
+        dims = layout.dims
+        return (linalg._apply_local(a1, (0,), linalg._apply_local(b1 + b2, (1,), vec, dims), dims)
+                + linalg._apply_local(a2, (0,), linalg._apply_local(b1 - b2, (1,), vec, dims), dims))
+
+    def hermitian_norm(self) -> float:
+        """||R||: Landau's where X1^2 = X2^2 is a nonzero projector on each side, to
+        NOISE_TOL in the Frobenius norm, and else the dense norm of R01."""
+        comms = []
+        for x1, x2 in ((self.a1.matrix, self.a2.matrix), (self.b1.matrix, self.b2.matrix)):
+            p = x1 @ x1
+            if not (linalg.frobenius(p - x2 @ x2) <= NOISE_TOL
+                    and linalg.frobenius(p @ p - p) <= NOISE_TOL and NOISE_TOL < linalg.frobenius(p)):
+                return operator_norm(bell_operator(self, RegionLayout((self.a1.dim, self.b1.dim))))
+            comms.append(np.abs(np.linalg.eigvalsh(1j * (x1 @ x2 - x2 @ x1))).max())
+        return float(np.sqrt(4.0 + comms[0] * comms[1]))
 
 
 def hermitian_contractions(x: np.ndarray, names) -> np.ndarray:
@@ -118,24 +140,13 @@ def bell_operator(s: BellSettings, layout: RegionLayout) -> np.ndarray:
     since slots (0,1) are the leading Kronecker factors, and R01 itself on 2 slots."""
     a1, a2, b1, b2 = (op.matrix for op in (s.a1, s.a2, s.b1, s.b2))
     r01 = np.kron(a1, b1 + b2) + np.kron(a2, b1 - b2)
-    dev = linalg.dagger_distance(r01)
-    if dev > NOISE_TOL:
-        raise StageFailure("bell-operator", "R is not Hermitian", deviation=dev)
     return r01 if layout.n_slots == 2 else np.kron(r01, np.eye(math.prod(layout.dims[2:])))
-
-
-def _apply_bell(s: BellSettings, vec, layout: RegionLayout) -> np.ndarray:
-    """R vec = A1 (B1 + B2) vec + A2 (B1 - B2) vec, one slot at a time, on validated settings."""
-    a1, a2, b1, b2 = (op.matrix for op in (s.a1, s.a2, s.b1, s.b2))
-    dims = layout.dims
-    return (linalg._apply_local(a1, (0,), linalg._apply_local(b1 + b2, (1,), vec, dims), dims)
-            + linalg._apply_local(a2, (0,), linalg._apply_local(b1 - b2, (1,), vec, dims), dims))
 
 
 def bell_correlation(s: BellSettings, state, layout: RegionLayout) -> float:
     """(1/2) Re <R>_state; bounded by sqrt(2) in absolute value."""
     state = as_state(state)
-    return 0.5 * float(np.vdot(state, _apply_bell(s, state, layout)).real)
+    return 0.5 * float(np.vdot(state, s.apply(state, layout)).real)
 
 
 def _qubit_block(d: int, block: np.ndarray) -> np.ndarray:
@@ -275,17 +286,8 @@ def reflection_commutator_norms(u: np.ndarray, ranks: np.ndarray) -> np.ndarray:
 
 
 def tsirelson_certificate(s: BellSettings, layout: RegionLayout) -> float:
-    """sqrt(2) - (1/2) ||R|| >= 0 (to noise).  ||R|| is Landau's where X1^2 = X2^2
-    is a nonzero projector on each side, to NOISE_TOL in the Frobenius norm, and
-    else the dense norm."""
-    comms = []
-    for x1, x2 in ((s.a1.matrix, s.a2.matrix), (s.b1.matrix, s.b2.matrix)):
-        p = x1 @ x1
-        if not (linalg.frobenius(p - x2 @ x2) <= NOISE_TOL
-                and linalg.frobenius(p @ p - p) <= NOISE_TOL and NOISE_TOL < linalg.frobenius(p)):
-            return SQRT2 - 0.5 * operator_norm(bell_operator(s, RegionLayout(layout.dims[:2])))
-        comms.append(np.abs(np.linalg.eigvalsh(1j * (x1 @ x2 - x2 @ x1))).max())
-    return float(SQRT2 - 0.5 * np.sqrt(4.0 + comms[0] * comms[1]))
+    """sqrt(2) - (1/2) ||R|| >= 0 (to noise), R on the layout's slots (0, 1)."""
+    return SQRT2 - 0.5 * s.hermitian_norm()
 
 
 @dataclass(frozen=True)
@@ -353,7 +355,7 @@ def conditional_bell_correlation(
         raise ValueError(
             f"<P3>_omega = {p3_expect} at the floor (cannot occur for a separating vacuum)"
         )
-    val = complex(np.vdot(v.omega, _apply_bell(s, p3_omega, v.layout)))
+    val = complex(np.vdot(v.omega, s.apply(p3_omega, v.layout)))
     if abs(val.imag) > NOISE_TOL:
         raise StageFailure("conditional", "non-real <R P3>", imag=val.imag)
     return 0.5 * float(val.real) / p3_expect
@@ -382,12 +384,11 @@ def _conditional_pipeline(
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
 
-    r01 = bell_operator(settings, RegionLayout(layout.dims[:2]))
     # chi = first basis vector on slot 2; any unit vector works.
     chi = np.zeros(layout.dims[2], dtype=complex)
     chi[0] = 1.0
     psi = np.kron(phi, chi)
-    cert = prove_root_certificate(LocalOperator((0, 1), r01), psi, v, (2,), 2.0 * eps)
+    cert = prove_root_certificate(settings, psi, v, (2,), 2.0 * eps)
     p3 = cert.p_max
     cond = conditional_bell_correlation(settings, p3, v)
     half_k = 0.5 * cert.target_k
@@ -400,7 +401,7 @@ def _conditional_pipeline(
         settings=settings,
         state=psi,
         correlation=bell_correlation(settings, psi, layout),
-        tsirelson_margin=tsirelson_certificate(settings, layout),
+        tsirelson_margin=SQRT2 - 0.5 * cert.budget.norm_a,  # the pipeline's ||A|| is ||R||
         conditional=ConditionalResult(
             p3=p3,
             p3_expect=float(np.vdot(v.omega, p3.apply(v.omega, layout)).real),

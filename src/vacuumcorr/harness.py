@@ -14,6 +14,7 @@ emission: they are the one non-deterministic ingredient).
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
@@ -223,13 +224,8 @@ class RunReport:
         }
 
 
-_OPS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-}
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+        ">=": operator.ge, "==": operator.eq}
 
 
 def _record(assertions: list, name: str, lhs: float, op: str, rhs: float) -> bool:

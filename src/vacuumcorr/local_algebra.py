@@ -90,6 +90,13 @@ class LocalOperator:
         kernel on the matrix the constructor validated."""
         return linalg._apply_local(self.matrix, self.slots, vec, layout.dims)
 
+    def hermitian_norm(self) -> float:
+        """||X|| by ``operator_norm``, once X = X^† to NOISE_TOL (else ValueError)."""
+        dev = linalg.dagger_distance(self.matrix)
+        if dev > NOISE_TOL:
+            raise ValueError(f"A is not Hermitian: |A - A^†| = {dev}")
+        return operator_norm(self.matrix)
+
     def is_projector(self) -> bool:
         """P^2 = P = P^† to NOISE_TOL in the Frobenius norm (>= the operator norm)."""
         return bool(linalg.is_projector(self.matrix))

@@ -28,6 +28,8 @@ V^† W and one V^† (A omega).  ``certify_root`` certifies one eps on them:
 the budget check, then each stage's check in pipeline order, on the
 eigenspaces above tau (a prefix, as the eigenvalues descend), with
 ||Q1 - Q1'|| read from Q1's eigenvalues; ||A|| is the one operator norm.
+A is read only through ``slots``, ``apply(vec, layout)`` and ``hermitian_norm()``: a
+``LocalOperator``, or ``correlations.BellSettings``, which applies R term by term.
 ``prove_root_certificate`` is the one-eps case; a sweep builds the products
 once.  ``rescale_to_unit_vacuum`` runs the rescale stage alone, on a
 decomposition the caller builds.
@@ -41,7 +43,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg
-from .linalg import NOISE_TOL, PROJECTOR_FLOOR, as_state, hermitian_eig, operator_norm, projector
+from .linalg import NOISE_TOL, PROJECTOR_FLOOR, as_state, hermitian_eig, projector
+from .linalg import operator_norm  # noqa: F401  benchmark/test_benchmark.py traces this binding
 from .local_algebra import LocalOperator, VacuumModel, check_cyclic
 
 BUDGET_TOL = 1e-9
@@ -128,10 +131,6 @@ class ProjectorDecomposition:
             raise ValueError("all coefficients must be positive")
         if len(self.coeffs) != len(self.blocks):
             raise ValueError("coefficients and blocks must pair up")
-
-    def overlaps(self, v: VacuumModel, x) -> tuple[np.ndarray, np.ndarray]:
-        """<P_i>_omega and <omega, (P_i (x) 1) x> for every i."""
-        return _block_overlaps(self.blocks, self.slots, v, x)
 
 
 def _block_overlaps(blocks, slots, v: VacuumModel, x) -> tuple[np.ndarray, np.ndarray]:
@@ -224,20 +223,17 @@ def rescale_to_unit_vacuum(
 ) -> ProjectorDecomposition:
     """Divide the coefficients by <Q1'~>_omega so <Q1'>_omega = 1; the
     result records the divisor as ``q_expect``."""
-    p_expects = dec.overlaps(v, v.omega)[0] if dec.blocks else ()
+    p_expects = _block_overlaps(dec.blocks, dec.slots, v, v.omega)[0] if dec.blocks else ()
     return _unit(dec, p_expects)
 
 
-def root_products(a: LocalOperator, psi, v: VacuumModel, slots) -> RootProducts:
+def root_products(a, psi, v: VacuumModel, slots) -> RootProducts:
     """Validate the inputs and compute every eps-independent product once."""
     psi = as_state(psi)
     slots = linalg._normalize_slots(slots)
     if set(a.slots) & set(slots):
         raise ValueError(f"A's region {a.slots} overlaps the target region {slots}")
-    herm_dev = linalg.dagger_distance(a.matrix)
-    if herm_dev > NOISE_TOL:
-        raise ValueError(f"A is not Hermitian: |A - A^†| = {herm_dev}")
-    norm_a = operator_norm(a.matrix)
+    norm_a = a.hermitian_norm()
     if norm_a <= PROJECTOR_FLOOR:
         raise ValueError("A is numerically zero; the eps-budget is undefined")
     # The least-squares C~ on the region with C~ omega = psi: C~ M = Psi for the
@@ -385,7 +381,7 @@ def certify_root(p: RootProducts, eps: float) -> RootCertificate:
 
 
 def prove_root_certificate(
-    a: LocalOperator,
+    a,
     psi,
     v: VacuumModel,
     slots,

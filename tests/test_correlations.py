@@ -50,6 +50,7 @@ from vacuumcorr.local_algebra import (
     make_vacuum,
     random_projector,
 )
+from vacuumcorr.root_theorem import root_products
 
 L22 = RegionLayout((2, 2))
 L224 = RegionLayout((2, 2, 4))
@@ -282,9 +283,33 @@ class TestApplyBell:
         mats = random_contractions(layout.dims, rng)
         s = settings_of(*mats)
         vec = rng.standard_normal(layout.total_dim) + 1j * rng.standard_normal(layout.total_dim)
-        got = correlations._apply_bell(s, vec, layout)
+        got = s.apply(vec, layout)
         np.testing.assert_allclose(got, bell_operator(s, layout) @ vec, atol=1e-12)
         np.testing.assert_allclose(got, bell_oracle(*mats, layout.dims) @ vec, atol=1e-12)
+
+
+class TestSettingsAsRootOperator:
+    """The root pipeline reads the settings through their seam (term-by-term R,
+    Landau's or the dense ||R||) as it reads the dense R01 on slots (0, 1)."""
+
+    @pytest.mark.parametrize("dims", [(2, 2, 4), (2, 3, 6), (3, 2, 6), (3, 3, 9)])
+    @pytest.mark.parametrize("kind", ["canonical", "random"])
+    def test_products_match_the_dense_operator(self, dims, kind):
+        layout = RegionLayout(dims)
+        rng = np.random.default_rng(sum(dims))
+        if kind == "canonical":  # Landau's norm
+            _, s = canonical_max_violation(layout)
+        else:  # the dense norm
+            s = settings_of(*random_contractions(dims, rng))
+        v = make_vacuum(layout, 0)
+        psi = random_state(layout.total_dim, rng)
+        dense = LocalOperator((0, 1), bell_operator(s, RegionLayout(dims[:2])))
+        got, want = (root_products(a, psi, v, (2,)) for a in (s, dense))
+        for name in ("k", "norm_a", "cyclic_residual", "c_tilde_norm", "normalized_error",
+                     "window", "q_trace"):
+            assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12, name
+        np.testing.assert_allclose(got.p_expects, want.p_expects, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.aps, want.aps, rtol=0, atol=1e-12)
 
 
 class TestLandauNorm:

@@ -458,6 +458,22 @@ class TestNoFullSpaceMatrix:
         assert bell_calls == []
         assert sides and max(sides) <= d
 
+    @pytest.mark.parametrize("dims", [(2, 3, 6), (8, 8, 64)])
+    def test_cond_bell_forms_no_dense_bell_operator(self, monkeypatch, dims):
+        # R01 is (d1 d2) wide: the root pipeline applies R term by term and reads
+        # ||R|| once, by Landau's identity on the d1- and d2-wide commutators.
+        counts = counting(monkeypatch, [(correlations, "bell_operator"),
+                                        (linalg, "operator_norm")])
+        sides = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kwargs: (
+            sides.append(np.shape(a)[-1]) or eigvalsh(a, *args, **kwargs)))
+        layout = local_algebra.RegionLayout(dims)
+        report = violate_conditional_bell(layout, make_vacuum(layout, 0), 0.05)
+        assert report.conditional.conditional_correlation > math.sqrt(2) - 0.05
+        assert counts == {}
+        assert sides and max(sides) < dims[0] * dims[1]
+
 
 def record_schmidt_calls(monkeypatch) -> list:
     """The argument tuples of every ``schmidt_coefficients`` call from here on."""
@@ -594,8 +610,8 @@ class TestSpectraComputedOnce:
     def test_root_certificate_takes_one_operator_norm(self, monkeypatch):
         # ||A||; ||Q1|| and the rescale error come from Q1's spectrum.
         calls = []
-        original = root_theorem.operator_norm
-        monkeypatch.setattr(root_theorem, "operator_norm",
+        original = local_algebra.operator_norm
+        monkeypatch.setattr(local_algebra, "operator_norm",
                             lambda a: calls.append(a.shape) or original(a))
         assert run_scenario(cfg()).passed
         assert len(calls) == 1
@@ -687,7 +703,7 @@ class TestOperatorNormPrecondition:
         ("epr", [3, 3], 1),
         ("bell-max", [3, 3], 0),  # every setting meets Landau's precondition
         ("tsirelson-sweep", [3, 3], 0),
-        ("cond-bell", [2, 2, 4], 1),
+        ("cond-bell", [2, 2, 4], 0),  # ||R|| by Landau's identity, read once
     ])
     def test_scenarios_pass_hermitian_input(self, norm_inputs, scenario, layout, calls):
         assert run_scenario(cfg(scenario=scenario, layout=layout, eps=0.05)).passed
@@ -702,8 +718,8 @@ class TestOperatorNormPrecondition:
         assert tsirelson_certificate(correlations.BellSettings(half, s.a2, s.b1, s.b2),
                                      layout) >= 0.0
         correlations.general_contraction_extension(s.a1, s.a2, s.b1, s.b2, v, eps=0.05)
-        # 3 trials, 1 dense norm, 2 commutators, and the pipeline's ||A||.
-        assert len(norm_inputs) == 7
+        # 3 trials, 1 dense norm and 2 commutators; the pipeline's ||R|| is Landau's.
+        assert len(norm_inputs) == 6
 
 
 class TestSweep:
