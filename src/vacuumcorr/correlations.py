@@ -7,9 +7,9 @@ the canonical two-qubit construction saturates it.  Conditioning on a
 projector in a third region reproduces the near-maximal vacuum violation
 through the root pipeline, whose A is the settings' ``slots``, ``apply`` and ``hermitian_norm``.
 
-R is applied term by term, never formed for a correlation or a pipeline.  Landau's identity
-(Phys. Lett. A 120, 54 (1987)) gives its norm when A1^2 = A2^2 = P_A and
-B1^2 = B2^2 = P_B are nonzero projectors (every 2P - 1, the canonical settings):
+R is applied by two products (``BellSettings.apply``), never formed for a correlation or
+a pipeline.  Landau's identity (Phys. Lett. A 120, 54 (1987)) gives its norm when A1^2 =
+A2^2 = P_A and B1^2 = B2^2 = P_B are nonzero projectors (every 2P - 1, the canonical settings):
 R^2 = 4 P_A P_B - [A1,A2][B1,B2], each commutator's spectrum is symmetric
 (A1 [A1,A2] A1 = -[A1,A2]), so ||R|| = sqrt(4 + ||[A1,A2]|| ||[B1,B2]||).
 ``BellSettings.hermitian_norm`` takes the dense norm where Landau's precondition fails.
@@ -68,11 +68,12 @@ class BellSettings:
                 object.__setattr__(self, name.lower(), LocalOperator(slot, h))
 
     def apply(self, vec, layout: RegionLayout) -> np.ndarray:
-        """R vec = A1 (B1 + B2) vec + A2 (B1 - B2) vec, one slot at a time."""
+        """R vec = A1 (B1 + B2) vec + A2 (B1 - B2) vec by two products on vec's
+        (d0, d1, rest) view: B1 +- B2 on slot 1 as one stack, then [A1 A2] on slot 0."""
         a1, a2, b1, b2 = (op.matrix for op in (self.a1, self.a2, self.b1, self.b2))
-        dims = layout.dims
-        return (linalg._apply_local(a1, (0,), linalg._apply_local(b1 + b2, (1,), vec, dims), dims)
-                + linalg._apply_local(a2, (0,), linalg._apply_local(b1 - b2, (1,), vec, dims), dims))
+        d0, d1 = layout.dims[:2]
+        x = np.stack((b1 + b2, b1 - b2))[:, None] @ np.reshape(vec, (d0, d1, -1))
+        return (np.hstack((a1, a2)) @ x.reshape(2 * d0, -1)).reshape(-1)
 
     def hermitian_norm(self) -> float:
         """||R||: Landau's where X1^2 = X2^2 is a nonzero projector on each side, to
@@ -285,8 +286,8 @@ def reflection_commutator_norms(u: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     return 4.0 * np.sqrt(np.linalg.eigvalsh(t @ linalg.dagger(t))[..., -1])
 
 
-def tsirelson_certificate(s: BellSettings, layout: RegionLayout) -> float:
-    """sqrt(2) - (1/2) ||R|| >= 0 (to noise), R on the layout's slots (0, 1)."""
+def tsirelson_certificate(s: BellSettings) -> float:
+    """sqrt(2) - (1/2) ||R|| >= 0 (to noise), R on the settings' slots (0, 1)."""
     return SQRT2 - 0.5 * s.hermitian_norm()
 
 
@@ -400,7 +401,7 @@ def _conditional_pipeline(
     return BellReport(
         settings=settings,
         state=psi,
-        correlation=bell_correlation(settings, psi, layout),
+        correlation=0.5 * cert.target_k,  # the pipeline's K is <R>_psi
         tsirelson_margin=SQRT2 - 0.5 * cert.budget.norm_a,  # the pipeline's ||A|| is ||R||
         conditional=ConditionalResult(
             p3=p3,

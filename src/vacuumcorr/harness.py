@@ -62,7 +62,7 @@ from .root_theorem import (
 RECOMPUTE_TOL = 1e-9
 # The see-saw's settings are contractions only up to eigh rounding.
 SEESAW_CEILING = 1e-7
-# A see-saw run stops once an iteration gains less than SEESAW_TOL.
+# The best of the see-saw starts may fall this far short of sqrt(2).
 SEESAW_SHORTFALL = 1e-6
 # tsirelson-sweep draws its settings' ranks in one call, then one d x d // 2 Gaussian per
 # side and setting (a side's first rank is E's; a second, k, reads as 1 - P, Haar of rank
@@ -256,9 +256,11 @@ def _scenario_reeh_schlieder(cfg: ScenarioConfig) -> tuple[list, dict]:
     v = make_vacuum(layout, cfg.seed)
     rank_tol = cfg.tolerances.schmidt_rank
     assertions: list = []
-    ranks = {}
+    ranks, by_cut = {}, {}  # regions on one cut share its rank
     for region in _certified_regions(layout):
-        rank = v.schmidt_rank(region, rank_tol)
+        if (cut := layout.cut(region)) not in by_cut:
+            by_cut[cut] = v.schmidt_rank(region, rank_tol)
+        rank = by_cut[cut]
         name = "+".join(str(s) for s in region)
         ranks[name] = rank
         _record(assertions, f"separating_rank_slot_{name}", rank, "==",
@@ -347,7 +349,7 @@ def _scenario_bell_max(cfg: ScenarioConfig) -> tuple[list, dict]:
     for k, beta in enumerate(values):
         _record(assertions, f"seesaw_ceiling_start_{k}", beta, "<=", SQRT2 + SEESAW_CEILING)
     _record(assertions, "seesaw_best", max(values), ">=", SQRT2 - SEESAW_SHORTFALL)
-    margin = tsirelson_certificate(settings, layout)
+    margin = tsirelson_certificate(settings)
     _record(assertions, "tsirelson_margin", margin, ">=", -cfg.tolerances.tsirelson_slack)
     report = BellReport(settings=settings, state=state, correlation=value, tsirelson_margin=margin)
     return assertions, {"bell": report}

@@ -2,8 +2,8 @@
 
 Each spacetime region is modeled as one tensor slot carrying a full matrix
 algebra; spacelike commutativity then holds by construction.  The vacuum
-analog is a unit vector holding, per cut of its layout, the Gram bound
-that proves full Schmidt rank (a float, not the Gram matrix), and the
+analog is a unit vector and nothing else: a rank question on a cut forms
+the cut's Gram bound, which proves full Schmidt rank, and takes the
 Schmidt spectrum only where that bound fails; the Schmidt ranks certify
 the cyclic and separating properties:
 
@@ -16,7 +16,7 @@ the cyclic and separating properties:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,18 +104,12 @@ class LocalOperator:
 
 @dataclass(frozen=True)
 class VacuumModel:
-    """A unit vector playing the role of the vacuum.  Each cut of a 2- or
-    3-slot layout has one slot s alone on a side (slot 0 for 2 slots):
-    ``bounds[s]`` caches the ``linalg.gram_bound`` lower bound on the squared
-    Schmidt coefficients across s|rest, and ``spectra[s]`` the Schmidt
-    coefficients where that bound fails."""
+    """A unit vector playing the role of the vacuum, on a 2- or 3-slot layout.
+    Each cut has one slot alone on a side (slot 0 for 2 slots); a rank
+    question reads the cut from ``omega`` and keeps nothing."""
 
     layout: RegionLayout
     omega: np.ndarray
-    bounds: dict[int, float] = field(default_factory=dict, init=False, compare=False,
-                                     repr=False)
-    spectra: dict[int, np.ndarray] = field(default_factory=dict, init=False, compare=False,
-                                           repr=False)
 
     @classmethod
     def from_vector(cls, layout: RegionLayout, omega) -> "VacuumModel":
@@ -134,14 +128,10 @@ class VacuumModel:
         full rank where the cut's Gram bound exceeds tol^2, else counted from
         the cut's Schmidt spectrum."""
         cut, dims = self.layout.cut(slots), self.layout.dims
-        if cut not in self.bounds:
-            m = linalg.coefficient_matrix(self.omega, dims, cut)
-            _, self.bounds[cut] = linalg.gram_bound(m)
-        if self.bounds[cut] > tol * tol:
+        _, lower = linalg.gram_bound(linalg.coefficient_matrix(self.omega, dims, cut))
+        if lower > tol * tol:
             return min(dims[cut], self.layout.total_dim // dims[cut])
-        if cut not in self.spectra:
-            self.spectra[cut] = linalg.schmidt_coefficients(self.omega, dims, cut)
-        return int(np.sum(self.spectra[cut] > tol))
+        return int(np.sum(linalg.schmidt_coefficients(self.omega, dims, cut) > tol))
 
 
 def make_vacuum(layout: RegionLayout, seed: int) -> VacuumModel:

@@ -29,7 +29,7 @@ the budget check, then each stage's check in pipeline order, on the
 eigenspaces above tau (a prefix, as the eigenvalues descend), with
 ||Q1 - Q1'|| read from Q1's eigenvalues; ||A|| is the one operator norm.
 A is read only through ``slots``, ``apply(vec, layout)`` and ``hermitian_norm()``: a
-``LocalOperator``, or ``correlations.BellSettings``, which applies R term by term.
+``LocalOperator``, or ``correlations.BellSettings``, which applies R by two products.
 ``prove_root_certificate`` is the one-eps case; a sweep builds the products
 once.  ``rescale_to_unit_vacuum`` runs the rescale stage alone, on a
 decomposition the caller builds.
@@ -45,7 +45,7 @@ import numpy as np
 from . import linalg
 from .linalg import NOISE_TOL, PROJECTOR_FLOOR, as_state, hermitian_eig, projector
 from .linalg import operator_norm  # noqa: F401  benchmark/test_benchmark.py traces this binding
-from .local_algebra import LocalOperator, VacuumModel, check_cyclic
+from .local_algebra import LocalOperator, VacuumModel
 
 BUDGET_TOL = 1e-9
 # Slack on sum(weights) = 1, which the rescaled weights miss by rounding.
@@ -240,13 +240,13 @@ def root_products(a, psi, v: VacuumModel, slots) -> RootProducts:
     # coefficient matrices M, Psi of omega, psi across region|rest, and cyclicity
     # gives M full column rank, so C~ = Psi G^-1 M^† on the Gram G = M^† M.  A wide
     # M has rank below its column count; a tall one has full rank where G's bound
-    # proves it, else as the Schmidt spectrum decides.
+    # proves it, else as the cut's Schmidt spectrum (M's singular values) decides.
     cut = v.layout.cut(slots)  # a proper region, or ValueError
     omega_mat = linalg.coefficient_matrix(v.omega, v.layout.dims, slots)
     g, lower = linalg.gram_bound(omega_mat)
-    v.bounds.setdefault(cut, lower)  # M has the cut's singular values (transposed at most)
     if omega_mat.shape[0] < omega_mat.shape[1] or (
-            lower <= linalg.SCHMIDT_RANK_TOL**2 and not check_cyclic(v, slots)):
+            lower <= linalg.SCHMIDT_RANK_TOL**2
+            and len(linalg.schmidt_values(v.omega, v.layout.dims, cut)) < omega_mat.shape[1]):
         raise ValueError(f"vacuum is not cyclic for region {slots}")
     psi_mat = linalg.coefficient_matrix(psi, v.layout.dims, slots)
     try:

@@ -283,7 +283,7 @@ def tsirelson_sweep_reference(dims, seed: int, samples: int = 100) -> tuple[floa
     for r in ranks:
         s = BellSettings(a1=coordinate(0, r[0]), a2=haar(0, r[1]),
                          b1=coordinate(1, r[2]), b2=haar(1, r[3]))
-        margins.append(tsirelson_certificate(s, layout))
+        margins.append(tsirelson_certificate(s))
     return min(margins), max(margins)
 
 

@@ -321,7 +321,7 @@ class TestLandauNorm:
         b1, b2 = partial_involutions(d2, int(rng.integers(1, d2 + 1)), rng)
         s = settings_of(a1, a2, b1, b2)
         with spy_bell_operator() as dense:
-            got = tsirelson_certificate(s, RegionLayout((d1, d2)))
+            got = tsirelson_certificate(s)
         assert dense.call_count == 0
         assert abs(got - dense_margin(s, (d1, d2))) <= 1e-12
 
@@ -329,7 +329,7 @@ class TestLandauNorm:
     def test_canonical_matches_dense(self, d):
         _, s = canonical_max_violation(RegionLayout((d, d)))
         with spy_bell_operator() as dense:
-            got = tsirelson_certificate(s, RegionLayout((d, d)))
+            got = tsirelson_certificate(s)
         assert dense.call_count == 0
         assert abs(got - dense_margin(s, (d, d))) <= 1e-12
 
@@ -338,7 +338,7 @@ class TestLandauNorm:
         layout = RegionLayout((3, 3))
         s = dense_path_settings(case)
         with spy_bell_operator() as dense:
-            got = tsirelson_certificate(s, layout)
+            got = tsirelson_certificate(s)
         assert dense.call_count == 1
         assert abs(got - dense_margin(s, layout.dims)) <= 1e-12
 
@@ -346,7 +346,7 @@ class TestLandauNorm:
         layout = RegionLayout((2, 3, 6))
         rng = np.random.default_rng(3)
         s = settings_of(*random_contractions(layout.dims, rng))
-        assert abs(tsirelson_certificate(s, layout) - dense_margin(s, layout.dims)) <= 1e-12
+        assert abs(tsirelson_certificate(s) - dense_margin(s, layout.dims)) <= 1e-12
 
 
 class TestBellOperator:
@@ -393,12 +393,12 @@ class TestBellOperator:
 class TestTsirelson:
     def test_canonical_margin_zero(self):
         _, s = canonical_max_violation(L22)
-        assert abs(tsirelson_certificate(s, L22)) <= 1e-12
+        assert abs(tsirelson_certificate(s)) <= 1e-12
 
     def test_random_settings_nonnegative(self):
         for seed in range(50):
             s = random_settings(L22, seed)
-            assert tsirelson_certificate(s, L22) >= -1e-9
+            assert tsirelson_certificate(s) >= -1e-9
 
     def test_correlation_never_beats_half_norm(self):
         rng = np.random.default_rng(77)

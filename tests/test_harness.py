@@ -485,10 +485,10 @@ def record_schmidt_calls(monkeypatch) -> list:
 
 
 class TestSpectraComputedOnce:
-    """A vacuum answers rank questions from one Gram bound per cut, formed on
-    first use and kept as a float; its Schmidt spectrum is computed only where
-    that bound cannot prove full rank, and at most once.  A root solve forms
-    the one Gram it solves on, whose bound also proves the region cyclic.
+    """A vacuum answers each rank question from its cut's Gram bound, and
+    takes the cut's Schmidt spectrum only where that bound cannot prove full
+    rank; it keeps nothing.  reeh-schlieder asks each cut once.  A root solve
+    forms the one Gram it solves on, whose bound also proves the region cyclic.
     ||Q1|| and ||Q1 - Q1'|| come from Q1's spectrum."""
 
     @pytest.mark.parametrize("scenario,layout,svds", [
@@ -508,8 +508,14 @@ class TestSpectraComputedOnce:
         ("root-cert", [8, 8], 1),  # the solve onto slot 0, its bound the cyclic check
         ("epr", [4, 4], 1),
         ("cond-bell", [3, 3, 9], 1),  # the solve onto slot 2, likewise
-        ("reeh-schlieder", [8, 8], 2),  # the vacuum's cut, the product state's
-        ("reeh-schlieder", [3, 3, 9], 4),  # the vacuum's 3 cuts, the product state's cut 0
+        # reeh-schlieder asks each distinct cut once, then the product state's cut 0:
+        # slots 0 and 1 of 2 slots share cut 0, and slot 2 and (0, 1) of 3 share cut 2.
+        ("reeh-schlieder", [2, 2], 2),
+        ("reeh-schlieder", [8, 8], 2),
+        ("reeh-schlieder", [2, 2, 4], 4),
+        ("reeh-schlieder", [2, 3, 6], 4),
+        ("reeh-schlieder", [3, 2, 6], 4),
+        ("reeh-schlieder", [3, 3, 9], 4),
     ])
     def test_one_gram_per_cut(self, monkeypatch, scenario, layout, grams):
         counts = counting(monkeypatch, [(linalg, "gram_bound")])
@@ -551,8 +557,8 @@ class TestSpectraComputedOnce:
     @pytest.mark.parametrize("layout", [(2, 2), (3, 3, 9)])
     def test_from_vector_takes_no_spectrum(self, monkeypatch, layout):
         calls = record_schmidt_calls(monkeypatch)
-        v = make_vacuum(local_algebra.RegionLayout(layout), 0)
-        assert calls == [] and v.spectra == {}
+        make_vacuum(local_algebra.RegionLayout(layout), 0)
+        assert calls == []
 
     @pytest.mark.parametrize("layout,regions,cut", [
         ((3, 3), [(0,), (1,), (0,)], 0),  # both slots of 2 slots share cut 0
@@ -565,19 +571,18 @@ class TestSpectraComputedOnce:
         layout = local_algebra.RegionLayout(layout)
         v = make_vacuum(layout, 0)
         ranks = [v.schmidt_rank(region) for region in regions]
-        assert calls == [] and v.spectra == {}
-        assert list(v.bounds) == [cut]
+        assert calls == []
         assert len(set(ranks)) == 1
         product = np.zeros(layout.total_dim, dtype=complex)
         product[0] = 1.0
         counter = local_algebra.VacuumModel.from_vector(layout, product)
         assert [counter.schmidt_rank(region) for region in regions] == [1] * len(regions)
-        assert [args[2] for args in calls] == [cut]
-        assert list(counter.spectra) == list(counter.bounds) == [cut]
+        assert [args[2] for args in calls] == [cut] * len(regions)
 
     @pytest.mark.parametrize("layout,region", [((3, 3), (1,)), ((2, 2, 4), (0, 1))])
-    def test_vacuum_holds_no_matrix_but_omega_and_spectra(self, layout, region):
-        # A rank question caches one float per cut; the root solve's Gram is freed.
+    def test_vacuum_is_its_layout_and_omega(self, layout, region):
+        # Rank questions and root solves, failed or not, leave a vacuum as it was.
+        assert [f.name for f in fields(local_algebra.VacuumModel)] == ["layout", "omega"]
         layout = local_algebra.RegionLayout(layout)
         product = np.zeros(layout.total_dim, dtype=complex)
         product[0] = 1.0
@@ -588,24 +593,17 @@ class TestSpectraComputedOnce:
         psi = np.full(layout.total_dim, layout.total_dim**-0.5, dtype=complex)
         v = make_vacuum(layout, 0)
         counter = local_algebra.VacuumModel.from_vector(layout, product)
+        before = [(dict(vars(vacuum)), vacuum.omega.copy()) for vacuum in (v, counter)]
         for r in regions:
             v.schmidt_rank(r)
             counter.schmidt_rank(r)
         root_theorem.root_products(a, psi, v, region)
         with pytest.raises(ValueError, match="not cyclic"):
             root_theorem.root_products(a, psi, counter, region)
-        assert v.spectra == {} and counter.spectra
-        for vacuum in (v, counter):
-            held, arrays = list(vars(vacuum).values()), set()
-            while held:  # every field, with its dicts and tuples opened
-                x = held.pop()
-                if isinstance(x, (dict, tuple)):
-                    held.extend(x.values() if isinstance(x, dict) else x)
-                elif isinstance(x, np.ndarray):
-                    arrays.add(id(x))
-            assert arrays == {id(vacuum.omega), *map(id, vacuum.spectra.values())}
-            assert sorted(vacuum.bounds) == list(range(n if n == 3 else 1))
-            assert all(isinstance(b, float) for b in vacuum.bounds.values())
+        for vacuum, (held, omega) in zip((v, counter), before):
+            assert vars(vacuum).keys() == held.keys()
+            assert all(vars(vacuum)[k] is x for k, x in held.items())
+            np.testing.assert_array_equal(vacuum.omega, omega)
 
     def test_root_certificate_takes_one_operator_norm(self, monkeypatch):
         # ||A||; ||Q1|| and the rescale error come from Q1's spectrum.
@@ -715,8 +713,7 @@ class TestOperatorNormPrecondition:
         assert local_algebra.check_separating(v, (0,), trials=3)
         _, s = canonical_max_violation(layout)
         half = LocalOperator(0, 0.5 * s.a1.matrix)  # A1^2 != A2^2: the dense fallback
-        assert tsirelson_certificate(correlations.BellSettings(half, s.a2, s.b1, s.b2),
-                                     layout) >= 0.0
+        assert tsirelson_certificate(correlations.BellSettings(half, s.a2, s.b1, s.b2)) >= 0.0
         correlations.general_contraction_extension(s.a1, s.a2, s.b1, s.b2, v, eps=0.05)
         # 3 trials, 1 dense norm and 2 commutators; the pipeline's ||R|| is Landau's.
         assert len(norm_inputs) == 6
@@ -797,6 +794,27 @@ class TestEachProductOnce:
         assert run_scenario(cfg(layout=layout)).passed
         assert counts["apply_local"] <= 4
         assert counts["_block_overlaps"] == 1
+
+    def test_cond_bell_applies_r_five_times(self, monkeypatch):
+        # R omega, <R>_psi and <R>_{C omega} in the pipeline, whose K is the report's
+        # correlation; <R P3> in the conditional correlation and in its recompute.
+        calls = []
+        original = correlations.BellSettings.apply
+        monkeypatch.setattr(correlations.BellSettings, "apply",
+                            lambda s, vec, layout: calls.append(1) or original(s, vec, layout))
+        report = run_scenario(cfg(scenario="cond-bell", layout=[3, 3, 9], eps=0.05))
+        assert report.passed and len(calls) == 5
+        bell = report.certificates["bell"]
+        assert bell.correlation == 0.5 * bell.conditional.certificate.target_k
+
+    @pytest.mark.parametrize("dims", [(3, 3), (2, 3, 6), (3, 2, 6)])
+    def test_bell_settings_apply_leaves_the_local_kernel(self, monkeypatch, dims):
+        # Two products on the (d0, d1, rest) view, no slot-by-slot transposes.
+        counts = counting(monkeypatch, [(linalg, "_apply_local")])
+        layout = local_algebra.RegionLayout(dims)
+        _, s = canonical_max_violation(layout)
+        s.apply(np.ones(layout.total_dim, dtype=complex), layout)
+        assert counts == {}
 
 
 class TestSerialization:
@@ -1189,7 +1207,7 @@ def _oracle_certificates(c, report):
     if c.scenario == "bell-max":
         state, settings = canonical_max_violation(layout)
         rep = BellReport(settings, state, bell_correlation(settings, state, layout),
-                         tsirelson_certificate(settings, layout))
+                         tsirelson_certificate(settings))
         return {"bell": _bell_report_payload(rep)}
     if c.scenario == "cond-bell":
         rep = violate_conditional_bell(layout, make_vacuum(layout, c.seed), c.eps)
