@@ -42,7 +42,7 @@ SEESAW_ITERS = 200
 SEESAW_DRAWS = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BellSettings:
     """Two self-adjoint contractions per side: A's on slot 0, B's on slot 1,
     each stored as its Hermitian part H.  R lives on ``slots`` and is exactly
@@ -112,7 +112,7 @@ def hermitian_contractions(x: np.ndarray, names) -> np.ndarray:
     return herm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionalResult:
     p3: LocalOperator
     p3_expect: float
@@ -120,7 +120,7 @@ class ConditionalResult:
     certificate: RootCertificate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BellReport:
     settings: BellSettings
     state: np.ndarray
@@ -291,7 +291,7 @@ def tsirelson_certificate(s: BellSettings) -> float:
     return SQRT2 - 0.5 * s.hermitian_norm()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EPRReport:
     p1: LocalOperator
     p2: LocalOperator

@@ -196,7 +196,7 @@ class ScenarioConfig:
         return RegionLayout(self.layout)
 
 
-@dataclass
+@dataclass(eq=False)
 class RunReport:
     """Assertions plus the certificate objects they were checked on.
 
@@ -293,11 +293,6 @@ def _root_inputs(cfg: ScenarioConfig) -> tuple[LocalOperator, np.ndarray, Vacuum
     return a, _random_state(layout.total_dim, rng), v
 
 
-def _root_cert(cfg: ScenarioConfig, eps: float) -> tuple[list, RootCertificate]:
-    cert = prove_root_certificate(*_root_inputs(cfg), (0,), eps)
-    return _root_assertions(cfg, cert), cert
-
-
 def _root_assertions(cfg: ScenarioConfig, cert: RootCertificate) -> list:
     assertions: list = []
     _record(assertions, "root_max_inequality", cert.lhs_max, ">", cert.rhs_max)
@@ -318,8 +313,8 @@ def _root_assertions(cfg: ScenarioConfig, cert: RootCertificate) -> list:
 
 
 def _scenario_root_cert(cfg: ScenarioConfig) -> tuple[list, dict]:
-    assertions, cert = _root_cert(cfg, cfg.eps)
-    return assertions, {"root_certificate": cert}
+    cert = prove_root_certificate(*_root_inputs(cfg), (0,), cfg.eps)
+    return _root_assertions(cfg, cert), {"root_certificate": cert}
 
 
 def _scenario_epr(cfg: ScenarioConfig) -> tuple[list, dict]:

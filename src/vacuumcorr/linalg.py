@@ -115,7 +115,7 @@ def operator_norm(a) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(a))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenSystem:
     """Spectral decomposition of a Hermitian matrix.
 

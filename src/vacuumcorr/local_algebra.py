@@ -64,7 +64,7 @@ class RegionLayout:
         return slots[0] if n == 3 else 0  # the one cut of 2 slots
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalOperator:
     """A matrix attached to one region (a slot or a merged slot group)."""
 
@@ -102,7 +102,7 @@ class LocalOperator:
         return bool(linalg.is_projector(self.matrix))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VacuumModel:
     """A unit vector playing the role of the vacuum, on a 2- or 3-slot layout.
     Each cut has one slot alone on a side (slot 0 for 2 slots); a rank

@@ -88,7 +88,7 @@ class EpsilonBudget:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         checks = [
-            ("eps2", self.eps2, 2.0 * self.eps1 / (1.0 - self.eps1)),
+            ("eps2", self.eps2, self.eps2_from_eps1(self.eps1)),
             ("eps3", self.eps3, (self.eps2**2 + 2.0 * self.eps2) * self.norm_a),
             ("eps4", self.eps4, (self.q_norm + 1.0) * self.eps4_tilde / self.q_expect),
             ("eps5", self.eps5, self.eps3 + self.norm_a * self.eps4),
@@ -114,11 +114,12 @@ class EpsilonBudget:
         return eps2 / (2.0 + eps2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectorDecomposition:
     """Positive combination sum_i lambda_i P_i of orthogonal projectors
     approximating Q1, each P_i = B_i B_i^† held as its block B_i of
-    orthonormal eigenvectors (region_dim x rank)."""
+    orthonormal eigenvectors (region_dim x rank): what the stand-alone
+    ``rescale_to_unit_vacuum`` reads and returns."""
 
     slots: tuple[int, ...]
     coeffs: tuple[float, ...]
@@ -146,7 +147,7 @@ def _block_overlaps(blocks, slots, v: VacuumModel, x) -> tuple[np.ndarray, np.nd
     return tuple(np.add.reduceat(np.sum(w_conj * y, axis=1), starts) for y in (w, xm))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootCertificate:
     """Output of the full pipeline; every claim is recomputable from it."""
 
@@ -173,7 +174,7 @@ class RootCertificate:
             raise StageFailure("certificate", "weights do not sum to 1", total=sum(self.weights))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootProducts:
     """The eps-independent products of the pipeline for one A, psi and target
     region, each computed once by ``root_products``; ``certify_root``
@@ -205,17 +206,17 @@ def _real_in_window(stage: str, of: str, bound: str, val: complex, k: float, eps
     return value
 
 
-def _unit(dec: ProjectorDecomposition, p_expects: np.ndarray) -> ProjectorDecomposition:
-    """``dec`` with its coefficients divided by <Q1'~>_omega = sum_i lambda_i <P_i>_omega."""
-    if not dec.coeffs:
+def _unit(coeffs, p_expects, slots) -> tuple[tuple[float, ...], float]:
+    """The coefficients lambda_i divided by <Q1'~>_omega = sum_i lambda_i <P_i>_omega,
+    and that divisor."""
+    if not coeffs:
         raise StageFailure("rescale", "degenerate decomposition (Q1 = 0)")
-    q_expect = float(np.dot(dec.coeffs, p_expects).real)
+    q_expect = float(np.dot(coeffs, p_expects).real)
     if q_expect <= PROJECTOR_FLOOR:
         raise ValueError(
-            f"<Q1'~>_omega = {q_expect} at the floor; vacuum not separating for {dec.slots}"
+            f"<Q1'~>_omega = {q_expect} at the floor; vacuum not separating for {slots}"
         )
-    coeffs = tuple(c / q_expect for c in dec.coeffs)
-    return replace(dec, coeffs=coeffs, q_expect=q_expect)
+    return tuple(c / q_expect for c in coeffs), q_expect
 
 
 def rescale_to_unit_vacuum(
@@ -224,7 +225,8 @@ def rescale_to_unit_vacuum(
     """Divide the coefficients by <Q1'~>_omega so <Q1'>_omega = 1; the
     result records the divisor as ``q_expect``."""
     p_expects = _block_overlaps(dec.blocks, dec.slots, v, v.omega)[0] if dec.blocks else ()
-    return _unit(dec, p_expects)
+    coeffs, q_expect = _unit(dec.coeffs, p_expects, dec.slots)
+    return replace(dec, coeffs=coeffs, q_expect=q_expect)
 
 
 def root_products(a, psi, v: VacuumModel, slots) -> RootProducts:
@@ -318,10 +320,10 @@ def certify_root(p: RootProducts, eps: float) -> RootCertificate:
     eigenvalues = p.spectrum.eigenvalues
     kept = sum(lam > tau for lam in eigenvalues)
     residual = max((abs(lam) for lam in eigenvalues[kept:]), default=0.0)
-    dec = ProjectorDecomposition(p.slots, eigenvalues[:kept], p.spectrum.blocks[:kept], residual)
-    dec_unit = _unit(dec, p.p_expects[:kept])
-    q_norm = dec.coeffs[0]  # ||Q1||: the top kept eigenvalue of the positive Q1
-    eps4 = (q_norm + 1.0) * tau / dec_unit.q_expect
+    blocks = p.spectrum.blocks[:kept]
+    coeffs, q_expect = _unit(eigenvalues[:kept], p.p_expects[:kept], p.slots)
+    q_norm = eigenvalues[0]  # ||Q1||: the top kept eigenvalue of the positive Q1
+    eps4 = (q_norm + 1.0) * tau / q_expect
     if eps4 > eps4_target:
         raise StageFailure(
             "spectral", "eps4 exceeds its share of the budget",
@@ -331,10 +333,10 @@ def certify_root(p: RootProducts, eps: float) -> RootCertificate:
     eps5 = eps3 + norm_a * eps4
     budget = EpsilonBudget(
         eps1=eps1, eps2=eps2, eps3=eps3, eps4=eps4, eps5=eps5,
-        norm_a=norm_a, q_norm=q_norm, q_expect=dec_unit.q_expect, eps4_tilde=tau,
+        norm_a=norm_a, q_norm=q_norm, q_expect=q_expect, eps4_tilde=tau,
     )
     val5 = _real_in_window("combined", "commuting product", "eps5",
-                           complex(np.dot(dec_unit.coeffs, p.aps[:kept])), k, eps5)
+                           complex(np.dot(coeffs, p.aps[:kept])), k, eps5)
 
     # The extremal vacuum ratios <A P_i> / <P_i>: the weights w_i = lambda_i <P_i>_omega
     # form a convex combination whose value is <A Q1'>_omega, so the max ratio
@@ -349,19 +351,19 @@ def certify_root(p: RootProducts, eps: float) -> RootCertificate:
     i_max = int(np.argmax(ratios))
     i_min = int(np.argmin(ratios))
     # One operator when both picks are the same block.
-    picks = {i: LocalOperator(p.slots, projector(dec.blocks[i])) for i in {i_max, i_min}}
+    picks = {i: LocalOperator(p.slots, projector(blocks[i])) for i in {i_max, i_min}}
 
     # Q1 - Q1' is diagonal in Q1's eigenbasis: lambda_j - lambda_i / q_expect on
     # the kept eigenspaces, lambda_j on the dropped ones, over the unmerged lambda_j.
-    sizes = [b.shape[1] for b in dec.blocks]
+    sizes = [b.shape[1] for b in blocks]
     offsets = p.spectrum.values.copy()
-    offsets[:sum(sizes)] -= np.repeat(dec_unit.coeffs, sizes)
+    offsets[:sum(sizes)] -= np.repeat(coeffs, sizes)
 
     achieved = {
         "cyclic_residual": p.cyclic_residual,
         "normalized_error": p.normalized_error,
         "window_error": abs(val3 - k),
-        "decomposition_residual": dec.residual,
+        "decomposition_residual": residual,
         "rescale_error": float(np.max(np.abs(offsets))),
         "combined_error": abs(val5 - k),
     }
@@ -375,7 +377,7 @@ def certify_root(p: RootProducts, eps: float) -> RootCertificate:
         lhs_min=aps[i_min],
         rhs_min=(k + eps) * p_expects[i_min],
         budget=budget,
-        weights=tuple(lam * p_expect for lam, p_expect in zip(dec_unit.coeffs, p_expects)),
+        weights=tuple(lam * p_expect for lam, p_expect in zip(coeffs, p_expects)),
         achieved=achieved,
     )
 

@@ -41,7 +41,7 @@ from vacuumcorr.harness import (
     ConfigError,
     ScenarioConfig,
     Tolerances,
-    _root_cert,
+    _root_inputs,
     canonical_json,
     emit_report,
     render_report,
@@ -49,7 +49,7 @@ from vacuumcorr.harness import (
     sweep_eps,
 )
 from vacuumcorr.local_algebra import LocalOperator, make_vacuum, random_projector
-from vacuumcorr.root_theorem import RootCertificate
+from vacuumcorr.root_theorem import RootCertificate, prove_root_certificate
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 # The eps list of the benchmark's root-cert sweeps (benchmark/workloads.py).
@@ -1191,7 +1191,8 @@ def _oracle_certificates(c, report):
     with the reference builders."""
     layout = c.region_layout()
     if c.scenario == "root-cert":
-        return {"root_certificate": _certificate_payload(_root_cert(c, c.eps)[1])}
+        cert = prove_root_certificate(*_root_inputs(c), (0,), c.eps)
+        return {"root_certificate": _certificate_payload(cert)}
     if c.scenario == "epr":
         v = make_vacuum(layout, c.seed)
         p2 = random_projector(layout, 1, 1, c.seed)

@@ -21,6 +21,7 @@ from conftest import (
 )
 
 from vacuumcorr import linalg
+from vacuumcorr.harness import ScenarioConfig, sweep_eps
 from vacuumcorr.linalg import NOISE_TOL, PROJECTOR_FLOOR
 from vacuumcorr.local_algebra import (
     LocalOperator,
@@ -404,6 +405,28 @@ class TestRescale:
         out = rescale_to_unit_vacuum(dec, v22)
         val = expectation(embed_oracle(local_matrix(out), out.slots, L22.dims), v22.omega)
         assert abs(val.real - 1.0) <= 1e-10
+
+    def test_certify_root_builds_no_decomposition(self, monkeypatch, v22):
+        """certify_root reads the unit coefficients directly: a decomposition
+        is built only for the stand-alone rescale stage."""
+        built = []
+        init = ProjectorDecomposition.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProjectorDecomposition, "__init__", counting_init)
+        a = LocalOperator(1, linalg.random_hermitian(3, np.random.default_rng(3)))
+        v33 = make_vacuum(RegionLayout((3, 3)), 0)
+        prove_root_certificate(a, random_state(9, np.random.default_rng(4)), v33, (0,), 0.01)
+        table = sweep_eps(ScenarioConfig.from_dict(
+            {"scenario": "root-cert", "layout": [3, 3], "sweep": [0.1, 0.03, 0.01, 0.003, 0.001]}))
+        assert table.passed and len(table.rows) == 5
+        assert built == []
+        # The counter sees the rescale stage's input and its replace.
+        rescale_to_unit_vacuum(ProjectorDecomposition((0,), (2.0,), (np.eye(2),), 0.0), v22)
+        assert len(built) == 2
 
 
 class TestCombinedWindowAndExtremal:
