@@ -29,7 +29,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import NOISE_TOL, PROJECTOR_FLOOR, as_state, hermitian_eig, operator_norm
-from .local_algebra import LocalOperator, RegionLayout, VacuumModel
+from .local_algebra import LocalOperator, RegionLayout, VacuumModel, require_vacuum_layout
 from .root_theorem import RootCertificate, StageFailure, prove_root_certificate
 
 SQRT2 = math.sqrt(2.0)
@@ -344,6 +344,11 @@ def conditional_bell_correlation(
     s: BellSettings, p3: LocalOperator, v: VacuumModel
 ) -> float:
     """(1/2) <R P3>_omega / <P3>_omega for a projector P3 on slot 2."""
+    return _conditional(s, p3, v)[0]
+
+
+def _conditional(s: BellSettings, p3: LocalOperator, v: VacuumModel) -> tuple[float, float]:
+    """``conditional_bell_correlation`` and <P3>_omega, from one P3 omega."""
     if v.layout.n_slots != 3:
         raise ValueError("conditional correlations need a 3-slot layout")
     if p3.slots != (2,):
@@ -359,7 +364,7 @@ def conditional_bell_correlation(
     val = complex(np.vdot(v.omega, s.apply(p3_omega, v.layout)))
     if abs(val.imag) > NOISE_TOL:
         raise StageFailure("conditional", "non-real <R P3>", imag=val.imag)
-    return 0.5 * float(val.real) / p3_expect
+    return 0.5 * float(val.real) / p3_expect, p3_expect
 
 
 def _conditional_pipeline(
@@ -378,10 +383,7 @@ def _conditional_pipeline(
     layout = v.layout
     if layout.n_slots != 3:
         raise ValueError("the conditional pipeline needs a 3-slot layout")
-    if layout.dims[2] != layout.dims[0] * layout.dims[1]:
-        raise ValueError(
-            f"need d3 = d1*d2, got {layout.dims} (vacuum cannot be cyclic for slot 2)"
-        )
+    require_vacuum_layout(layout)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
 
@@ -391,7 +393,7 @@ def _conditional_pipeline(
     psi = np.kron(phi, chi)
     cert = prove_root_certificate(settings, psi, v, (2,), 2.0 * eps)
     p3 = cert.p_max
-    cond = conditional_bell_correlation(settings, p3, v)
+    cond, p3_expect = _conditional(settings, p3, v)
     half_k = 0.5 * cert.target_k
     if not cond > half_k - eps:
         raise StageFailure(
@@ -405,7 +407,7 @@ def _conditional_pipeline(
         tsirelson_margin=SQRT2 - 0.5 * cert.budget.norm_a,  # the pipeline's ||A|| is ||R||
         conditional=ConditionalResult(
             p3=p3,
-            p3_expect=float(np.vdot(v.omega, p3.apply(v.omega, layout)).real),
+            p3_expect=p3_expect,
             conditional_correlation=cond,
             certificate=cert,
         ),

@@ -46,6 +46,7 @@ from .local_algebra import (
     VacuumModel,
     make_vacuum,
     random_projector,
+    require_vacuum_layout,
     vacuum_positivity,
 )
 from .root_theorem import (
@@ -133,28 +134,15 @@ class ScenarioConfig:
             raise ConfigError("layout", f"expected a list of integers, got {self.layout!r}")
         try:
             layout = RegionLayout(tuple(self.layout))
+            counts = _SLOT_COUNTS[self.scenario]
+            if layout.n_slots not in counts:
+                raise ValueError(f"scenario {self.scenario} runs on "
+                                 f"{'/'.join(map(str, counts))}-slot layouts, got {layout.dims}")
+            if self.scenario in _VACUUM_SCENARIOS:
+                require_vacuum_layout(layout)
         except ValueError as exc:
             raise ConfigError("layout", str(exc)) from exc
         object.__setattr__(self, "layout", layout.dims)
-        d = layout.dims
-        if self.scenario == "cond-bell":
-            if len(d) != 3 or d[2] != d[0] * d[1]:
-                raise ConfigError(
-                    "layout", f"cond-bell needs d3 = d1*d2 on 3 slots, got {d}"
-                )
-        elif self.scenario == "reeh-schlieder":
-            if len(d) == 3 and d[2] != d[0] * d[1]:
-                raise ConfigError(
-                    "layout", f"3-slot vacuum needs d3 = d1*d2, got {d}"
-                )
-        elif len(d) != 2:
-            raise ConfigError(
-                "layout", f"scenario {self.scenario} runs on 2-slot layouts, got {d}"
-            )
-        if (self.scenario in ("reeh-schlieder", "root-cert", "epr")
-                and len(d) == 2 and d[0] != d[1]):
-            # These scenarios build a vacuum, which needs matching dims.
-            raise ConfigError("layout", f"2-slot vacuum needs d1 = d2, got {d}")
         if not (_is_integer(self.seed) and self.seed >= 0):
             raise ConfigError("seed", f"expected a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "eps", _positive_number("eps", self.eps))
@@ -406,6 +394,11 @@ _SCENARIO_TABLE = {
     "cond-bell": _scenario_cond_bell,
 }
 SCENARIOS = tuple(_SCENARIO_TABLE)
+# The slot counts each scenario runs on; the scenarios that build a vacuum take
+# only the layouts that local_algebra.require_vacuum_layout admits.
+_SLOT_COUNTS = {"reeh-schlieder": (2, 3), "root-cert": (2,), "epr": (2,), "bell-max": (2,),
+                "tsirelson-sweep": (2,), "cond-bell": (3,)}
+_VACUUM_SCENARIOS = {"reeh-schlieder", "root-cert", "epr", "cond-bell"}
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunReport:

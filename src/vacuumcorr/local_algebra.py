@@ -2,10 +2,10 @@
 
 Each spacetime region is modeled as one tensor slot carrying a full matrix
 algebra; spacelike commutativity then holds by construction.  The vacuum
-analog is a unit vector and nothing else: a rank question on a cut forms
-the cut's Gram bound, which proves full Schmidt rank, and takes the
-Schmidt spectrum only where that bound fails; the Schmidt ranks certify
-the cyclic and separating properties:
+analog is a unit vector and nothing else.  The vacuum's two rules live here:
+the layout check ``require_vacuum_layout``, and the rank proof
+``VacuumModel.gram``, full rank by the region's Gram bound, else counted
+from the cut's Schmidt spectrum; the ranks certify cyclic and separating:
 
 * cyclic for a region  <=>  Schmidt rank across region|rest equals the
   dimension of the complement,
@@ -123,15 +123,33 @@ class VacuumModel:
             )
         return cls(layout, omega)
 
-    def schmidt_rank(self, slots, tol: float = linalg.SCHMIDT_RANK_TOL) -> int:
-        """Number of Schmidt coefficients above ``tol`` across region|rest:
-        full rank where the cut's Gram bound exceeds tol^2, else counted from
-        the cut's Schmidt spectrum."""
+    def gram(self, slots, tol: float = linalg.SCHMIDT_RANK_TOL):
+        """The coefficient matrix M of ``omega`` across region|rest, the Gram
+        matrix of M's shorter side and M's rank: full where the Gram bound
+        exceeds tol^2, else the number of the cut's Schmidt coefficients above
+        ``tol``.  ValueError unless the region is proper."""
         cut, dims = self.layout.cut(slots), self.layout.dims
-        _, lower = linalg.gram_bound(linalg.coefficient_matrix(self.omega, dims, cut))
+        m = linalg.coefficient_matrix(self.omega, dims, slots)
+        g, lower = linalg.gram_bound(m)
         if lower > tol * tol:
-            return min(dims[cut], self.layout.total_dim // dims[cut])
-        return int(np.sum(linalg.schmidt_coefficients(self.omega, dims, cut) > tol))
+            return m, g, min(m.shape)
+        return m, g, int(np.sum(linalg.schmidt_coefficients(self.omega, dims, cut) > tol))
+
+    def schmidt_rank(self, slots, tol: float = linalg.SCHMIDT_RANK_TOL) -> int:
+        """Number of Schmidt coefficients above ``tol`` across region|rest, by ``gram``."""
+        return self.gram(slots, tol)[2]
+
+
+def require_vacuum_layout(layout: RegionLayout) -> None:
+    """ValueError unless ``make_vacuum`` can build a vacuum on the layout:
+    d1 = d2 on 2 slots, d3 = d1*d2 on 3."""
+    d = layout.dims
+    if layout.n_slots == 2 and d[0] != d[1]:
+        raise ValueError(f"2-slot vacuum needs d1 = d2: Schmidt rank across 0|1 is capped "
+                         f"at min{d}, so rank {max(d)} is unreachable")
+    if layout.n_slots == 3 and d[2] != d[0] * d[1]:
+        raise ValueError(f"3-slot vacuum needs d3 = d1*d2: Schmidt rank {d[0] * d[1]} across "
+                         f"(0,1)|2 is unreachable with d3 = {d[2]}")
 
 
 def make_vacuum(layout: RegionLayout, seed: int) -> VacuumModel:
@@ -140,27 +158,16 @@ def make_vacuum(layout: RegionLayout, seed: int) -> VacuumModel:
     2 slots: requires d1 = d2 and returns the maximally entangled vector
     sum_k e_k (x) e_k / sqrt(d).  3 slots: requires d3 = d1*d2 and returns
     sum_ij |ij> (x) f_ij / sqrt(d1*d2) with {f_ij} a seeded Haar-random
-    orthonormal basis of slot 3.  In both cases the result is cyclic and
+    orthonormal basis of slot 2.  In both cases the result is cyclic and
     separating wherever the dimension counting permits (every slot of a
     2-slot layout; slot 2 and the merged group (0,1) of a 3-slot layout;
     separating additionally holds on every single slot).
     """
-    dims = layout.dims
+    require_vacuum_layout(layout)
     if layout.n_slots == 2:
-        d1, d2 = dims
-        if d1 != d2:
-            raise ValueError(
-                f"2-slot vacuum needs d1 = d2: Schmidt rank across 0|1 is capped "
-                f"at min({d1}, {d2}), so rank {max(d1, d2)} is unreachable"
-            )
-        omega = np.eye(d1, dtype=complex).ravel() / math.sqrt(d1)
+        omega = np.eye(layout.dims[0], dtype=complex).ravel() / math.sqrt(layout.dims[0])
     else:
-        d1, d2, d3 = dims
-        if d3 != d1 * d2:
-            raise ValueError(
-                f"3-slot vacuum needs d3 = d1*d2: Schmidt rank {d1 * d2} across "
-                f"(0,1)|2 is unreachable with d3 = {d3}"
-            )
+        d1, d2, d3 = layout.dims
         rng = np.random.default_rng(seed)
         basis = linalg.haar_unitary(linalg.complex_gaussian(d3, rng))  # column ij is f_ij
         omega = (basis.T / math.sqrt(d1 * d2)).reshape(d1, d2, d3).ravel()

@@ -20,8 +20,9 @@ eps4_tilde is not a free parameter: the spectral cutoff tau is derived
 from the share of eps that the split leaves to ||A|| eps4.
 
 The work that does not depend on eps is done once, by ``root_products``:
-K, ||A||, the one cyclic solve C~ = Psi G^-1 M^† on the Gram matrix G whose
-bound also proves the vacuum cyclic, C~ omega, C omega = C~ omega /
+K, ||A||, the one cyclic solve C~ = Psi G^-1 M^† on the Gram matrix G that the
+vacuum's rank proof ``VacuumModel.gram`` returns with M's rank, which decides
+cyclicity, C~ omega, C omega = C~ omega /
 ||C~ omega|| (scaled, not recomputed), <A>_{C omega}, tr Q1, Q1's
 eigenspaces, and every eigenspace's <P_i>_omega and <A P_i>_omega from one
 V^† W and one V^† (A omega).  ``certify_root`` certifies one eps on them:
@@ -240,15 +241,10 @@ def root_products(a, psi, v: VacuumModel, slots) -> RootProducts:
         raise ValueError("A is numerically zero; the eps-budget is undefined")
     # The least-squares C~ on the region with C~ omega = psi: C~ M = Psi for the
     # coefficient matrices M, Psi of omega, psi across region|rest, and cyclicity
-    # gives M full column rank, so C~ = Psi G^-1 M^† on the Gram G = M^† M.  A wide
-    # M has rank below its column count; a tall one has full rank where G's bound
-    # proves it, else as the cut's Schmidt spectrum (M's singular values) decides.
-    cut = v.layout.cut(slots)  # a proper region, or ValueError
-    omega_mat = linalg.coefficient_matrix(v.omega, v.layout.dims, slots)
-    g, lower = linalg.gram_bound(omega_mat)
-    if omega_mat.shape[0] < omega_mat.shape[1] or (
-            lower <= linalg.SCHMIDT_RANK_TOL**2
-            and len(linalg.schmidt_values(v.omega, v.layout.dims, cut)) < omega_mat.shape[1]):
+    # gives M full column rank, so C~ = Psi G^-1 M^† on the Gram G = M^† M.  The
+    # vacuum's rank proof returns M, G and M's rank, so one Gram serves both.
+    omega_mat, g, rank = v.gram(slots)  # a proper region, or ValueError
+    if rank < omega_mat.shape[1]:
         raise ValueError(f"vacuum is not cyclic for region {slots}")
     psi_mat = linalg.coefficient_matrix(psi, v.layout.dims, slots)
     try:

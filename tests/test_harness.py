@@ -322,8 +322,14 @@ class TestScenarios:
 
     def test_cond_bell_recompute_is_independent_of_the_pipeline(self, monkeypatch):
         # A pipeline whose conditional correlation is off by 1e-6 must fail the recompute.
-        original = correlations.conditional_bell_correlation
-        patch_every_binding(monkeypatch, original, lambda *args: original(*args) + 1e-6)
+        # The pipeline reads it, with <P3>_omega, from correlations._conditional.
+        original = correlations._conditional
+
+        def faulty(*args):
+            cond, p3_expect = original(*args)
+            return cond + 1e-6, p3_expect
+
+        patch_every_binding(monkeypatch, original, faulty)
         report = run_scenario(cfg(scenario="cond-bell", layout=[2, 2, 4], eps=0.05))
         checks = {a["name"]: a for a in report.assertions}
         assert checks["conditional_violation"]["passed"]
@@ -807,6 +813,16 @@ class TestEachProductOnce:
         bell = report.certificates["bell"]
         assert bell.correlation == 0.5 * bell.conditional.certificate.target_k
 
+    def test_cond_bell_applies_p3_to_omega_twice(self, monkeypatch):
+        # Once for the conditional correlation and <P3>_omega, once for the recompute.
+        applied = []
+        original = local_algebra.LocalOperator.apply
+        monkeypatch.setattr(local_algebra.LocalOperator, "apply",
+                            lambda op, vec, layout: applied.append(op) or original(op, vec, layout))
+        report = run_scenario(cfg(scenario="cond-bell", layout=[2, 2, 4], eps=0.05))
+        p3 = report.certificates["bell"].conditional.p3
+        assert report.passed and sum(op is p3 for op in applied) == 2
+
     @pytest.mark.parametrize("dims", [(3, 3), (2, 3, 6), (3, 2, 6)])
     def test_bell_settings_apply_leaves_the_local_kernel(self, monkeypatch, dims):
         # Two products on the (d0, d1, rest) view, no slot-by-slot transposes.
@@ -942,6 +958,31 @@ class TestCLI:
         ])
         assert code == 0
         assert json.loads(out.read_text())["schema"] == 1
+
+    # Slot counts per scenario and the scenarios that build a vacuum, restated here.
+    SLOTS = {"reeh-schlieder": (2, 3), "cond-bell": (3,)}
+    BUILD_A_VACUUM = ("reeh-schlieder", "root-cert", "epr", "cond-bell")
+    GRID = [(a, b, *c) for a, b in itertools.product(range(2, 5), repeat=2)
+            for c in ((), (a * b - 1,), (a * b,), (a * b + 1,))]
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_layout_grid_exits_two_exactly_where_a_rule_rejects(self, capsys, scenario):
+        # d1 = d2 on 2 slots, d3 = d1*d2 on 3: a vacuum layout error is the library's.
+        for dims in self.GRID:
+            slots_ok = len(dims) in self.SLOTS.get(scenario, (2,))
+            vacuum_ok = dims[0] == dims[1] if len(dims) == 2 else dims[2] == dims[0] * dims[1]
+            code = main(["run", "--scenario", scenario, "--layout", ",".join(map(str, dims)),
+                         "--eps", "0.05"])
+            err = capsys.readouterr().err
+            if not slots_ok:
+                assert code == 2 and "-slot layouts" in err, dims
+            elif scenario in self.BUILD_A_VACUUM and not vacuum_ok:
+                with pytest.raises(ValueError) as rule:
+                    local_algebra.require_vacuum_layout(local_algebra.RegionLayout(dims))
+                assert code == 2, dims
+                assert err == f"error: config field 'layout': {rule.value}\n"
+            else:
+                assert code == 0, (dims, err)
 
     def test_config_error_exit_two(self, capsys):
         code = main(["run", "--scenario", "cond-bell", "--layout", "2,2,3"])

@@ -261,6 +261,25 @@ class TestCyclicApproxStage:
         assert len(calls) == 1
         assert v.schmidt_rank(region) == 3 and len(calls) == 2  # the query forms its own
 
+    @pytest.mark.parametrize("dims,region", [((2, 2), (0,)), ((3, 3), (1,)), ((2, 2, 4), (2,))])
+    def test_cyclicity_is_the_vacuums_rank_proof(self, monkeypatch, dims, region):
+        # root_products asks the vacuum for M, its Gram and M's rank: a proof one
+        # rank short makes a cyclic region not cyclic.
+        layout = RegionLayout(dims)
+        v = make_vacuum(layout, 0)
+        original = VacuumModel.gram
+
+        def one_short(self, *args):
+            m, g, rank = original(self, *args)
+            return m, g, rank - 1
+
+        monkeypatch.setattr(VacuumModel, "gram", one_short)
+        rng = np.random.default_rng(0)
+        rest = layout.complement(region)[0]
+        a = LocalOperator(rest, linalg.random_hermitian(layout.dims[rest], rng))
+        with pytest.raises(ValueError, match="not cyclic"):
+            root_products(a, random_state(layout.total_dim, rng), v, region)
+
     def test_singular_gram_ends_at_cyclic_approx(self, monkeypatch, v22):
         # A Gram that LAPACK finds exactly singular ends at the stage, not in a traceback.
         monkeypatch.setattr(linalg, "gram_bound", lambda m: (np.zeros((2, 2), complex), 1.0))
