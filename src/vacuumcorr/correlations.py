@@ -66,14 +66,17 @@ class BellSettings:
             herm = hermitian_contractions(np.stack([op.matrix for op in ops]), names)
             for name, h in zip(names, herm):
                 object.__setattr__(self, name.lower(), LocalOperator(slot, h))
+        # apply's factors, formed once; not fields, so no report holds them.
+        a1, a2, b1, b2 = (op.matrix for op in (self.a1, self.a2, self.b1, self.b2))
+        object.__setattr__(self, "_b_stack", np.stack((b1 + b2, b1 - b2))[:, None])
+        object.__setattr__(self, "_a_row", np.hstack((a1, a2)))
 
     def apply(self, vec, layout: RegionLayout) -> np.ndarray:
         """R vec = A1 (B1 + B2) vec + A2 (B1 - B2) vec by two products on vec's
         (d0, d1, rest) view: B1 +- B2 on slot 1 as one stack, then [A1 A2] on slot 0."""
-        a1, a2, b1, b2 = (op.matrix for op in (self.a1, self.a2, self.b1, self.b2))
         d0, d1 = layout.dims[:2]
-        x = np.stack((b1 + b2, b1 - b2))[:, None] @ np.reshape(vec, (d0, d1, -1))
-        return (np.hstack((a1, a2)) @ x.reshape(2 * d0, -1)).reshape(-1)
+        x = self._b_stack @ np.reshape(vec, (d0, d1, -1))
+        return (self._a_row @ x.reshape(2 * d0, -1)).reshape(-1)
 
     def hermitian_norm(self) -> float:
         """||R||: Landau's where X1^2 = X2^2 is a nonzero projector on each side, to

@@ -1,22 +1,23 @@
 """Scenario runner with deterministic machine-readable reports.
 
-Each scenario exercises one verified result on a configured layout/seed
-and records every comparison as an assertion carrying both numbers.  A
-report's certificate objects are the library's result dataclasses
-(``RootCertificate``, ``BellReport``, ...) written field by field, with
-complex arrays as lists of ``[re, im]`` pairs; each array is checked and
-formatted once per report, even where the report holds it twice.  Reports
-are byte-stable for identical configs: keys sorted, floats at 17 significant
-digits, and wall-clock timings on the in-memory report only (opt-in for
-emission: they are the one non-deterministic ingredient).
+Each scenario exercises one verified result on a configured layout/seed and records every
+comparison as an assertion carrying both numbers.  A report's certificate objects are the
+library's result dataclasses (``RootCertificate``, ``BellReport``, ...) written field by field,
+with complex arrays as lists of ``[re, im]`` pairs, each formatted once.  ``%.17g`` takes about
+446 ns on a random float and 86 ns on 0.0, so a dense array (every projector) is one template,
+but one over half of whose entries are [+0.0, +0.0] (bell-max's padded settings, the Bell states)
+is literal ``[0,0]`` cells, 8 ns each, and a template for the rest.  Reports are byte-stable
+for identical configs: keys sorted, floats at 17 significant digits, and wall-clock timings on
+the in-memory report only (opt-in for emission: they are the one non-deterministic ingredient).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
@@ -490,17 +491,30 @@ def _template(shape) -> str:
 
 
 def _array_chunks(a: np.ndarray) -> list[str]:
-    """The JSON of ``a`` after one finiteness check: one chunk, or its rows and separators
-    if longer than CHUNK_CHARS.  One ``%.17g`` template (``_scalar``'s bytes) per array, or per
-    row where its text could be longer: a float takes 24 characters at most, 8 for its brackets."""
+    """The JSON of ``a`` after one finiteness check: one chunk, or its rows and separators if
+    longer than CHUNK_CHARS.  One ``%.17g`` template (``_scalar``'s bytes) per array, or per row
+    where its text could be longer (a float takes 24 characters at most, 8 for its brackets).  A
+    vector or matrix with over half its entries [+0.0, +0.0] (bitwise) starts from "[0,0]" cells."""
     re_im = np.asarray(a, complex, order="C").view(float)
     if not np.isfinite(re_im).all():
         raise ValueError(f"cannot serialize non-finite float {re_im[~np.isfinite(re_im)][0]}")
-    if a.ndim < 2 or 32 * re_im.size <= CHUNK_CHARS:
-        return [_template(a.shape) % tuple(re_im.ravel().tolist())]
-    row = _template(a.shape[1:])
-    texts = [t for r in re_im.reshape(len(a), -1).tolist() for t in (",", row % tuple(r))]
-    texts = ["[", *texts[1:], "]"]
+    bits = np.bitwise_or(*re_im.view(np.uint64).reshape(-1, 2).T)  # 0 on [+0.0, +0.0] only
+    if a.ndim > 2 or 2 * np.count_nonzero(bits) >= a.size:
+        if a.ndim < 2 or 32 * re_im.size <= CHUNK_CHARS:
+            return [_template(a.shape) % tuple(re_im.ravel().tolist())]
+        row = _template(a.shape[1:])
+        rows = [row % tuple(r) for r in re_im.reshape(len(a), -1).tolist()]
+    else:  # "|" parts the entries' texts: %.17g never writes one
+        where = bits.nonzero()[0]
+        pairs = re_im.reshape(-1, 2)[where].ravel().tolist()
+        cells, n = ["[0,0]"] * a.size, a.shape[-1]
+        texts = ("|".join(["[%.17g,%.17g]"] * len(where)) % tuple(pairs)).split("|")
+        for k, t in zip(where.tolist(), texts):
+            cells[k] = t
+        rows = ["[" + ",".join(cells[i:i + n]) + "]" for i in range(0, a.size, n)]
+        if a.ndim < 2:
+            return rows
+    texts = ["[", *[t for r in rows for t in (",", r)][1:], "]"]
     return ["".join(texts)] if sum(map(len, texts)) <= CHUNK_CHARS else texts
 
 
@@ -509,29 +523,37 @@ def _write(chunks: list, text: list, arrays: dict, value) -> None:
     collects the strings since the last array; an array appends them to ``chunks`` as
     one string, then its own chunks, formatted once per array object (``arrays`` maps
     id -> (array, chunks))."""
-    if isinstance(value, np.ndarray):
+    kind = _kind(type(value))
+    if kind == "scalar":
+        text.append(_scalar(value))
+    elif kind == "array":
         if id(value) not in arrays:  # holding the array keeps its id unique
             arrays[id(value)] = (value, _array_chunks(value))
         chunks.append("".join(text))
         chunks.extend(arrays[id(value)][1])
         text.clear()
-    elif isinstance(value, dict):
-        text.append("{")
-        for i, (k, v) in enumerate(sorted(value.items())):
-            text.append(("," if i else "") + encode_basestring_ascii(str(k)) + ":")
-            _write(chunks, text, arrays, v)
-        text.append("}")
-    elif isinstance(value, (list, tuple)):
+    elif kind == "list":
         text.append("[")
         for i, v in enumerate(value):
             if i:
                 text.append(",")
             _write(chunks, text, arrays, v)
         text.append("]")
-    elif hasattr(value, "__dataclass_fields__"):  # is_dataclass's test, without its call per scalar
-        _write(chunks, text, arrays, {f.name: getattr(value, f.name) for f in fields(value)})
     else:
-        text.append(_scalar(value))
+        items = sorted(value.items()) if kind == "dict" else [(k, getattr(value, k)) for k in kind]
+        text.append("{")
+        for i, (k, v) in enumerate(items):
+            text.append(("," if i else "") + encode_basestring_ascii(str(k)) + ":")
+            _write(chunks, text, arrays, v)
+        text.append("}")
+
+
+@functools.cache
+def _kind(cls) -> str | tuple[str, ...]:
+    """``_write``'s branch for a ``cls``, once per type; a dataclass's is its sorted field names."""
+    return ("array" if issubclass(cls, np.ndarray) else "dict" if issubclass(cls, dict)
+            else "list" if issubclass(cls, (list, tuple)) else "scalar" if not is_dataclass(cls)
+            else tuple(sorted(f.name for f in fields(cls))))
 
 
 def _json_chunks(value) -> list[str]:

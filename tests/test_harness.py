@@ -921,6 +921,22 @@ class TestSerialization:
         assert chunks[1:-1][1::2] == [canonical_json_reference(row) for row in m]
         assert "".join(chunks) == canonical_json_reference({"m": m})
 
+    def test_a_mostly_zero_matrix_makes_no_float_per_part(self):
+        # bell-max's settings on 256,256: a 2 x 2 block, zero-padded.  The one-template path
+        # made a Python float of each of its 131,072 parts (24 B each) and peaked at 4.4 times
+        # the matrix's bytes; "[0,0]" cells need one reference each, and the text its rows.
+        m = np.zeros((256, 256), dtype=complex)
+        m[:2, :2] = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+        tracemalloc.start()
+        try:
+            chunks = harness._array_chunks(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(chunks) == 2 * len(m) + 1 and max(map(len, chunks)) <= harness.CHUNK_CHARS
+        assert "".join(chunks) == canonical_json_reference(m)
+        assert peak < 1.5 * m.nbytes
+
     @pytest.mark.parametrize("scenario,layout,sweep", [
         ("reeh-schlieder", [3, 3, 9], None), ("root-cert", [8, 8], None),
         ("root-cert", [3, 3], list(SWEEP_EPS)), ("epr", [8, 8], None),
@@ -1355,6 +1371,20 @@ def report_arrays(draw, min_side=0):
     return VIEWS[draw(st.sampled_from(sorted(VIEWS)))](a)
 
 
+@st.composite
+def zero_heavy_arrays(draw):
+    """A complex array of 1 to 3 axes of 1..6 entries, or a view of one, over half of whose
+    entries are 0j; each other entry's parts are 0.0, -0.0 or any finite float."""
+    shape = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
+    size = math.prod(shape)
+    parts = st.one_of(st.sampled_from([0.0, -0.0]), st.sampled_from(EDGE_FLOATS),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    a = np.zeros(size, dtype=complex)
+    for k in draw(st.lists(st.integers(0, size - 1), unique=True, max_size=(size - 1) // 2)):
+        a.real[k], a.imag[k] = draw(parts), draw(parts)
+    return VIEWS[draw(st.sampled_from(sorted(VIEWS)))](a.reshape(shape))
+
+
 def payload_with(a, repeat: str) -> dict:
     """A report-like payload holding ``a``, and under a second key ``a`` itself,
     an equal copy, an array of the same shape and other values, or nothing."""
@@ -1376,6 +1406,23 @@ class TestWriterMatchesReference:
     def test_bytes_match(self, a, repeat):
         payload = payload_with(a, repeat)
         assert canonical_json(payload) == canonical_json_reference(payload)
+
+    @given(a=zero_heavy_arrays(), repeat=REPEATS)
+    @settings(max_examples=300, deadline=None)
+    def test_zero_heavy_bytes_and_chunks_match(self, a, repeat):
+        # Mostly [0,0] cells, as in bell-max's settings and the Bell states; "negated" turns
+        # every 0j into -0-0j.  CHUNK_CHARS = 1 splits every matrix into rows, 10**9 joins it.
+        payload = payload_with(a, repeat)
+        for chunk_chars in (1, 10**9):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(harness, "CHUNK_CHARS", chunk_chars)
+                assert canonical_json(payload) == canonical_json_reference(payload)
+                chunks = harness._array_chunks(a)
+            if a.ndim > 1 and chunk_chars == 1:
+                rows = [t for r in a for t in (",", canonical_json_reference(r))]
+                assert chunks == ["[", *rows[1:], "]"]
+            else:
+                assert chunks == [canonical_json_reference(a)]
 
     @pytest.mark.parametrize("shape,text", [((0,), "[]"), ((2, 0), "[[],[]]"),
                                             ((0, 3), "[]"), ((2, 0, 3), "[[],[]]")])
