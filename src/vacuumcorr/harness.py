@@ -4,11 +4,13 @@ Each scenario exercises one verified result on a configured layout/seed and reco
 comparison as an assertion carrying both numbers.  A report's certificate objects are the
 library's result dataclasses (``RootCertificate``, ``BellReport``, ...) written field by field,
 with complex arrays as lists of ``[re, im]`` pairs, each formatted once.  ``%.17g`` takes about
-446 ns on a random float and 86 ns on 0.0, so a dense array (every projector) is one template,
-but one over half of whose entries are [+0.0, +0.0] (bell-max's padded settings, the Bell states)
-is literal ``[0,0]`` cells, 8 ns each, and a template for the rest.  Reports are byte-stable
-for identical configs: keys sorted, floats at 17 significant digits, and wall-clock timings on
-the in-memory report only (opt-in for emission: they are the one non-deterministic ingredient).
+400 ns on a random float, 86 ns on 0.0; ``%d`` of a 17-digit int 72 ns; a ``[0,0]`` cell 8 ns.
+So an array under DENSE_FLOATS floats is one ``%.17g`` template; one over half [+0.0, +0.0]
+(bell-max's settings, the Bell states) is ``[0,0]`` cells and a template for the rest; any other
+(every projector) takes ``_digits``, the 17 digits of 1e-4 <= |x| < 1 as an exact int.  Reports
+are byte-stable for identical configs: keys sorted, floats at 17 significant digits, and
+wall-clock timings on the in-memory report only (opt-in for emission: they are the one
+non-deterministic ingredient).
 """
 
 from __future__ import annotations
@@ -80,6 +82,10 @@ SWEEP_STACK_BYTES = 256 * 1024
 # An array's text is joined into one chunk up to CHUNK_CHARS, below glibc's mmap
 # threshold; one 3 MB string per matrix raised epr 256,256's peak RSS by 7 MB.
 CHUNK_CHARS = 64 * 1024
+# Below DENSE_FLOATS floats an array is one %.17g template: on a 2-vCPU Xeon the digit path
+# passed it between 9 x 9 and 10 x 10 dense matrices (72 against 69 us, 78 against 90), and
+# [0,0] cells near 8 x 8 zero-padded ones; a 2 x 2 matrix took 6 us as a template, 40 by digits.
+DENSE_FLOATS = 200
 
 
 class ConfigError(ValueError):
@@ -482,6 +488,7 @@ def _scalar(value) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
+@functools.cache
 def _template(shape) -> str:
     """The ``%.17g`` template of a complex array of ``shape``, as nested ``[re, im]`` pairs."""
     template = "[%.17g,%.17g]"
@@ -490,20 +497,83 @@ def _template(shape) -> str:
     return template
 
 
+@functools.cache
+def _separators(shape) -> tuple[str, ...]:
+    """The text before each float of ``_template(shape)``, and after the last."""
+    return tuple(_template(shape).split("%.17g"))
+
+
+# By j = the number of _BOUNDS at or below |x|: "%d" % 0 for 0.0 (j = 0), "0.", 5 - j zeros and
+# 17 digits |x| * _SCALE[j] for 1e-4 <= |x| < 1, "%.17g" otherwise (j = 1, 6).  Each bound lies
+# above its power of ten with no double between, so j is exact; so is 10**k for k <= 22.
+_BOUNDS = np.array([5e-324, 1e-4, 1e-3, 1e-2, 0.1, 1.0])
+_SCALE = np.array([0.0, 0.0, 1e20, 1e19, 1e18, 1e17, 0.0])
+_SCALE_HI = 134217729.0 * _SCALE - (134217729.0 * _SCALE - _SCALE)
+_SCALE_LO = _SCALE - _SCALE_HI
+_PIECES = np.array(["%d", "%.17g", "0.000%d", "0.00%d", "0.0%d", "0.%d", "%.17g", "-%d", "%.17g",
+                    "-0.000%d", "-0.00%d", "-0.0%d", "-0.%d", "%.17g"], dtype=object)
+
+
+def _digits(x: np.ndarray) -> tuple[list[str], list]:
+    """A ``%`` piece and its argument per float of ``x``, whose ``piece % argument`` is the
+    float's ``%.17g``: its 17 significant digits as an exact int where 1e-4 <= |x| < 1."""
+    ax = np.abs(x)
+    j = np.searchsorted(_BOUNDS, ax, "right")
+    # Dekker: u = uh + ul in 26-bit halves, so u * b = p + e exactly (numpy fuses no multiply-add)
+    u = np.minimum(ax, 1.0)  # |x| >= 1 would overflow the split
+    c = 134217729.0 * u
+    uh = c - (c - u)
+    ul = u - uh
+    b, bh, bl = _SCALE[j], _SCALE_HI[j], _SCALE_LO[j]
+    p = u * b
+    e = ((uh * bh - p) + uh * bl + ul * bh) + ul * bl
+    # p >= 1e16 > 2**53 is an even integer, so e rounded half to even rounds p + e as %.17g
+    # does; the largest double below 1, 0.1, 0.01 or 0.001 rounds below 10**17: no carry.
+    d = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    s = d[z := np.flatnonzero(d % 10 == 0)]  # strip trailing zeros, 16, 8, 4, 2 and 1 at a time
+    for m in (10**16, 10**8, 10**4, 100, 10):
+        s = np.where(s % m, s, s // m)
+    d[z] = s
+    args = d.tolist()
+    other = np.flatnonzero((j == 1) | (j == 6))
+    for i, v in zip(other.tolist(), x[other].tolist()):
+        args[i] = v
+    return _PIECES[j + 7 * np.signbit(x)].tolist(), args
+
+
+def _dense_texts(rows: np.ndarray, shape: tuple, whole: bool) -> list[str]:
+    """Each row's text, or if ``whole`` each block's, of the ``rows`` of floats of an array of
+    ``shape`` (a vector's are its cells), digits drawn for about CHUNK_CHARS // 32 at a time."""
+    m, texts = rows.shape[1], []
+    per = max(1, CHUNK_CHARS // 32 // m)
+    for i in range(0, len(rows), per):
+        pieces, args = _digits(rows[i:i + per].ravel())
+        n = len(pieces) if whole else m  # floats per text
+        parts = [""] * (2 * n + 1)
+        parts[::2] = _separators((n // m,) + shape[1:])  # of n // m rows, in brackets
+        for k in range(0, len(pieces), n):
+            parts[1::2] = pieces[k:k + n]
+            texts.append(("".join(parts) % tuple(args[k:k + n]))[1:-1])
+    return texts
+
+
 def _array_chunks(a: np.ndarray) -> list[str]:
     """The JSON of ``a`` after one finiteness check: one chunk, or its rows and separators if
-    longer than CHUNK_CHARS.  One ``%.17g`` template (``_scalar``'s bytes) per array, or per row
-    where its text could be longer (a float takes 24 characters at most, 8 for its brackets).  A
-    vector or matrix with over half its entries [+0.0, +0.0] (bitwise) starts from "[0,0]" cells."""
+    longer than CHUNK_CHARS (a float takes 24 characters at most, 8 for its brackets).  Under
+    DENSE_FLOATS floats or on 3+ axes, one ``%.17g`` template (per row if longer); a vector or
+    matrix over half [+0.0, +0.0] (bitwise) starts from "[0,0]" cells; any other takes digits."""
     re_im = np.asarray(a, complex, order="C").view(float)
     if not np.isfinite(re_im).all():
         raise ValueError(f"cannot serialize non-finite float {re_im[~np.isfinite(re_im)][0]}")
-    bits = np.bitwise_or(*re_im.view(np.uint64).reshape(-1, 2).T)  # 0 on [+0.0, +0.0] only
-    if a.ndim > 2 or 2 * np.count_nonzero(bits) >= a.size:
-        if a.ndim < 2 or 32 * re_im.size <= CHUNK_CHARS:
+    whole = a.ndim < 2 or 32 * re_im.size <= CHUNK_CHARS
+    if a.ndim > 2 or re_im.size < DENSE_FLOATS:
+        if whole:
             return [_template(a.shape) % tuple(re_im.ravel().tolist())]
         row = _template(a.shape[1:])
         rows = [row % tuple(r) for r in re_im.reshape(len(a), -1).tolist()]
+    elif (2 * np.count_nonzero(bits := np.bitwise_or(*re_im.view(np.uint64).reshape(-1, 2).T))
+          >= a.size):  # bits is 0 on [+0.0, +0.0] only
+        rows = _dense_texts(re_im.reshape(len(a), -1), a.shape, whole)
     else:  # "|" parts the entries' texts: %.17g never writes one
         where = bits.nonzero()[0]
         pairs = re_im.reshape(-1, 2)[where].ravel().tolist()
@@ -515,7 +585,7 @@ def _array_chunks(a: np.ndarray) -> list[str]:
         if a.ndim < 2:
             return rows
     texts = ["[", *[t for r in rows for t in (",", r)][1:], "]"]
-    return ["".join(texts)] if sum(map(len, texts)) <= CHUNK_CHARS else texts
+    return ["".join(texts)] if whole or sum(map(len, texts)) <= CHUNK_CHARS else texts
 
 
 def _write(chunks: list, text: list, arrays: dict, value) -> None:

@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import asdict, fields, is_dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -937,6 +938,22 @@ class TestSerialization:
         assert "".join(chunks) == canonical_json_reference(m)
         assert peak < 1.5 * m.nbytes
 
+    def test_a_dense_projector_in_row_blocks(self):
+        # epr's P = v v* on 256,256: the digit path draws its ints a block of rows at a time
+        # and peaked at 1.3 times the text it wrote, 3.8 MiB (for the whole matrix at once,
+        # 19 MiB); the one-template path that wrote it before peaked at 2.5 times, 7.5 MiB.
+        v = np.random.default_rng(0).standard_normal((256, 2)).view(complex).ravel()
+        m = np.outer(v, v.conj()) / np.vdot(v, v).real
+        tracemalloc.start()
+        try:
+            chunks = harness._array_chunks(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(chunks) == 2 * len(m) + 1 and max(map(len, chunks)) <= harness.CHUNK_CHARS
+        assert "".join(chunks) == canonical_json_reference(m)
+        assert peak < 1.5 * sum(map(len, chunks))
+
     @pytest.mark.parametrize("scenario,layout,sweep", [
         ("reeh-schlieder", [3, 3, 9], None), ("root-cert", [8, 8], None),
         ("root-cert", [3, 3], list(SWEEP_EPS)), ("epr", [8, 8], None),
@@ -1373,9 +1390,12 @@ def report_arrays(draw, min_side=0):
 
 @st.composite
 def zero_heavy_arrays(draw):
-    """A complex array of 1 to 3 axes of 1..6 entries, or a view of one, over half of whose
-    entries are 0j; each other entry's parts are 0.0, -0.0 or any finite float."""
-    shape = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
+    """A complex array of 1 to 3 axes of 1..6 entries, a vector of 200..260 or a matrix of
+    15..24 x 15..24 (over DENSE_FLOATS floats, halved or not), or a view of one, over half of
+    whose entries are 0j; each other entry's parts are 0.0, -0.0 or any finite float."""
+    shape = tuple(draw(st.one_of(st.lists(st.integers(1, 6), min_size=1, max_size=3),
+                                 st.tuples(st.integers(200, 260)),
+                                 st.tuples(st.integers(15, 24), st.integers(15, 24)))))
     size = math.prod(shape)
     parts = st.one_of(st.sampled_from([0.0, -0.0]), st.sampled_from(EDGE_FLOATS),
                       st.floats(allow_nan=False, allow_infinity=False))
@@ -1383,6 +1403,57 @@ def zero_heavy_arrays(draw):
     for k in draw(st.lists(st.integers(0, size - 1), unique=True, max_size=(size - 1) // 2)):
         a.real[k], a.imag[k] = draw(parts), draw(parts)
     return VIEWS[draw(st.sampled_from(sorted(VIEWS)))](a.reshape(shape))
+
+
+def float_of_bits(bits: int) -> float:
+    return float(np.array(bits, dtype=np.uint64).view(float))
+
+
+def bits_of(x: float) -> int:
+    return int(np.array(x).view(np.uint64))
+
+
+@st.composite
+def digit_ties(draw):
+    """x = (2t + 1) / 2**(k + 1) in [10**(16 - k), 10**(17 - k)), k = 17..20, whose 17 digits
+    x * 10**k = (2t + 1) 5**k / 2 end in exactly 1/2."""
+    k = draw(st.integers(17, 20))
+    t = draw(st.integers(-(-2**k // 10**(k - 16)), 2**k // 10**(k - 17) - 1))
+    return (2 * t + 1) / 2.0 ** (k + 1)
+
+
+# The floats the digit path must write as %.17g does: the 60 doubles on each side of 10**E
+# for E = -5..0; ties; the largest doubles below 0.1 and 1; zeros of both signs; dyadic
+# fractions, whose 17 digits end in up to 16 zeros; and floats outside [1e-4, 1).
+DECADE_NEIGHBOURS = tuple(float_of_bits(bits_of(10.0 ** e) + i)
+                          for e in range(-5, 1) for i in range(-60, 61))
+DIGIT_PARTS = st.one_of(
+    st.integers(bits_of(1e-4), bits_of(1.0) - 1).map(float_of_bits),
+    st.sampled_from(DECADE_NEIGHBOURS),
+    digit_ties(),
+    st.sampled_from([float(np.nextafter(0.1, 0)), 0.99999999999999994, 0.0, -0.0]),
+    st.sampled_from([0.5, 0.25, 0.125, 0.0625, 0.001953125]),
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def dense_arrays(draw):
+    """A real or complex vector of 200..260 entries or matrix of r x (ceil(200 / r) + 0..8),
+    or a view of one: over DENSE_FLOATS floats, half of them or more random bit patterns in
+    [1e-4, 1) and the others drawn with repeats from a pool of DIGIT_PARTS, each of either sign."""
+    shape = draw(st.one_of(st.tuples(st.integers(200, 260)), st.integers(1, 24).flatmap(
+        lambda r: st.tuples(st.just(r), st.integers(-(-200 // r), -(-200 // r) + 8)))))
+    pool = np.array(draw(st.lists(DIGIT_PARTS, min_size=1, max_size=40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = 2 * math.prod(shape)
+    parts = rng.integers(bits_of(1e-4), bits_of(1.0), n, dtype=np.uint64).view(float)
+    picks = rng.random(n) < draw(st.sampled_from([0.0, 0.2, 0.5]))
+    parts[picks] = rng.choice(pool, np.count_nonzero(picks))
+    parts *= rng.choice([-1.0, 1.0], n)
+    a = parts[:n // 2].reshape(shape) if draw(st.booleans()) else parts.view(complex).reshape(shape)
+    return VIEWS[draw(st.sampled_from(sorted(VIEWS)))](a)
 
 
 def payload_with(a, repeat: str) -> dict:
@@ -1407,11 +1478,9 @@ class TestWriterMatchesReference:
         payload = payload_with(a, repeat)
         assert canonical_json(payload) == canonical_json_reference(payload)
 
-    @given(a=zero_heavy_arrays(), repeat=REPEATS)
-    @settings(max_examples=300, deadline=None)
-    def test_zero_heavy_bytes_and_chunks_match(self, a, repeat):
-        # Mostly [0,0] cells, as in bell-max's settings and the Bell states; "negated" turns
-        # every 0j into -0-0j.  CHUNK_CHARS = 1 splits every matrix into rows, 10**9 joins it.
+    @staticmethod
+    def assert_bytes_and_chunks_match(a, repeat):
+        # CHUNK_CHARS = 1 splits every matrix into rows, 10**9 joins it.
         payload = payload_with(a, repeat)
         for chunk_chars in (1, 10**9):
             with pytest.MonkeyPatch.context() as mp:
@@ -1423,6 +1492,31 @@ class TestWriterMatchesReference:
                 assert chunks == ["[", *rows[1:], "]"]
             else:
                 assert chunks == [canonical_json_reference(a)]
+
+    @given(a=zero_heavy_arrays(), repeat=REPEATS)
+    @settings(max_examples=300, deadline=None)
+    def test_zero_heavy_bytes_and_chunks_match(self, a, repeat):
+        # Mostly [0,0] cells, as in bell-max's settings and the Bell states; "negated" turns
+        # every 0j into -0-0j.
+        self.assert_bytes_and_chunks_match(a, repeat)
+
+    @given(a=dense_arrays(), repeat=REPEATS)
+    @settings(max_examples=300, deadline=None)
+    def test_dense_bytes_and_chunks_match(self, a, repeat):
+        # The digit path: projector-like entries, their 17 digits drawn exactly, ties included.
+        assert 2 * a.size >= harness.DENSE_FLOATS
+        self.assert_bytes_and_chunks_match(a, repeat)
+
+    def test_digit_decades_are_exact(self):
+        # The digit path's decade of |x| is exact: each bound lies above its power of ten, with
+        # no double between.  And none carries: the largest double below 1, 0.1, 0.01 and 0.001
+        # has 17 digits, x * 10**k rounded, below 10**17.
+        for i, bound in enumerate([0.1, 0.01, 0.001, 1e-4], start=1):
+            assert Fraction(float(np.nextafter(bound, 0))) < Fraction(1, 10**i) < Fraction(bound)
+        for k, top in enumerate([1.0, 0.1, 0.01, 0.001], start=17):
+            below = Fraction(float(np.nextafter(top, 0)))
+            assert below * 10**k < 10**17 - Fraction(1, 2)
+            assert below * 10**k >= 10**16
 
     @pytest.mark.parametrize("shape,text", [((0,), "[]"), ((2, 0), "[[],[]]"),
                                             ((0, 3), "[]"), ((2, 0, 3), "[[],[]]")])
