@@ -54,6 +54,7 @@ from .local_algebra import (
 )
 from .root_theorem import (
     BUDGET_TOL,
+    STAGE_BOUNDS,
     WEIGHTS_TOL,
     RootCertificate,
     certify_root,
@@ -141,11 +142,11 @@ class ScenarioConfig:
             raise ConfigError("layout", f"expected a list of integers, got {self.layout!r}")
         try:
             layout = RegionLayout(tuple(self.layout))
-            counts = _SLOT_COUNTS[self.scenario]
+            _, counts, builds_vacuum = _SCENARIO_TABLE[self.scenario]
             if layout.n_slots not in counts:
                 raise ValueError(f"scenario {self.scenario} runs on "
                                  f"{'/'.join(map(str, counts))}-slot layouts, got {layout.dims}")
-            if self.scenario in _VACUUM_SCENARIOS:
+            if builds_vacuum:
                 require_vacuum_layout(layout)
         except ValueError as exc:
             raise ConfigError("layout", str(exc)) from exc
@@ -165,8 +166,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        allowed = {"scenario", "layout", "seed", "eps", "sweep", "tolerances"}
-        unknown = set(data) - allowed
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(sorted(unknown)[0], "unknown config field")
         for name in ("scenario", "layout"):
@@ -293,17 +293,9 @@ def _root_assertions(cfg: ScenarioConfig, cert: RootCertificate) -> list:
     _record(assertions, "root_max_inequality", cert.lhs_max, ">", cert.rhs_max)
     _record(assertions, "root_min_inequality", cert.lhs_min, "<", cert.rhs_min)
     _record(assertions, "weights_sum", abs(sum(cert.weights) - 1.0), "<=", WEIGHTS_TOL)
-    bounds = {
-        "cyclic_residual": cert.budget.eps1,
-        "normalized_error": cert.budget.eps2,
-        "window_error": cert.budget.eps3,
-        "decomposition_residual": cert.budget.eps4_tilde,
-        "rescale_error": cert.budget.eps4,
-        "combined_error": cert.budget.eps5,
-    }
-    for name, bound in bounds.items():
+    for name, bound in STAGE_BOUNDS.items():
         _record(assertions, f"budget_{name}", cert.achieved[name], "<=",
-                bound + cfg.tolerances.budget_check)
+                getattr(cert.budget, bound) + cfg.tolerances.budget_check)
     return assertions
 
 
@@ -392,25 +384,22 @@ def _scenario_cond_bell(cfg: ScenarioConfig) -> tuple[list, dict]:
     return assertions, {"bell": report}
 
 
+# Per scenario: its runner, the slot counts it runs on, and whether it builds a vacuum
+# (then it takes only the layouts that local_algebra.require_vacuum_layout admits).
 _SCENARIO_TABLE = {
-    "reeh-schlieder": _scenario_reeh_schlieder,
-    "root-cert": _scenario_root_cert,
-    "epr": _scenario_epr,
-    "bell-max": _scenario_bell_max,
-    "tsirelson-sweep": _scenario_tsirelson_sweep,
-    "cond-bell": _scenario_cond_bell,
+    "reeh-schlieder": (_scenario_reeh_schlieder, (2, 3), True),
+    "root-cert": (_scenario_root_cert, (2,), True),
+    "epr": (_scenario_epr, (2,), True),
+    "bell-max": (_scenario_bell_max, (2,), False),
+    "tsirelson-sweep": (_scenario_tsirelson_sweep, (2,), False),
+    "cond-bell": (_scenario_cond_bell, (3,), True),
 }
 SCENARIOS = tuple(_SCENARIO_TABLE)
-# The slot counts each scenario runs on; the scenarios that build a vacuum take
-# only the layouts that local_algebra.require_vacuum_layout admits.
-_SLOT_COUNTS = {"reeh-schlieder": (2, 3), "root-cert": (2,), "epr": (2,), "bell-max": (2,),
-                "tsirelson-sweep": (2,), "cond-bell": (3,)}
-_VACUUM_SCENARIOS = {"reeh-schlieder", "root-cert", "epr", "cond-bell"}
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
     start = time.perf_counter()
-    assertions, certificates = _SCENARIO_TABLE[cfg.scenario](cfg)
+    assertions, certificates = _SCENARIO_TABLE[cfg.scenario][0](cfg)
     timings = {"total_seconds": time.perf_counter() - start}
     return RunReport(cfg, assertions, certificates, timings)
 
@@ -418,14 +407,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
 # ---------------------------------------------------------------------------
 # sweeps
 
-SWEEP_COLUMNS = (
-    "eps",
-    "eps1", "eps2", "eps3", "eps4", "eps5",
-    "cyclic_residual", "normalized_error", "window_error",
-    "decomposition_residual", "rescale_error", "combined_error",
-    "slack_max", "slack_min",
-    "passed",
-)
+SWEEP_COLUMNS = ("eps", "eps1", "eps2", "eps3", "eps4", "eps5", *STAGE_BOUNDS,
+                 "slack_max", "slack_min", "passed")
 
 
 @dataclass

@@ -33,7 +33,8 @@ A is read only through ``slots``, ``apply(vec, layout)`` and ``hermitian_norm()`
 ``LocalOperator``, or ``correlations.BellSettings``, which applies R by two products.
 ``prove_root_certificate`` is the one-eps case; a sweep builds the products
 once.  ``rescale_to_unit_vacuum`` runs the rescale stage alone, on a
-decomposition the caller builds.
+decomposition the caller builds.  ``STAGE_BOUNDS`` names each stage's achieved
+error and the budget field that bounds it; reports and sweeps read it.
 """
 
 from __future__ import annotations
@@ -51,6 +52,10 @@ from .local_algebra import LocalOperator, VacuumModel
 BUDGET_TOL = 1e-9
 # Slack on sum(weights) = 1, which the rescaled weights miss by rounding.
 WEIGHTS_TOL = 1e-9
+# Each stage's achieved error, in pipeline order, and the budget field that bounds it.
+STAGE_BOUNDS = {"cyclic_residual": "eps1", "normalized_error": "eps2", "window_error": "eps3",
+                "decomposition_residual": "eps4_tilde", "rescale_error": "eps4",
+                "combined_error": "eps5"}
 
 
 class StageFailure(RuntimeError):
@@ -355,14 +360,8 @@ def certify_root(p: RootProducts, eps: float) -> RootCertificate:
     offsets = p.spectrum.values.copy()
     offsets[:sum(sizes)] -= np.repeat(coeffs, sizes)
 
-    achieved = {
-        "cyclic_residual": p.cyclic_residual,
-        "normalized_error": p.normalized_error,
-        "window_error": abs(val3 - k),
-        "decomposition_residual": residual,
-        "rescale_error": float(np.max(np.abs(offsets))),
-        "combined_error": abs(val5 - k),
-    }
+    achieved = (p.cyclic_residual, p.normalized_error, abs(val3 - k), residual,
+                float(np.max(np.abs(offsets))), abs(val5 - k))
     return RootCertificate(
         target_k=k,
         requested_eps=eps,
@@ -374,7 +373,7 @@ def certify_root(p: RootProducts, eps: float) -> RootCertificate:
         rhs_min=(k + eps) * p_expects[i_min],
         budget=budget,
         weights=tuple(lam * p_expect for lam, p_expect in zip(coeffs, p_expects)),
-        achieved=achieved,
+        achieved=dict(zip(STAGE_BOUNDS, achieved, strict=True)),
     )
 
 

@@ -12,6 +12,7 @@ the stacked starts' reference runs them one at a time.
 The Tsirelson sweep's reference takes its settings one at a time through
 the single-setting API, the frame norm's reference builds the d x d
 reflections, and the report writer's reference formats one float at a time.
+``off_maximal_vacuum`` is a family of 2-slot vacua off the maximally entangled point.
 ``run_cli`` runs the command line on this checkout's sources.
 """
 
@@ -44,7 +45,7 @@ from vacuumcorr.linalg import (
     haar_unitary,
     random_hermitian,
 )
-from vacuumcorr.local_algebra import LocalOperator, RegionLayout
+from vacuumcorr.local_algebra import LocalOperator, RegionLayout, VacuumModel
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -425,6 +426,13 @@ def canonical_json_reference(value) -> str:
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return psi / np.linalg.norm(psi)
+
+
+def off_maximal_vacuum(d: int, s_min: float) -> VacuumModel:
+    """sum_k s_k e_k (x) e_k / ||s|| on ``d,d`` with s_k = s_min^(k / (d - 1)): Schmidt
+    coefficients falling geometrically from 1 to s_min, through VacuumModel.from_vector."""
+    s = s_min ** (np.arange(d) / (d - 1))
+    return VacuumModel.from_vector(RegionLayout((d, d)), (np.diag(s) / np.linalg.norm(s)).ravel())
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:

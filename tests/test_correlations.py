@@ -10,6 +10,7 @@ from conftest import (
     bell_oracle,
     charpoly_eigenvalues,
     expectation,
+    off_maximal_vacuum,
     operator_norm_oracle,
     qubit_angle_grid_bell,
     random_state,
@@ -38,6 +39,7 @@ from vacuumcorr.correlations import (
 )
 from vacuumcorr.linalg import (
     NOISE_TOL,
+    PROJECTOR_FLOOR,
     complex_gaussian,
     haar_unitary,
     operator_norm,
@@ -50,7 +52,7 @@ from vacuumcorr.local_algebra import (
     make_vacuum,
     random_projector,
 )
-from vacuumcorr.root_theorem import root_products
+from vacuumcorr.root_theorem import StageFailure, root_products
 
 L22 = RegionLayout((2, 2))
 L224 = RegionLayout((2, 2, 4))
@@ -643,6 +645,24 @@ class TestEPRProjectorPair:
             _, report = epr_projector_pair(p2, v.omega, v, eps)
             assert report.joint_expect <= report.p1_expect + 1e-12
             assert report.joint_expect > (1.0 - eps) * report.p1_expect
+
+    # Off the maximally entangled point, at eps 0.01 and seed 0, as the pair behaves today.
+    @pytest.mark.parametrize("d", [4, 16, 64])
+    @pytest.mark.parametrize("s_min", [0.1, 1e-3, 1e-5])
+    def test_perfect_correlation_off_maximal(self, d, s_min):
+        v = off_maximal_vacuum(d, s_min)
+        _, report = epr_projector_pair(random_projector(v.layout, 1, 1, 0), v.omega, v, 0.01)
+        assert report.joint_expect - report.p1_expect <= PROJECTOR_FLOOR
+        assert report.joint_expect > report.lower_bound
+        assert abs(report.joint_expect / report.p1_expect - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("d", [4, 16, 64])
+    def test_ends_at_extremal_near_the_rank_cutoff(self, d):
+        # At s_min = 1e-7 every <P_i>_omega lies at the floor (1.3e-14 to 1.8e-13).
+        v = off_maximal_vacuum(d, 1e-7)
+        with pytest.raises(StageFailure) as failure:
+            epr_projector_pair(random_projector(v.layout, 1, 1, 0), v.omega, v, 0.01)
+        assert failure.value.stage == "extremal"
 
     def test_annihilated_phi_rejected(self):
         v = make_vacuum(L22, seed=0)

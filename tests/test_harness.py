@@ -734,6 +734,23 @@ class TestSweep:
         for row in table.rows:
             assert set(row) == set(SWEEP_COLUMNS)
 
+    def test_budget_assertions_and_header_as_written(self):
+        # Each stage's achieved error and the budget field that bounds it, written out here.
+        pairs = [("cyclic_residual", "eps1"), ("normalized_error", "eps2"),
+                 ("window_error", "eps3"), ("decomposition_residual", "eps4_tilde"),
+                 ("rescale_error", "eps4"), ("combined_error", "eps5")]
+        report = run_scenario(cfg(tolerances={"budget_check": 1e-6}))
+        cert = report.certificates["root_certificate"]
+        budget = [a for a in report.assertions if a["name"].startswith("budget_")]
+        assert [a["name"] for a in budget] == [f"budget_{stage}" for stage, _ in pairs]
+        for a, (stage, field) in zip(budget, pairs):
+            assert a["lhs"] == cert.achieved[stage]
+            assert a["rhs"] == getattr(cert.budget, field) + 1e-6
+        csv_text = render_report(sweep_eps(cfg(sweep=[0.1, 0.01])), "csv")
+        assert csv_text.split("\n")[0] == (
+            "eps,eps1,eps2,eps3,eps4,eps5,cyclic_residual,normalized_error,window_error,"
+            "decomposition_residual,rescale_error,combined_error,slack_max,slack_min,passed")
+
     def test_budget_shrinks_with_eps(self):
         table = sweep_eps(cfg(sweep=[0.1, 0.01, 0.001]))
         eps5 = [row["eps5"] for row in table.rows]
