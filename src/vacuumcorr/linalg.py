@@ -72,12 +72,26 @@ def _normalize_slots(slots) -> tuple[int, ...]:
     return out
 
 
+def _slot_order(dims, slots: tuple[int, ...]):
+    """The axis order that puts the normalized ``slots`` first, and the shape
+    of the layout tensor in that order."""
+    order = slots + tuple([i for i in range(len(dims)) if i not in slots])
+    return order, tuple(dims[i] for i in order)
+
+
 def _slots_first(vec, dims, slots: tuple[int, ...]):
     """``coefficient_matrix`` on normalized slots, with the axis order and the
     shape of the permuted layout tensor that it flattens."""
-    order = slots + tuple([i for i in range(len(dims)) if i not in slots])
+    order, shape = _slot_order(dims, slots)
     t = np.asarray(vec, dtype=complex).reshape(dims).transpose(order)
-    return t.reshape(math.prod(t.shape[:len(slots)]), -1), order, t.shape
+    return t.reshape(math.prod(shape[:len(slots)]), -1), order, shape
+
+
+def _slots_back(m: np.ndarray, order, shape) -> np.ndarray:
+    """The inverse of ``_slots_first``: a matrix across slots|rest, in the axis
+    order and shape that it returned, as a vector in layout order."""
+    inverse = tuple(map(order.index, range(len(order))))
+    return m.reshape(shape).transpose(inverse).reshape(-1)
 
 
 def coefficient_matrix(vec, dims, slots) -> np.ndarray:
@@ -105,8 +119,7 @@ def _apply_local(op: np.ndarray, slots: tuple[int, ...], vec, dims: tuple[int, .
     if op.shape[0] != m.shape[0]:
         raise ValueError(f"operator dim {op.shape[0]} does not match slot dims "
                          f"{tuple(dims[s] for s in slots)} (need {m.shape[0]})")
-    inverse = tuple(map(order.index, range(len(order))))
-    return (op @ m).reshape(shape).transpose(inverse).reshape(-1)
+    return _slots_back(op @ m, order, shape)
 
 
 def operator_norm(a) -> float:

@@ -35,6 +35,13 @@ A is read only through ``slots``, ``apply(vec, layout)`` and ``hermitian_norm()`
 once.  ``rescale_to_unit_vacuum`` runs the rescale stage alone, on a
 decomposition the caller builds.  ``STAGE_BOUNDS`` names each stage's achieved
 error and the budget field that bounds it; reports and sweeps read it.
+
+Where the caller knows psi's coefficient matrix as a thin factor x y^T across
+region|rest (x region x r; cond-bell's phi (x) chi has r = 1), C~ = x Z^T with
+Z^T = y^T G^-1 M^† from one solve with r right-hand sides, and the certificate's
+Q1 is C^† C for C = x Z^T / ||C~ omega||, of rank r by construction: its nonzero
+eigenpairs come from an r x r eigenproblem after one thin QR of conj(Z), and no
+region x region matrix is formed.
 """
 
 from __future__ import annotations
@@ -59,7 +66,9 @@ STAGE_BOUNDS = {"cyclic_residual": "eps1", "normalized_error": "eps2", "window_e
 
 
 class StageFailure(RuntimeError):
-    """A pipeline stage missed its error bound (signals an upstream bug)."""
+    """A pipeline stage missed its error bound: a bad input, or a vacuum too
+    ill-conditioned for the requested eps (one that passes the rank proof can
+    still end here)."""
 
     def __init__(self, stage: str, message: str, **values: float):
         self.stage = stage
@@ -194,7 +203,9 @@ class RootProducts:
     normalized_error: float  # ||C omega - psi||
     window: complex  # <A>_{C omega}
     q_trace: float  # tr Q1
-    spectrum: linalg.EigenSystem  # Q1's eigenspaces, eigenvalues descending
+    # Q1's eigenspaces, eigenvalues descending.  From psi's factor, Q1's kernel is
+    # exact: its zero eigenvalues are not listed, so decomposition_residual reads 0.
+    spectrum: linalg.EigenSystem
     p_expects: np.ndarray  # <P_i>_omega for every eigenspace P_i of Q1
     aps: np.ndarray  # <A P_i>_omega for every eigenspace P_i of Q1
 
@@ -235,8 +246,14 @@ def rescale_to_unit_vacuum(
     return replace(dec, coeffs=coeffs, q_expect=q_expect)
 
 
-def root_products(a, psi, v: VacuumModel, slots) -> RootProducts:
-    """Validate the inputs and compute every eps-independent product once."""
+def root_products(a, psi, v: VacuumModel, slots, factor=None) -> RootProducts:
+    """Validate the inputs and compute every eps-independent product once.
+
+    ``factor=(x, y)`` states that psi's coefficient matrix across region|rest is
+    x y^T, with x region x r and y rest x r.  Q1 is then found from an r x r
+    eigenproblem; the residual is still read against psi, so a factor that does
+    not match psi ends at ``[cyclic-approx]``.
+    """
     psi = as_state(psi)
     slots = linalg._normalize_slots(slots)
     if set(a.slots) & set(slots):
@@ -248,33 +265,70 @@ def root_products(a, psi, v: VacuumModel, slots) -> RootProducts:
     # coefficient matrices M, Psi of omega, psi across region|rest, and cyclicity
     # gives M full column rank, so C~ = Psi G^-1 M^† on the Gram G = M^† M.  The
     # vacuum's rank proof returns M, G and M's rank, so one Gram serves both.
+    # Each array is dropped after its last read.
+    dims = v.layout.dims
     omega_mat, g, rank = v.gram(slots)  # a proper region, or ValueError
     if rank < omega_mat.shape[1]:
         raise ValueError(f"vacuum is not cyclic for region {slots}")
-    psi_mat = linalg.coefficient_matrix(psi, v.layout.dims, slots)
-    try:
-        c_tilde = LocalOperator(slots, psi_mat @ np.linalg.solve(g, omega_mat.conj().T))
-    except ValueError as exc:  # LinAlgError, or entries that overflowed
-        raise StageFailure("cyclic-approx", "the cut's Gram matrix is singular "
-                           "to working precision") from exc
-    c_tilde_omega = c_tilde.apply(v.omega, v.layout)
+    singular = "the cut's Gram matrix is singular to working precision"
+    if factor is None:
+        psi_mat = linalg.coefficient_matrix(psi, dims, slots)
+        try:
+            c_tilde = LocalOperator(slots, psi_mat @ np.linalg.solve(g, omega_mat.conj().T))
+        except ValueError as exc:  # LinAlgError, or entries that overflowed
+            raise StageFailure("cyclic-approx", singular) from exc
+        del g
+        c_tilde_omega = c_tilde.apply(v.omega, v.layout)
+    else:
+        x, y = (np.asarray_chkfinite(f, dtype=complex) for f in factor)
+        if x.ndim != 2 or x.shape[0] != omega_mat.shape[0] or y.shape != (
+                omega_mat.shape[1], x.shape[1]):
+            raise ValueError(f"factor shapes {x.shape}, {y.shape} do not fit the "
+                             f"region|rest cut {omega_mat.shape} with one rank")
+        # C~ = x Z^T with Z^T = y^T G^-1 M^†, which is conj(Z)^† for
+        # conj(Z) = M G^-1 conj(y), as G is Hermitian.
+        try:
+            z_bar = np.asarray_chkfinite(omega_mat @ np.linalg.solve(g, y.conj()))
+        except ValueError as exc:  # LinAlgError, or entries that overflowed
+            raise StageFailure("cyclic-approx", singular) from exc
+        del g
+        c_tilde_omega = linalg._slots_back(x @ (z_bar.conj().T @ omega_mat),
+                                           *linalg._slot_order(dims, slots))
     nrm = float(np.linalg.norm(c_tilde_omega))
     if nrm <= PROJECTOR_FLOOR:
         raise ValueError("||C~ omega|| is at the numerical floor; vacuum not separating?")
-    c = c_tilde.matrix / nrm
-    c_omega = c_tilde_omega / nrm
-    state = c_omega / np.linalg.norm(c_omega)  # C omega as a unit vector
-    spectrum = hermitian_eig(c.conj().T @ c)
+    cyclic_residual = float(np.linalg.norm(c_tilde_omega - psi))
+    c_tilde_omega /= nrm  # C omega, in place
+    normalized_error = float(np.linalg.norm(c_tilde_omega - psi))
+    c_tilde_omega /= np.linalg.norm(c_tilde_omega)  # C omega as a unit vector
+    window = complex(np.vdot(c_tilde_omega, a.apply(c_tilde_omega, v.layout)))
+    del c_tilde_omega
+    if factor is None:
+        c = c_tilde.matrix / nrm
+        del c_tilde
+        q_trace = float(np.vdot(c, c).real)
+        spectrum = hermitian_eig(c.conj().T @ c)
+        del c
+    else:
+        # Q1 = C^† C = U (x R^† / nrm)^† (x R^† / nrm) U^† on conj(Z) = U R: its
+        # nonzero eigenpairs from the r x r middle, lifted by U.
+        u, r = np.linalg.qr(z_bar)
+        b = x @ r.conj().T / nrm
+        h = b.conj().T @ b
+        q_trace = float(np.trace(h).real)
+        es = hermitian_eig(h)
+        spectrum = linalg.EigenSystem(es.eigenvalues, tuple(u @ blk for blk in es.blocks),
+                                      es.values)
     p_expects, aps = _block_overlaps(spectrum.blocks, slots, v, a.apply(v.omega, v.layout))
     return RootProducts(
         slots=slots,
         k=float(np.vdot(psi, a.apply(psi, v.layout)).real),
         norm_a=norm_a,
-        cyclic_residual=float(np.linalg.norm(c_tilde_omega - psi)),
+        cyclic_residual=cyclic_residual,
         c_tilde_norm=nrm,
-        normalized_error=float(np.linalg.norm(c_omega - psi)),
-        window=complex(np.vdot(state, a.apply(state, v.layout))),
-        q_trace=float(np.vdot(c, c).real),
+        normalized_error=normalized_error,
+        window=window,
+        q_trace=q_trace,
         spectrum=spectrum,
         p_expects=p_expects,
         aps=aps,
@@ -383,6 +437,7 @@ def prove_root_certificate(
     v: VacuumModel,
     slots,
     eps: float,
+    factor=None,
 ) -> RootCertificate:
     """Run the full pipeline for one eps: ``certify_root`` on ``root_products``."""
-    return certify_root(root_products(a, psi, v, slots), eps)
+    return certify_root(root_products(a, psi, v, slots, factor), eps)

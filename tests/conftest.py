@@ -12,7 +12,8 @@ the stacked starts' reference runs them one at a time.
 The Tsirelson sweep's reference takes its settings one at a time through
 the single-setting API, the frame norm's reference builds the d x d
 reflections, and the report writer's reference formats one float at a time.
-``off_maximal_vacuum`` is a family of 2-slot vacua off the maximally entangled point.
+``off_maximal_vacuum`` and ``off_maximal_vacuum_3slot`` are families of 2- and 3-slot
+vacua off the maximally entangled point.
 ``run_cli`` runs the command line on this checkout's sources.
 """
 
@@ -433,6 +434,21 @@ def off_maximal_vacuum(d: int, s_min: float) -> VacuumModel:
     coefficients falling geometrically from 1 to s_min, through VacuumModel.from_vector."""
     s = s_min ** (np.arange(d) / (d - 1))
     return VacuumModel.from_vector(RegionLayout((d, d)), (np.diag(s) / np.linalg.norm(s)).ravel())
+
+
+def off_maximal_vacuum_3slot(d1: int, d2: int, s_min: float, seed: int = 0) -> VacuumModel:
+    """sum_k s_k u_k (x) f_k / ||s|| on ``d1,d2,d1 d2``, with s_k = s_min^(k / (n - 1))
+    over n = d1 d2 and u_k, f_k the columns of two Haar unitaries, on slots (0, 1) and on
+    slot 2: ``off_maximal_vacuum``'s Schmidt coefficients across 2|(0,1), through
+    VacuumModel.from_vector.  The u_k are a Haar basis rather than the product basis
+    |ij>: with |ij>, the Gram matrix across that cut would be real and diagonal, and
+    a solve on it could not tell G from conj(G)."""
+    n = d1 * d2
+    rng = np.random.default_rng(seed)
+    s = s_min ** (np.arange(n) / (n - 1))
+    u, f = (haar_unitary(complex_gaussian(n, rng)) for _ in range(2))
+    return VacuumModel.from_vector(RegionLayout((d1, d2, n)),
+                                   ((u * s) @ f.T / np.linalg.norm(s)).ravel())
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:

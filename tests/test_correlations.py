@@ -11,6 +11,7 @@ from conftest import (
     charpoly_eigenvalues,
     expectation,
     off_maximal_vacuum,
+    off_maximal_vacuum_3slot,
     operator_norm_oracle,
     qubit_angle_grid_bell,
     random_state,
@@ -19,7 +20,7 @@ from conftest import (
     seesaw_starts_loop,
 )
 
-from vacuumcorr import correlations, linalg
+from vacuumcorr import correlations, harness, linalg
 from vacuumcorr.correlations import (
     SQRT2,
     BellSettings,
@@ -746,6 +747,48 @@ class TestViolateConditionalBell:
         v = VacuumModel.from_vector(L224, product)
         with pytest.raises(ValueError, match="not cyclic"):
             violate_conditional_bell(L224, v, eps=0.05)
+
+
+class TestOffMaximalThreeSlotVacua:
+    """cond-bell on ``off_maximal_vacuum_3slot``, whose Gram across 2|(0,1) is not
+    real.  The root products from psi's factor chi phi^T match the vector branch's
+    to the cut's conditioning, 1 / s_min^2 times rounding, and the report is
+    pinned as it ends today."""
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    @pytest.mark.parametrize("s_min", [0.1, 1e-3])
+    def test_factored_products_match_the_vector_branch(self, d, s_min):
+        v = off_maximal_vacuum_3slot(d, d, s_min)
+        phi, s = canonical_max_violation(v.layout)
+        chi = np.eye(d * d)[0]
+        psi = np.kron(phi, chi)
+        got = root_products(s, psi, v, (2,), factor=(chi[:, None], phi[:, None]))
+        want = root_products(s, psi, v, (2,))
+        tol = 1e-15 / s_min**2
+        for name in ("k", "norm_a", "cyclic_residual", "c_tilde_norm", "normalized_error",
+                     "window", "q_trace"):
+            got_x, want_x = getattr(got, name), getattr(want, name)
+            assert abs(got_x - want_x) <= tol * max(1.0, abs(want_x)), name
+        # The vector branch's Q1 has rank 1: one eigenvalue, the rest rounding.
+        (lam,), top = got.spectrum.eigenvalues, want.spectrum.eigenvalues[0]
+        assert np.max(np.abs(want.spectrum.values[1:])) <= 1e-14 * top
+        assert abs(lam - top) <= tol * top
+        (b,), c = got.spectrum.blocks, want.spectrum.blocks[0]
+        np.testing.assert_allclose(b @ b.conj().T, c @ c.conj().T, rtol=0, atol=tol)
+        np.testing.assert_allclose(got.p_expects, want.p_expects[:1], rtol=0, atol=tol)
+        np.testing.assert_allclose(got.aps, want.aps[:1], rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    @pytest.mark.parametrize("s_min", [0.1, 1e-3])
+    def test_report(self, monkeypatch, d, s_min):
+        monkeypatch.setattr(harness, "make_vacuum",
+                            lambda layout, seed: off_maximal_vacuum_3slot(d, d, s_min, seed))
+        report = harness.run_scenario(harness.ScenarioConfig.from_dict(
+            {"scenario": "cond-bell", "layout": [d, d, d * d], "seed": 0, "eps": 0.05}))
+        assert [(a["name"], a["passed"]) for a in report.assertions] == [
+            ("conditional_violation", True), ("conditional_recompute", True),
+            ("tsirelson_margin", True)]
+        assert len(report.certificates["bell"].conditional.certificate.weights) == 1
 
 
 class TestGeneralContractionExtension:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     canonical_json_reference,
+    coefficient_matrix_oracle,
     rescale_error_oracle,
     run_cli,
     seesaw_starts_loop,
@@ -425,6 +426,33 @@ class TestNoFullSpaceMatrix:
         assert report.passed
         assert share * config.region_layout().total_dim < 32
 
+    def test_root_products_holds_few_region_matrices(self):
+        # Beyond its inputs, root_products at 256,256 peaks at 7.1 d x d complex
+        # matrices (d^2 = total_dim entries): each array is dropped after its last
+        # read.  Holding G, C~, C and every vector to the end peaks at 13.1.
+        a, psi, v = _root_inputs(cfg(layout=[256, 256]))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            root_theorem.root_products(a, psi, v, (0,))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / (256**2 * np.dtype(complex).itemsize) < 7.5
+
+    @pytest.mark.parametrize("scenario,layout,shapes", [
+        ("cond-bell", [8, 8, 64], [(1, 1)]),  # Q1 from psi's rank-1 factor
+        ("root-cert", [64, 64], [(64, 64)]),
+        ("epr", [64, 64], [(64, 64)]),
+    ])
+    def test_eigh_no_wider_than_psis_factor(self, monkeypatch, scenario, layout, shapes):
+        seen = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kwargs: (
+            seen.append(np.shape(a)) or eigh(a, *args, **kwargs)))
+        assert run_scenario(cfg(scenario=scenario, layout=layout, eps=0.05)).passed
+        assert seen == shapes
+
     def test_guard_trips_on_a_dense_local_action(self, monkeypatch):
         def dense_apply(self, vec, layout):
             d0, d1 = layout.dims
@@ -622,16 +650,35 @@ class TestSpectraComputedOnce:
         assert len(calls) == 1
 
 
+def factored_q1(p, v, factor) -> np.ndarray:
+    """The dense Q1 = C^† C for C = x Z^T / ||C~ omega||, Z^T = y^T G^-1 M^†, from
+    psi's factor x y^T and omega's coefficient matrix M across the products' region."""
+    x, y = factor
+    m = coefficient_matrix_oracle(v.omega, v.layout.dims, p.slots)
+    z_t = np.linalg.solve((m.conj().T @ m).conj(), y).T @ m.conj().T
+    c = x @ z_t / p.c_tilde_norm
+    return c.conj().T @ c
+
+
 def record_certifications(monkeypatch) -> list:
     """(the dense ||Q1 - Q1'||, certificate) for every ``certify_root`` call from
-    here on, Q1 being the matrix whose eigendecomposition its products hold."""
+    here on, Q1 being the matrix whose eigendecomposition its products hold; where
+    ``root_products`` took psi's factor, that matrix is r x r, and Q1 is
+    ``factored_q1``'s."""
     seen, q1 = [], {}
-    eig, certify = root_theorem.hermitian_eig, root_theorem.certify_root
+    eig, products = root_theorem.hermitian_eig, root_theorem.root_products
+    certify = root_theorem.certify_root
 
     def recording_eig(q):
         es = eig(q)
         q1[id(es)] = (es, q)
         return es
+
+    def recording_products(a, psi, v, slots, factor=None):
+        p = products(a, psi, v, slots, factor)
+        if factor is not None:
+            q1[id(p.spectrum)] = (p.spectrum, factored_q1(p, v, factor))
+        return p
 
     def recording_certify(p, eps):
         cert = certify(p, eps)
@@ -643,6 +690,7 @@ def record_certifications(monkeypatch) -> list:
         return cert
 
     monkeypatch.setattr(root_theorem, "hermitian_eig", recording_eig)
+    monkeypatch.setattr(root_theorem, "root_products", recording_products)
     patch_every_binding(monkeypatch, certify, recording_certify)
     return seen
 

@@ -281,12 +281,39 @@ class TestCyclicApproxStage:
         with pytest.raises(ValueError, match="not cyclic"):
             root_products(a, random_state(layout.total_dim, rng), v, region)
 
-    def test_singular_gram_ends_at_cyclic_approx(self, monkeypatch, v22):
-        # A Gram that LAPACK finds exactly singular ends at the stage, not in a traceback.
-        monkeypatch.setattr(linalg, "gram_bound", lambda m: (np.zeros((2, 2), complex), 1.0))
+    @pytest.mark.parametrize("gram", [np.zeros((2, 2)), np.diag([1e-320, 1.0])],
+                             ids=["singular", "overflowing"])
+    @pytest.mark.parametrize("factored", [False, True])
+    def test_singular_gram_ends_at_cyclic_approx(self, monkeypatch, v22, gram, factored):
+        # A Gram that LAPACK finds exactly singular, or whose solve overflows, ends
+        # at the stage, not in a traceback, on either branch.
+        monkeypatch.setattr(linalg, "gram_bound", lambda m: (gram.astype(complex), 1.0))
+        rng = np.random.default_rng(0)
+        x, y = random_state(2, rng), random_state(2, rng)
+        factor = (x[:, None], y[:, None]) if factored else None
         with pytest.raises(StageFailure) as info:
-            root_products(ONE, random_state(4, np.random.default_rng(0)), v22, (0,))
+            root_products(ONE, np.kron(x, y), v22, (0,), factor)
         assert info.value.stage == "cyclic-approx"
+
+    def test_a_factor_that_does_not_match_psi_ends_at_cyclic_approx(self, v224):
+        # psi = phi (x) chi has coefficients chi phi^T across 2|(0,1); the residual is
+        # read against psi, so any other factor of the right shapes misses it.
+        rng = np.random.default_rng(5)
+        phi, chi = random_state(4, rng), random_state(4, rng)
+        psi = np.kron(phi, chi)
+        a = LocalOperator((0, 1), linalg.random_hermitian(4, rng))
+        prove_root_certificate(a, psi, v224, (2,), 0.01, factor=(chi[:, None], phi[:, None]))
+        for x, y in ((phi, chi), (chi, phi.conj()), (chi, random_state(4, rng))):
+            with pytest.raises(StageFailure) as info:
+                prove_root_certificate(a, psi, v224, (2,), 0.01, factor=(x[:, None], y[:, None]))
+            assert info.value.stage == "cyclic-approx"
+
+    @pytest.mark.parametrize("shapes", [((4, 1), (4, 2)), ((2, 1), (8, 1)), ((4,), (4,))])
+    def test_a_factor_of_the_wrong_shape_is_rejected(self, v224, shapes):
+        psi = random_state(16, np.random.default_rng(0))
+        a = LocalOperator((0, 1), np.eye(4))
+        with pytest.raises(ValueError, match="factor shapes"):
+            root_products(a, psi, v224, (2,), factor=tuple(np.ones(s) for s in shapes))
 
 
 class TestNormalizeStage:
@@ -650,6 +677,14 @@ class TestEpsilonChainProperty:
                 assert abs(rhs - (k + sign * eps) * expectation(ep, v.omega).real) <= 1e-12
 
 
+def vector_from_coefficients(mat, dims, slots) -> np.ndarray:
+    """The layout vector whose coefficient matrix across slots|rest is ``mat``:
+    the inverse of ``coefficient_matrix_oracle``, by moveaxis."""
+    rest = [s for s in range(len(dims)) if s not in slots]
+    t = np.asarray(mat).reshape([dims[s] for s in (*slots, *rest)])
+    return np.moveaxis(t, range(len(slots)), slots).ravel()
+
+
 def stagewise_products(a, psi, v, slots) -> dict:
     """The pipeline's eps-independent values from numpy and the oracles alone:
     C~ by least squares over the matrix-unit images of omega, every vector and
@@ -773,26 +808,36 @@ class TestProductsOnceMatchesStagewise:
     They may part only at a check decided within that rounding: the failed
     value then lies within the comparison's tolerance of its bound."""
 
-    @pytest.mark.parametrize("layout,region,a_region,s_min", [
-        (L22, (0,), (1,), None), (RegionLayout((3, 3)), (0,), (1,), None),
-        (RegionLayout((8, 8)), (0,), (1,), None), (L224, (2,), (0, 1), None),
-        (L224, (2,), (1,), None), (RegionLayout((4, 4)), (0,), (1,), 0.1),
-    ], ids=["2x2", "3x3", "8x8", "2x2x4", "2x2x4-a-on-1", "4x4-off-maximal"])
+    @pytest.mark.parametrize("layout,region,a_region,s_min,rank", [
+        (L22, (0,), (1,), None, None), (RegionLayout((3, 3)), (0,), (1,), None, None),
+        (RegionLayout((8, 8)), (0,), (1,), None, None), (L224, (2,), (0, 1), None, None),
+        (L224, (2,), (1,), None, None), (RegionLayout((4, 4)), (0,), (1,), 0.1, None),
+        (L224, (2,), (0, 1), None, 1), (RegionLayout((3, 3)), (0,), (1,), None, 2),
+    ], ids=["2x2", "3x3", "8x8", "2x2x4", "2x2x4-a-on-1", "4x4-off-maximal",
+            "2x2x4-product", "3x3-rank-2"])
     @pytest.mark.parametrize("seed", range(4))
-    def test_same_stage_and_numbers(self, layout, region, a_region, s_min, seed):
+    def test_same_stage_and_numbers(self, layout, region, a_region, s_min, rank, seed):
         # s_min: make_vacuum's vacuum if None, else off_maximal_vacuum's.  Q1's top
         # eigenvalue grows as 1 / s_min^2 and carries rounding into eps4 and eps5: at
         # s_min = 0.01 the two sides part by 2e-14 relative, beyond this comparison's 1e-14.
+        # rank: a random psi if None, else psi = x y^T across region|rest, and the
+        # pipeline takes that factor (rank 1 on 2x2x4 is cond-bell's phi (x) chi).
         v = (make_vacuum(layout, seed) if s_min is None
              else off_maximal_vacuum(layout.dims[0], s_min))
         rng = np.random.default_rng(seed)
         a = LocalOperator(a_region, linalg.random_hermitian(layout.region_dim(a_region), rng))
-        psi = random_state(layout.total_dim, rng)
+        if rank is None:
+            psi, factor = random_state(layout.total_dim, rng), None
+        else:
+            x, y = (linalg.complex_gaussian(layout.region_dim(r), rng)[:, :rank]
+                    for r in (region, layout.complement(region)))
+            x /= np.linalg.norm(x @ y.T)
+            psi, factor = vector_from_coefficients(x @ y.T, layout.dims, region), (x, y)
         reference = stagewise_products(a, psi, v, region)
         for eps in (1e20, 1e17, 1e3, 1.0, 0.1, 0.01, 1e-4, 1e-8, 1e-12,
                     1e-14, 1e-15, 1e-16, 1e-17):
-            got_stage, got = outcome(
-                lambda: certificate_numbers(prove_root_certificate(a, psi, v, region, eps)))
+            got_stage, got = outcome(lambda: certificate_numbers(
+                prove_root_certificate(a, psi, v, region, eps, factor)))
             want_stage, want = outcome(lambda: stagewise_certificate(reference, eps))
             # Noise-level values (residuals near 1e-16) are compared absolutely.
             close = dict(rtol=1e-14, atol=1e-13)
