@@ -394,9 +394,8 @@ def _conditional_pipeline(
     chi = np.zeros(layout.dims[2], dtype=complex)
     chi[0] = 1.0
     psi = np.kron(phi, chi)
-    # psi's coefficients across 2|(0,1) are chi phi^T: the pipeline's rank-1 factor.
-    cert = prove_root_certificate(settings, psi, v, (2,), 2.0 * eps,
-                                  factor=(chi[:, None], phi[:, None]))
+    # psi's coefficients across 2|(0,1) are chi phi^T, of rank 1: Q1 in closed form.
+    cert = prove_root_certificate(settings, psi, v, (2,), 2.0 * eps)
     p3 = cert.p_max
     cond, p3_expect = _conditional(settings, p3, v)
     half_k = 0.5 * cert.target_k

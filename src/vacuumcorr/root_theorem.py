@@ -36,12 +36,11 @@ once.  ``rescale_to_unit_vacuum`` runs the rescale stage alone, on a
 decomposition the caller builds.  ``STAGE_BOUNDS`` names each stage's achieved
 error and the budget field that bounds it; reports and sweeps read it.
 
-Where the caller knows psi's coefficient matrix as a thin factor x y^T across
-region|rest (x region x r; cond-bell's phi (x) chi has r = 1), C~ = x Z^T with
-Z^T = y^T G^-1 M^† from one solve with r right-hand sides, and the certificate's
-Q1 is C^† C for C = x Z^T / ||C~ omega||, of rank r by construction: its nonzero
-eigenpairs come from an r x r eigenproblem after one thin QR of conj(Z), and no
-region x region matrix is formed.
+Where psi's coefficient matrix Psi across region|rest is, to NOISE_TOL, its
+skeleton x y^T through its largest entry (rank 1, as for epr's P2 omega and
+cond-bell's phi (x) chi), C~ = x z^† with z = M G^-1 conj(y) from one solve
+with one right-hand side, and Q1 = ||x||^2 z z^† / ||C~ omega||^2 is one
+eigenpair in closed form: no region x region matrix and no eigh.
 """
 
 from __future__ import annotations
@@ -203,7 +202,7 @@ class RootProducts:
     normalized_error: float  # ||C omega - psi||
     window: complex  # <A>_{C omega}
     q_trace: float  # tr Q1
-    # Q1's eigenspaces, eigenvalues descending.  From psi's factor, Q1's kernel is
+    # Q1's eigenspaces, eigenvalues descending.  For a rank-1 psi, Q1's kernel is
     # exact: its zero eigenvalues are not listed, so decomposition_residual reads 0.
     spectrum: linalg.EigenSystem
     p_expects: np.ndarray  # <P_i>_omega for every eigenspace P_i of Q1
@@ -246,13 +245,12 @@ def rescale_to_unit_vacuum(
     return replace(dec, coeffs=coeffs, q_expect=q_expect)
 
 
-def root_products(a, psi, v: VacuumModel, slots, factor=None) -> RootProducts:
+def root_products(a, psi, v: VacuumModel, slots) -> RootProducts:
     """Validate the inputs and compute every eps-independent product once.
 
-    ``factor=(x, y)`` states that psi's coefficient matrix across region|rest is
-    x y^T, with x region x r and y rest x r.  Q1 is then found from an r x r
-    eigenproblem; the residual is still read against psi, so a factor that does
-    not match psi ends at ``[cyclic-approx]``.
+    A psi of rank 1 across region|rest, found from its skeleton, takes Q1 in
+    closed form; the residual is still read against psi, so a psi put on that
+    branch wrongly ends at ``[cyclic-approx]``, never with a wrong certificate.
     """
     psi = as_state(psi)
     slots = linalg._normalize_slots(slots)
@@ -271,29 +269,28 @@ def root_products(a, psi, v: VacuumModel, slots, factor=None) -> RootProducts:
     if rank < omega_mat.shape[1]:
         raise ValueError(f"vacuum is not cyclic for region {slots}")
     singular = "the cut's Gram matrix is singular to working precision"
-    if factor is None:
-        psi_mat = linalg.coefficient_matrix(psi, dims, slots)
+    psi_mat = linalg.coefficient_matrix(psi, dims, slots)
+    # Psi's skeleton x y^T through its largest entry Psi[i, j]: x = Psi[:, j],
+    # y = Psi[i, :] / Psi[i, j].  It is Psi itself exactly when psi has rank 1.
+    i, j = np.unravel_index(np.argmax(np.abs(psi_mat)), psi_mat.shape)
+    x, y = psi_mat[:, j], psi_mat[i] / psi_mat[i, j]
+    rank_one = np.linalg.norm(psi_mat - np.outer(x, y)) <= NOISE_TOL
+    if rank_one:
+        # C~ = x y^T G^-1 M^† = x z^† for z = M G^-1 conj(y), as G is Hermitian.
+        try:
+            z = np.asarray_chkfinite(omega_mat @ np.linalg.solve(g, y.conj()))
+        except ValueError as exc:  # LinAlgError, or entries that overflowed
+            raise StageFailure("cyclic-approx", singular) from exc
+        del g
+        c_tilde_omega = linalg._slots_back(np.outer(x, z.conj() @ omega_mat),
+                                           *linalg._slot_order(dims, slots))
+    else:
         try:
             c_tilde = LocalOperator(slots, psi_mat @ np.linalg.solve(g, omega_mat.conj().T))
         except ValueError as exc:  # LinAlgError, or entries that overflowed
             raise StageFailure("cyclic-approx", singular) from exc
         del g
         c_tilde_omega = c_tilde.apply(v.omega, v.layout)
-    else:
-        x, y = (np.asarray_chkfinite(f, dtype=complex) for f in factor)
-        if x.ndim != 2 or x.shape[0] != omega_mat.shape[0] or y.shape != (
-                omega_mat.shape[1], x.shape[1]):
-            raise ValueError(f"factor shapes {x.shape}, {y.shape} do not fit the "
-                             f"region|rest cut {omega_mat.shape} with one rank")
-        # C~ = x Z^T with Z^T = y^T G^-1 M^†, which is conj(Z)^† for
-        # conj(Z) = M G^-1 conj(y), as G is Hermitian.
-        try:
-            z_bar = np.asarray_chkfinite(omega_mat @ np.linalg.solve(g, y.conj()))
-        except ValueError as exc:  # LinAlgError, or entries that overflowed
-            raise StageFailure("cyclic-approx", singular) from exc
-        del g
-        c_tilde_omega = linalg._slots_back(x @ (z_bar.conj().T @ omega_mat),
-                                           *linalg._slot_order(dims, slots))
     nrm = float(np.linalg.norm(c_tilde_omega))
     if nrm <= PROJECTOR_FLOOR:
         raise ValueError("||C~ omega|| is at the numerical floor; vacuum not separating?")
@@ -303,22 +300,17 @@ def root_products(a, psi, v: VacuumModel, slots, factor=None) -> RootProducts:
     c_tilde_omega /= np.linalg.norm(c_tilde_omega)  # C omega as a unit vector
     window = complex(np.vdot(c_tilde_omega, a.apply(c_tilde_omega, v.layout)))
     del c_tilde_omega
-    if factor is None:
+    if rank_one:
+        # Q1 = C^† C = ||x||^2 z z^† / nrm^2: one eigenpair, its eigenvector z / ||z||.
+        z_norm = np.linalg.norm(z)
+        q_trace = float((np.linalg.norm(x) * z_norm / nrm) ** 2)
+        spectrum = linalg.EigenSystem((q_trace,), ((z / z_norm)[:, None],), np.array([q_trace]))
+    else:
         c = c_tilde.matrix / nrm
         del c_tilde
         q_trace = float(np.vdot(c, c).real)
         spectrum = hermitian_eig(c.conj().T @ c)
         del c
-    else:
-        # Q1 = C^† C = U (x R^† / nrm)^† (x R^† / nrm) U^† on conj(Z) = U R: its
-        # nonzero eigenpairs from the r x r middle, lifted by U.
-        u, r = np.linalg.qr(z_bar)
-        b = x @ r.conj().T / nrm
-        h = b.conj().T @ b
-        q_trace = float(np.trace(h).real)
-        es = hermitian_eig(h)
-        spectrum = linalg.EigenSystem(es.eigenvalues, tuple(u @ blk for blk in es.blocks),
-                                      es.values)
     p_expects, aps = _block_overlaps(spectrum.blocks, slots, v, a.apply(v.omega, v.layout))
     return RootProducts(
         slots=slots,
@@ -384,6 +376,15 @@ def certify_root(p: RootProducts, eps: float) -> RootCertificate:
             "spectral", "eps4 exceeds its share of the budget",
             achieved=eps4, bound=eps4_target,
         )
+    # Q1 - Q1' is diagonal in Q1's eigenbasis: lambda_j - lambda_i / q_expect on
+    # the kept eigenspaces, lambda_j on the dropped ones, over the unmerged lambda_j.
+    sizes = [b.shape[1] for b in blocks]
+    offsets = p.spectrum.values.copy()
+    offsets[:sum(sizes)] -= np.repeat(coeffs, sizes)
+    rescale_error = float(np.max(np.abs(offsets)))
+    if rescale_error > eps4:
+        raise StageFailure("rescale", "||Q1 - Q1'|| exceeds eps4",
+                           achieved=rescale_error, bound=eps4)
 
     eps5 = eps3 + norm_a * eps4
     budget = EpsilonBudget(
@@ -408,14 +409,8 @@ def certify_root(p: RootProducts, eps: float) -> RootCertificate:
     # One operator when both picks are the same block.
     picks = {i: LocalOperator(p.slots, projector(blocks[i])) for i in {i_max, i_min}}
 
-    # Q1 - Q1' is diagonal in Q1's eigenbasis: lambda_j - lambda_i / q_expect on
-    # the kept eigenspaces, lambda_j on the dropped ones, over the unmerged lambda_j.
-    sizes = [b.shape[1] for b in blocks]
-    offsets = p.spectrum.values.copy()
-    offsets[:sum(sizes)] -= np.repeat(coeffs, sizes)
-
     achieved = (p.cyclic_residual, p.normalized_error, abs(val3 - k), residual,
-                float(np.max(np.abs(offsets))), abs(val5 - k))
+                rescale_error, abs(val5 - k))
     return RootCertificate(
         target_k=k,
         requested_eps=eps,
@@ -431,13 +426,6 @@ def certify_root(p: RootProducts, eps: float) -> RootCertificate:
     )
 
 
-def prove_root_certificate(
-    a,
-    psi,
-    v: VacuumModel,
-    slots,
-    eps: float,
-    factor=None,
-) -> RootCertificate:
+def prove_root_certificate(a, psi, v: VacuumModel, slots, eps: float) -> RootCertificate:
     """Run the full pipeline for one eps: ``certify_root`` on ``root_products``."""
-    return certify_root(root_products(a, psi, v, slots, factor), eps)
+    return certify_root(root_products(a, psi, v, slots), eps)

@@ -441,17 +441,30 @@ class TestNoFullSpaceMatrix:
         assert peak / (256**2 * np.dtype(complex).itemsize) < 7.5
 
     @pytest.mark.parametrize("scenario,layout,shapes", [
-        ("cond-bell", [8, 8, 64], [(1, 1)]),  # Q1 from psi's rank-1 factor
+        # psi of rank 1 across the cut: Q1's one eigenpair in closed form.
+        ("cond-bell", [8, 8, 64], []),
+        ("epr", [64, 64], []),
         ("root-cert", [64, 64], [(64, 64)]),
-        ("epr", [64, 64], [(64, 64)]),
     ])
     def test_eigh_no_wider_than_psis_factor(self, monkeypatch, scenario, layout, shapes):
+        # Every eigh of the run, and every qr inside root_products: the scenarios'
+        # inputs draw their Haar frames by qr.
         seen = []
-        eigh = np.linalg.eigh
+        eigh, qr, products = np.linalg.eigh, np.linalg.qr, root_theorem.root_products
+
+        def recording_products(*args):
+            monkeypatch.setattr(np.linalg, "qr", lambda a, *rest, **kwargs: (
+                seen.append(("qr", np.shape(a))) or qr(a, *rest, **kwargs)))
+            try:
+                return products(*args)
+            finally:
+                monkeypatch.setattr(np.linalg, "qr", qr)
+
         monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kwargs: (
-            seen.append(np.shape(a)) or eigh(a, *args, **kwargs)))
+            seen.append(("eigh", np.shape(a))) or eigh(a, *args, **kwargs)))
+        monkeypatch.setattr(root_theorem, "root_products", recording_products)
         assert run_scenario(cfg(scenario=scenario, layout=layout, eps=0.05)).passed
-        assert seen == shapes
+        assert seen == [("eigh", shape) for shape in shapes]
 
     def test_guard_trips_on_a_dense_local_action(self, monkeypatch):
         def dense_apply(self, vec, layout):
@@ -650,21 +663,24 @@ class TestSpectraComputedOnce:
         assert len(calls) == 1
 
 
-def factored_q1(p, v, factor) -> np.ndarray:
+def skeleton_q1(p, v, psi) -> np.ndarray:
     """The dense Q1 = C^† C for C = x Z^T / ||C~ omega||, Z^T = y^T G^-1 M^†, from
-    psi's factor x y^T and omega's coefficient matrix M across the products' region."""
-    x, y = factor
+    the skeleton x y^T of psi's coefficient matrix through its largest entry and
+    omega's coefficient matrix M across the products' region."""
+    psi_mat = coefficient_matrix_oracle(psi, v.layout.dims, p.slots)
+    i, j = np.unravel_index(np.argmax(np.abs(psi_mat)), psi_mat.shape)
+    x, y = psi_mat[:, j], psi_mat[i] / psi_mat[i, j]
     m = coefficient_matrix_oracle(v.omega, v.layout.dims, p.slots)
-    z_t = np.linalg.solve((m.conj().T @ m).conj(), y).T @ m.conj().T
-    c = x @ z_t / p.c_tilde_norm
+    z_t = np.linalg.solve((m.conj().T @ m).conj(), y) @ m.conj().T
+    c = np.outer(x, z_t) / p.c_tilde_norm
     return c.conj().T @ c
 
 
 def record_certifications(monkeypatch) -> list:
     """(the dense ||Q1 - Q1'||, certificate) for every ``certify_root`` call from
     here on, Q1 being the matrix whose eigendecomposition its products hold; where
-    ``root_products`` took psi's factor, that matrix is r x r, and Q1 is
-    ``factored_q1``'s."""
+    ``root_products`` took the rank-1 branch, no matrix was decomposed, and Q1 is
+    ``skeleton_q1``'s."""
     seen, q1 = [], {}
     eig, products = root_theorem.hermitian_eig, root_theorem.root_products
     certify = root_theorem.certify_root
@@ -674,10 +690,10 @@ def record_certifications(monkeypatch) -> list:
         q1[id(es)] = (es, q)
         return es
 
-    def recording_products(a, psi, v, slots, factor=None):
-        p = products(a, psi, v, slots, factor)
-        if factor is not None:
-            q1[id(p.spectrum)] = (p.spectrum, factored_q1(p, v, factor))
+    def recording_products(a, psi, v, slots):
+        p = products(a, psi, v, slots)
+        if id(p.spectrum) not in q1:
+            q1[id(p.spectrum)] = (p.spectrum, skeleton_q1(p, v, psi))
         return p
 
     def recording_certify(p, eps):

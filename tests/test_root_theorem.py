@@ -283,37 +283,17 @@ class TestCyclicApproxStage:
 
     @pytest.mark.parametrize("gram", [np.zeros((2, 2)), np.diag([1e-320, 1.0])],
                              ids=["singular", "overflowing"])
-    @pytest.mark.parametrize("factored", [False, True])
-    def test_singular_gram_ends_at_cyclic_approx(self, monkeypatch, v22, gram, factored):
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_singular_gram_ends_at_cyclic_approx(self, monkeypatch, v22, gram, rank):
         # A Gram that LAPACK finds exactly singular, or whose solve overflows, ends
-        # at the stage, not in a traceback, on either branch.
+        # at the stage, not in a traceback, on either branch: a psi of rank 1 or 2.
         monkeypatch.setattr(linalg, "gram_bound", lambda m: (gram.astype(complex), 1.0))
         rng = np.random.default_rng(0)
         x, y = random_state(2, rng), random_state(2, rng)
-        factor = (x[:, None], y[:, None]) if factored else None
+        psi = np.kron(x, y) if rank == 1 else random_state(4, rng)
         with pytest.raises(StageFailure) as info:
-            root_products(ONE, np.kron(x, y), v22, (0,), factor)
+            root_products(ONE, psi, v22, (0,))
         assert info.value.stage == "cyclic-approx"
-
-    def test_a_factor_that_does_not_match_psi_ends_at_cyclic_approx(self, v224):
-        # psi = phi (x) chi has coefficients chi phi^T across 2|(0,1); the residual is
-        # read against psi, so any other factor of the right shapes misses it.
-        rng = np.random.default_rng(5)
-        phi, chi = random_state(4, rng), random_state(4, rng)
-        psi = np.kron(phi, chi)
-        a = LocalOperator((0, 1), linalg.random_hermitian(4, rng))
-        prove_root_certificate(a, psi, v224, (2,), 0.01, factor=(chi[:, None], phi[:, None]))
-        for x, y in ((phi, chi), (chi, phi.conj()), (chi, random_state(4, rng))):
-            with pytest.raises(StageFailure) as info:
-                prove_root_certificate(a, psi, v224, (2,), 0.01, factor=(x[:, None], y[:, None]))
-            assert info.value.stage == "cyclic-approx"
-
-    @pytest.mark.parametrize("shapes", [((4, 1), (4, 2)), ((2, 1), (8, 1)), ((4,), (4,))])
-    def test_a_factor_of_the_wrong_shape_is_rejected(self, v224, shapes):
-        psi = random_state(16, np.random.default_rng(0))
-        a = LocalOperator((0, 1), np.eye(4))
-        with pytest.raises(ValueError, match="factor shapes"):
-            root_products(a, psi, v224, (2,), factor=tuple(np.ones(s) for s in shapes))
 
 
 class TestNormalizeStage:
@@ -374,6 +354,10 @@ PUSHED = [
     pytest.param("spectral", lambda p, b: dict(p_expects=p.p_expects * 1e-6),
                  lambda b: {"achieved": b.eps4 * 1e6, "bound": 0.5 * 0.1 / b.norm_a},
                  id="spectral"),
+    # A dropped eigenvalue of twice eps4 is ||Q1 - Q1'|| itself.
+    pytest.param("rescale", lambda p, b: dict(spectrum=replace(
+                     p.spectrum, values=np.append(p.spectrum.values, 2.0 * b.eps4))),
+                 lambda b: {"achieved": 2.0 * b.eps4, "bound": b.eps4}, id="rescale"),
     # The rescaled weights sum to 1, so <A Q1'>_omega moves by 1e-6 i.
     pytest.param("combined", lambda p, b: dict(aps=p.aps + 1e-6j * p.p_expects),
                  lambda b: {"imag": 1e-6}, id="combined-imag"),
@@ -601,20 +585,19 @@ class TestOffMaximalVacua:
         return cfg, prove_root_certificate(a, psi, off_maximal_vacuum(d, s_min), (0,), cfg.eps)
 
     @pytest.mark.parametrize("d", [4, 16, 64])
-    @pytest.mark.parametrize("s_min,failed", [
-        (0.1, set()), (1e-3, set()),
-        # Q1 / <Q1'~>_omega misses Q1 by 0.6 to 25 against eps4 ~ 1e-3 to 5e-5.
-        (1e-5, {"budget_rescale_error"}),
-    ])
-    def test_report_assertions(self, d, s_min, failed):
+    @pytest.mark.parametrize("s_min", [0.1, 1e-3])
+    def test_report_assertions(self, d, s_min):
         cfg, cert = self.certify(d, s_min)
-        assert {a["name"] for a in _root_assertions(cfg, cert) if not a["passed"]} == failed
+        assert all(a["passed"] for a in _root_assertions(cfg, cert))
 
     @pytest.mark.parametrize("d", [4, 16, 64])
-    def test_ends_at_extremal_near_the_rank_cutoff(self, d):
+    @pytest.mark.parametrize("s_min", [1e-5, 1e-7])
+    def test_ends_at_rescale(self, d, s_min):
+        # Q1 / <Q1'~>_omega misses Q1 by 0.6 to 25 at 1e-5 and by 1.5e5 to 1.3e9
+        # at 1e-7, against eps4 ~ 1e-3 to 5e-5.
         with pytest.raises(StageFailure) as failure:
-            self.certify(d, 1e-7)
-        assert failure.value.stage == "extremal"
+            self.certify(d, s_min)
+        assert failure.value.stage == "rescale"
 
 
 class TestEpsilonChainProperty:
@@ -754,8 +737,12 @@ def stagewise_certificate(o: dict, eps: float) -> dict:
     eps4 = (lam[0] + 1.0) * tau / q_expect
     if eps4 > eps4_target:
         raise StageFailure("spectral", "", achieved=eps4, bound=eps4_target)
-    eps5 = eps3 + norm_a * eps4
     coeffs = [x / q_expect for x in lam]
+    rescale_error = rescale_error_oracle(o["q"], SimpleNamespace(coeffs=coeffs,
+                                                                 blocks=o["blocks"][:n]))
+    if rescale_error > eps4:
+        raise StageFailure("rescale", "", achieved=rescale_error, bound=eps4)
+    eps5 = eps3 + norm_a * eps4
     val5 = _in_window("combined", sum(c * ap for c, ap in zip(coeffs, aps)), k, eps5)
     for p in p_expects:
         if p <= PROJECTOR_FLOOR:
@@ -789,7 +776,7 @@ def certificate_numbers(cert) -> dict:
     }
 
 
-STAGES = ("budget", "cyclic-approx", "normalize", "window", "rescale", "spectral",
+STAGES = ("budget", "cyclic-approx", "normalize", "window", "spectral", "rescale",
           "combined", "extremal", "certificate", None)
 
 
@@ -808,36 +795,42 @@ class TestProductsOnceMatchesStagewise:
     They may part only at a check decided within that rounding: the failed
     value then lies within the comparison's tolerance of its bound."""
 
-    @pytest.mark.parametrize("layout,region,a_region,s_min,rank", [
+    @pytest.mark.parametrize("layout,region,a_region,s_min,terms", [
         (L22, (0,), (1,), None, None), (RegionLayout((3, 3)), (0,), (1,), None, None),
         (RegionLayout((8, 8)), (0,), (1,), None, None), (L224, (2,), (0, 1), None, None),
         (L224, (2,), (1,), None, None), (RegionLayout((4, 4)), (0,), (1,), 0.1, None),
-        (L224, (2,), (0, 1), None, 1), (RegionLayout((3, 3)), (0,), (1,), None, 2),
+        (L224, (2,), (0, 1), None, (1.0,)), (RegionLayout((3, 3)), (0,), (1,), None, (1.0, 1.0)),
+        (L224, (2,), (0, 1), None, (1.0, 1e-6)),
     ], ids=["2x2", "3x3", "8x8", "2x2x4", "2x2x4-a-on-1", "4x4-off-maximal",
-            "2x2x4-product", "3x3-rank-2"])
+            "2x2x4-product", "3x3-rank-2", "2x2x4-product-plus-1e-6"])
     @pytest.mark.parametrize("seed", range(4))
-    def test_same_stage_and_numbers(self, layout, region, a_region, s_min, rank, seed):
+    def test_same_stage_and_numbers(self, layout, region, a_region, s_min, terms, seed):
         # s_min: make_vacuum's vacuum if None, else off_maximal_vacuum's.  Q1's top
         # eigenvalue grows as 1 / s_min^2 and carries rounding into eps4 and eps5: at
         # s_min = 0.01 the two sides part by 2e-14 relative, beyond this comparison's 1e-14.
-        # rank: a random psi if None, else psi = x y^T across region|rest, and the
-        # pipeline takes that factor (rank 1 on 2x2x4 is cond-bell's phi (x) chi).
+        # terms: a random psi if None, else psi = x y^T across region|rest with x's
+        # columns scaled by terms.  One term is rank 1 (on 2x2x4, cond-bell's
+        # phi (x) chi) and takes Q1 in closed form; a second term, even at 1e-6, does not.
         v = (make_vacuum(layout, seed) if s_min is None
              else off_maximal_vacuum(layout.dims[0], s_min))
         rng = np.random.default_rng(seed)
         a = LocalOperator(a_region, linalg.random_hermitian(layout.region_dim(a_region), rng))
-        if rank is None:
-            psi, factor = random_state(layout.total_dim, rng), None
+        if terms is None:
+            psi = random_state(layout.total_dim, rng)
         else:
-            x, y = (linalg.complex_gaussian(layout.region_dim(r), rng)[:, :rank]
+            x, y = (linalg.complex_gaussian(layout.region_dim(r), rng)[:, :len(terms)]
                     for r in (region, layout.complement(region)))
+            x *= terms
             x /= np.linalg.norm(x @ y.T)
-            psi, factor = vector_from_coefficients(x @ y.T, layout.dims, region), (x, y)
+            psi = vector_from_coefficients(x @ y.T, layout.dims, region)
+            # The rank-1 branch lists Q1's one eigenvalue, the vector branch all of them.
+            listed = len(root_products(a, psi, v, region).spectrum.values)
+            assert listed == (1 if len(terms) == 1 else layout.region_dim(region))
         reference = stagewise_products(a, psi, v, region)
         for eps in (1e20, 1e17, 1e3, 1.0, 0.1, 0.01, 1e-4, 1e-8, 1e-12,
                     1e-14, 1e-15, 1e-16, 1e-17):
             got_stage, got = outcome(lambda: certificate_numbers(
-                prove_root_certificate(a, psi, v, region, eps, factor)))
+                prove_root_certificate(a, psi, v, region, eps)))
             want_stage, want = outcome(lambda: stagewise_certificate(reference, eps))
             # Noise-level values (residuals near 1e-16) are compared absolutely.
             close = dict(rtol=1e-14, atol=1e-13)
