@@ -37,7 +37,6 @@ from .correlations import (
     bell_correlation,
     bell_operator,
     canonical_max_violation,
-    conditional_bell_correlation,
     contraction_from_projector,
     epr_projector_pair,
     general_contraction_extension,

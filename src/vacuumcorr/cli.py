@@ -21,8 +21,8 @@ from .harness import (
     SCENARIOS,
     ConfigError,
     ScenarioConfig,
+    _report_chunks,
     emit_report,
-    render_report,
     run_scenario,
     sweep_eps,
 )
@@ -109,7 +109,7 @@ def main(argv=None) -> int:
             print(f"error: {ConfigError('out', str(exc))}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(render_report(report, args.format, include_timings=args.timings))
+        sys.stdout.writelines(_report_chunks(report, args.format, args.timings))
     return 0 if report.passed else 1
 
 

@@ -343,33 +343,6 @@ def epr_projector_pair(
     return p1, report
 
 
-def conditional_bell_correlation(
-    s: BellSettings, p3: LocalOperator, v: VacuumModel
-) -> float:
-    """(1/2) <R P3>_omega / <P3>_omega for a projector P3 on slot 2."""
-    return _conditional(s, p3, v)[0]
-
-
-def _conditional(s: BellSettings, p3: LocalOperator, v: VacuumModel) -> tuple[float, float]:
-    """``conditional_bell_correlation`` and <P3>_omega, from one P3 omega."""
-    if v.layout.n_slots != 3:
-        raise ValueError("conditional correlations need a 3-slot layout")
-    if p3.slots != (2,):
-        raise ValueError(f"P3 must live on slot 2, got {p3.slots}")
-    if not p3.is_projector():
-        raise ValueError("P3 is not a projector")
-    p3_omega = p3.apply(v.omega, v.layout)
-    p3_expect = float(np.vdot(v.omega, p3_omega).real)
-    if p3_expect <= PROJECTOR_FLOOR:
-        raise ValueError(
-            f"<P3>_omega = {p3_expect} at the floor (cannot occur for a separating vacuum)"
-        )
-    val = complex(np.vdot(v.omega, s.apply(p3_omega, v.layout)))
-    if abs(val.imag) > NOISE_TOL:
-        raise StageFailure("conditional", "non-real <R P3>", imag=val.imag)
-    return 0.5 * float(val.real) / p3_expect, p3_expect
-
-
 def _conditional_pipeline(
     settings: BellSettings,
     phi: np.ndarray,
@@ -396,8 +369,20 @@ def _conditional_pipeline(
     psi = np.kron(phi, chi)
     # psi's coefficients across 2|(0,1) are chi phi^T, of rank 1: Q1 in closed form.
     cert = prove_root_certificate(settings, psi, v, (2,), 2.0 * eps)
-    p3 = cert.p_max
-    cond, p3_expect = _conditional(settings, p3, v)
+    p3 = cert.p_max  # on slot 2
+    if not p3.is_projector():
+        raise ValueError("P3 is not a projector")
+    p3_omega = p3.apply(v.omega, layout)
+    p3_expect = float(np.vdot(v.omega, p3_omega).real)
+    if p3_expect <= PROJECTOR_FLOOR:
+        raise ValueError(
+            f"<P3>_omega = {p3_expect} at the floor (cannot occur for a separating vacuum)"
+        )
+    # (1/2) <R P3>_omega / <P3>_omega from the one P3 omega.
+    val = complex(np.vdot(v.omega, settings.apply(p3_omega, layout)))
+    if abs(val.imag) > NOISE_TOL:
+        raise StageFailure("conditional", "non-real <R P3>", imag=val.imag)
+    cond = 0.5 * float(val.real) / p3_expect
     half_k = 0.5 * cert.target_k
     if not cond > half_k - eps:
         raise StageFailure(

@@ -148,17 +148,21 @@ class ProjectorDecomposition:
             raise ValueError("coefficients and blocks must pair up")
 
 
-def _block_overlaps(blocks, slots, v: VacuumModel, x) -> tuple[np.ndarray, np.ndarray]:
+def _block_overlaps(blocks, omega_mat, x_mat) -> tuple[np.ndarray, np.ndarray]:
     """<P_i>_omega and <omega, (P_i (x) 1) x> for each P_i = B_i B_i^†, as
     vdot(B_i^† W, B_i^† W) and vdot(B_i^† W, B_i^† X) with W and X the
-    coefficient matrices of omega and x across slots|rest: the per-column
-    products of V^† W with itself and with V^† X, summed over each block of
-    the concatenated blocks V.  Two products by V^† serve every block."""
-    vh = np.hstack(blocks).conj().T
-    w, xm = (vh @ linalg.coefficient_matrix(y, v.layout.dims, slots) for y in (v.omega, x))
+    coefficient matrices ``omega_mat`` and ``x_mat`` of omega and x across
+    slots|rest: the per-column products of V^† W with itself and with V^† X,
+    summed over each block of the concatenated blocks V.  Two products by V^†
+    serve every block; each conj(V^† W) product is written over its right factor."""
+    vh = np.hstack(blocks)
+    vh = np.conjugate(vh, out=vh).T
+    w, xm = vh @ omega_mat, vh @ x_mat
+    del vh
     starts = np.cumsum([0] + [b.shape[1] for b in blocks[:-1]])
     w_conj = w.conj()
-    return tuple(np.add.reduceat(np.sum(w_conj * y, axis=1), starts) for y in (w, xm))
+    return tuple(np.add.reduceat(np.sum(np.multiply(w_conj, y, out=y), axis=1), starts)
+                 for y in (w, xm))
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,7 +244,8 @@ def rescale_to_unit_vacuum(
 ) -> ProjectorDecomposition:
     """Divide the coefficients by <Q1'~>_omega so <Q1'>_omega = 1; the
     result records the divisor as ``q_expect``."""
-    p_expects = _block_overlaps(dec.blocks, dec.slots, v, v.omega)[0] if dec.blocks else ()
+    m = linalg.coefficient_matrix(v.omega, v.layout.dims, dec.slots)
+    p_expects = _block_overlaps(dec.blocks, m, m)[0] if dec.blocks else ()
     coeffs, q_expect = _unit(dec.coeffs, p_expects, dec.slots)
     return replace(dec, coeffs=coeffs, q_expect=q_expect)
 
@@ -275,22 +280,18 @@ def root_products(a, psi, v: VacuumModel, slots) -> RootProducts:
     i, j = np.unravel_index(np.argmax(np.abs(psi_mat)), psi_mat.shape)
     x, y = psi_mat[:, j], psi_mat[i] / psi_mat[i, j]
     rank_one = np.linalg.norm(psi_mat - np.outer(x, y)) <= NOISE_TOL
-    if rank_one:
-        # C~ = x y^T G^-1 M^† = x z^† for z = M G^-1 conj(y), as G is Hermitian.
-        try:
+    try:
+        if rank_one:  # C~ = x y^T G^-1 M^† = x z^† for z = M G^-1 conj(y), as G is Hermitian.
             z = np.asarray_chkfinite(omega_mat @ np.linalg.solve(g, y.conj()))
-        except ValueError as exc:  # LinAlgError, or entries that overflowed
-            raise StageFailure("cyclic-approx", singular) from exc
-        del g
-        c_tilde_omega = linalg._slots_back(np.outer(x, z.conj() @ omega_mat),
-                                           *linalg._slot_order(dims, slots))
-    else:
-        try:
-            c_tilde = LocalOperator(slots, psi_mat @ np.linalg.solve(g, omega_mat.conj().T))
-        except ValueError as exc:  # LinAlgError, or entries that overflowed
-            raise StageFailure("cyclic-approx", singular) from exc
-        del g
-        c_tilde_omega = c_tilde.apply(v.omega, v.layout)
+        else:
+            c_tilde = np.asarray_chkfinite(psi_mat @ np.linalg.solve(g, omega_mat.conj().T))
+    except ValueError as exc:  # LinAlgError, or entries that overflowed
+        raise StageFailure("cyclic-approx", singular) from exc
+    del g
+    # C~ omega is C~ M back in layout order.
+    c_tilde_omega = linalg._slots_back(
+        np.outer(x, z.conj() @ omega_mat) if rank_one else c_tilde @ omega_mat,
+        *linalg._slot_order(dims, slots))
     nrm = float(np.linalg.norm(c_tilde_omega))
     if nrm <= PROJECTOR_FLOOR:
         raise ValueError("||C~ omega|| is at the numerical floor; vacuum not separating?")
@@ -306,12 +307,12 @@ def root_products(a, psi, v: VacuumModel, slots) -> RootProducts:
         q_trace = float((np.linalg.norm(x) * z_norm / nrm) ** 2)
         spectrum = linalg.EigenSystem((q_trace,), ((z / z_norm)[:, None],), np.array([q_trace]))
     else:
-        c = c_tilde.matrix / nrm
+        c_tilde /= nrm  # C, in place
+        q_trace = float(np.vdot(c_tilde, c_tilde).real)
+        spectrum = hermitian_eig(c_tilde.conj().T @ c_tilde)
         del c_tilde
-        q_trace = float(np.vdot(c, c).real)
-        spectrum = hermitian_eig(c.conj().T @ c)
-        del c
-    p_expects, aps = _block_overlaps(spectrum.blocks, slots, v, a.apply(v.omega, v.layout))
+    a_omega = linalg.coefficient_matrix(a.apply(v.omega, v.layout), dims, slots)
+    p_expects, aps = _block_overlaps(spectrum.blocks, omega_mat, a_omega)
     return RootProducts(
         slots=slots,
         k=float(np.vdot(psi, a.apply(psi, v.layout)).real),

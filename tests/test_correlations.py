@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     bell_oracle,
     charpoly_eigenvalues,
+    embed_oracle,
     expectation,
     off_maximal_vacuum,
     off_maximal_vacuum_3slot,
@@ -27,7 +29,6 @@ from vacuumcorr.correlations import (
     bell_correlation,
     bell_operator,
     canonical_max_violation,
-    conditional_bell_correlation,
     contraction_from_projector,
     epr_projector_pair,
     general_contraction_extension,
@@ -682,35 +683,48 @@ class TestEPRProjectorPair:
             epr_projector_pair(LocalOperator(1, 0.3 * np.eye(2)), v.omega, v, 1e-3)
 
 
+def conditional_on(v, p3, eps=0.05):
+    """The conditional step of ``violate_conditional_bell`` on ``p3``, swapped in for
+    the certificate's ``p_max``: the report's value, or the value that the step's
+    target check reports when it raises."""
+    original = correlations.prove_root_certificate
+
+    def with_p3(*args):
+        return dataclasses.replace(original(*args), p_max=p3)
+
+    with mock.patch.object(correlations, "prove_root_certificate", with_p3):
+        try:
+            return violate_conditional_bell(v.layout, v, eps).conditional.conditional_correlation
+        except StageFailure as exc:
+            assert exc.stage == "conditional"
+            return exc.values["achieved"]
+
+
 class TestConditionalCorrelation:
     def test_identity_projector_reduces_to_vacuum(self):
-        v = make_vacuum(L224, seed=0)
+        # make_vacuum's <R>_omega is 0 to rounding; this vacuum's (1/2) <R>_omega is 0.19.
+        v = off_maximal_vacuum_3slot(2, 2, 0.1)
         _, s = canonical_max_violation(L224)
-        p3 = LocalOperator(2, np.eye(4))
-        cond = conditional_bell_correlation(s, p3, v)
+        cond = conditional_on(v, LocalOperator(2, np.eye(4)))
         r = bell_operator(s, L224)
         direct = 0.5 * float(expectation(r, v.omega).real)
         assert abs(cond - direct) <= 1e-12
 
     def test_bounded_by_half_norm(self):
         v = make_vacuum(L224, seed=1)
-        _, s = canonical_max_violation(L224)
         for seed in range(10):
             p3 = random_projector(L224, 2, 1 + seed % 4, seed=seed)
-            cond = conditional_bell_correlation(s, p3, v)
-            assert abs(cond) <= SQRT2 + 1e-10
+            assert abs(conditional_on(v, p3)) <= SQRT2 + 1e-10
 
-    def test_wrong_slot_rejected(self):
+    def test_non_projector_rejected(self):
         v = make_vacuum(L224, seed=0)
-        _, s = canonical_max_violation(L224)
-        with pytest.raises(ValueError, match="slot 2"):
-            conditional_bell_correlation(s, LocalOperator(0, np.eye(2)), v)
+        with pytest.raises(ValueError, match="not a projector"):
+            conditional_on(v, LocalOperator(2, 0.5 * np.eye(4)))
 
-    def test_two_slot_layout_rejected(self):
-        v = make_vacuum(L22, seed=0)
-        _, s = canonical_max_violation(L22)
-        with pytest.raises(ValueError, match="3-slot"):
-            conditional_bell_correlation(s, LocalOperator(1, np.eye(2)), v)
+    def test_zero_projector_rejected_at_the_floor(self):
+        v = make_vacuum(L224, seed=0)
+        with pytest.raises(ValueError, match="at the floor"):
+            conditional_on(v, LocalOperator(2, np.zeros((4, 4))))
 
 
 class TestViolateConditionalBell:
@@ -723,11 +737,21 @@ class TestViolateConditionalBell:
         assert cond.p3.is_projector()
 
     def test_recompute_from_report(self):
+        # (1/2) <R P3>_omega / <P3>_omega from the dense oracles.
         v = make_vacuum(L224, seed=0)
         report = violate_conditional_bell(L224, v, eps=0.05)
-        cond = report.conditional
-        recomputed = conditional_bell_correlation(report.settings, cond.p3, v)
+        cond, s = report.conditional, report.settings
+        p3 = embed_oracle(cond.p3.matrix, 2, L224.dims)
+        r = bell_oracle(s.a1.matrix, s.a2.matrix, s.b1.matrix, s.b2.matrix, L224.dims)
+        p3_expect = expectation(p3, v.omega).real
+        assert abs(p3_expect - cond.p3_expect) <= 1e-12
+        recomputed = 0.5 * expectation(r @ p3, v.omega).real / p3_expect
         assert abs(recomputed - cond.conditional_correlation) <= 1e-9
+
+    def test_two_slot_layout_rejected(self):
+        v = make_vacuum(L22, seed=0)
+        with pytest.raises(ValueError, match="3-slot"):
+            violate_conditional_bell(L22, v, eps=0.05)
 
     def test_loose_budget_also_passes(self):
         v = make_vacuum(L224, seed=3)

@@ -8,7 +8,7 @@ import re
 import sys
 import tracemalloc
 from collections import Counter
-from dataclasses import asdict, fields, is_dataclass
+from dataclasses import asdict, fields, is_dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -324,12 +324,13 @@ class TestScenarios:
 
     def test_cond_bell_recompute_is_independent_of_the_pipeline(self, monkeypatch):
         # A pipeline whose conditional correlation is off by 1e-6 must fail the recompute.
-        # The pipeline reads it, with <P3>_omega, from correlations._conditional.
-        original = correlations._conditional
+        original = correlations.violate_conditional_bell
 
         def faulty(*args):
-            cond, p3_expect = original(*args)
-            return cond + 1e-6, p3_expect
+            report = original(*args)
+            cond = report.conditional
+            return replace(report, conditional=replace(
+                cond, conditional_correlation=cond.conditional_correlation + 1e-6))
 
         patch_every_binding(monkeypatch, original, faulty)
         report = run_scenario(cfg(scenario="cond-bell", layout=[2, 2, 4], eps=0.05))
@@ -427,9 +428,10 @@ class TestNoFullSpaceMatrix:
         assert share * config.region_layout().total_dim < 32
 
     def test_root_products_holds_few_region_matrices(self):
-        # Beyond its inputs, root_products at 256,256 peaks at 7.1 d x d complex
+        # Beyond its inputs, root_products at 256,256 peaks at 5.1 d x d complex
         # matrices (d^2 = total_dim entries): each array is dropped after its last
-        # read.  Holding G, C~, C and every vector to the end peaks at 13.1.
+        # read, and the block overlaps conjugate and multiply in place (7.1 without).
+        # Holding G, C~, C and every vector to the end peaks at 13.1.
         a, psi, v = _root_inputs(cfg(layout=[256, 256]))
         tracemalloc.start()
         try:
@@ -438,7 +440,7 @@ class TestNoFullSpaceMatrix:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak / (256**2 * np.dtype(complex).itemsize) < 7.5
+        assert peak / (256**2 * np.dtype(complex).itemsize) < 5.5
 
     @pytest.mark.parametrize("scenario,layout,shapes", [
         # psi of rank 1 across the cut: Q1's one eigenpair in closed form.
@@ -1184,6 +1186,22 @@ class TestCLI:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["config"]["scenario"] == "tsirelson-sweep"
+
+    def test_stdout_is_written_chunk_by_chunk(self, monkeypatch, tmp_path):
+        # stdout takes the chunk list that --out writes, never one joined text: at epr
+        # 128,128 the run and its chunks peaked at 1.15 times the report's bytes, and the
+        # joined text at 2.48 times.
+        path = tmp_path / "stdout.json"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            monkeypatch.setattr(sys, "stdout", fh)
+            tracemalloc.start()
+            try:
+                code = main(["run", "--scenario", "epr", "--layout", "128,128", "--seed", "0"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 1.6 * path.stat().st_size
 
     @pytest.mark.parametrize("command,fields,flags,stage", [
         # The least-squares residual (~1e-16) exceeds eps1.
