@@ -5,13 +5,15 @@ Usage:
     vacuumcorr sweep --scenario root-cert --layout 2,2 --eps-list 0.1,0.01
 
 A JSON config file may supply any field; explicit flags override it.
-Exit status: 0 all assertions passed, 1 some failed, 2 invalid config or
-unwritable --out, 3 a pipeline stage missed its bound (named in the message).
+Exit status: 0 all assertions passed, 1 some failed, 2 invalid config or an
+unwritable --out or stdout (one writer, harness.emit_report, serves both; a write that
+fails partway leaves the bytes before it), 3 a stage missed its bound (named in the message).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -21,7 +23,6 @@ from .harness import (
     SCENARIOS,
     ConfigError,
     ScenarioConfig,
-    _report_chunks,
     emit_report,
     run_scenario,
     sweep_eps,
@@ -93,23 +94,24 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         # Before the run, which can take long: its report would have nowhere to go.
-        if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        if args.out and os.path.isdir(args.out):
+            raise ConfigError("out", f"cannot write report to {args.out}: is a directory")
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
             raise ConfigError("out", f"cannot write report to {args.out}: no such directory")
         if args.command == "run":
             report = run_scenario(cfg)
         else:
             report = sweep_eps(cfg)
+        emit_report(report, args.format, args.out or None, include_timings=args.timings)
     except (ConfigError, StageFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 3
-    if args.out:
-        try:
-            emit_report(report, args.format, args.out, include_timings=args.timings)
-        except OSError as exc:
-            print(f"error: {ConfigError('out', str(exc))}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.writelines(_report_chunks(report, args.format, args.timings))
+    except OSError as exc:
+        print(f"error: {ConfigError('out', str(exc))}", file=sys.stderr)
+        if not args.out:  # stdout's buffer may keep the report: its last flush goes to devnull
+            with contextlib.suppress(OSError, ValueError), open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        return 2
     return 0 if report.passed else 1
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 import time
 from dataclasses import dataclass, fields, is_dataclass
 from json.encoder import encode_basestring_ascii
@@ -652,12 +653,18 @@ def render_report(report, fmt: str, include_timings: bool = False) -> str:
     return "".join(_report_chunks(report, fmt, include_timings))
 
 
-def emit_report(report, fmt: str, path, include_timings: bool = False) -> None:
-    """Write a report, chunk by chunk, never joined into one text; byte-identical
-    output for identical inputs."""
+def emit_report(report, fmt: str, path=None, include_timings: bool = False) -> None:
+    """Write a report to ``path``, or to stdout if None, chunk by chunk, never joined into
+    one text; identical inputs give identical bytes.  A failed write raises one OSError
+    naming the destination and leaves the bytes written before it."""
     chunks = _report_chunks(report, fmt, include_timings)
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(chunks)
+        if path is None:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(chunks)
     except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc
+        where = "stdout" if path is None else path
+        raise OSError(f"cannot write report to {where}: {exc}") from exc

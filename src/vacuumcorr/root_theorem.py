@@ -148,21 +148,21 @@ class ProjectorDecomposition:
             raise ValueError("coefficients and blocks must pair up")
 
 
-def _block_overlaps(blocks, omega_mat, x_mat) -> tuple[np.ndarray, np.ndarray]:
-    """<P_i>_omega and <omega, (P_i (x) 1) x> for each P_i = B_i B_i^†, as
-    vdot(B_i^† W, B_i^† W) and vdot(B_i^† W, B_i^† X) with W and X the
-    coefficient matrices ``omega_mat`` and ``x_mat`` of omega and x across
-    slots|rest: the per-column products of V^† W with itself and with V^† X,
-    summed over each block of the concatenated blocks V.  Two products by V^†
-    serve every block; each conj(V^† W) product is written over its right factor."""
+def _block_overlaps(blocks, omega_mat, *x_mats) -> tuple[np.ndarray, ...]:
+    """<P_i>_omega, then <omega, (P_i (x) 1) x> for each x, for each P_i = B_i B_i^†, as
+    vdot(B_i^† W, B_i^† W) and vdot(B_i^† W, B_i^† X) with W and X the coefficient
+    matrices ``omega_mat`` and ``x_mats`` of omega and each x across slots|rest: the
+    per-column products of V^† W with itself and with each V^† X, summed over each block
+    of the concatenated blocks V.  One product by V^† per matrix serves every block; each
+    conj(V^† W) product is written over its right factor."""
     vh = np.hstack(blocks)
     vh = np.conjugate(vh, out=vh).T
-    w, xm = vh @ omega_mat, vh @ x_mat
+    ys = [vh @ y for y in (omega_mat, *x_mats)]
     del vh
     starts = np.cumsum([0] + [b.shape[1] for b in blocks[:-1]])
-    w_conj = w.conj()
+    w_conj = ys[0].conj()
     return tuple(np.add.reduceat(np.sum(np.multiply(w_conj, y, out=y), axis=1), starts)
-                 for y in (w, xm))
+                 for y in ys)
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,7 +245,7 @@ def rescale_to_unit_vacuum(
     """Divide the coefficients by <Q1'~>_omega so <Q1'>_omega = 1; the
     result records the divisor as ``q_expect``."""
     m = linalg.coefficient_matrix(v.omega, v.layout.dims, dec.slots)
-    p_expects = _block_overlaps(dec.blocks, m, m)[0] if dec.blocks else ()
+    p_expects = _block_overlaps(dec.blocks, m)[0] if dec.blocks else ()
     coeffs, q_expect = _unit(dec.coeffs, p_expects, dec.slots)
     return replace(dec, coeffs=coeffs, q_expect=q_expect)
 

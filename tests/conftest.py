@@ -14,7 +14,7 @@ the single-setting API, the frame norm's reference builds the d x d
 reflections, and the report writer's reference formats one float at a time.
 ``off_maximal_vacuum`` and ``off_maximal_vacuum_3slot`` are families of 2- and 3-slot
 vacua off the maximally entangled point.
-``run_cli`` runs the command line on this checkout's sources.
+``run_cli`` runs the command line on this checkout's sources, in ``cli_env()``.
 """
 
 import itertools
@@ -451,11 +451,16 @@ def off_maximal_vacuum_3slot(d1: int, d2: int, s_min: float, seed: int = 0) -> V
                                    ((u * s) @ f.T / np.linalg.norm(s)).ravel())
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    """``python -m vacuumcorr ARGS`` in a subprocess, importing the package
-    from this checkout's src/ ahead of any installed copy."""
+def cli_env() -> dict:
+    """This process's environment with this checkout's src/ first on PYTHONPATH, so a
+    subprocess imports the package from it ahead of any installed copy."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """``python -m vacuumcorr ARGS`` in a subprocess, with ``cli_env()``."""
     return subprocess.run(
-        [sys.executable, "-m", "vacuumcorr", *args], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "vacuumcorr", *args], capture_output=True, text=True, env=cli_env()
     )

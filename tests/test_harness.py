@@ -1,10 +1,13 @@
 import contextlib
 import csv
+import errno
 import io
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 from collections import Counter
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     canonical_json_reference,
+    cli_env,
     coefficient_matrix_oracle,
     rescale_error_oracle,
     run_cli,
@@ -1203,6 +1207,57 @@ class TestCLI:
         assert code == 0
         assert peak < 1.6 * path.stat().st_size
 
+    class UnwritableStdout(io.TextIOBase):
+        """A stdout with no file descriptor whose every write raises ``exc``."""
+
+        def __init__(self, exc):
+            self.exc = exc
+
+        def write(self, text):
+            raise self.exc
+
+    @pytest.mark.parametrize("exc", [OSError(errno.ENOSPC, "No space left on device"),
+                                     BrokenPipeError(errno.EPIPE, "Broken pipe")],
+                             ids=["ENOSPC", "EPIPE"])
+    def test_unwritable_stdout_exits_two(self, monkeypatch, capsys, exc):
+        # stdout and --out share emit_report, so a failed write to either ends alike.
+        monkeypatch.setattr(sys, "stdout", self.UnwritableStdout(exc))
+        code = main(["run", "--scenario", "root-cert", "--layout", "2,2", "--seed", "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: config field 'out': cannot write report to stdout: {exc}\n"
+
+    @pytest.mark.parametrize("scenario,layout,target,read,reason", [
+        # The report (about 3 MB) is far larger than a pipe buffer, so the CLI is still
+        # writing when the reader goes.
+        ("epr", "128,128", "pipe", 10, "[Errno 32] Broken pipe"),
+        # The report (2355 bytes) is still in stdout's buffer when its flush fails, so the
+        # interpreter's last flush would fail again and print "Exception ignored".
+        ("root-cert", "2,2", "pipe", 0, "[Errno 32] Broken pipe"),
+        pytest.param("root-cert", "2,2", "/dev/full", 0, "[Errno 28] No space left on device",
+                     marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                              reason="no /dev/full")),
+    ], ids=["pipe-closed-mid-report", "pipe-closed-before-output", "dev-full"])
+    def test_unwritable_stdout_in_a_subprocess_exits_two(
+        self, scenario, layout, target, read, reason
+    ):
+        env = cli_env()
+        env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as by default
+        with contextlib.ExitStack() as stack:
+            stdout = (subprocess.PIPE if target == "pipe"
+                      else stack.enter_context(open(target, "w")))
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "vacuumcorr", "run", "--scenario", scenario,
+                 "--layout", layout, "--seed", "0"],
+                stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+        if proc.stdout:  # the reader takes `read` characters, then goes
+            assert proc.stdout.read(read) == '{"assertions"'[:read]
+            proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2, err
+        assert err == f"error: config field 'out': cannot write report to stdout: {reason}\n"
+
     @pytest.mark.parametrize("command,fields,flags,stage", [
         # The least-squares residual (~1e-16) exceeds eps1.
         ("run", {"scenario": "cond-bell", "layout": [2, 2, 4]}, ["--eps", "1e-15"],
@@ -1220,21 +1275,25 @@ class TestCLI:
         assert proc.stderr.startswith(f"error: [{stage}] ")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("name,reason", [("missing-dir/r.json", "no such directory"),
+                                             ("", "is a directory"),
+                                             ("missing-dir/", "no such directory")],
+                             ids=["missing-parent", "existing-dir", "missing-dir-slash"])
     @pytest.mark.parametrize("command", ["run", "sweep"])
-    def test_missing_out_directory_exits_two_before_the_run(
-        self, tmp_path, capsys, monkeypatch, command
+    def test_out_with_nowhere_to_go_exits_two_before_the_run(
+        self, tmp_path, capsys, monkeypatch, command, name, reason
     ):
         def never(config):
             raise AssertionError("the run started before --out was checked")
 
         monkeypatch.setattr(cli, "run_scenario", never)
         monkeypatch.setattr(cli, "sweep_eps", never)
-        out = tmp_path / "missing-dir" / "r.json"
+        out = os.path.join(tmp_path, name)
         code = main([command, "--scenario", "root-cert", "--layout", "2,2",
-                     "--eps-list" if command == "sweep" else "--eps", "0.01", "--out", str(out)])
+                     "--eps-list" if command == "sweep" else "--eps", "0.01", "--out", out])
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: config field 'out': cannot write report to {out}")
+        assert capsys.readouterr().err == (
+            f"error: config field 'out': cannot write report to {out}: {reason}\n")
 
     def test_unwritable_out_exit_two(self, tmp_path):
         out = tmp_path / "missing-dir" / "r.json"
