@@ -93,22 +93,30 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)
-        # Before the run, which can take long: its report would have nowhere to go.
+        # Before the run, which can take long: its report would have nowhere to go.  A regular
+        # file (not a FIFO, whose reader would see EOF) is opened for append: no truncation.
+        if args.out == "":
+            raise ConfigError("out", "cannot write report to '': empty path")
         if args.out and os.path.isdir(args.out):
             raise ConfigError("out", f"cannot write report to {args.out}: is a directory")
         if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
             raise ConfigError("out", f"cannot write report to {args.out}: no such directory")
+        if args.out and os.path.isfile(args.out):
+            try:
+                open(args.out, "a").close()
+            except OSError as exc:
+                raise ConfigError("out", f"cannot write report to {args.out}: {exc}") from exc
         if args.command == "run":
             report = run_scenario(cfg)
         else:
             report = sweep_eps(cfg)
-        emit_report(report, args.format, args.out or None, include_timings=args.timings)
+        emit_report(report, args.format, args.out, include_timings=args.timings)
     except (ConfigError, StageFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 3
     except OSError as exc:
         print(f"error: {ConfigError('out', str(exc))}", file=sys.stderr)
-        if not args.out:  # stdout's buffer may keep the report: its last flush goes to devnull
+        if args.out is None:  # stdout's buffer may keep the report: its last flush goes to devnull
             with contextlib.suppress(OSError, ValueError), open(os.devnull, "w") as null:
                 os.dup2(null.fileno(), sys.stdout.fileno())
         return 2

@@ -5,7 +5,9 @@ contractions A_i on slot 0 and B_i on slot 1.  Its spectral ceiling is
 2 sqrt(2), so every correlation (1/2) <R> stays below the sqrt(2) bound;
 the canonical two-qubit construction saturates it.  Conditioning on a
 projector in a third region reproduces the near-maximal vacuum violation
-through the root pipeline, whose A is the settings' ``slots``, ``apply`` and ``hermitian_norm``.
+through the root pipeline, whose A is the settings' ``slots``, ``apply`` and ``hermitian_norm``;
+<P3>_omega and <R P3>_omega are its products' overlaps on P3's one eigenspace, so neither
+P3 nor R is applied to a vector for the conditional correlation.
 
 R is applied by two products (``BellSettings.apply``), never formed for a correlation or
 a pipeline.  Landau's identity (Phys. Lett. A 120, 54 (1987)) gives its norm when A1^2 =
@@ -30,7 +32,8 @@ import numpy as np
 from . import linalg
 from .linalg import NOISE_TOL, PROJECTOR_FLOOR, as_state, hermitian_eig, operator_norm
 from .local_algebra import LocalOperator, RegionLayout, VacuumModel, require_vacuum_layout
-from .root_theorem import RootCertificate, StageFailure, prove_root_certificate
+from .root_theorem import (RootCertificate, StageFailure, certify_root, prove_root_certificate,
+                           root_products)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -353,8 +356,8 @@ def _conditional_pipeline(
 
     ``phi`` is a state on slots (0,1) with (1/2) <R>_phi = K/2; the root
     pipeline treats slots (0,1) as one merged region carrying A = R and
-    produces P3 on slot 2.  Targets on <R> use 2*eps since the claimed
-    bound is on (1/2) <R>.
+    produces P3 on slot 2, with <P3>_omega and <R P3>_omega among its products.
+    Targets on <R> use 2*eps since the claimed bound is on (1/2) <R>.
     """
     layout = v.layout
     if layout.n_slots != 3:
@@ -367,35 +370,24 @@ def _conditional_pipeline(
     chi = np.zeros(layout.dims[2], dtype=complex)
     chi[0] = 1.0
     psi = np.kron(phi, chi)
-    # psi's coefficients across 2|(0,1) are chi phi^T, of rank 1: Q1 in closed form.
-    cert = prove_root_certificate(settings, psi, v, (2,), 2.0 * eps)
-    p3 = cert.p_max  # on slot 2
-    if not p3.is_projector():
-        raise ValueError("P3 is not a projector")
-    p3_omega = p3.apply(v.omega, layout)
-    p3_expect = float(np.vdot(v.omega, p3_omega).real)
-    if p3_expect <= PROJECTOR_FLOOR:
-        raise ValueError(
-            f"<P3>_omega = {p3_expect} at the floor (cannot occur for a separating vacuum)"
-        )
-    # (1/2) <R P3>_omega / <P3>_omega from the one P3 omega.
-    val = complex(np.vdot(v.omega, settings.apply(p3_omega, layout)))
+    products = root_products(settings, psi, v, (2,))
+    cert = certify_root(products, 2.0 * eps)
+    # psi's coefficients across 2|(0,1), chi phi^T, have rank 1: Q1's one eigenspace is P3.
+    (p3_expect,), (val,) = products.p_expects.real.tolist(), products.aps.tolist()
     if abs(val.imag) > NOISE_TOL:
         raise StageFailure("conditional", "non-real <R P3>", imag=val.imag)
-    cond = 0.5 * float(val.real) / p3_expect
-    half_k = 0.5 * cert.target_k
-    if not cond > half_k - eps:
-        raise StageFailure(
-            "conditional", "conditional correlation misses the target",
-            achieved=cond, target=half_k - eps,
-        )
+    cond = 0.5 * val.real / p3_expect
+    target = 0.5 * cert.target_k - eps
+    if not cond > target:
+        raise StageFailure("conditional", "conditional correlation misses the target",
+                           achieved=cond, target=target)
     return BellReport(
         settings=settings,
         state=psi,
         correlation=0.5 * cert.target_k,  # the pipeline's K is <R>_psi
         tsirelson_margin=SQRT2 - 0.5 * cert.budget.norm_a,  # the pipeline's ||A|| is ||R||
         conditional=ConditionalResult(
-            p3=p3,
+            p3=cert.p_max,
             p3_expect=p3_expect,
             conditional_correlation=cond,
             certificate=cert,

@@ -1,4 +1,4 @@
-import dataclasses
+import itertools
 import math
 from unittest import mock
 
@@ -683,21 +683,26 @@ class TestEPRProjectorPair:
             epr_projector_pair(LocalOperator(1, 0.3 * np.eye(2)), v.omega, v, 1e-3)
 
 
-def conditional_on(v, p3, eps=0.05):
-    """The conditional step of ``violate_conditional_bell`` on ``p3``, swapped in for
-    the certificate's ``p_max``: the report's value, or the value that the step's
-    target check reports when it raises."""
-    original = correlations.prove_root_certificate
+def conditioned(v, s, p3):
+    """(1/2) <R> in the state P3 omega / ||P3 omega||, as the harness recomputes the
+    conditional correlation, and (1/2) <R P3>_omega / <P3>_omega from the dense oracles."""
+    p3_omega = p3.apply(v.omega, v.layout)
+    got = bell_correlation(s, p3_omega / np.linalg.norm(p3_omega), v.layout)
+    ep3 = embed_oracle(p3.matrix, p3.slots, v.layout.dims)
+    r = bell_oracle(s.a1.matrix, s.a2.matrix, s.b1.matrix, s.b2.matrix, v.layout.dims)
+    return got, 0.5 * expectation(r @ ep3, v.omega).real / expectation(ep3, v.omega).real
 
-    def with_p3(*args):
-        return dataclasses.replace(original(*args), p_max=p3)
 
-    with mock.patch.object(correlations, "prove_root_certificate", with_p3):
-        try:
-            return violate_conditional_bell(v.layout, v, eps).conditional.conditional_correlation
-        except StageFailure as exc:
-            assert exc.stage == "conditional"
-            return exc.values["achieved"]
+def assert_recomputes(report, v):
+    """The report's <P3>_omega to 1e-12 and its conditional correlation to 1e-9 against
+    <P3>_omega and (1/2) <R P3>_omega / <P3>_omega from the dense oracles."""
+    cond, s, dims = report.conditional, report.settings, v.layout.dims
+    p3 = embed_oracle(cond.p3.matrix, 2, dims)
+    r = bell_oracle(s.a1.matrix, s.a2.matrix, s.b1.matrix, s.b2.matrix, dims)
+    p3_expect = expectation(p3, v.omega).real
+    assert abs(p3_expect - cond.p3_expect) <= 1e-12
+    recomputed = 0.5 * expectation(r @ p3, v.omega).real / p3_expect
+    assert abs(recomputed - cond.conditional_correlation) <= 1e-9
 
 
 class TestConditionalCorrelation:
@@ -705,26 +710,19 @@ class TestConditionalCorrelation:
         # make_vacuum's <R>_omega is 0 to rounding; this vacuum's (1/2) <R>_omega is 0.19.
         v = off_maximal_vacuum_3slot(2, 2, 0.1)
         _, s = canonical_max_violation(L224)
-        cond = conditional_on(v, LocalOperator(2, np.eye(4)))
+        got, want = conditioned(v, s, LocalOperator(2, np.eye(4)))
         r = bell_operator(s, L224)
         direct = 0.5 * float(expectation(r, v.omega).real)
-        assert abs(cond - direct) <= 1e-12
+        assert abs(got - direct) <= 1e-12 and abs(want - direct) <= 1e-12
 
     def test_bounded_by_half_norm(self):
         v = make_vacuum(L224, seed=1)
+        _, s = canonical_max_violation(L224)
         for seed in range(10):
             p3 = random_projector(L224, 2, 1 + seed % 4, seed=seed)
-            assert abs(conditional_on(v, p3)) <= SQRT2 + 1e-10
-
-    def test_non_projector_rejected(self):
-        v = make_vacuum(L224, seed=0)
-        with pytest.raises(ValueError, match="not a projector"):
-            conditional_on(v, LocalOperator(2, 0.5 * np.eye(4)))
-
-    def test_zero_projector_rejected_at_the_floor(self):
-        v = make_vacuum(L224, seed=0)
-        with pytest.raises(ValueError, match="at the floor"):
-            conditional_on(v, LocalOperator(2, np.zeros((4, 4))))
+            got, want = conditioned(v, s, p3)
+            assert abs(got - want) <= 1e-12
+            assert abs(got) <= SQRT2 + 1e-10
 
 
 class TestViolateConditionalBell:
@@ -737,16 +735,8 @@ class TestViolateConditionalBell:
         assert cond.p3.is_projector()
 
     def test_recompute_from_report(self):
-        # (1/2) <R P3>_omega / <P3>_omega from the dense oracles.
         v = make_vacuum(L224, seed=0)
-        report = violate_conditional_bell(L224, v, eps=0.05)
-        cond, s = report.conditional, report.settings
-        p3 = embed_oracle(cond.p3.matrix, 2, L224.dims)
-        r = bell_oracle(s.a1.matrix, s.a2.matrix, s.b1.matrix, s.b2.matrix, L224.dims)
-        p3_expect = expectation(p3, v.omega).real
-        assert abs(p3_expect - cond.p3_expect) <= 1e-12
-        recomputed = 0.5 * expectation(r @ p3, v.omega).real / p3_expect
-        assert abs(recomputed - cond.conditional_correlation) <= 1e-9
+        assert_recomputes(violate_conditional_bell(L224, v, eps=0.05), v)
 
     def test_two_slot_layout_rejected(self):
         v = make_vacuum(L22, seed=0)
@@ -821,7 +811,7 @@ class TestOffMaximalThreeSlotVacua:
         np.testing.assert_allclose(got.aps, [np.vdot(bm, bm @ r01.T)], rtol=0, atol=tol)
 
     @pytest.mark.parametrize("d", [2, 4, 8])
-    @pytest.mark.parametrize("s_min", [0.1, 1e-3])
+    @pytest.mark.parametrize("s_min", [0.1, 1e-3, 1e-5])
     def test_report(self, monkeypatch, d, s_min):
         monkeypatch.setattr(harness, "make_vacuum",
                             lambda layout, seed: off_maximal_vacuum_3slot(d, d, s_min, seed))
@@ -844,32 +834,33 @@ class TestGeneralContractionExtension:
         top = max(charpoly_eigenvalues(r).real)
         assert abs(report.correlation - 0.5 * top) <= 1e-9
 
+    @staticmethod
+    def non_commuting_settings(count):
+        """The first ``count`` of ``random_settings(L224, 5000 + i)`` whose A's and B's
+        both fail to commute."""
+        found = []
+        for seed in itertools.count(5000):
+            s = random_settings(L224, seed)
+            if all(operator_norm_oracle(x @ y - y @ x) > 1e-6
+                   for x, y in ((s.a1.matrix, s.a2.matrix), (s.b1.matrix, s.b2.matrix))):
+                found.append(s)
+            if len(found) == count:
+                return found
+
     def test_random_non_commuting_pairs(self):
         v = make_vacuum(L224, seed=7)
-        rng = np.random.default_rng(7)
-        found = 0
-        seed = 0
-        while found < 3:
-            s = random_settings(L224, 5000 + seed)
-            seed += 1
-            if operator_norm_oracle(
-                s.a1.matrix @ s.a2.matrix - s.a2.matrix @ s.a1.matrix
-            ) <= 1e-6:
-                continue
-            if operator_norm_oracle(
-                s.b1.matrix @ s.b2.matrix - s.b2.matrix @ s.b1.matrix
-            ) <= 1e-6:
-                continue
-            found += 1
-            report = general_contraction_extension(
-                s.a1, s.a2, s.b1, s.b2, v, eps=0.05
-            )
+        for s in self.non_commuting_settings(3):
+            report = general_contraction_extension(s.a1, s.a2, s.b1, s.b2, v, eps=0.05)
             r = bell_operator(s, RegionLayout(L224.dims[:2]))
             top = max(charpoly_eigenvalues(r).real)
             assert abs(report.correlation - 0.5 * top) <= 1e-8
-            assert report.conditional.conditional_correlation > (
-                report.correlation - 0.05
-            )
+            assert report.conditional.conditional_correlation > report.correlation - 0.05
+
+    def test_recompute_from_report(self):
+        # The conditional pipeline's second caller, on its own optimal states.
+        v = make_vacuum(L224, seed=7)
+        for s in self.non_commuting_settings(3):
+            assert_recomputes(general_contraction_extension(s.a1, s.a2, s.b1, s.b2, v, eps=0.05), v)
 
     def test_commuting_pair_rejected(self):
         v = make_vacuum(L224, seed=0)

@@ -712,7 +712,7 @@ def record_certifications(monkeypatch) -> list:
         return cert
 
     monkeypatch.setattr(root_theorem, "hermitian_eig", recording_eig)
-    monkeypatch.setattr(root_theorem, "root_products", recording_products)
+    patch_every_binding(monkeypatch, products, recording_products)
     patch_every_binding(monkeypatch, certify, recording_certify)
     return seen
 
@@ -889,27 +889,27 @@ class TestEachProductOnce:
         assert counts["apply_local"] <= 4
         assert counts["_block_overlaps"] == 1
 
-    def test_cond_bell_applies_r_five_times(self, monkeypatch):
+    def test_cond_bell_applies_r_four_times(self, monkeypatch):
         # R omega, <R>_psi and <R>_{C omega} in the pipeline, whose K is the report's
-        # correlation; <R P3> in the conditional correlation and in its recompute.
+        # correlation and whose overlaps give <R P3>; once more in the recompute.
         calls = []
         original = correlations.BellSettings.apply
         monkeypatch.setattr(correlations.BellSettings, "apply",
                             lambda s, vec, layout: calls.append(1) or original(s, vec, layout))
         report = run_scenario(cfg(scenario="cond-bell", layout=[3, 3, 9], eps=0.05))
-        assert report.passed and len(calls) == 5
+        assert report.passed and len(calls) == 4
         bell = report.certificates["bell"]
         assert bell.correlation == 0.5 * bell.conditional.certificate.target_k
 
-    def test_cond_bell_applies_p3_to_omega_twice(self, monkeypatch):
-        # Once for the conditional correlation and <P3>_omega, once for the recompute.
+    def test_cond_bell_applies_p3_to_omega_once(self, monkeypatch):
+        # In the recompute only: the pipeline reads <P3>_omega from its overlaps.
         applied = []
         original = local_algebra.LocalOperator.apply
         monkeypatch.setattr(local_algebra.LocalOperator, "apply",
                             lambda op, vec, layout: applied.append(op) or original(op, vec, layout))
         report = run_scenario(cfg(scenario="cond-bell", layout=[2, 2, 4], eps=0.05))
         p3 = report.certificates["bell"].conditional.p3
-        assert report.passed and sum(op is p3 for op in applied) == 2
+        assert report.passed and sum(op is p3 for op in applied) == 1
 
     @pytest.mark.parametrize("dims", [(3, 3), (2, 3, 6), (3, 2, 6)])
     def test_bell_settings_apply_leaves_the_local_kernel(self, monkeypatch, dims):
@@ -1277,8 +1277,10 @@ class TestCLI:
 
     @pytest.mark.parametrize("name,reason", [("missing-dir/r.json", "no such directory"),
                                              ("", "is a directory"),
-                                             ("missing-dir/", "no such directory")],
-                             ids=["missing-parent", "existing-dir", "missing-dir-slash"])
+                                             ("missing-dir/", "no such directory"),
+                                             (None, "empty path")],
+                             ids=["missing-parent", "existing-dir", "missing-dir-slash",
+                                  "empty"])
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_out_with_nowhere_to_go_exits_two_before_the_run(
         self, tmp_path, capsys, monkeypatch, command, name, reason
@@ -1288,12 +1290,39 @@ class TestCLI:
 
         monkeypatch.setattr(cli, "run_scenario", never)
         monkeypatch.setattr(cli, "sweep_eps", never)
-        out = os.path.join(tmp_path, name)
+        out = "" if name is None else os.path.join(tmp_path, name)
         code = main([command, "--scenario", "root-cert", "--layout", "2,2",
                      "--eps-list" if command == "sweep" else "--eps", "0.01", "--out", out])
         assert code == 2
         assert capsys.readouterr().err == (
-            f"error: config field 'out': cannot write report to {out}: {reason}\n")
+            f"error: config field 'out': cannot write report to {out or repr(out)}: {reason}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/proc/version"), reason="no /proc/version")
+    def test_existing_out_that_cannot_be_opened_exits_two_before_the_run(
+        self, capsys, monkeypatch
+    ):
+        def never(config):
+            raise AssertionError("the run started before --out was checked")
+
+        monkeypatch.setattr(cli, "run_scenario", never)
+        code = main(["run", "--scenario", "root-cert", "--layout", "2,2",
+                     "--out", "/proc/version"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field 'out': cannot write report to /proc/version: ")
+
+    def test_existing_out_is_neither_truncated_nor_created_before_a_stage_failure(
+        self, tmp_path, capsys
+    ):
+        # The append open before the run writes nothing; a run ending in exit 3 keeps
+        # the old file as it was and, where there was none, leaves none.
+        kept, absent = tmp_path / "kept.json", tmp_path / "absent.json"
+        kept.write_text("old")
+        for out in (kept, absent):
+            code = main(["run", "--scenario", "root-cert", "--layout", "3,3",
+                         "--eps", "1e-300", "--out", str(out)])
+            assert code == 3, capsys.readouterr().err
+        assert kept.read_text() == "old" and not absent.exists()
 
     def test_unwritable_out_exit_two(self, tmp_path):
         out = tmp_path / "missing-dir" / "r.json"
