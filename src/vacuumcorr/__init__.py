@@ -13,8 +13,6 @@ from .local_algebra import (
     LocalOperator,
     RegionLayout,
     VacuumModel,
-    check_cyclic,
-    check_separating,
     make_vacuum,
     random_projector,
     vacuum_positivity,
@@ -37,10 +35,8 @@ from .correlations import (
     bell_correlation,
     bell_operator,
     canonical_max_violation,
-    contraction_from_projector,
     epr_projector_pair,
     general_contraction_extension,
-    seesaw_maximize,
     tsirelson_certificate,
     violate_conditional_bell,
 )

@@ -135,13 +135,6 @@ class BellReport:
     conditional: Optional[ConditionalResult] = None
 
 
-def contraction_from_projector(p: LocalOperator) -> LocalOperator:
-    """2P - 1: a self-adjoint contraction with spectrum in {-1, +1}."""
-    if not p.is_projector():
-        raise ValueError("input is not a projector")
-    return LocalOperator(p.slots, 2.0 * p.matrix - np.eye(p.dim, dtype=complex))
-
-
 def bell_operator(s: BellSettings, layout: RegionLayout) -> np.ndarray:
     """R = A1 (B1 + B2) + A2 (B1 - B2) as a dense matrix on the layout: R01 (x) 1,
     since slots (0,1) are the leading Kronecker factors, and R01 itself on 2 slots."""
@@ -194,9 +187,11 @@ def _sign_contraction(g: np.ndarray) -> np.ndarray:
     return (vecs * np.where(w < 0.0, -1.0, 1.0)[..., None, :]) @ linalg.dagger(vecs)
 
 
-def seesaw_maximize(state, layout: RegionLayout, seed: int) -> tuple[BellSettings, float]:
+def seesaw_starts(s: np.ndarray, seeds) -> list[tuple[float, np.ndarray, np.ndarray]]:
     """Alternating maximization of (1/2) <R> over contraction settings, on the
-    state's Schmidt support (Werner & Wolf, Quantum Inf. Comput. 1, 1 (2001)).
+    state's Schmidt support (Werner & Wolf, Quantum Inf. Comput. 1, 1 (2001)): the
+    value and r x r settings (a, t) of each of ``seeds``, on a state with the r
+    Schmidt coefficients ``s`` (``linalg.schmidt_values``), the see-saw's one input.
 
     With the B's fixed, A_i = sign(Psi M_i^T Psi^†) (M1 = B1 + B2, M2 = B1 - B2,
     Psi the state's coefficient matrix) is optimal; symmetrically for the B's.
@@ -209,25 +204,11 @@ def seesaw_maximize(state, layout: RegionLayout, seed: int) -> tuple[BellSetting
     ([a1, a2] S = 0) is stuck at a classical point (value <= 1) and is redone
     from the next draw, up to SEESAW_DRAWS; a draw starts from t1, t2, a1, a2,
     the signs of random r x r Hermitian matrices (the law of U^† H U for a d x d
-    draw H).  The settings are written once, as A_i = U a_i U^† + (1 - U U^†)
-    and B_i = (W t_i W^†)^T + (1 - (W W^†)^T): +1 on the kernel by construction.
-    """
-    if layout.n_slots != 2:
-        raise ValueError("see-saw runs on 2-slot layouts")
-    u, s, wh = linalg.schmidt_support(as_state(state), layout.dims, 0)
-    value, a, t = seesaw_starts(s, (seed,))[0]
-    a = np.eye(len(u)) + u @ (a - np.eye(len(s))) @ linalg.dagger(u)
-    b = np.eye(wh.shape[1]) + (linalg.dagger(wh) @ (t - np.eye(len(s))) @ wh).swapaxes(-1, -2)
-    return BellSettings(LocalOperator(0, a[0]), LocalOperator(0, a[1]),
-                        LocalOperator(1, b[0]), LocalOperator(1, b[1])), value
-
-
-def seesaw_starts(s: np.ndarray, seeds) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """``seesaw_maximize``'s value and r x r settings (a, t), checked but not lifted,
-    for each of ``seeds``, on a state with the r Schmidt coefficients ``s``
-    (``linalg.schmidt_values``): the see-saw depends on nothing else.  The starts iterate
-    as one stack, each on its own seed's stream; a start leaves it once it stops gaining,
-    and the starts that end at a classical point draw again together."""
+    draw H).  The settings are checked, not lifted: on the state's space they are
+    A_i = U a_i U^† + (1 - U U^†) and B_i = (W t_i W^†)^T + (1 - (W W^†)^T).  The
+    starts iterate as one stack, each on its own seed's stream; a start leaves it
+    once it stops gaining, and the starts that end at a classical point draw again
+    together."""
     r = len(s)
 
     def sums(x):  # S (x1 + x2) S and S (x1 - x2) S for each start of a stack (k, 2, r, r)

@@ -5,8 +5,7 @@ matrices, states are normalized complex vectors.  Slot 0 is always the
 leftmost (slowest-varying) Kronecker factor; this convention is fixed
 globally so serialized outputs are bit-stable.
 
-``apply_local`` and ``coefficient_matrix`` carry every vacuum quantity:
-nothing here builds a matrix on the whole tensor-product space.
+Nothing here builds a matrix on the whole tensor-product space.
 """
 
 from __future__ import annotations
@@ -100,19 +99,14 @@ def coefficient_matrix(vec, dims, slots) -> np.ndarray:
     return _slots_first(vec, dims, _normalize_slots(slots))[0]
 
 
-def apply_local(op, slots, vec, dims) -> np.ndarray:
-    """``op`` acting on the (ordered) factors ``slots`` of the layout ``dims``
-    and as the identity on the others, applied to ``vec``.
+def _apply_local(op: np.ndarray, slots: tuple[int, ...], vec, dims: tuple[int, ...]):
+    """The validated ``op`` acting on the normalized factors ``slots`` of the layout
+    ``dims`` and as the identity on the others, applied to ``vec``.
 
     One transpose puts the axes ``slots`` first, one matmul applies ``op`` to
     the coefficient matrix across slots|rest, one transpose puts the axes
     back: O(dim(op) total_dim) work, never the total_dim x total_dim matrix.
     """
-    return _apply_local(as_operator(op), _normalize_slots(slots), vec, tuple(map(int, dims)))
-
-
-def _apply_local(op: np.ndarray, slots: tuple[int, ...], vec, dims: tuple[int, ...]):
-    """``apply_local`` on a matrix ``as_operator`` has validated, with normalized slots."""
     if not slots or min(slots) < 0 or max(slots) >= len(dims):
         raise ValueError(f"slots {slots} out of range for layout {dims}")
     m, order, shape = _slots_first(vec, dims, slots)
@@ -205,25 +199,11 @@ def schmidt_coefficients(psi, dims, left_slots) -> np.ndarray:
     return np.linalg.svd(coefficient_matrix(psi, dims, left_slots), compute_uv=False)
 
 
-def _support_rank(s: np.ndarray) -> int:
-    """How many of the singular values ``s`` lie above SCHMIDT_RANK_TOL: those
-    below count as 0."""
-    return int(np.sum(s > SCHMIDT_RANK_TOL))
-
-
 def schmidt_values(psi, dims, left_slots) -> np.ndarray:
-    """``schmidt_support``'s S alone, from an SVD that forms no vectors."""
+    """The Schmidt coefficients across left_slots|rest above SCHMIDT_RANK_TOL (those
+    below count as 0), from an SVD that forms no vectors."""
     s = schmidt_coefficients(psi, dims, left_slots)
-    return s[:_support_rank(s)]
-
-
-def schmidt_support(psi, dims, left_slots) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The coefficient matrix across left_slots|rest as U S W^† on its support:
-    the r singular values S above SCHMIDT_RANK_TOL (those below count as 0),
-    U with r orthonormal columns and W^† with r orthonormal rows."""
-    u, s, wh = np.linalg.svd(coefficient_matrix(psi, dims, left_slots), full_matrices=False)
-    r = _support_rank(s)
-    return u[:, :r], s[:r], wh[:r]
+    return s[:int(np.sum(s > SCHMIDT_RANK_TOL))]
 
 
 def complex_gaussian(dim: int, rng: np.random.Generator) -> np.ndarray:

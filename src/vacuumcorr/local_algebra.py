@@ -5,7 +5,8 @@ algebra; spacelike commutativity then holds by construction.  The vacuum
 analog is a unit vector and nothing else.  The vacuum's two rules live here:
 the layout check ``require_vacuum_layout``, and the rank proof
 ``VacuumModel.gram``, full rank by the region's Gram bound, else counted
-from the cut's Schmidt spectrum; the ranks certify cyclic and separating:
+from the cut's Schmidt spectrum.  The ranks, read through
+``VacuumModel.schmidt_rank``, certify cyclic and separating:
 
 * cyclic for a region  <=>  Schmidt rank across region|rest equals the
   dimension of the complement,
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import NOISE_TOL, PROJECTOR_FLOOR, apply_local, as_operator, operator_norm
+from .linalg import NOISE_TOL, as_operator, operator_norm
 
 
 @dataclass(frozen=True)
@@ -172,30 +173,6 @@ def make_vacuum(layout: RegionLayout, seed: int) -> VacuumModel:
         basis = linalg.haar_unitary(linalg.complex_gaussian(d3, rng))  # column ij is f_ij
         omega = (basis.T / math.sqrt(d1 * d2)).reshape(d1, d2, d3).ravel()
     return VacuumModel.from_vector(layout, omega)
-
-
-def check_cyclic(v: VacuumModel, slots) -> bool:
-    """True iff {C omega : C on the region} spans the space: Schmidt rank = complement dim."""
-    return v.schmidt_rank(slots) == v.layout.region_dim(v.layout.complement(slots))
-
-
-def check_separating(v: VacuumModel, slots, trials: int = 0, seed: int = 0) -> bool:
-    """True iff no nonzero operator on the region annihilates the vacuum.
-
-    The rank criterion (Schmidt rank of the region's cut equals the region's
-    dimension) is exact; ``trials`` random nonzero local operators cross-validate
-    it (any A with (A (x) 1) omega = 0, computed by ``apply_local``, refutes it).
-    """
-    ok = v.schmidt_rank(slots) == v.layout.region_dim(slots)
-    if ok and trials > 0:
-        rng = np.random.default_rng(seed)
-        d = v.layout.region_dim(slots)
-        for _ in range(trials):
-            a = linalg.random_hermitian(d, rng)
-            a /= operator_norm(a)
-            if np.linalg.norm(apply_local(a, slots, v.omega, v.layout.dims)) <= PROJECTOR_FLOOR:
-                return False
-    return ok
 
 
 def vacuum_positivity(v: VacuumModel, p: LocalOperator) -> float:

@@ -33,7 +33,6 @@ from vacuumcorr.correlations import (
     SEESAW_TOL,
     BellSettings,
     _sign_contraction,
-    contraction_from_projector,
     hermitian_contractions,
     tsirelson_certificate,
 )
@@ -273,13 +272,13 @@ def tsirelson_sweep_reference(dims, seed: int, samples: int = 100) -> tuple[floa
 
     def coordinate(slot, rank):
         e = np.diag((np.arange(layout.dims[slot]) < rank).astype(complex))
-        return contraction_from_projector(LocalOperator(slot, e))
+        return LocalOperator(slot, 2.0 * e - np.eye(layout.dims[slot]))
 
     def haar(slot, rank):
         d = layout.dims[slot]
         g = rng.standard_normal((2, d, d // 2))
         q = haar_unitary((g[0] + 1j * g[1])[:, :min(rank, d - rank)])
-        return contraction_from_projector(LocalOperator(slot, q @ q.conj().T))
+        return LocalOperator(slot, 2.0 * q @ q.conj().T - np.eye(d))
 
     margins = []
     for r in ranks:
@@ -313,7 +312,7 @@ def seesaw_oracle(state, layout, seed: int):
     each draw's r x r starts (r the Schmidt rank) are lifted to d x d as
     U a U^† + (1 - U U^†), with U from this function's own SVD, then iterated
     by four d x d eigendecompositions and the objective from d x d products.
-    Returns (BellSettings, best value) like ``seesaw_maximize``."""
+    Returns the lifted d x d settings (BellSettings) and the best value."""
     state = np.asarray(state, dtype=complex).ravel()
     d1, d2 = layout.dims
     psi_mat = state.reshape(d1, d2)

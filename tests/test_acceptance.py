@@ -17,19 +17,16 @@ from vacuumcorr.correlations import (
     bell_correlation,
     bell_operator,
     canonical_max_violation,
-    contraction_from_projector,
     epr_projector_pair,
-    seesaw_maximize,
+    seesaw_starts,
     violate_conditional_bell,
 )
 from vacuumcorr.harness import ScenarioConfig, render_report, run_scenario
-from vacuumcorr.linalg import operator_norm, random_hermitian
+from vacuumcorr.linalg import PROJECTOR_FLOOR, operator_norm, random_hermitian, schmidt_values
 from vacuumcorr.local_algebra import (
     LocalOperator,
     RegionLayout,
     VacuumModel,
-    check_cyclic,
-    check_separating,
     make_vacuum,
     random_projector,
 )
@@ -51,7 +48,7 @@ def _random_settings(layout: RegionLayout, seed: int) -> BellSettings:
         d = layout.dims[slot]
         rank = int(rng.integers(1, d + 1))
         p = random_projector(layout, slot, rank, int(rng.integers(0, 10**6)))
-        ops.append(contraction_from_projector(p))
+        ops.append(LocalOperator(p.slots, 2.0 * p.matrix - np.eye(p.dim)))
     return BellSettings(a1=ops[0], a2=ops[1], b1=ops[2], b2=ops[3])
 
 
@@ -63,7 +60,7 @@ def test_criterion_1_tsirelson_bound():
         worst_norm = max(worst_norm, 0.5 * operator_norm(bell_operator(s, L22)))
     state, _ = canonical_max_violation(L22)
     worst_beta = max(
-        seesaw_maximize(state, L22, seed=seed)[1] for seed in range(20)
+        beta for beta, _, _ in seesaw_starts(schmidt_values(state, L22.dims, 0), range(20))
     )
     elapsed = time.perf_counter() - start
     ok = (
@@ -82,7 +79,8 @@ def test_criterion_1_tsirelson_bound():
 def test_criterion_2_maximal_violation():
     state, settings = canonical_max_violation(L22)
     value = bell_correlation(settings, state, L22)
-    best = max(seesaw_maximize(state, L22, seed=seed)[1] for seed in range(20))
+    best = max(beta for beta, _, _ in
+               seesaw_starts(schmidt_values(state, L22.dims, 0), range(20)))
     ok = abs(value - SQRT2) <= 1e-9 and best >= SQRT2 - 1e-6
     _verdict(
         "criterion 2 (maximal violation)",
@@ -197,17 +195,24 @@ def test_criterion_6_cyclic_separating():
         if layout.n_slots == 3:
             regions.append((0, 1))
         for region in regions:
-            checks.append(check_separating(v, region, trials=5, seed=1))
+            # Separating: Schmidt rank = the region's dimension, and no one of
+            # five random norm-1 operators on the region annihilates omega.
+            rng = np.random.default_rng(1)
+            d = layout.region_dim(region)
+            trials = [random_hermitian(d, rng) for _ in range(5)]
+            checks.append(v.schmidt_rank(region) == d and all(
+                np.linalg.norm(LocalOperator(region, a / operator_norm(a)).apply(v.omega, layout))
+                > PROJECTOR_FLOOR for a in trials))
             # Cyclicity is attainable exactly where the region matches its
             # complement in dimension; elsewhere the Schmidt rank is capped
             # below the complement dimension for every vector.
             comp_dim = layout.region_dim(layout.complement(region))
             if layout.region_dim(region) == comp_dim:
-                checks.append(check_cyclic(v, region))
+                checks.append(v.schmidt_rank(region) == comp_dim)
     product = np.zeros(4, dtype=complex)
     product[0] = 1.0
     counter = VacuumModel.from_vector(L22, product)
-    checks.append(not check_separating(counter, (0,)))
+    checks.append(counter.schmidt_rank((0,)) < 2)
     _verdict(
         "criterion 6 (cyclic/separating)",
         all(checks),

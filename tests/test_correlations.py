@@ -29,12 +29,10 @@ from vacuumcorr.correlations import (
     bell_correlation,
     bell_operator,
     canonical_max_violation,
-    contraction_from_projector,
     epr_projector_pair,
     general_contraction_extension,
     hermitian_contractions,
     reflection_commutator_norms,
-    seesaw_maximize,
     seesaw_starts,
     tsirelson_certificate,
     violate_conditional_bell,
@@ -70,7 +68,7 @@ def random_settings(layout, seed):
     for slot, d in ((0, d1), (0, d1), (1, d2), (1, d2)):
         rank = int(rng.integers(1, d))
         p = random_projector(layout, slot, rank, int(rng.integers(0, 10**6)))
-        ops.append(contraction_from_projector(p))
+        ops.append(LocalOperator(p.slots, 2.0 * p.matrix - np.eye(p.dim)))
     return BellSettings(a1=ops[0], a2=ops[1], b1=ops[2], b2=ops[3])
 
 
@@ -130,23 +128,6 @@ def spy_bell_operator():
     return mock.patch.object(correlations, "bell_operator", wraps=correlations.bell_operator)
 
 
-class TestContractionFromProjector:
-    def test_rank_one_qubit(self):
-        p = LocalOperator(0, np.diag([1.0, 0.0]))
-        c = contraction_from_projector(p)
-        np.testing.assert_allclose(c.matrix, Z, atol=1e-12)
-
-    def test_spectrum_is_plus_minus_one(self):
-        p = random_projector(L22, 1, 1, seed=3)
-        c = contraction_from_projector(p)
-        vals = np.linalg.eigvalsh(c.matrix)
-        np.testing.assert_allclose(np.sort(vals), [-1.0, 1.0], atol=1e-10)
-
-    def test_rejects_non_projector(self):
-        with pytest.raises(ValueError, match="not a projector"):
-            contraction_from_projector(LocalOperator(0, 0.5 * np.eye(2)))
-
-
 class TestBellSettings:
     def test_wrong_slot_rejected(self):
         good = LocalOperator(1, Z)
@@ -183,7 +164,7 @@ class TestBellSettings:
     def test_reflections_take_no_eigvalsh(self, monkeypatch):
         # 2P - 1 clears the one-product bound, so no matrix is loose.
         p = random_projector(RegionLayout((5, 5)), 0, 2, seed=1)
-        x = contraction_from_projector(p).matrix[None]
+        x = (2.0 * p.matrix - np.eye(5))[None]
         monkeypatch.setattr(np.linalg, "eigvalsh", mock.Mock(side_effect=AssertionError))
         assert np.array_equal(hermitian_contractions(x, ("A1",)), x)
 
@@ -413,56 +394,58 @@ class TestTsirelson:
             assert corr <= 0.5 * operator_norm(bell_operator(s, L22)) + 1e-10
 
 
+def seesaw_values(state, layout, seeds) -> list[float]:
+    """The see-saw's value from each of ``seeds`` on ``state``, as bell-max runs it."""
+    return [value for value, _, _ in
+            seesaw_starts(linalg.schmidt_values(state, layout.dims, 0), seeds)]
+
+
 class TestSeesaw:
     def test_bell_state_reaches_tsirelson(self):
         state, _ = canonical_max_violation(L22)
-        best = max(
-            seesaw_maximize(state, L22, seed=seed)[1] for seed in range(10)
-        )
+        best = max(seesaw_values(state, L22, range(10)))
         assert best >= SQRT2 - 1e-6
         assert best <= SQRT2 + 1e-9
 
     def test_product_state_classical_ceiling(self):
         state = np.zeros(4, dtype=complex)
         state[0] = 1.0
-        best = max(
-            seesaw_maximize(state, L22, seed=seed)[1] for seed in range(5)
-        )
+        best = max(seesaw_values(state, L22, range(5)))
         oracle = qubit_angle_grid_bell(state)
         assert best <= 1.0 + 1e-9
         assert best >= oracle - 1e-6
 
     def test_returned_settings_reproduce_value(self):
+        # A_i = U a_i U^† + (1 - U U^†), B_i = (W t_i W^†)^T + (1 - (W W^†)^T):
+        # the r x r settings are the support's share of settings on the state.
         state = random_state(4, np.random.default_rng(5))
-        s, val = seesaw_maximize(state, L22, seed=1)
-        assert abs(bell_correlation(s, state, L22) - val) <= 1e-10
+        u, s, wh = np.linalg.svd(state.reshape(2, 2))
+        (val, a, t), = seesaw_starts(s, (1,))
+        a = np.eye(2) + u @ (a - np.eye(2)) @ u.conj().T
+        b = np.eye(2) + (wh.conj().T @ (t - np.eye(2)) @ wh).swapaxes(-1, -2)
+        lifted = BellSettings(LocalOperator(0, a[0]), LocalOperator(0, a[1]),
+                              LocalOperator(1, b[0]), LocalOperator(1, b[1]))
+        assert abs(bell_correlation(lifted, state, L22) - val) <= 1e-10
 
     def test_matches_angle_grid_on_random_states(self):
         for seed in range(5):
             state = random_state(4, np.random.default_rng(seed))
-            best = max(
-                seesaw_maximize(state, L22, seed=s)[1] for s in range(8)
-            )
+            best = max(seesaw_values(state, L22, range(8)))
             oracle = qubit_angle_grid_bell(state)
             # The grid restricts settings to a real plane, so it can only
             # lose to the see-saw; both stay under the spectral ceiling.
             assert best >= oracle - 1e-3
             assert best <= SQRT2 + 1e-9
 
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError, match="2-slot"):
-            seesaw_maximize(np.ones(16) / 4.0, L224, seed=0)
-
 
 def rotated_rank_two(d: int, rotation: int):
-    """The canonical state (U (x) V) phi for Haar unitaries U, V, with the
-    projectors onto U's and V's first two columns: ran Psi and ran Psi^T."""
+    """The canonical state (U (x) V) phi for Haar unitaries U, V: Schmidt rank 2."""
     layout = RegionLayout((d, d))
     phi, _ = canonical_max_violation(layout)
     rng = np.random.default_rng(1000 + rotation)
     u, v = (haar_unitary(complex_gaussian(d, rng)) for _ in range(2))
     state = (u @ phi.reshape(d, d) @ v.T).ravel()
-    return layout, state, u[:, :2] @ u[:, :2].conj().T, v[:, :2] @ v[:, :2].conj().T
+    return layout, state
 
 
 class TestSeesawOnTheSupport:
@@ -470,26 +453,16 @@ class TestSeesawOnTheSupport:
     def test_matches_the_dense_oracle_on_the_canonical_state(self, dims):
         layout = RegionLayout(dims)
         state, _ = canonical_max_violation(layout)
-        for seed in range(40):
-            got = seesaw_maximize(state, layout, seed)[1]
+        for seed, got in enumerate(seesaw_values(state, layout, range(40))):
             assert abs(got - seesaw_oracle(state, layout, seed)[1]) <= 1e-12, seed
 
     @pytest.mark.parametrize("d", [3, 4, 8, 16])
     def test_every_call_reaches_tsirelson_on_rotated_rank_two_states(self, d):
         # The dense iteration misses sqrt(2) - 1e-6 on some of these calls at d = 3, 4.
         for rotation in range(5):
-            layout, state, _, _ = rotated_rank_two(d, rotation)
-            for seed in range(40):
-                assert seesaw_maximize(state, layout, seed)[1] >= SQRT2 - 1e-6, (rotation, seed)
-
-    def test_settings_are_the_identity_on_the_kernel(self):
-        layout, state, pa, pb = rotated_rank_two(16, 0)
-        s, value = seesaw_maximize(state, layout, seed=0)
-        assert value >= SQRT2 - 1e-6
-        for ops, p in (((s.a1, s.a2), pa), ((s.b1, s.b2), pb)):
-            kernel = np.eye(16) - p
-            for op in ops:
-                assert np.abs(op.matrix @ kernel - kernel).max() <= 1e-12
+            layout, state = rotated_rank_two(d, rotation)
+            for seed, value in enumerate(seesaw_values(state, layout, range(40))):
+                assert value >= SQRT2 - 1e-6, (rotation, seed)
 
     def test_no_full_size_eigh_inside_the_iteration(self, monkeypatch):
         sides = []
@@ -507,20 +480,20 @@ class TestSeesawOnTheSupport:
             (skewed, random_state(18, np.random.default_rng(4)), 3),
         ):
             sides.clear()
-            seesaw_maximize(state, layout, seed=3)
+            seesaw_values(state, layout, (3,))
             # The starts and every iteration sign r x r stacks only.
             assert sides and set(sides) == {(rank, rank)}, layout.dims
 
     @pytest.mark.parametrize("d,canonical", [(2, True), (3, False), (16, True)])
-    def test_starts_yield_the_values_of_seesaw_maximize(self, d, canonical):
+    def test_starts_yield_the_values_of_the_dense_oracle(self, d, canonical):
         layout = RegionLayout((d, d))
         state = (canonical_max_violation(layout)[0] if canonical
                  else random_state(d * d, np.random.default_rng(d)))
-        s = linalg.schmidt_support(state, layout.dims, 0)[1]
+        s = linalg.schmidt_values(state, layout.dims, 0)
         assert len(s) == (2 if canonical else d)
         seeds = range(12)
         for seed, (value, a, t) in zip(seeds, seesaw_starts(s, seeds), strict=True):
-            assert value == seesaw_maximize(state, layout, seed)[1]
+            assert abs(value - seesaw_oracle(state, layout, seed)[1]) <= 1e-12, seed
             assert a.shape == t.shape == (2, len(s), len(s))
 
     @pytest.mark.parametrize("dims,canonical,seeds", [
@@ -534,7 +507,7 @@ class TestSeesawOnTheSupport:
         layout = RegionLayout(dims)
         state = (canonical_max_violation(layout)[0] if canonical
                  else random_state(math.prod(dims), np.random.default_rng(6)))
-        s = linalg.schmidt_support(state, layout.dims, 0)[1]
+        s = linalg.schmidt_values(state, layout.dims, 0)
         assert len(s) == (2 if canonical else min(dims))
         got, want = seesaw_starts(s, seeds), seesaw_starts_loop(s, seeds)
         assert len(got) == len(want) == len(seeds)

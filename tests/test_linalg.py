@@ -49,15 +49,13 @@ class TestApplyLocal:
             op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             vec = random_state(layout.total_dim, rng)
             want = embed_oracle(op, slots, dims) @ vec
-            got = linalg.apply_local(op, slots, vec, dims)
+            got = LocalOperator(slots, op).apply(vec, layout)
             np.testing.assert_allclose(got, want, atol=1e-12)
-            local = LocalOperator(slots, op)
-            np.testing.assert_allclose(local.apply(vec, layout), want, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match=re.escape(
                 "operator dim 2 does not match slot dims (3,) (need 3)")):
-            linalg.apply_local(Z, 1, np.ones(6), (2, 3))
+            LocalOperator(1, Z).apply(np.ones(6), RegionLayout((2, 3)))
         with pytest.raises(ValueError, match=re.escape(
                 "operator dim 2 does not match slot dims (2, 3) (need 6)")):
             LocalOperator((0, 1), Z).apply(np.ones(6), RegionLayout((2, 3)))
@@ -66,25 +64,22 @@ class TestApplyLocal:
     def test_out_of_range_slot_rejected(self, slots, shown):
         want = f"slots {shown} out of range for layout (2, 3)"
         with pytest.raises(ValueError, match=re.escape(want)):
-            linalg.apply_local(Z, slots, np.ones(6), (2, 3))
-        with pytest.raises(ValueError, match=re.escape(want)):
             LocalOperator(slots, Z).apply(np.ones(6), RegionLayout((2, 3)))
 
     def test_empty_slots_rejected(self):
         with pytest.raises(ValueError, match=re.escape("slots () out of range for layout (2, 3)")):
-            linalg.apply_local(np.eye(1), (), np.ones(6), (2, 3))
+            LocalOperator((), np.eye(1)).apply(np.ones(6), RegionLayout((2, 3)))
 
     def test_duplicate_slots_rejected(self):
         with pytest.raises(ValueError, match=re.escape("duplicate slot indices: (1, 1)")):
-            linalg.apply_local(np.eye(9), (1, 1), np.ones(6), (2, 3))
+            LocalOperator((1, 1), np.eye(9))
         with pytest.raises(ValueError, match=re.escape("duplicate slot indices: (0, 0)")):
             LocalOperator((0, 0), np.eye(4))
 
     @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 3, 2), (2, 2, 4), (3, 2, 4), (2, 3, 6)])
-    def test_local_operator_matches_apply_local_bit_for_bit(self, dims):
-        # Both entry points run one matmul on the slots-first coefficient
-        # matrix, permuted back to layout order; LocalOperator.apply skips
-        # only the re-validation of its matrix.  Merged and unordered slot
+    def test_one_matmul_on_the_coefficient_matrix_bit_for_bit(self, dims):
+        # LocalOperator.apply runs one matmul on the slots-first coefficient
+        # matrix, permuted back to layout order.  Merged and unordered slot
         # tuples included.
         rng = np.random.default_rng(len(dims) * 10 + dims[-1])
         layout = RegionLayout(dims)
@@ -96,7 +91,6 @@ class TestApplyLocal:
             t = (op @ linalg.coefficient_matrix(vec, dims, slots)).reshape(
                 [dims[i] for i in (*slots, *rest)])
             want = np.moveaxis(t, range(len(slots)), slots).reshape(-1)
-            np.testing.assert_array_equal(linalg.apply_local(op, slots, vec, dims), want)
             np.testing.assert_array_equal(LocalOperator(slots, op).apply(vec, layout), want)
 
 
@@ -193,11 +187,10 @@ class TestOperatorNorm:
 def _svd_calls(path):
     """``module:line: call`` for each call in a source file that takes an SVD
     (``*.svd``, or a 2-norm ``*.norm(x, 2)``), and how many of them sit in
-    ``schmidt_coefficients`` or ``schmidt_support``, the two functions allowed to."""
+    ``schmidt_coefficients``, the one function allowed to."""
     tree = ast.parse(path.read_text())
     allowed = {id(node) for f in ast.walk(tree)
-               if isinstance(f, ast.FunctionDef)
-               and f.name in ("schmidt_coefficients", "schmidt_support")
+               if isinstance(f, ast.FunctionDef) and f.name == "schmidt_coefficients"
                for node in ast.walk(f)}
     found, inside = [], 0
     for node in ast.walk(tree):
@@ -219,7 +212,7 @@ def test_no_svd_outside_the_schmidt_spectra():
     paths = sorted((SRC / "vacuumcorr").glob("*.py"))
     results = [_svd_calls(path) for path in paths]
     assert [call for found, _ in results for call in found] == []
-    assert sum(inside for _, inside in results) == 2
+    assert sum(inside for _, inside in results) == 1
 
 
 class TestDaggerDistance:
@@ -386,13 +379,11 @@ class TestSchmidtCoefficients:
     @pytest.mark.parametrize("dims", [(3, 3), (3, 8), (8, 3)])
     def test_values_are_the_support_values(self, dims):
         # Planted singular values on both sides of SCHMIDT_RANK_TOL: the values-only
-        # SVD keeps the same ones as the SVD with vectors.
+        # SVD keeps the ones above it.
         rng = np.random.default_rng(3)
         u, w = (linalg.haar_unitary(linalg.complex_gaussian(d, rng))[:, :3] for d in dims)
         planted = np.array([0.8, 1e2 * linalg.SCHMIDT_RANK_TOL, 1e-3 * linalg.SCHMIDT_RANK_TOL])
         psi = ((u * planted) @ w.conj().T).reshape(-1)
         values = linalg.schmidt_values(psi, dims, 0)
-        support = linalg.schmidt_support(psi, dims, 0)[1]
-        assert len(values) == len(support) == 2
+        assert len(values) == 2
         assert np.max(np.abs(values - planted[:2])) <= 1e-14
-        assert np.max(np.abs(values - support)) <= 1e-15

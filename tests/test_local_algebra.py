@@ -21,8 +21,6 @@ from vacuumcorr.local_algebra import (
     LocalOperator,
     RegionLayout,
     VacuumModel,
-    check_cyclic,
-    check_separating,
     make_vacuum,
     random_projector,
     vacuum_positivity,
@@ -195,23 +193,24 @@ class TestCommutativity:
 
 class TestCyclicSeparating:
     def test_maximally_entangled_cyclic(self):
+        # Cyclic for a region: Schmidt rank = the complement's dimension.
         v = bell_vacuum()
-        assert check_cyclic(v, 0)
-        assert check_cyclic(v, 1)
+        assert v.schmidt_rank(0) == 2
+        assert v.schmidt_rank(1) == 2
 
     def test_product_state_not_cyclic(self):
         product = np.zeros(4, dtype=complex)
         product[0] = 1.0
         v = VacuumModel.from_vector(L22, product)
-        assert not check_cyclic(v, 0)
+        assert v.schmidt_rank(0) == 1
 
     def test_rank_capped_state_on_2x3(self):
         # A full-support state on (2, 3) has rank 2: cyclic for slot 1
         # (complement dim 2) but not for slot 0 (complement dim 3).
         psi = random_state(6, np.random.default_rng(4))
         v = VacuumModel.from_vector(RegionLayout((2, 3)), psi)
-        assert check_cyclic(v, 1)
-        assert not check_cyclic(v, 0)
+        assert v.schmidt_rank(1) == 2
+        assert v.schmidt_rank(0) == 2 < 3
 
     def test_matches_span_oracle(self):
         v = bell_vacuum()
@@ -221,9 +220,10 @@ class TestCyclicSeparating:
         assert span_dimension(psi, (2, 2), 0) == 2
 
     def test_separating_maximally_entangled(self):
+        # Separating for a region: Schmidt rank = the region's own dimension.
         v = bell_vacuum()
-        assert check_separating(v, 0, trials=10, seed=1)
-        assert check_separating(v, 1, trials=10, seed=1)
+        assert v.schmidt_rank(0) == 2
+        assert v.schmidt_rank(1) == 2
 
     def test_explicit_annihilator(self):
         # omega = e1 (x) e0 is annihilated by |e0><e0| on slot 0.
@@ -232,14 +232,42 @@ class TestCyclicSeparating:
         v = VacuumModel.from_vector(L22, omega)
         a = np.diag([1.0, 0.0]).astype(complex)
         assert np.linalg.norm(embed_oracle(a, 0, (2, 2)) @ omega) <= 1e-14
-        assert not check_separating(v, 0)
+        assert v.schmidt_rank(0) == 1
 
     def test_three_slot_vacuum(self):
         v = make_vacuum(L224, seed=2)
         for region in [(0,), (1,), (2,), (0, 1)]:
-            assert check_separating(v, region, trials=5, seed=3)
-        assert check_cyclic(v, (2,))
-        assert check_cyclic(v, (0, 1))
+            assert v.schmidt_rank(region) == L224.region_dim(region)
+        assert v.schmidt_rank((2,)) == L224.region_dim((0, 1))
+        assert v.schmidt_rank((0, 1)) == L224.region_dim((2,))
+
+    @pytest.mark.parametrize("dims,region", [
+        ((2, 3), (0,)), ((2, 3), (1,)), ((2, 2, 4), (2,)), ((2, 2, 4), (0, 1)),
+    ])
+    def test_span_is_region_dim_times_schmidt_rank(self, dims, region):
+        # span{(E_ab (x) 1) omega} has dimension d_region * rank, so omega is
+        # cyclic for the region exactly where the rank is the complement's dimension.
+        layout = RegionLayout(dims)
+        v = (make_vacuum(layout, seed=2) if len(dims) == 3
+             else VacuumModel.from_vector(layout, random_state(6, np.random.default_rng(4))))
+        rank = v.schmidt_rank(region)
+        span = span_dimension(v.omega, dims, region)
+        assert span == layout.region_dim(region) * rank
+        assert (span == layout.total_dim) == (rank == layout.region_dim(layout.complement(region)))
+
+    @pytest.mark.parametrize("region", [(0,), (1,), (2,), (0, 1)])
+    def test_separating_vacuum_bounds_local_operators_below(self, region):
+        # ||(A (x) 1) omega||^2 = tr(A rho A^†) >= s_min^2 ||A||_F^2, with s_min
+        # the least Schmidt value: positive exactly where omega is separating.
+        v = make_vacuum(L224, seed=2)
+        d = L224.region_dim(region)
+        s = linalg.schmidt_values(v.omega, L224.dims, region)
+        assert v.schmidt_rank(region) == len(s) == d
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            a = linalg.complex_gaussian(d, rng)
+            got = np.linalg.norm(LocalOperator(region, a).apply(v.omega, L224))
+            assert got >= s.min() * np.linalg.norm(a) * (1.0 - 1e-12)
 
 
 class TestVacuumPositivity:
