@@ -33,10 +33,8 @@ from .correlations import (
     BellReport,
     BellSettings,
     bell_correlation,
-    bell_operator,
     canonical_max_violation,
     epr_projector_pair,
-    general_contraction_extension,
     tsirelson_certificate,
     violate_conditional_bell,
 )

@@ -9,12 +9,11 @@ through the root pipeline, whose A is the settings' ``slots``, ``apply`` and ``h
 <P3>_omega and <R P3>_omega are its products' overlaps on P3's one eigenspace, so neither
 P3 nor R is applied to a vector for the conditional correlation.
 
-R is applied by two products (``BellSettings.apply``), never formed for a correlation or
-a pipeline.  Landau's identity (Phys. Lett. A 120, 54 (1987)) gives its norm when A1^2 =
-A2^2 = P_A and B1^2 = B2^2 = P_B are nonzero projectors (every 2P - 1, the canonical settings):
-R^2 = 4 P_A P_B - [A1,A2][B1,B2], each commutator's spectrum is symmetric
+R is applied by two products (``BellSettings.apply``) and never formed.  Its norm is
+Landau's (Phys. Lett. A 120, 54 (1987)), so ``BellSettings`` admits only settings with
+A1^2 = A2^2 = P_A and B1^2 = B2^2 = P_B nonzero projectors (every 2P - 1, the canonical
+settings): R^2 = 4 P_A P_B - [A1,A2][B1,B2], each commutator's spectrum is symmetric
 (A1 [A1,A2] A1 = -[A1,A2]), so ||R|| = sqrt(4 + ||[A1,A2]|| ||[B1,B2]||).
-``BellSettings.hermitian_norm`` takes the dense norm where Landau's precondition fails.
 The Tsirelson sweep's settings are 2P - 1 for Haar projectors P, each pair read as a
 coordinate projector E and one Haar frame (one unitary on both keeps the norm), in the
 two-subspace sine form (Halmos, 1969): ``reflection_commutator_norms``, each matrix at most
@@ -30,7 +29,8 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from . import linalg
-from .linalg import NOISE_TOL, PROJECTOR_FLOOR, as_state, hermitian_eig, operator_norm
+from .linalg import NOISE_TOL, PROJECTOR_FLOOR, as_state
+from .linalg import operator_norm  # noqa: F401  benchmark/test_benchmark.py traces this binding
 from .local_algebra import LocalOperator, RegionLayout, VacuumModel, require_vacuum_layout
 from .root_theorem import (RootCertificate, StageFailure, certify_root, prove_root_certificate,
                            root_products)
@@ -48,9 +48,11 @@ SEESAW_DRAWS = 8
 @dataclass(frozen=True, eq=False)
 class BellSettings:
     """Two self-adjoint contractions per side: A's on slot 0, B's on slot 1,
-    each stored as its Hermitian part H.  R lives on ``slots`` and is exactly
-    Hermitian with no check: sums and Kronecker products of exactly Hermitian
-    factors stay exactly Hermitian."""
+    each stored as its Hermitian part H.  Landau's precondition holds on each side:
+    X1^2 = X2^2 is a nonzero projector, to NOISE_TOL in the Frobenius norm, else
+    ValueError names the side.  R lives on ``slots`` and is exactly Hermitian with
+    no check: sums and Kronecker products of exactly Hermitian factors stay exactly
+    Hermitian."""
 
     slots: ClassVar[tuple[int, ...]] = (0, 1)
     a1: LocalOperator
@@ -59,7 +61,8 @@ class BellSettings:
     b2: LocalOperator
 
     def __post_init__(self):
-        for slot, names in ((0, ("A1", "A2")), (1, ("B1", "B2"))):
+        for slot, side in ((0, "A"), (1, "B")):
+            names = (f"{side}1", f"{side}2")
             ops = [getattr(self, name.lower()) for name in names]
             for name, op in zip(names, ops):
                 if op.slots != (slot,):
@@ -67,6 +70,11 @@ class BellSettings:
             if ops[0].dim != ops[1].dim:
                 raise ValueError(f"{names[0]} and {names[1]} differ in dimension")
             herm = hermitian_contractions(np.stack([op.matrix for op in ops]), names)
+            p = herm[0] @ herm[0]
+            if not (linalg.frobenius(p - herm[1] @ herm[1]) <= NOISE_TOL
+                    and linalg.frobenius(p @ p - p) <= NOISE_TOL and NOISE_TOL < linalg.frobenius(p)):
+                raise ValueError(f"side {side}: {side}1^2 = {side}2^2 is not a nonzero projector "
+                                 "(Landau's precondition)")
             for name, h in zip(names, herm):
                 object.__setattr__(self, name.lower(), LocalOperator(slot, h))
         # apply's factors, formed once; not fields, so no report holds them.
@@ -82,16 +90,12 @@ class BellSettings:
         return (self._a_row @ x.reshape(2 * d0, -1)).reshape(-1)
 
     def hermitian_norm(self) -> float:
-        """||R||: Landau's where X1^2 = X2^2 is a nonzero projector on each side, to
-        NOISE_TOL in the Frobenius norm, and else the dense norm of R01."""
-        comms = []
-        for x1, x2 in ((self.a1.matrix, self.a2.matrix), (self.b1.matrix, self.b2.matrix)):
-            p = x1 @ x1
-            if not (linalg.frobenius(p - x2 @ x2) <= NOISE_TOL
-                    and linalg.frobenius(p @ p - p) <= NOISE_TOL and NOISE_TOL < linalg.frobenius(p)):
-                return operator_norm(bell_operator(self, RegionLayout((self.a1.dim, self.b1.dim))))
-            comms.append(np.abs(np.linalg.eigvalsh(1j * (x1 @ x2 - x2 @ x1))).max())
-        return float(np.sqrt(4.0 + comms[0] * comms[1]))
+        """||R|| = sqrt(4 + ||[A1,A2]|| ||[B1,B2]||) by Landau's identity, which the
+        precondition checked at construction admits."""
+        a1, a2, b1, b2 = (op.matrix for op in (self.a1, self.a2, self.b1, self.b2))
+        ca, cb = (np.abs(np.linalg.eigvalsh(1j * (x1 @ x2 - x2 @ x1))).max()
+                  for x1, x2 in ((a1, a2), (b1, b2)))
+        return float(np.sqrt(4.0 + ca * cb))
 
 
 def hermitian_contractions(x: np.ndarray, names) -> np.ndarray:
@@ -133,14 +137,6 @@ class BellReport:
     correlation: float  # (1/2) <R> in `state`
     tsirelson_margin: float  # sqrt(2) - (1/2) ||R||
     conditional: Optional[ConditionalResult] = None
-
-
-def bell_operator(s: BellSettings, layout: RegionLayout) -> np.ndarray:
-    """R = A1 (B1 + B2) + A2 (B1 - B2) as a dense matrix on the layout: R01 (x) 1,
-    since slots (0,1) are the leading Kronecker factors, and R01 itself on 2 slots."""
-    a1, a2, b1, b2 = (op.matrix for op in (s.a1, s.a2, s.b1, s.b2))
-    r01 = np.kron(a1, b1 + b2) + np.kron(a2, b1 - b2)
-    return r01 if layout.n_slots == 2 else np.kron(r01, np.eye(math.prod(layout.dims[2:])))
 
 
 def bell_correlation(s: BellSettings, state, layout: RegionLayout) -> float:
@@ -327,28 +323,23 @@ def epr_projector_pair(
     return p1, report
 
 
-def _conditional_pipeline(
-    settings: BellSettings,
-    phi: np.ndarray,
-    v: VacuumModel,
-    eps: float,
-) -> BellReport:
-    """Shared machinery for the conditional violation results.
+def violate_conditional_bell(layout: RegionLayout, v: VacuumModel, eps: float) -> BellReport:
+    """Conditional near-maximal violation: (1/2) <R>_{P3=1} > sqrt(2) - eps.
 
-    ``phi`` is a state on slots (0,1) with (1/2) <R>_phi = K/2; the root
+    The canonical state phi on slots (0,1) has (1/2) <R>_phi = K/2; the root
     pipeline treats slots (0,1) as one merged region carrying A = R and
     produces P3 on slot 2, with <P3>_omega and <R P3>_omega among its products.
     Targets on <R> use 2*eps since the claimed bound is on (1/2) <R>.
     """
-    layout = v.layout
-    if layout.n_slots != 3:
+    phi, settings = canonical_max_violation(layout)
+    if v.layout.n_slots != 3:
         raise ValueError("the conditional pipeline needs a 3-slot layout")
-    require_vacuum_layout(layout)
+    require_vacuum_layout(v.layout)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
 
     # chi = first basis vector on slot 2; any unit vector works.
-    chi = np.zeros(layout.dims[2], dtype=complex)
+    chi = np.zeros(v.layout.dims[2], dtype=complex)
     chi[0] = 1.0
     psi = np.kron(phi, chi)
     products = root_products(settings, psi, v, (2,))
@@ -374,38 +365,3 @@ def _conditional_pipeline(
             certificate=cert,
         ),
     )
-
-
-def violate_conditional_bell(layout: RegionLayout, v: VacuumModel, eps: float) -> BellReport:
-    """Conditional near-maximal violation: (1/2) <R>_{P3=1} > sqrt(2) - eps."""
-    phi, settings = canonical_max_violation(layout)
-    return _conditional_pipeline(settings, phi, v, eps)
-
-
-def general_contraction_extension(
-    a1: LocalOperator,
-    a2: LocalOperator,
-    b1: LocalOperator,
-    b2: LocalOperator,
-    v: VacuumModel,
-    eps: float,
-) -> BellReport:
-    """Conditional violation for arbitrary non-commuting contraction pairs.
-
-    The state is the optimum for the given settings (the top eigenvector
-    of R on slots (0,1)); the conditional correlation then exceeds that
-    optimum minus eps.
-    """
-    settings = BellSettings(a1=a1, a2=a2, b1=b1, b2=b2)
-    for name, p, q in (("A", settings.a1, settings.a2), ("B", settings.b1, settings.b2)):
-        if operator_norm(1j * (p.matrix @ q.matrix - q.matrix @ p.matrix)) <= NOISE_TOL:
-            raise ValueError(f"{name}1 and {name}2 commute; the extension needs "
-                             "non-commuting pairs")
-    r01 = bell_operator(settings, RegionLayout(v.layout.dims[:2]))
-    cols = linalg.projector(hermitian_eig(r01).blocks[0])
-    top = cols[:, int(np.argmax(np.linalg.norm(cols, axis=0)))]
-    top = top / np.linalg.norm(top)
-    # Deterministic global phase: largest component real positive.
-    lead = top[int(np.argmax(np.abs(top)))]
-    top = top * (abs(lead) / lead)
-    return _conditional_pipeline(settings, top, v, eps)

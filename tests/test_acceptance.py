@@ -9,13 +9,12 @@ import time
 
 import numpy as np
 
-from conftest import embed_oracle, random_state
+from conftest import bell_oracle, embed_oracle, random_state
 
 from vacuumcorr.correlations import (
     SQRT2,
     BellSettings,
     bell_correlation,
-    bell_operator,
     canonical_max_violation,
     epr_projector_pair,
     seesaw_starts,
@@ -57,7 +56,8 @@ def test_criterion_1_tsirelson_bound():
     worst_norm = -math.inf
     for seed in range(100):
         s = _random_settings(L22, seed)
-        worst_norm = max(worst_norm, 0.5 * operator_norm(bell_operator(s, L22)))
+        worst_norm = max(worst_norm, 0.5 * operator_norm(bell_oracle(
+            s.a1.matrix, s.a2.matrix, s.b1.matrix, s.b2.matrix, L22.dims)))
     state, _ = canonical_max_violation(L22)
     worst_beta = max(
         beta for beta, _, _ in seesaw_starts(schmidt_values(state, L22.dims, 0), range(20))
@@ -166,7 +166,8 @@ def test_criterion_5_conditional_bell():
     report = violate_conditional_bell(L224, v, eps)
     cond = report.conditional
     # Independent recomputation from the returned operators.
-    r = bell_operator(report.settings, L224)
+    r = bell_oracle(*(op.matrix for op in (report.settings.a1, report.settings.a2,
+                                            report.settings.b1, report.settings.b2)), L224.dims)
     ep3 = embed_oracle(cond.p3.matrix, 2, (2, 2, 4))
     recomputed = (
         0.5 * float(np.vdot(v.omega, r @ ep3 @ v.omega).real)

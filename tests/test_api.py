@@ -21,9 +21,9 @@ PUBLIC = [
     "BellReport", "BellSettings", "ConfigError", "EigenSystem", "EpsilonBudget",
     "LocalOperator", "ProjectorDecomposition", "RegionLayout", "RootCertificate",
     "RootProducts", "RunReport", "SQRT2", "ScenarioConfig", "StageFailure", "SweepTable",
-    "VacuumModel", "bell_correlation", "bell_operator", "canonical_max_violation",
+    "VacuumModel", "bell_correlation", "canonical_max_violation",
     "certify_root", "emit_report", "epr_projector_pair",
-    "general_contraction_extension", "hermitian_eig", "make_vacuum", "operator_norm",
+    "hermitian_eig", "make_vacuum", "operator_norm",
     "prove_root_certificate", "random_projector", "rescale_to_unit_vacuum", "root_products",
     "run_scenario", "sweep_eps", "tsirelson_certificate",
     "vacuum_positivity", "violate_conditional_bell",

@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import (
     bell_oracle,
-    charpoly_eigenvalues,
     embed_oracle,
     expectation,
     off_maximal_vacuum,
     off_maximal_vacuum_3slot,
-    operator_norm_oracle,
     qubit_angle_grid_bell,
     random_state,
     reflection_commutator_oracle,
@@ -27,10 +25,8 @@ from vacuumcorr.correlations import (
     SQRT2,
     BellSettings,
     bell_correlation,
-    bell_operator,
     canonical_max_violation,
     epr_projector_pair,
-    general_contraction_extension,
     hermitian_contractions,
     reflection_commutator_norms,
     seesaw_starts,
@@ -72,14 +68,12 @@ def random_settings(layout, seed):
     return BellSettings(a1=ops[0], a2=ops[1], b1=ops[2], b2=ops[3])
 
 
-def random_contractions(dims, rng, noise=0.0):
-    """Four Hermitian contractions on slots 0, 0, 1, 1, each plus ``noise``
-    times a non-Hermitian perturbation."""
+def random_contractions(dims, rng):
+    """Four Hermitian contractions on slots 0, 0, 1, 1."""
     ops = []
     for d in (dims[0], dims[0], dims[1], dims[1]):
         h = random_hermitian(d, rng)
-        h *= rng.uniform(0.5, 1.0) / np.max(np.abs(np.linalg.eigvalsh(h)))
-        ops.append(h + noise * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))))
+        ops.append(h * rng.uniform(0.5, 1.0) / np.max(np.abs(np.linalg.eigvalsh(h))))
     return ops
 
 
@@ -100,17 +94,26 @@ def partial_involutions(d, rank, rng):
     return one(), one()
 
 
+def random_partial_involutions(dims, rng):
+    """A1, A2, B1, B2 from ``partial_involutions`` at a random rank 1..d on each side."""
+    return [x for d in dims[:2] for x in partial_involutions(d, int(rng.integers(1, d + 1)), rng)]
+
+
+def settings_oracle(s: BellSettings, dims) -> np.ndarray:
+    """``bell_oracle`` of the settings' stored matrices on ``dims``."""
+    return bell_oracle(*(op.matrix for op in (s.a1, s.a2, s.b1, s.b2)), dims)
+
+
 def dense_margin(s: BellSettings, dims) -> float:
-    r = bell_oracle(*(op.matrix for op in (s.a1, s.a2, s.b1, s.b2)), dims[:2])
-    return SQRT2 - 0.5 * float(np.max(np.abs(np.linalg.eigvalsh(r))))
+    return SQRT2 - 0.5 * float(np.max(np.abs(np.linalg.eigvalsh(settings_oracle(s, dims[:2])))))
 
 
-DENSE_CASES = ["half", "unequal_squares", "zero", "general_b"]
+OFF_PRECONDITION = [("half", "A"), ("unequal_squares", "A"), ("zero", "A"), ("general_b", "B")]
 
 
-def dense_path_settings(case: str) -> BellSettings:
-    """Settings on 3,3 outside Landau's precondition (X1^2 = X2^2 a nonzero
-    projector on both sides)."""
+def off_precondition_matrices(case: str) -> list:
+    """Self-adjoint contractions on 3,3 (A1, A2, B1, B2) outside Landau's precondition
+    (X1^2 = X2^2 a nonzero projector) on one side."""
     _, canon = canonical_max_violation(RegionLayout((3, 3)))
     a1, a2, b1, b2 = (op.matrix for op in (canon.a1, canon.a2, canon.b1, canon.b2))
     if case == "half":  # A1^2 = A2^2 = P / 4, not a projector
@@ -121,11 +124,7 @@ def dense_path_settings(case: str) -> BellSettings:
         a1 = a2 = np.zeros((3, 3), dtype=complex)
     else:
         b2 = random_contractions((3, 3), np.random.default_rng(5))[3]
-    return settings_of(a1, a2, b1, b2)
-
-
-def spy_bell_operator():
-    return mock.patch.object(correlations, "bell_operator", wraps=correlations.bell_operator)
+    return [a1, a2, b1, b2]
 
 
 class TestBellSettings:
@@ -187,11 +186,16 @@ class TestBellSettings:
 class TestHermitianPart:
     @given(d1=st.integers(2, 5), d2=st.integers(2, 5), seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
-    def test_r_exactly_hermitian_for_validated_settings(self, d1, d2, seed):
+    def test_factors_exactly_hermitian_for_validated_settings(self, d1, d2, seed):
+        # R = A1 (x) (B1 + B2) + A2 (x) (B1 - B2) is then exactly Hermitian: conj(a) conj(b)
+        # rounds to conj(a b).  bell_oracle's matrix products round (i, j) and (j, i) apart.
         rng = np.random.default_rng(seed)
-        s = settings_of(*random_contractions((d1, d2), rng, noise=1e-13))
-        r = bell_operator(s, RegionLayout((d1, d2)))
-        assert np.array_equal(r, r.conj().T)
+        noisy = [x + 1e-13 * complex_gaussian(len(x), rng)
+                 for x in random_partial_involutions((d1, d2), rng)]
+        s = settings_of(*noisy)
+        a1, a2, b1, b2 = (op.matrix for op in (s.a1, s.a2, s.b1, s.b2))
+        for x in (a1, a2, b1 + b2, b1 - b2):
+            assert np.array_equal(x, x.conj().T)
 
     @given(d=st.integers(2, 5), seed=st.integers(0, 10_000),
            log_excess=st.floats(-13, -8), sign=st.sampled_from([-1.0, 1.0]),
@@ -265,30 +269,29 @@ class TestApplyBell:
     def test_term_by_term_matches_the_dense_operator(self, dims, seed):
         rng = np.random.default_rng(seed)
         layout = RegionLayout(tuple(dims))
-        mats = random_contractions(layout.dims, rng)
+        mats = random_partial_involutions(layout.dims, rng)
         s = settings_of(*mats)
         vec = rng.standard_normal(layout.total_dim) + 1j * rng.standard_normal(layout.total_dim)
         got = s.apply(vec, layout)
-        np.testing.assert_allclose(got, bell_operator(s, layout) @ vec, atol=1e-12)
         np.testing.assert_allclose(got, bell_oracle(*mats, layout.dims) @ vec, atol=1e-12)
 
 
 class TestSettingsAsRootOperator:
-    """The root pipeline reads the settings through their seam (term-by-term R,
-    Landau's or the dense ||R||) as it reads the dense R01 on slots (0, 1)."""
+    """The root pipeline reads the settings through their seam (term-by-term R and
+    Landau's ||R||) as it reads the dense R01 on slots (0, 1)."""
 
     @pytest.mark.parametrize("dims", [(2, 2, 4), (2, 3, 6), (3, 2, 6), (3, 3, 9)])
     @pytest.mark.parametrize("kind", ["canonical", "random"])
     def test_products_match_the_dense_operator(self, dims, kind):
         layout = RegionLayout(dims)
         rng = np.random.default_rng(sum(dims))
-        if kind == "canonical":  # Landau's norm
+        if kind == "canonical":
             _, s = canonical_max_violation(layout)
-        else:  # the dense norm
-            s = settings_of(*random_contractions(dims, rng))
+        else:
+            s = settings_of(*random_partial_involutions(dims, rng))
         v = make_vacuum(layout, 0)
         psi = random_state(layout.total_dim, rng)
-        dense = LocalOperator((0, 1), bell_operator(s, RegionLayout(dims[:2])))
+        dense = LocalOperator((0, 1), settings_oracle(s, dims[:2]))
         got, want = (root_products(a, psi, v, (2,)) for a in (s, dense))
         for name in ("k", "norm_a", "cyclic_residual", "c_tilde_norm", "normalized_error",
                      "window", "q_trace"):
@@ -302,50 +305,62 @@ class TestLandauNorm:
     @settings(max_examples=60, deadline=None)
     def test_shared_support_matches_dense(self, d1, d2, seed):
         rng = np.random.default_rng(seed)
-        a1, a2 = partial_involutions(d1, int(rng.integers(1, d1 + 1)), rng)
-        b1, b2 = partial_involutions(d2, int(rng.integers(1, d2 + 1)), rng)
-        s = settings_of(a1, a2, b1, b2)
-        with spy_bell_operator() as dense:
-            got = tsirelson_certificate(s)
-        assert dense.call_count == 0
-        assert abs(got - dense_margin(s, (d1, d2))) <= 1e-12
+        s = settings_of(*random_partial_involutions((d1, d2), rng))
+        assert abs(tsirelson_certificate(s) - dense_margin(s, (d1, d2))) <= 1e-12
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_canonical_matches_dense(self, d):
         _, s = canonical_max_violation(RegionLayout((d, d)))
-        with spy_bell_operator() as dense:
-            got = tsirelson_certificate(s)
-        assert dense.call_count == 0
-        assert abs(got - dense_margin(s, (d, d))) <= 1e-12
+        assert abs(tsirelson_certificate(s) - dense_margin(s, (d, d))) <= 1e-12
 
-    @pytest.mark.parametrize("case", DENSE_CASES)
-    def test_other_settings_take_the_dense_path(self, case):
-        layout = RegionLayout((3, 3))
-        s = dense_path_settings(case)
-        with spy_bell_operator() as dense:
-            got = tsirelson_certificate(s)
-        assert dense.call_count == 1
-        assert abs(got - dense_margin(s, layout.dims)) <= 1e-12
+    @pytest.mark.parametrize("case,side", OFF_PRECONDITION)
+    def test_settings_off_the_precondition_rejected(self, case, side):
+        with pytest.raises(ValueError, match=f"side {side}: {side}1\\^2 = {side}2\\^2 is not"):
+            settings_of(*off_precondition_matrices(case))
 
-    def test_three_slot_layout_uses_slots_zero_and_one(self):
-        layout = RegionLayout((2, 3, 6))
-        rng = np.random.default_rng(3)
-        s = settings_of(*random_contractions(layout.dims, rng))
-        assert abs(tsirelson_certificate(s) - dense_margin(s, layout.dims)) <= 1e-12
+    @pytest.mark.parametrize("case,side", OFF_PRECONDITION)
+    def test_mirrored_settings_rejected_on_the_other_side(self, case, side):
+        # Each case with A and B swapped (3,3 has equal sides), so each side meets all four.
+        a1, a2, b1, b2 = off_precondition_matrices(case)
+        other = "B" if side == "A" else "A"
+        with pytest.raises(ValueError, match=f"side {other}: {other}1\\^2 = {other}2\\^2 is not"):
+            settings_of(b1, b2, a1, a2)
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_precondition_holds_to_noise_tol(self, side):
+        # X1 -> (1 - delta) X1 on the canonical 3,3 settings moves X1^2 off the rank-2
+        # projector X2^2 by about 2 sqrt(2) delta in the Frobenius norm: 0.28 NOISE_TOL at
+        # delta = 1e-11, 28 NOISE_TOL at delta = 1e-9.
+        _, canon = canonical_max_violation(RegionLayout((3, 3)))
+        mats = [op.matrix for op in (canon.a1, canon.a2, canon.b1, canon.b2)]
+        i = 0 if side == "A" else 2
+
+        def scaled(delta):
+            out = list(mats)
+            out[i] = (1.0 - delta) * mats[i]
+            return out
+
+        s = settings_of(*scaled(1e-11))
+        assert abs(tsirelson_certificate(s) - dense_margin(s, (3, 3))) <= 1e-9
+        with pytest.raises(ValueError, match=f"side {side}: {side}1\\^2 = {side}2\\^2 is not"):
+            settings_of(*scaled(1e-9))
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 5), (2, 3, 6)])
+    def test_every_rank_matches_dense(self, dims):
+        # Slots (0, 1) only, on a 3-slot layout too.
+        rng = np.random.default_rng(sum(dims))
+        d1, d2 = dims[:2]
+        for r1, r2 in itertools.product(range(1, d1 + 1), range(1, d2 + 1)):
+            s = settings_of(*partial_involutions(d1, r1, rng), *partial_involutions(d2, r2, rng))
+            assert abs(tsirelson_certificate(s) - dense_margin(s, dims)) <= 1e-12, (r1, r2)
 
 
 class TestBellOperator:
     def test_canonical_norm(self):
         # The canonical settings give ||R|| = 2 sqrt(2) exactly.
         _, s = canonical_max_violation(L22)
-        r = bell_operator(s, L22)
+        r = settings_oracle(s, L22.dims)
         assert abs(operator_norm(r) - 2.0 * SQRT2) <= 1e-12
-
-    @pytest.mark.parametrize("dims", [(2, 2), (3, 5)])
-    def test_two_slot_operator_is_r01_bit_for_bit(self, dims):
-        a1, a2, b1, b2 = random_contractions(dims, np.random.default_rng(sum(dims)))
-        r = bell_operator(settings_of(a1, a2, b1, b2), RegionLayout(dims))
-        np.testing.assert_array_equal(r, np.kron(a1, b1 + b2) + np.kron(a2, b1 - b2))
 
     def test_equal_b_settings_collapse(self):
         # B1 = B2 removes the A2 term: R = 2 A1 B1, so ||R|| <= 2.
@@ -353,7 +368,7 @@ class TestBellOperator:
             a1=LocalOperator(0, Z), a2=LocalOperator(0, X),
             b1=LocalOperator(1, Z), b2=LocalOperator(1, Z),
         )
-        assert operator_norm(bell_operator(s, L22)) <= 2.0 + 1e-12
+        assert operator_norm(settings_oracle(s, L22.dims)) <= 2.0 + 1e-12
 
     def test_correlation_at_canonical_state(self):
         state, s = canonical_max_violation(L22)
@@ -391,7 +406,7 @@ class TestTsirelson:
             s = random_settings(L22, 1000 + seed)
             psi = random_state(4, rng)
             corr = abs(bell_correlation(s, psi, L22))
-            assert corr <= 0.5 * operator_norm(bell_operator(s, L22)) + 1e-10
+            assert corr <= 0.5 * operator_norm(settings_oracle(s, L22.dims)) + 1e-10
 
 
 def seesaw_values(state, layout, seeds) -> list[float]:
@@ -662,7 +677,7 @@ def conditioned(v, s, p3):
     p3_omega = p3.apply(v.omega, v.layout)
     got = bell_correlation(s, p3_omega / np.linalg.norm(p3_omega), v.layout)
     ep3 = embed_oracle(p3.matrix, p3.slots, v.layout.dims)
-    r = bell_oracle(s.a1.matrix, s.a2.matrix, s.b1.matrix, s.b2.matrix, v.layout.dims)
+    r = settings_oracle(s, v.layout.dims)
     return got, 0.5 * expectation(r @ ep3, v.omega).real / expectation(ep3, v.omega).real
 
 
@@ -671,7 +686,7 @@ def assert_recomputes(report, v):
     <P3>_omega and (1/2) <R P3>_omega / <P3>_omega from the dense oracles."""
     cond, s, dims = report.conditional, report.settings, v.layout.dims
     p3 = embed_oracle(cond.p3.matrix, 2, dims)
-    r = bell_oracle(s.a1.matrix, s.a2.matrix, s.b1.matrix, s.b2.matrix, dims)
+    r = settings_oracle(s, dims)
     p3_expect = expectation(p3, v.omega).real
     assert abs(p3_expect - cond.p3_expect) <= 1e-12
     recomputed = 0.5 * expectation(r @ p3, v.omega).real / p3_expect
@@ -684,7 +699,7 @@ class TestConditionalCorrelation:
         v = off_maximal_vacuum_3slot(2, 2, 0.1)
         _, s = canonical_max_violation(L224)
         got, want = conditioned(v, s, LocalOperator(2, np.eye(4)))
-        r = bell_operator(s, L224)
+        r = settings_oracle(s, L224.dims)
         direct = 0.5 * float(expectation(r, v.omega).real)
         assert abs(got - direct) <= 1e-12 and abs(want - direct) <= 1e-12
 
@@ -710,6 +725,17 @@ class TestViolateConditionalBell:
     def test_recompute_from_report(self):
         v = make_vacuum(L224, seed=0)
         assert_recomputes(violate_conditional_bell(L224, v, eps=0.05), v)
+
+    @pytest.mark.parametrize("dims", [(2, 2, 4), (2, 3, 6), (3, 3, 9)])
+    def test_correlation_is_half_the_top_eigenvalue(self, dims):
+        # The canonical state is R01's top eigenvector: (1/2) lambda_max(R01) on the dense
+        # oracle, whose norm also gives the Tsirelson margin.
+        layout = RegionLayout(dims)
+        report = violate_conditional_bell(layout, make_vacuum(layout, seed=0), eps=0.05)
+        top = max(np.linalg.eigvalsh(settings_oracle(report.settings, dims[:2])))
+        assert abs(report.correlation - 0.5 * top) <= 1e-9
+        assert abs(report.tsirelson_margin - dense_margin(report.settings, dims)) <= 1e-12
+        assert report.conditional.conditional_correlation > report.correlation - 0.05
 
     def test_two_slot_layout_rejected(self):
         v = make_vacuum(L22, seed=0)
@@ -755,7 +781,7 @@ class TestOffMaximalThreeSlotVacua:
         got = root_products(s, psi, v, (2,))
         # Coefficients across (0,1)|2 are the vector reshaped n x n; across 2|(0,1),
         # that matrix transposed.  C~ solves C~ M = Psi by least squares.
-        r01 = bell_operator(s, RegionLayout((d, d)))
+        r01 = settings_oracle(s, (d, d))
         m, psi_mat = v.omega.reshape(n, n).T, psi.reshape(n, n).T
         c_tilde = np.linalg.lstsq(m.T, psi_mat.T, rcond=None)[0].T
         c_omega = c_tilde @ m
@@ -795,48 +821,3 @@ class TestOffMaximalThreeSlotVacua:
             ("tsirelson_margin", True)]
         assert len(report.certificates["bell"].conditional.certificate.weights) == 1
 
-
-class TestGeneralContractionExtension:
-    def test_canonical_settings(self):
-        v = make_vacuum(L224, seed=0)
-        _, s = canonical_max_violation(L224)
-        report = general_contraction_extension(s.a1, s.a2, s.b1, s.b2, v, eps=0.05)
-        assert report.conditional.conditional_correlation > SQRT2 - 0.05
-        # The optimal state hits (1/2) lambda_max(R), the charpoly root.
-        r = bell_operator(s, RegionLayout(L224.dims[:2]))
-        top = max(charpoly_eigenvalues(r).real)
-        assert abs(report.correlation - 0.5 * top) <= 1e-9
-
-    @staticmethod
-    def non_commuting_settings(count):
-        """The first ``count`` of ``random_settings(L224, 5000 + i)`` whose A's and B's
-        both fail to commute."""
-        found = []
-        for seed in itertools.count(5000):
-            s = random_settings(L224, seed)
-            if all(operator_norm_oracle(x @ y - y @ x) > 1e-6
-                   for x, y in ((s.a1.matrix, s.a2.matrix), (s.b1.matrix, s.b2.matrix))):
-                found.append(s)
-            if len(found) == count:
-                return found
-
-    def test_random_non_commuting_pairs(self):
-        v = make_vacuum(L224, seed=7)
-        for s in self.non_commuting_settings(3):
-            report = general_contraction_extension(s.a1, s.a2, s.b1, s.b2, v, eps=0.05)
-            r = bell_operator(s, RegionLayout(L224.dims[:2]))
-            top = max(charpoly_eigenvalues(r).real)
-            assert abs(report.correlation - 0.5 * top) <= 1e-8
-            assert report.conditional.conditional_correlation > report.correlation - 0.05
-
-    def test_recompute_from_report(self):
-        # The conditional pipeline's second caller, on its own optimal states.
-        v = make_vacuum(L224, seed=7)
-        for s in self.non_commuting_settings(3):
-            assert_recomputes(general_contraction_extension(s.a1, s.a2, s.b1, s.b2, v, eps=0.05), v)
-
-    def test_commuting_pair_rejected(self):
-        v = make_vacuum(L224, seed=0)
-        _, s = canonical_max_violation(L224)
-        with pytest.raises(ValueError, match="commute"):
-            general_contraction_extension(s.a1, s.a1, s.b1, s.b2, v, eps=0.05)
